@@ -4,14 +4,12 @@ Tracks the perf trajectory of the collection pipeline on the Internet2
 topology in three groups of lanes:
 
 * **engine probe rate** — the same TTL-sweep probe workload pushed through
-  one engine four ways: per-probe ``send`` with the resolved-path cache
+  one engine three ways: per-probe ``send`` with the resolved-path cache
   off (every probe re-walks the routed path), per-probe ``send`` with the
-  cache on, legacy ``send_many`` batches (``vector_path=False``), and
-  vectorized bulk ``send_many`` batches served from the packed-key flow
-  index.  The probe objects are built once outside the timed region for
-  every lane, so the lanes compare dispatch cost, not packet allocation.
-  Gates: fastpath >= 2x serial, batched >= 5x serial, bulk >= 1.5x
-  batched and >= 10x serial (full runs).
+  cache on, and ``send_many`` batches.  The probe objects are built once
+  outside the timed region for every lane, so the lanes compare dispatch
+  cost, not packet allocation.  Gates: fastpath >= 2x serial, batched
+  >= 5x serial (full runs).
 * **counters-only overhead** — the same fastpath survey with no sinks
   vs a single :class:`CounterSink` subscribed (every producer takes the
   type-only ``tally`` path, no event objects constructed) vs counters
@@ -71,19 +69,15 @@ SCALE_SMOKE_PATH = os.path.join(REPO_ROOT, "BENCH_scale_smoke.json")
 
 SEED = 7
 TTL_SWEEP = 12  # TTLs probed per destination in the engine lane
-# Probes per send_many dispatch in the batched engine lanes.  The
-# vectorized bulk path pays a fixed per-batch cost (array packing, one
-# index query) that it amortizes over the batch; 1024 is the large-survey
-# dispatch size it is designed for, where the amortization is complete.
-# The legacy per-probe loop is chunk-insensitive, so the comparison stays
-# fair at any chunk.
+# Probes per send_many dispatch in the batched engine lane.  The batched
+# loop is chunk-insensitive; 1024 keeps the per-call overhead negligible.
 BATCH_CHUNK = 1024
 # The engine sweeps finish in milliseconds on the faster lanes — too
 # short to time reliably.  Each timed rep repeats the sweep enough times
 # to stretch the region to tens of milliseconds; rates are normalized by
 # the actual probe count, so lanes with different loop counts compare
 # directly.
-LANE_LOOPS = {"serial": 1, "fastpath": 3, "batched": 8, "bulk": 8}
+LANE_LOOPS = {"serial": 1, "fastpath": 3, "batched": 8}
 SCALE_LANES = (100_000, 1_000_000)  # interface budgets, full runs only
 
 
@@ -98,23 +92,21 @@ def peak_rss_bytes() -> int:
 
 
 def engine_probe_rates(network, targets, reps: int = 5) -> dict:
-    """Push a survey-shaped (dst, ttl) workload through four engines:
-    per-probe sends with the resolved-path cache off and on, legacy
-    ``send_many`` batches (``vector_path=False``), and vectorized bulk
-    ``send_many`` batches over the packed-key flow index.
+    """Push a survey-shaped (dst, ttl) workload through three engines:
+    per-probe sends with the resolved-path cache off and on, and
+    ``send_many`` batches.
 
-    The probe list is built once, outside every timed region — all four
+    The probe list is built once, outside every timed region — all three
     lanes dispatch the *same* prebuilt objects, so the comparison isolates
     engine dispatch cost.  One un-timed warmup pass per engine populates
     the lazily-built routing table and, on the cached engines, the path
-    memo (and, on the bulk engine, the packed-key index).  The sweep is
-    then timed ``reps`` times per engine with the lanes *interleaved* —
-    serial rep, fastpath rep, batched rep, bulk rep, serial rep, ... — so
-    a systematic slowdown mid-bench (CPU throttling, a noisy neighbour)
-    hits every lane equally instead of whichever ran last.  The fast
-    lanes finish a single sweep in milliseconds, so each timed rep runs
-    the sweep ``LANE_LOOPS[lane]`` times and rates are normalized by the
-    probes actually sent.  Each lane reports its fastest rep, the
+    memo.  The sweep is then timed ``reps`` times per engine with the
+    lanes *interleaved* — serial rep, fastpath rep, batched rep, serial
+    rep, ... — so a systematic slowdown mid-bench (CPU throttling, a noisy
+    neighbour) hits every lane equally instead of whichever ran last.  The
+    fast lanes finish a single sweep in milliseconds, so each timed rep
+    runs the sweep ``LANE_LOOPS[lane]`` times and rates are normalized by
+    the probes actually sent.  Each lane reports its fastest rep, the
     noise-robust steady-state figure, exactly as ``timeit`` does; GC is
     paused inside the timed regions for the same reason.
     """
@@ -129,9 +121,7 @@ def engine_probe_rates(network, targets, reps: int = 5) -> dict:
         "fastpath": Engine(network.topology, policy=network.policy,
                            path_cache=True),
         "batched": Engine(network.topology, policy=network.policy,
-                          path_cache=True, vector_path=False),
-        "bulk": Engine(network.topology, policy=network.policy,
-                       path_cache=True),
+                          path_cache=True),
     }
 
     def sweep_serial(engine, loops):
@@ -147,7 +137,7 @@ def engine_probe_rates(network, targets, reps: int = 5) -> dict:
                 send_many(probes[start:start + BATCH_CHUNK])
 
     sweeps = {"serial": sweep_serial, "fastpath": sweep_serial,
-              "batched": sweep_batched, "bulk": sweep_batched}
+              "batched": sweep_batched}
 
     rep_seconds = {lane: [] for lane in engines}
     gc_was_enabled = gc.isenabled()
@@ -176,11 +166,10 @@ def engine_probe_rates(network, targets, reps: int = 5) -> dict:
             "path_cache_misses": engine.stats.path_cache_misses,
             "hit_rate": round(engine.stats.path_cache_hits / max(1, sent), 4),
         }
-        if lane in ("batched", "bulk"):
+        if lane == "batched":
             lanes[lane]["batches"] = engine.stats.batches
             lanes[lane]["batched_probes"] = engine.stats.batched_probes
             lanes[lane]["batch_chunk"] = BATCH_CHUNK
-        if lane == "bulk":
             lanes[lane]["bulk_lookup_hits"] = engine.stats.bulk_lookup_hits
             lanes[lane]["bulk_lookup_misses"] = (
                 engine.stats.bulk_lookup_misses)
@@ -464,7 +453,6 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
     engine_serial = engine_lanes["serial"]
     engine_fast = engine_lanes["fastpath"]
     engine_batched = engine_lanes["batched"]
-    engine_bulk = engine_lanes["bulk"]
     counters = counters_overhead(network, targets)
     survey_slow, _ = serial_survey(network, targets, path_cache=False)
     survey_fast, serial_archive = serial_survey(network, targets,
@@ -503,10 +491,6 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
                / max(1e-9, engine_serial["probes_per_sec"]))
     batched_speedup = (engine_batched["probes_per_sec"]
                        / max(1e-9, engine_serial["probes_per_sec"]))
-    bulk_speedup = (engine_bulk["probes_per_sec"]
-                    / max(1e-9, engine_serial["probes_per_sec"]))
-    bulk_over_batched = (engine_bulk["probes_per_sec"]
-                         / max(1e-9, engine_batched["probes_per_sec"]))
     result = {
         "bench": "survey_throughput",
         "topology": "internet2",
@@ -518,16 +502,13 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
             "serial": engine_serial["probes_per_sec"],
             "fastpath": engine_fast["probes_per_sec"],
             "batched": engine_batched["probes_per_sec"],
-            "bulk": engine_bulk["probes_per_sec"],
             "parallel": survey_parallel["cold_probes_per_sec"],
             "parallel_warm": survey_parallel["warm_probes_per_sec"],
         },
         "fastpath_speedup": round(speedup, 2),
         "batched_speedup": round(batched_speedup, 2),
-        "bulk_speedup": round(bulk_speedup, 2),
-        "bulk_over_batched": round(bulk_over_batched, 2),
         "engine": {"serial": engine_serial, "fastpath": engine_fast,
-                   "batched": engine_batched, "bulk": engine_bulk},
+                   "batched": engine_batched},
         "counters_only": counters,
         # Fractional rate cost when only counter sinks are subscribed:
         # every producer takes the type-only tally path.
@@ -601,25 +582,18 @@ def check(result: dict, smoke: bool) -> None:
     assert result["batched_speedup"] > 1.0, (
         f"send_many is not faster than per-probe send "
         f"({result['batched_speedup']}x)")
-    bulk = result["engine"]["bulk"]
-    assert bulk["batches"] > 0, (
-        "bulk lane never dispatched through send_many")
-    assert (bulk["bulk_lookup_hits"] + bulk["bulk_lookup_misses"]
-            == bulk["batched_probes"]), (
-        "bulk-lookup counters do not reconcile: "
-        f"{bulk['bulk_lookup_hits']} hits + {bulk['bulk_lookup_misses']} "
-        f"misses != {bulk['batched_probes']} batched probes")
+    batched = result["engine"]["batched"]
+    assert (batched["bulk_lookup_hits"] + batched["bulk_lookup_misses"]
+            == batched["batched_probes"]), (
+        "batched-lookup counters do not reconcile: "
+        f"{batched['bulk_lookup_hits']} hits + "
+        f"{batched['bulk_lookup_misses']} misses != "
+        f"{batched['batched_probes']} batched probes")
     if not smoke:
         assert result["fastpath_speedup"] >= 2.0, (
             f"fast path is only {result['fastpath_speedup']}x serial")
         assert result["batched_speedup"] >= 5.0, (
             f"batched dispatch is only {result['batched_speedup']}x serial")
-        assert result["bulk_over_batched"] >= 1.5, (
-            f"bulk dispatch is only {result['bulk_over_batched']}x the "
-            f"legacy batched lane")
-        assert result["bulk_speedup"] >= 10.0, (
-            f"bulk dispatch is only {result['bulk_speedup']}x cache-off "
-            f"serial")
         assert result["counters_only_overhead"] <= 0.25, (
             f"counter-only instrumentation costs "
             f"{result['counters_only_overhead']:.1%} of survey rate")
@@ -675,10 +649,7 @@ def main(argv=None) -> int:
           f"-> fastpath {rates['fastpath']:.0f} "
           f"({result['fastpath_speedup']}x) "
           f"-> batched {rates['batched']:.0f} "
-          f"({result['batched_speedup']}x) "
-          f"-> bulk {rates['bulk']:.0f} "
-          f"({result['bulk_speedup']}x serial, "
-          f"{result['bulk_over_batched']}x batched)")
+          f"({result['batched_speedup']}x)")
     print(f"survey probes/sec: serial "
           f"{result['survey']['serial']['probes_per_sec']:.0f} "
           f"-> fastpath {result['survey']['fastpath']['probes_per_sec']:.0f} "

@@ -269,10 +269,15 @@ class MutationSchedule:
 
 def _scratch_alloc(topology: Topology, length: int,
                    cursor: int) -> Tuple[int, int]:
-    """Allocate a free /``length`` block from the RFC 2544 scratch range."""
+    """Allocate a free /``length`` block from the RFC 2544 scratch range.
+
+    Candidates start at ``cursor`` rounded up to a multiple of the block
+    size: an unaligned network would be masked back onto the block
+    allocated before it.
+    """
     scratch = Prefix(SCRATCH_NETWORK, SCRATCH_LENGTH)
     size = Prefix(0, length).size
-    network = cursor
+    network = -(-cursor // size) * size
     blocks = topology._blocks
     while network + size - 1 <= scratch.broadcast:
         candidate = Prefix(network, length)

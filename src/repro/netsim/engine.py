@@ -31,41 +31,6 @@ from .router import DirectConfig, IndirectConfig, IpIdMode, Router
 from .routing import FlowKey, LoadBalancer, RoutingTable
 from .topology import Host, Topology
 
-try:  # numpy is optional by contract: the bulk lookup falls back to the
-    import numpy as _np  # tuned per-probe loop with identical semantics.
-except ImportError:  # pragma: no cover - exercised via vector_path=False
-    _np = None
-
-#: Batches below this size never pay the vectorized setup cost; the
-#: per-probe loop wins on small batches (surveys run batch_window=1).
-_BULK_MIN_BATCH = 24
-
-_PROTO_ORDINAL = {protocol: index for index, protocol in enumerate(Protocol)}
-
-
-def _randrange_matches_getrandbits() -> bool:
-    """Whether ``Random.randrange(n)`` is rejection sampling on
-    ``getrandbits(n.bit_length())`` on this interpreter (true on CPython).
-
-    The bulk send loop inlines the IP-ID draws as raw ``getrandbits``
-    calls — half the cost of the ``randrange`` call stack — but only when
-    the replication is bit-exact, so cached and walked probes keep
-    consuming the identical RNG stream everywhere else too.
-    """
-    walked, inlined = random.Random(0xC0FFEE), random.Random(0xC0FFEE)
-    for bound in (1, 3, 8, 100, 65536):
-        bits = bound.bit_length()
-        for _ in range(64):
-            draw = inlined.getrandbits(bits)
-            while draw >= bound:
-                draw = inlined.getrandbits(bits)
-            if walked.randrange(bound) != draw:
-                return False
-    return True
-
-
-_INLINE_RANDBITS = _randrange_matches_getrandbits()
-
 
 class UnassignedAddressBehavior(enum.Enum):
     """What the last-hop router does for an address with no interface."""
@@ -102,12 +67,11 @@ class EngineStats:
     #: probes they carried (each probe also counts in ``probes_sent``).
     batches: int = 0
     batched_probes: int = 0
-    #: Bulk resolved-path lookup accounting, kept on *every* send_many
-    #: implementation (vectorized or the pure-python fallback) so the
-    #: invariant ``bulk_lookup_hits + bulk_lookup_misses == batched_probes``
-    #: reconciles on all platforms.  A hit was answered straight from the
-    #: memoized-path lookup; a miss fell back to the per-probe walk
-    #: (cache miss, uncacheable flow, record-route, or cache disabled).
+    #: Batched resolved-path lookup accounting, so the invariant
+    #: ``bulk_lookup_hits + bulk_lookup_misses == batched_probes``
+    #: reconciles.  A hit was answered straight from the memoized path; a
+    #: miss fell back to the per-probe walk (cache miss, uncacheable flow,
+    #: record-route, or cache disabled).
     bulk_lookup_hits: int = 0
     bulk_lookup_misses: int = 0
 
@@ -193,38 +157,6 @@ _UNCACHEABLE = None
 _MISSING = object()
 
 
-class _BulkSubIndex:
-    """Packed-key slot index for one ``(protocol, flow_id)`` family.
-
-    Keys are ``(src << 32) | dst`` packed into uint64; ``keys`` is kept
-    sorted so a whole batch resolves with one ``searchsorted`` instead of a
-    dict probe per packet.  Fresh memoizations land in ``pending`` (a plain
-    dict) and are folded into the sorted arrays at the family's next bulk
-    lookup — one O(n log n) merge per batch that saw new flows, instead of
-    an O(n) sorted insertion per miss.
-    """
-
-    __slots__ = ("keys", "slots", "pending")
-
-    def __init__(self) -> None:
-        self.keys = None   # sorted uint64 array of packed (src, dst) keys
-        self.slots = None  # int64 array aligned with ``keys``
-        self.pending: Dict[int, int] = {}
-
-    def merge(self) -> None:
-        """Fold the pending entries into the sorted arrays."""
-        pending = self.pending
-        keys = _np.fromiter(pending.keys(), _np.uint64, len(pending))
-        slots = _np.fromiter(pending.values(), _np.int64, len(pending))
-        if self.keys is not None:
-            keys = _np.concatenate([self.keys, keys])
-            slots = _np.concatenate([self.slots, slots])
-        order = _np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        self.slots = slots[order]
-        pending.clear()
-
-
 class Engine:
     """Injects probes into a topology and produces responses.
 
@@ -242,8 +174,7 @@ class Engine:
                  keep_wire_log: bool = False,
                  seed: int = 0,
                  ip_id_noise: int = 8,
-                 path_cache: bool = True,
-                 vector_path: bool = True):
+                 path_cache: bool = True):
         self.topology = topology
         self.routing = routing if routing is not None else RoutingTable(topology)
         self.policy = policy if policy is not None else fully_responsive()
@@ -266,28 +197,6 @@ class Engine:
         # cheaper than the .value descriptor in the per-probe hot loops.
         self._path_cache: Dict[Tuple[int, int, Protocol, int],
                                Optional[ResolvedPath]] = {}
-        # Vectorized bulk lookup over the same memo: per-(protocol, flow)
-        # sorted packed-key arrays resolve whole batches via searchsorted,
-        # and every memoized path is flattened into slot-indexed plan-id
-        # arrays so per-probe plan selection becomes one numpy gather.
-        # Optional: without numpy (or with vector_path=False) send_many
-        # uses the pure-python loop below with identical semantics.
-        self.vector_path = bool(vector_path) and _np is not None
-        self._bulk_index: Dict[Tuple[Protocol, int], _BulkSubIndex] = {}
-        #: pid -> (kind, source, responder, random_ip_id, draws_bucket);
-        #: pid -1 encodes "statically silent, no bucket touched".
-        self._plan_rows: list = []
-        self._plan_ids: Dict[ResponsePlan, int] = {}
-        self._plan_nil: List[bool] = []
-        self._nil_pid_arr = None
-        self._slot_count = 0
-        self._flat_len = 0
-        if self.vector_path:
-            self._slot_offset = _np.empty(64, _np.int64)
-            self._slot_limit = _np.empty(64, _np.int64)
-            self._flat_pids = _np.empty(256, _np.int64)
-        else:
-            self._slot_offset = self._slot_limit = self._flat_pids = None
         # Mutation watch: memoized paths bake in the topology walk, the
         # policy's static response decisions and the balancer's per-flow
         # choices.  Any of the three changing mid-run (netsim.dynamics)
@@ -353,11 +262,6 @@ class Engine:
         if not self.use_path_cache or self._keep_wire_log:
             stats.bulk_lookup_misses += len(probes)
             return [self.send(probe) for probe in probes]
-        if (self.vector_path and len(probes) >= _BULK_MIN_BATCH
-                and self._bulk_index):
-            responses = self._send_many_bulk(probes)
-            if responses is not None:
-                return responses
 
         responses: List[Optional[Response]] = []
         append = responses.append
@@ -448,10 +352,6 @@ class Engine:
     def clear_path_cache(self) -> None:
         """Forget every memoized path (e.g. after mutating the topology)."""
         self._path_cache.clear()
-        # The bulk index mirrors the memo; drop it too.  Plan rows and slot
-        # storage stay allocated — stale slots are unreachable once the
-        # per-flow indexes are gone, and fresh memoizations reuse the arrays.
-        self._bulk_index.clear()
 
     def path_routers(self, src_host_id: str, dst: int) -> List[str]:
         """Ground-truth router path from a host toward ``dst`` (tests only).
@@ -565,344 +465,13 @@ class Engine:
         if entry is _MISSING:
             self.stats.path_cache_misses += 1
             response = self._walk(probe, stamps)
-            resolved = self._resolve_path(probe)
-            self._path_cache[key] = resolved
-            if resolved is not None and self.vector_path:
-                self._bulk_register(key, resolved)
+            self._path_cache[key] = self._resolve_path(probe)
             return response
         if entry is _UNCACHEABLE:
             self.stats.path_cache_uncacheable += 1
             return self._walk(probe, stamps)
         self.stats.path_cache_hits += 1
         return self._replay(probe, entry, stamps)
-
-    # -- vectorized bulk lookup ---------------------------------------------
-
-    def _bulk_plan_id(self, plan: Optional[ResponsePlan]) -> int:
-        """Intern one response plan into the flat plan registry.
-
-        -1 encodes static silence with no live side effect (plan is None,
-        or a source-less plan that never draws a bucket).  A NIL plan that
-        *does* draw keeps a row so replay consumes the token like the walk.
-        """
-        if plan is None or (plan.source is None and not plan.draws_bucket):
-            return -1
-        pid = self._plan_ids.get(plan)
-        if pid is None:
-            pid = len(self._plan_rows)
-            self._plan_rows.append(
-                (plan.kind, plan.source, plan.responder,
-                 plan.ip_id_mode is IpIdMode.RANDOM, plan.draws_bucket))
-            # NIL rows (token drawn, then silence) only behave differently
-            # from static silence while some bucket exists; the bulk gather
-            # remaps them to -1 when the policy has no limiters at all.
-            self._plan_nil.append(plan.source is None)
-            self._nil_pid_arr = None
-            self._plan_ids[plan] = pid
-        return pid
-
-    def _bulk_register(self, key: Tuple[int, int, Protocol, int],
-                       path: ResolvedPath) -> None:
-        """Mirror one fresh memoization into the packed-key bulk index."""
-        plan_id = self._bulk_plan_id
-        limit = path.expiry_limit
-        # Flat layout per slot: hop plan ids for TTL 1..limit, then the
-        # terminal plan at position ``limit`` — so per-probe selection is
-        # ``flat[offset + min(ttl - 1, limit)]``, a pure gather.
-        pids = [plan_id(path.hop_plans[i]) for i in range(limit)]
-        pids.append(plan_id(path.terminal_plan))
-        flat = self._flat_pids
-        start = self._flat_len
-        need = start + len(pids)
-        if need > flat.shape[0]:
-            grown = _np.empty(max(need, flat.shape[0] * 2), _np.int64)
-            grown[:start] = flat[:start]
-            self._flat_pids = flat = grown
-        flat[start:need] = pids
-        self._flat_len = need
-        slot = self._slot_count
-        if slot >= self._slot_offset.shape[0]:
-            for name in ("_slot_offset", "_slot_limit"):
-                old = getattr(self, name)
-                grown = _np.empty(old.shape[0] * 2, _np.int64)
-                grown[:slot] = old[:slot]
-                setattr(self, name, grown)
-        self._slot_offset[slot] = start
-        self._slot_limit[slot] = limit
-        self._slot_count = slot + 1
-        family = (key[2], key[3])
-        sub = self._bulk_index.get(family)
-        if sub is None:
-            sub = self._bulk_index[family] = _BulkSubIndex()
-        sub.pending[(key[0] << 32) | key[1]] = slot
-
-    def _send_many_bulk(self, probes) -> Optional[List[Optional[Response]]]:
-        """Vectorized half of :meth:`send_many`.
-
-        Resolves the whole batch against the packed-key index in numpy —
-        slot lookup via searchsorted per (protocol, flow) run, plan-id
-        selection as one gather — then walks the batch once in probe order
-        for the live parts (clock, rate-limit buckets, IP-ID draws), which
-        keeps every RNG and bucket stream identical to serial sends.
-        Returns None when nothing resolved (the per-probe loop handles the
-        batch instead).
-        """
-        np = _np
-        n = len(probes)
-        # Field extraction runs as plain listcomps + C-level conversions;
-        # np.fromiter over attribute generators costs ~4x as much and was
-        # the dominant overhead of an earlier cut of this path.
-        srcs = [p.src for p in probes]
-        dsts = [p.dst for p in probes]
-        flows = [p.flow_id for p in probes]
-        protos = [p.protocol for p in probes]
-        dst_arr = np.array(dsts, np.uint64)
-        if srcs.count(srcs[0]) == n:  # single vantage: scalar key prefix
-            key_arr = np.uint64(srcs[0] << 32) | dst_arr
-        else:
-            key_arr = (np.array(srcs, np.uint64) << np.uint64(32)) | dst_arr
-        # (protocol, flow) run boundaries: TTL sweeps share long runs, so
-        # the per-family dict probe happens once per run, not per packet.
-        # list.count is C-speed, so the (overwhelmingly common) single-run
-        # batch never builds the boundary arrays at all.
-        if protos.count(protos[0]) == n and flows.count(flows[0]) == n:
-            bounds = [0, n]
-        else:
-            proto_arr = np.array([_PROTO_ORDINAL[p] for p in protos],
-                                 np.int64)
-            flow_arr = np.array(flows, np.int64)
-            change = proto_arr[1:] != proto_arr[:-1]
-            change |= flow_arr[1:] != flow_arr[:-1]
-            bounds = [0]
-            bounds.extend((np.nonzero(change)[0] + 1).tolist())
-            bounds.append(n)
-        slots = np.full(n, -1, np.int64)
-        index = self._bulk_index
-        groups = []
-        for gi in range(len(bounds) - 1):
-            start, stop = bounds[gi], bounds[gi + 1]
-            first = probes[start]
-            groups.append((start, stop, first.protocol))
-            sub = index.get((first.protocol, first.flow_id))
-            if sub is None:
-                continue
-            if sub.pending:
-                # Fold fresh memoizations in eagerly: a merge is O(K log K)
-                # once, while unmerged entries cost a python dict probe per
-                # missing packet on *every* batch.  Steady state (no new
-                # flows) then runs pure searchsorted with no fixup pass.
-                sub.merge()
-            keys = sub.keys
-            segment = key_arr[start:stop]
-            if keys is not None and keys.shape[0]:
-                pos = keys.searchsorted(segment)
-                np.minimum(pos, keys.shape[0] - 1, out=pos)
-                found = keys[pos] == segment
-                slots[start:stop] = np.where(found, sub.slots[pos], -1)
-        valid = slots >= 0
-        record_flags = [p.record_route for p in probes]
-        if True in record_flags:
-            valid &= ~np.array(record_flags, np.bool_)
-        fast = int(np.count_nonzero(valid))
-        if fast == 0:
-            return None
-        ttl_arr = np.array([p.ttl for p in probes], np.int64)
-        safe = np.where(valid, slots, 0)
-        flat_index = self._slot_offset[safe] + np.minimum(
-            ttl_arr - 1, self._slot_limit[safe])
-        pids = self._flat_pids[flat_index]
-        # A draws_bucket plan only needs the live call when some bucket
-        # actually exists; with none attached rate_limit_allows is
-        # vacuously True and there is no token state to advance, so NIL
-        # rows collapse to static silence and the hot loop below can skip
-        # every per-probe policy check.
-        bucket_live = self.policy.rate_limited
-        if not bucket_live and self._plan_nil:
-            nil_arr = self._nil_pid_arr
-            if nil_arr is None:
-                # Sentinel False at the end: pid -1 gathers the last entry.
-                nil_arr = self._nil_pid_arr = np.array(
-                    self._plan_nil + [False], np.bool_)
-            pids = np.where(nil_arr[pids], np.int64(-1), pids)
-        # -2 marks the probes the per-probe slow path must handle (misses,
-        # uncacheable flows, record-route); -1 stays "statically silent".
-        if fast == n:
-            pid_list = pids.tolist()
-        else:
-            pid_list = np.where(valid, pids, -2).tolist()
-
-        stats = self.stats
-        per_protocol = stats.per_protocol
-        for start, stop, protocol in groups:
-            count = int(np.count_nonzero(valid[start:stop]))
-            if count:
-                per_protocol[protocol] = per_protocol.get(protocol, 0) + count
-        responses: List[Optional[Response]] = []
-        append = responses.append
-        plan_rows = self._plan_rows
-        rate_allows = self.policy.rate_limit_allows
-        randrange = self._ip_id_rng.randrange
-        getrandbits = self._ip_id_rng.getrandbits
-        id_counters = self._ip_id_counters
-        id_noise = self._ip_id_noise
-        noise_bits = id_noise.bit_length()
-        inline_bits = _INLINE_RANDBITS
-        new_response = Response.__new__
-        send = self.send
-        clock = self.clock
-        returned = silent = 0
-        if not bucket_live and fast == n:
-            # Fully-resolved batch, no token buckets: the warm steady state.
-            # Every probe advances the clock by exactly one and a
-            # non-negative pid is guaranteed answered, so the clock and the
-            # returned/silent tallies are batch-computable — the hot loop
-            # carries no per-probe bookkeeping at all, just the IP-ID draws
-            # and the response construction.
-            for probe, pid in zip(probes, pid_list):
-                if pid >= 0:
-                    kind, source, responder, random_id, _ = plan_rows[pid]
-                    if random_id:
-                        if inline_bits:
-                            ip_id = getrandbits(17)
-                            while ip_id >= 65536:
-                                ip_id = getrandbits(17)
-                        else:
-                            ip_id = randrange(65536)
-                    else:
-                        current = id_counters.get(responder)
-                        if current is None:
-                            current = randrange(65536)
-                        if id_noise:
-                            if inline_bits:
-                                step = getrandbits(noise_bits)
-                                while step >= id_noise:
-                                    step = getrandbits(noise_bits)
-                            else:
-                                step = randrange(id_noise)
-                            ip_id = (current + 1 + step) % 65536
-                        else:
-                            ip_id = (current + 1) % 65536
-                        id_counters[responder] = ip_id
-                    response = new_response(Response)
-                    fields = response.__dict__
-                    fields["kind"] = kind
-                    fields["source"] = source
-                    fields["probe"] = probe
-                    fields["responder"] = responder
-                    fields["ip_id"] = ip_id
-                    fields["record_route"] = ()
-                    append(response)
-                else:
-                    append(None)
-            clock += n
-            returned = int(np.count_nonzero(pids >= 0))
-            silent = n - returned
-        elif not bucket_live:
-            # No token buckets anywhere: the NIL remap above already turned
-            # every conditionally-silent pid into -1, so a non-negative pid
-            # is *guaranteed* answered — no policy checks in the hot loop.
-            for probe, pid in zip(probes, pid_list):
-                if pid >= 0:
-                    clock += 1
-                    returned += 1
-                    kind, source, responder, random_id, _ = plan_rows[pid]
-                    if random_id:
-                        if inline_bits:
-                            ip_id = getrandbits(17)
-                            while ip_id >= 65536:
-                                ip_id = getrandbits(17)
-                        else:
-                            ip_id = randrange(65536)
-                    else:
-                        current = id_counters.get(responder)
-                        if current is None:
-                            current = randrange(65536)
-                        if id_noise:
-                            if inline_bits:
-                                step = getrandbits(noise_bits)
-                                while step >= id_noise:
-                                    step = getrandbits(noise_bits)
-                            else:
-                                step = randrange(id_noise)
-                            ip_id = (current + 1 + step) % 65536
-                        else:
-                            ip_id = (current + 1) % 65536
-                        id_counters[responder] = ip_id
-                    response = new_response(Response)
-                    fields = response.__dict__
-                    fields["kind"] = kind
-                    fields["source"] = source
-                    fields["probe"] = probe
-                    fields["responder"] = responder
-                    fields["ip_id"] = ip_id
-                    fields["record_route"] = ()
-                    append(response)
-                elif pid == -2:
-                    self.clock = clock
-                    append(send(probe))
-                    clock = self.clock
-                else:
-                    clock += 1
-                    silent += 1
-                    append(None)
-        else:
-            for probe, pid in zip(probes, pid_list):
-                if pid >= 0:
-                    clock += 1
-                    kind, source, responder, random_id, draws = plan_rows[pid]
-                    if (draws and not rate_allows(responder, clock)
-                            or source is None):
-                        silent += 1
-                        append(None)
-                        continue
-                    returned += 1
-                    if random_id:
-                        if inline_bits:
-                            ip_id = getrandbits(17)
-                            while ip_id >= 65536:
-                                ip_id = getrandbits(17)
-                        else:
-                            ip_id = randrange(65536)
-                    else:
-                        current = id_counters.get(responder)
-                        if current is None:
-                            current = randrange(65536)
-                        if id_noise:
-                            if inline_bits:
-                                step = getrandbits(noise_bits)
-                                while step >= id_noise:
-                                    step = getrandbits(noise_bits)
-                            else:
-                                step = randrange(id_noise)
-                            ip_id = (current + 1 + step) % 65536
-                        else:
-                            ip_id = (current + 1) % 65536
-                        id_counters[responder] = ip_id
-                    response = new_response(Response)
-                    fields = response.__dict__
-                    fields["kind"] = kind
-                    fields["source"] = source
-                    fields["probe"] = probe
-                    fields["responder"] = responder
-                    fields["ip_id"] = ip_id
-                    fields["record_route"] = ()
-                    append(response)
-                elif pid == -2:
-                    self.clock = clock
-                    append(send(probe))
-                    clock = self.clock
-                else:
-                    clock += 1
-                    silent += 1
-                    append(None)
-        self.clock = clock
-        stats.probes_sent += fast
-        stats.path_cache_hits += fast
-        stats.bulk_lookup_hits += fast
-        stats.bulk_lookup_misses += n - fast
-        stats.responses_returned += returned
-        stats.silent_drops += silent
-        return responses
 
     def _resolve_path(self, probe: Probe) -> Optional[ResolvedPath]:
         """Walk to the terminal hop ignoring the probe's TTL, with no side

@@ -13,16 +13,11 @@ from __future__ import annotations
 import enum
 import random
 import zlib
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .topology import Topology
-
-try:  # optional acceleration; the pure-python path behaves identically
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -106,42 +101,33 @@ class LoadBalancer:
         return self.choose(router_id, candidates, flow)
 
 
-#: Distance maps retained per table: one BFS result is O(routers), so an
-#: unbounded cache over a million-interface topology would dominate peak
-#: RSS.  128 destination subnets comfortably covers a survey's working set.
+#: Subnet level maps retained per table.  One BFS result is O(subnets), so
+#: the bound matters far less than it did for router-level maps; 128
+#: destination subnets comfortably covers a survey's working set.
 DEFAULT_DISTANCE_CACHE = 128
-
-
-def _gather(ptr, ind, nodes):
-    """Concatenate the CSR adjacency rows of ``nodes`` (vectorized)."""
-    starts = ptr[nodes]
-    counts = ptr[nodes + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return ind[:0]
-    before = _np.cumsum(counts) - counts
-    return ind[_np.repeat(starts - before, counts) + _np.arange(total)]
 
 
 class RoutingTable:
     """All-pairs router→subnet distances and ECMP next-hop sets.
 
-    One BFS per *used* destination subnet over the router adjacency graph:
-    distance maps and next-hop sets are both derived lazily and cached, so
-    a worker that only routes toward its own shard's targets never pays
-    for the rest of the network.
+    One BFS per *used* destination subnet, run over the subnet adjacency
+    graph (two subnets are adjacent when they share a router), which is
+    orders of magnitude smaller than the router graph: LAN-heavy
+    topologies hang tens of thousands of single-homed routers off a few
+    hundred subnets.  The BFS assigns every subnet ``T`` a level ``δ(T)``
+    (0 for the destination itself) and router distances follow from the
+    identity ``d(r) = min δ(T)`` over the subnets ``T`` attached to ``r``:
+    a chain of subnet crossings from ``r`` to the destination is exactly a
+    walk in the subnet graph.  Level maps and next-hop sets are derived
+    lazily and cached, so a worker that only routes toward its own
+    shard's targets never pays for the rest of the network.
 
-    The graph itself is interned on first use: router and subnet ids are
-    mapped to dense integer indices (in sorted-id order, which preserves
-    the enumeration order — and therefore the ECMP candidate order — of
-    the original string-keyed implementation) and the bipartite adjacency
-    is stored as CSR index arrays.  BFS then runs level-synchronously over
-    numpy arrays when available, or over plain int lists otherwise, with
-    identical results; either way a million-interface topology routes
-    without string hashing in the inner loop.  Distance maps are held in
-    an LRU bounded by ``distance_cache_size`` (each is O(routers)).
-    Mutating the topology (its ``version`` counter) invalidates the graph
-    and every derived cache.
+    The graph is interned on first use: router and subnet ids are mapped
+    to dense integer indices in sorted-id order, which fixes the ECMP
+    candidate order (attached subnets ascending, then neighbors
+    ascending).  Level maps are held in an LRU bounded by
+    ``distance_cache_size``.  Mutating the topology (its ``version``
+    counter) invalidates the graph and every derived cache.
 
     Attributes:
         bfs_runs: BFS executions so far — one per distinct destination
@@ -158,10 +144,11 @@ class RoutingTable:
         self._subnet_ids: List[str] = []
         self._r_index: Dict[str, int] = {}
         self._s_index: Dict[str, int] = {}
-        self._r2s = None  # CSR (ptr, ind) tuple, or list-of-lists fallback
-        self._s2r = None
-        # subnet index -> distance array (-1 unreachable), LRU-bounded.
-        self._distance: "OrderedDict[int, object]" = OrderedDict()
+        self._r2s: List[Tuple[int, ...]] = []  # router -> attached subnets
+        self._transit: List[List[int]] = []  # subnet -> multi-homed routers
+        self._s2s: List[List[int]] = []  # subnet -> adjacent subnets
+        # subnet index -> per-subnet levels (-1 unreachable), LRU-bounded.
+        self._levels: "OrderedDict[int, List[int]]" = OrderedDict()
         self._next_hops: Dict[Tuple[str, str], List[NextHop]] = {}
 
     # -- graph interning ---------------------------------------------------
@@ -176,129 +163,73 @@ class RoutingTable:
         self._r_index = {rid: i for i, rid in enumerate(self._router_ids)}
         self._s_index = {sid: j for j, sid in enumerate(self._subnet_ids)}
         r_index = self._r_index
-        edge_r: List[int] = []
-        edge_s: List[int] = []
+        r2s: List[List[int]] = [[] for _ in self._router_ids]
+        s2r: List[List[int]] = []
         for j, sid in enumerate(self._subnet_ids):
-            for rid in topology.subnets[sid].router_ids:
-                edge_r.append(r_index[rid])
-                edge_s.append(j)
-        if _np is not None:
-            self._build_csr(edge_r, edge_s)
-        else:
-            self._build_lists(edge_r, edge_s)
-        self._distance.clear()
+            row = sorted(r_index[rid] for rid in topology.subnets[sid].router_ids)
+            for r in row:
+                r2s[r].append(j)  # subnets visited in ascending order
+            s2r.append(row)
+        adjacent: List[set] = [set() for _ in self._subnet_ids]
+        for subnets in r2s:
+            if len(subnets) > 1:
+                for j in subnets:
+                    adjacent[j].update(subnets)
+        for j, row in enumerate(adjacent):
+            row.discard(j)
+        # A single-homed router never forwards across its subnet, so only
+        # the multi-homed members can be next hops.
+        self._transit = [[r for r in row if len(r2s[r]) > 1] for row in s2r]
+        self._s2s = [sorted(row) for row in adjacent]
+        # Interned rows: every single-homed router on a LAN shares one
+        # tuple, which keeps LAN-heavy topologies at a pointer per router.
+        rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        self._r2s = [rows.setdefault(row, row) for row in map(tuple, r2s)]
+        self._levels.clear()
         self._next_hops.clear()
         self._graph_version = version
 
-    def _build_csr(self, edge_r: List[int], edge_s: List[int]) -> None:
-        count = len(edge_r)
-        r = _np.fromiter(edge_r, dtype=_np.int64, count=count)
-        s = _np.fromiter(edge_s, dtype=_np.int64, count=count)
-        # router -> subnets: edges are generated in ascending subnet-index
-        # order, so a stable sort by router keeps each row sorted (matching
-        # the old sorted(set(router.subnet_ids)) enumeration).
-        order = _np.argsort(r, kind="stable")
-        r2s_ptr = _np.zeros(len(self._router_ids) + 1, dtype=_np.int64)
-        _np.cumsum(_np.bincount(r, minlength=len(self._router_ids)),
-                   out=r2s_ptr[1:])
-        # subnet -> routers: rows sorted by router index == sorted ids.
-        s_order = _np.lexsort((r, s))
-        s2r_ptr = _np.zeros(len(self._subnet_ids) + 1, dtype=_np.int64)
-        _np.cumsum(_np.bincount(s, minlength=len(self._subnet_ids)),
-                   out=s2r_ptr[1:])
-        self._r2s = (r2s_ptr, s[order].astype(_np.int32))
-        self._s2r = (s2r_ptr, r[s_order].astype(_np.int32))
-
-    def _build_lists(self, edge_r: List[int], edge_s: List[int]) -> None:
-        r2s: List[List[int]] = [[] for _ in self._router_ids]
-        s2r: List[List[int]] = [[] for _ in self._subnet_ids]
-        for r, s in zip(edge_r, edge_s):
-            r2s[r].append(s)  # ascending s already
-            s2r[s].append(r)
-        for row in s2r:
-            row.sort()
-        self._r2s = r2s
-        self._s2r = s2r
-
-    def _row(self, adjacency, node: int) -> List[int]:
-        """One adjacency row as a plain int list (both representations)."""
-        if isinstance(adjacency, tuple):
-            ptr, ind = adjacency
-            return ind[ptr[node]:ptr[node + 1]].tolist()
-        return adjacency[node]
-
     # -- distances ---------------------------------------------------------
 
-    def _distances_to(self, subnet_index: int):
-        cached = self._distance.get(subnet_index)
+    def _levels_to(self, subnet_index: int) -> List[int]:
+        cached = self._levels.get(subnet_index)
         if cached is not None:
-            self._distance.move_to_end(subnet_index)
+            self._levels.move_to_end(subnet_index)
             return cached
-        distances = self._bfs(subnet_index)
-        self._distance[subnet_index] = distances
-        if len(self._distance) > self.distance_cache_size:
-            self._distance.popitem(last=False)
-        return distances
+        levels = self._bfs(subnet_index)
+        self._levels[subnet_index] = levels
+        if len(self._levels) > self.distance_cache_size:
+            self._levels.popitem(last=False)
+        return levels
 
-    def _bfs(self, start: int):
-        """Level-synchronous BFS from every router attached to ``start``.
+    def _bfs(self, start: int) -> List[int]:
+        """Level-synchronous BFS over the subnet graph from ``start``.
 
-        Returns per-router distances (-1 = unreachable).  The array and
-        list variants visit nodes in different orders but assign identical
-        distances: a subnet is always expanded at the minimal distance of
-        its attached routers.
+        Returns per-subnet levels (-1 = unreachable).
         """
         self.bfs_runs += 1
-        if isinstance(self._r2s, tuple):
-            return self._bfs_arrays(start)
-        return self._bfs_lists(start)
-
-    def _bfs_arrays(self, start: int):
-        r2s_ptr, r2s_ind = self._r2s
-        s2r_ptr, s2r_ind = self._s2r
-        distances = _np.full(len(self._router_ids), -1, dtype=_np.int32)
-        subnet_seen = _np.zeros(len(self._subnet_ids), dtype=bool)
-        subnet_seen[start] = True
-        frontier = s2r_ind[s2r_ptr[start]:s2r_ptr[start + 1]]
-        distances[frontier] = 0
+        s2s = self._s2s
+        levels = [-1] * len(self._subnet_ids)
+        levels[start] = 0
+        frontier = [start]
         depth = 0
-        while frontier.size:
-            subs = _gather(r2s_ptr, r2s_ind, frontier)
-            subs = subs[~subnet_seen[subs]]
-            if not subs.size:
-                break
-            subs = _np.unique(subs)
-            subnet_seen[subs] = True
-            nbrs = _gather(s2r_ptr, s2r_ind, subs)
-            nbrs = nbrs[distances[nbrs] < 0]
-            if not nbrs.size:
-                break
-            frontier = _np.unique(nbrs)
+        while frontier:
             depth += 1
-            distances[frontier] = depth
-        return distances
+            reached = []
+            for subnet in frontier:
+                for neighbor in s2s[subnet]:
+                    if levels[neighbor] < 0:
+                        levels[neighbor] = depth
+                        reached.append(neighbor)
+            frontier = reached
+        return levels
 
-    def _bfs_lists(self, start: int) -> List[int]:
-        r2s, s2r = self._r2s, self._s2r
-        distances = [-1] * len(self._router_ids)
-        subnet_seen = bytearray(len(self._subnet_ids))
-        subnet_seen[start] = 1
-        queue: deque = deque()
-        for router in s2r[start]:
-            distances[router] = 0
-            queue.append(router)
-        while queue:
-            current = queue.popleft()
-            depth = distances[current] + 1
-            for subnet in r2s[current]:
-                if subnet_seen[subnet]:
-                    continue
-                subnet_seen[subnet] = 1
-                for neighbor in s2r[subnet]:
-                    if distances[neighbor] < 0:
-                        distances[neighbor] = depth
-                        queue.append(neighbor)
-        return distances
+    def _router_distance(self, levels: List[int], router_index: int) -> int:
+        """``d(r) = min δ(T)`` over the subnets attached to ``r`` (-1 when
+        unreachable).  A router's subnets are pairwise adjacent, so they
+        are either all reachable or all unreachable."""
+        return min(map(levels.__getitem__, self._r2s[router_index]),
+                   default=-1)
 
     # -- public API --------------------------------------------------------
 
@@ -314,11 +245,18 @@ class RoutingTable:
         router_index = self._r_index.get(router_id)
         if router_index is None:
             return None
-        value = self._distances_to(subnet_index)[router_index]
-        return None if value < 0 else int(value)
+        value = self._router_distance(self._levels_to(subnet_index),
+                                      router_index)
+        return None if value < 0 else value
 
     def next_hops(self, router_id: str, subnet_id: str) -> List[NextHop]:
-        """The ECMP set at ``router_id`` toward ``subnet_id`` (may be empty)."""
+        """The ECMP set at ``router_id`` toward ``subnet_id`` (may be empty).
+
+        A neighbor across ``via`` is one hop closer exactly when
+        ``δ(via) == d(r)``: ``via`` then met the BFS frontier through a
+        router at ``d(r) - 1``, and any such router pulls ``δ(via)`` down
+        to ``d(r)``.  Subnets one level further out are skipped whole.
+        """
         self._ensure_graph()
         key = (router_id, subnet_id)
         cached = self._next_hops.get(key)
@@ -327,19 +265,24 @@ class RoutingTable:
         subnet_index = self._s_index.get(subnet_id)
         if subnet_index is None:
             raise KeyError(subnet_id)
-        distances = self._distances_to(subnet_index)
+        levels = self._levels_to(subnet_index)
         candidates: List[NextHop] = []
         router_index = self._r_index.get(router_id)
         if router_index is not None:
-            own = int(distances[router_index])
+            own = self._router_distance(levels, router_index)
             if own > 0:
+                closer = own - 1
+                r2s = self._r2s
                 router_ids = self._router_ids
-                subnet_ids = self._subnet_ids
-                for via in self._row(self._r2s, router_index):
-                    via_id = subnet_ids[via]
-                    for neighbor in self._row(self._s2r, via):
-                        if neighbor != router_index \
-                                and distances[neighbor] == own - 1:
+                for via in r2s[router_index]:
+                    if levels[via] != own:
+                        continue
+                    via_id = self._subnet_ids[via]
+                    for neighbor in self._transit[via]:
+                        # Every subnet of a neighbor sits at level >= own - 1
+                        # (this router's own subnets at >= own), so it is
+                        # closer iff one of them is at own - 1.
+                        if closer in map(levels.__getitem__, r2s[neighbor]):
                             candidates.append(NextHop(
                                 router_id=router_ids[neighbor],
                                 via_subnet_id=via_id))

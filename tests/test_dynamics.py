@@ -16,6 +16,7 @@ import pytest
 from repro.core import TraceNET
 from repro.events import EventBus, ProbeRetried, TopologyMutated
 from repro.netsim import Engine, TopologyBuilder
+from repro.netsim.addressing import Prefix
 from repro.netsim.dynamics import (
     MutationSchedule,
     NetworkDynamics,
@@ -85,6 +86,34 @@ class TestMutationSchedule:
             elif mutation.kind == "resize":
                 assert "old_prefix" in mutation.detail
                 assert "new_prefix" in mutation.detail
+
+    def test_renumber_blocks_are_aligned_and_disjoint(self):
+        """Regression: the scratch cursor was not aligned to the next
+        block's size, so a second renumber masked back onto the first and
+        applying the schedule raised TopologyError."""
+        network = geant.build(seed=7)
+        schedule = MutationSchedule.generate(
+            network.topology, seed=7, start=100, interval=400, count=12)
+        blocks = []
+        for mutation in schedule:
+            if mutation.kind == "renumber":
+                network_address = mutation.detail["new_network"]
+                block = Prefix(network_address, mutation.detail["length"])
+                # Aligned: constructing the prefix masked nothing away.
+                assert block.network == network_address
+                assert str(block) == mutation.detail["new_prefix"]
+                blocks.append(block)
+        assert len(blocks) >= 2
+        for index, block in enumerate(blocks):
+            for other in blocks[index + 1:]:
+                assert (block.broadcast < other.network
+                        or other.broadcast < block.network), (block, other)
+        dynamics = NetworkDynamics(Engine(network.topology,
+                                          policy=network.policy), schedule)
+        dynamics.advance(10 ** 9)
+        assert dynamics.exhausted
+        for block in blocks:
+            assert network.topology.subnet_containing(block.network + 1)
 
     def test_scheduled_mutation_round_trip(self):
         mutation = ScheduledMutation(epoch=5, sequence=1, kind="ecmp",

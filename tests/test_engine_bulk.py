@@ -1,11 +1,9 @@
-"""Differential tests for the vectorized bulk ``send_many`` fast path.
+"""Differential tests for the batched ``send_many`` fast loop.
 
-The contract: ``send_many`` over the packed-key flow index (the default),
-``send_many`` with ``vector_path=False`` (the legacy per-probe loop), and a
-plain ``send`` loop are packet-for-packet identical — same responses, same
-IP-ID streams, same rate-limit bucket drains, same record-route stamps —
-and the bulk-lookup counters always reconcile
-(``bulk_lookup_hits + bulk_lookup_misses == batched_probes``).
+The contract: ``send_many`` and a plain ``send`` loop are packet-for-packet
+identical — same responses, same IP-ID streams, same rate-limit bucket
+drains, same record-route stamps — and the batched-lookup counters always
+reconcile (``bulk_lookup_hits + bulk_lookup_misses == batched_probes``).
 """
 
 from conftest import address_on
@@ -20,21 +18,20 @@ from repro.netsim import (
     TopologyBuilder,
 )
 
-#: Above the engine's bulk minimum batch size, so the vectorized path
-#: engages once the flow index is warm.
+#: Batch size: several TTL sweeps per ``send_many`` call.
 CHUNK = 32
 
 
-def chain(n=6, policy=None, **engine_kwargs):
+def chain(n=6, policy=None):
     builder = TopologyBuilder("chain")
     for i in range(1, n):
         builder.link(f"R{i}", f"R{i+1}")
     builder.edge_host("v", "R1")
     topo = builder.build()
-    return Engine(topo, policy=policy, **engine_kwargs), topo
+    return Engine(topo, policy=policy), topo
 
 
-def diamond(mode, seed=5, **engine_kwargs):
+def diamond(mode, seed=5):
     """v - R1 - {R2 | R3} - R4 - R5: one ECMP split at R1."""
     builder = TopologyBuilder("diamond")
     builder.link("R1", "R2")
@@ -45,7 +42,7 @@ def diamond(mode, seed=5, **engine_kwargs):
     builder.edge_host("v", "R1")
     topo = builder.build()
     balancer = LoadBalancer(default_mode=mode, seed=seed)
-    return Engine(topo, balancer=balancer, **engine_kwargs), topo
+    return Engine(topo, balancer=balancer), topo
 
 
 def signature(response):
@@ -70,32 +67,32 @@ def ladder(topo, dsts, ttls=range(1, 7), repeats=3, flows=(0,),
     ]
 
 
+def run_lane(engine, probes, lane, chunk=CHUNK):
+    """Answer ``probes`` with a ``send`` loop or in ``send_many`` chunks."""
+    if lane == "serial":
+        return [engine.send(p) for p in probes]
+    responses = []
+    for start in range(0, len(probes), chunk):
+        responses.extend(engine.send_many(probes[start:start + chunk]))
+    return responses
+
+
 def dispatch(make_engine, probes_of, chunk=CHUNK):
-    """Run one probe sequence through all three dispatch lanes.
+    """Run one probe sequence through both dispatch lanes.
 
     ``make_engine`` must build everything fresh per call (rate-limit
     buckets are stateful across engines sharing a policy object).
     """
     streams, engines = {}, {}
-    for lane, kwargs in (("serial", {}),
-                         ("legacy", {"vector_path": False}),
-                         ("bulk", {})):
-        engine, topo = make_engine(**kwargs)
-        probes = probes_of(topo)
-        if lane == "serial":
-            responses = [engine.send(p) for p in probes]
-        else:
-            responses = []
-            for start in range(0, len(probes), chunk):
-                responses.extend(engine.send_many(probes[start:start + chunk]))
+    for lane in ("serial", "batched"):
+        engine, topo = make_engine()
+        responses = run_lane(engine, probes_of(topo), lane, chunk)
         streams[lane] = [signature(r) for r in responses]
         engines[lane] = engine
-    assert streams["legacy"] == streams["serial"]
-    assert streams["bulk"] == streams["serial"]
-    for lane in ("legacy", "bulk"):
-        stats = engines[lane].stats
-        assert (stats.bulk_lookup_hits + stats.bulk_lookup_misses
-                == stats.batched_probes), lane
+    assert streams["batched"] == streams["serial"]
+    stats = engines["batched"].stats
+    assert (stats.bulk_lookup_hits + stats.bulk_lookup_misses
+            == stats.batched_probes)
     return streams, engines
 
 
@@ -105,7 +102,7 @@ class TestBulkEquivalence:
             chain,
             lambda topo: ladder(topo, [("R5", "R4"), ("R3", "R2"),
                                        ("R2", "R1")]))
-        assert engines["bulk"].stats.bulk_lookup_hits > 0
+        assert engines["batched"].stats.bulk_lookup_hits > 0
 
     def test_multiple_flows_keyed_separately(self):
         dispatch(chain,
@@ -113,10 +110,10 @@ class TestBulkEquivalence:
                                      flows=(0, 3, 7)))
 
     def test_rate_limited_bucket_drains_identically(self):
-        def limited(**kw):
+        def limited():
             policy = ResponsePolicy().rate_limit_router(
                 "R2", capacity=2, refill_per_tick=0.3)
-            return chain(policy=policy, **kw)
+            return chain(policy=policy)
 
         streams, _ = dispatch(
             limited,
@@ -126,8 +123,8 @@ class TestBulkEquivalence:
         assert any(s is not None for s in streams["serial"])
 
     def test_nil_router_and_random_ip_id(self):
-        def configured(**kw):
-            engine, topo = chain(**kw)
+        def configured():
+            engine, topo = chain()
             topo.routers["R2"].indirect_config = IndirectConfig.NIL
             topo.routers["R3"].ip_id_mode = IpIdMode.RANDOM
             engine.clear_path_cache()
@@ -146,31 +143,31 @@ class TestBulkEquivalence:
             chain,
             lambda topo: ladder(topo, [("R5", "R4")],
                                 record_route=(False, True)))
-        stats = engines["bulk"].stats
+        stats = engines["batched"].stats
         assert stats.bulk_lookup_hits > 0
         assert stats.bulk_lookup_misses > 0   # every record-route probe
 
     def test_per_packet_balancer_preserves_rng_stream(self):
         streams, engines = dispatch(
-            lambda **kw: diamond(LoadBalancingMode.PER_PACKET, **kw),
+            lambda: diamond(LoadBalancingMode.PER_PACKET),
             lambda topo: ladder(topo, [("R5", "R4")], ttls=(2,),
                                 repeats=48))
-        responders = {s[2] for s in streams["bulk"] if s is not None}
+        responders = {s[2] for s in streams["batched"] if s is not None}
         assert responders == {"R2", "R3"}
-        # Per-packet flows are uncacheable: the bulk lane must fall back
-        # probe for probe, never serving them from the flow index.
-        assert engines["bulk"].stats.bulk_lookup_hits == 0
+        # Per-packet flows are uncacheable: the batched lane must fall back
+        # probe for probe, never serving them from the path memo.
+        assert engines["batched"].stats.bulk_lookup_hits == 0
 
     def test_per_flow_balancer_is_cached(self):
         _, engines = dispatch(
-            lambda **kw: diamond(LoadBalancingMode.PER_FLOW, **kw),
+            lambda: diamond(LoadBalancingMode.PER_FLOW),
             lambda topo: ladder(topo, [("R5", "R4"), ("R4", "R5")],
                                 flows=(0, 5)))
-        assert engines["bulk"].stats.bulk_lookup_hits > 0
+        assert engines["batched"].stats.bulk_lookup_hits > 0
 
     def test_misses_interleaved_mid_batch(self):
         # New destinations first appear in the middle of a batch, so the
-        # bulk path must splice walk results between index-served hits.
+        # fast loop must splice walk results between memo-served hits.
         def probes_of(topo):
             warm = ladder(topo, [("R5", "R4")], repeats=8)
             cold = ladder(topo, [("R3", "R2")], repeats=1)
@@ -178,14 +175,14 @@ class TestBulkEquivalence:
             return head + cold + tail
 
         _, engines = dispatch(chain, probes_of)
-        stats = engines["bulk"].stats
+        stats = engines["batched"].stats
         assert stats.bulk_lookup_hits > 0
         assert stats.bulk_lookup_misses > 0
 
 
 class TestRateLimitedNilOrdering:
     def test_token_state_matches_serial(self):
-        # Regression: the legacy loop once checked the NIL (source=None)
+        # Regression: the batched loop once checked the NIL (source=None)
         # plan before drawing the rate-limit bucket, leaving a silenced,
         # rate-limited router's token state ahead of a serial run.  The
         # bucket must be consumed first, exactly as the walk does.
@@ -193,26 +190,45 @@ class TestRateLimitedNilOrdering:
             policy = ResponsePolicy().rate_limit_router(
                 "R2", capacity=3, refill_per_tick=0.1)
             policy.silence_router("R2")
-            engine, topo = chain(
-                policy=policy,
-                **({"vector_path": False} if lane == "legacy" else {}))
+            engine, topo = chain(policy=policy)
             probes = ladder(topo, [("R5", "R4")], ttls=(2, 3), repeats=30)
-            if lane == "serial":
-                responses = [engine.send(p) for p in probes]
-            else:
-                responses = []
-                for start in range(0, len(probes), CHUNK):
-                    responses.extend(
-                        engine.send_many(probes[start:start + CHUNK]))
+            responses = run_lane(engine, probes, lane)
             bucket = policy._rate_limiters["R2"]
             return ([signature(r) for r in responses],
                     (bucket.tokens, bucket.last_tick))
 
         serial_stream, serial_bucket = run("serial")
-        for lane in ("legacy", "bulk"):
-            stream, bucket = run(lane)
-            assert stream == serial_stream, lane
-            assert bucket == serial_bucket, lane
+        stream, bucket = run("batched")
+        assert stream == serial_stream
+        assert bucket == serial_bucket
         # R2 never answers (silenced), deeper hops still do.
         assert all(s is None or s[2] != "R2" for s in serial_stream)
         assert any(s is not None for s in serial_stream)
+
+
+class TestMutationBetweenBatches:
+    def test_rewired_topology_drops_the_memo(self):
+        # A topology mutation lands between two batches on a warm path
+        # memo: the next batch must route over the new shortcut exactly as
+        # a serial run does, never replaying the stale memoized walks.
+        streams, stats = {}, {}
+        for lane in ("serial", "batched"):
+            builder = TopologyBuilder("chain")
+            for i in range(1, 6):
+                builder.link(f"R{i}", f"R{i+1}")
+            builder.edge_host("v", "R1")
+            topo = builder.build()
+            engine = Engine(topo)
+            probes = ladder(topo, [("R5", "R4"), ("R6", "R5")], repeats=2)
+            responses = run_lane(engine, probes, lane)
+            builder.link("R1", "R5")
+            responses += run_lane(engine, probes, lane)
+            streams[lane] = [signature(r) for r in responses]
+            stats[lane] = engine.stats
+        assert streams["batched"] == streams["serial"]
+        half = len(streams["serial"]) // 2
+        assert streams["serial"][:half] != streams["serial"][half:]
+        batched = stats["batched"]
+        assert (batched.bulk_lookup_hits + batched.bulk_lookup_misses
+                == batched.batched_probes)
+        assert batched.bulk_lookup_hits > 0

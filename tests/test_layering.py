@@ -10,10 +10,17 @@ quietly re-couple the collector layers to it.  For metrics and tracing
 the seal is what keeps registries and span trees backend-agnostic:
 engine counters may only arrive via the duck-typed ``backend_metrics()``
 transport hook, and span trees only from the session-event stream.
+
+The package also runs on the standard library alone: numpy is not a
+declared dependency, so a survey must never import it, whatever happens
+to be installed.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import repro
 
@@ -72,3 +79,20 @@ def test_the_check_sees_the_sealed_files():
     names = {p.name for p in paths}
     assert {"tracenet.py", "heuristics.py", "prober.py",
             "traceroute.py", "registry.py", "auditor.py"} <= names
+
+
+def test_survey_never_imports_numpy():
+    # A subprocess, so modules the test runner loaded cannot mask an import.
+    script = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.experiments import run_internet2_survey\n"
+        "run_internet2_survey()\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "assert not loaded, loaded\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_ROOT.parent), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

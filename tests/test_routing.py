@@ -2,8 +2,13 @@
 
 import pytest
 
-import repro.netsim.routing as routing_module
+from repro.netsim import Engine
 from repro.netsim.builder import TopologyBuilder
+from repro.netsim.dynamics import (
+    DEFAULT_KINDS,
+    MutationSchedule,
+    NetworkDynamics,
+)
 from repro.netsim.routing import (
     FlowKey,
     LoadBalancer,
@@ -11,6 +16,8 @@ from repro.netsim.routing import (
     NextHop,
     RoutingTable,
 )
+from repro.topogen import geant, internet2
+from repro.topogen.adversarial import build_gauntlet
 
 
 def diamond():
@@ -23,6 +30,18 @@ def diamond():
     stub = builder.link("D", "E")
     builder.edge_host("v", "A")
     return builder.build(), stub
+
+
+def lan_ecmp():
+    """A LAN of A, C, B and single-homed H; B and C both link to D, which
+    links to E: A reaches E's stub through two routers on one LAN."""
+    builder = TopologyBuilder("lan-ecmp")
+    builder.lan(["A", "C", "B", "H"])
+    builder.link("B", "D")
+    builder.link("C", "D")
+    builder.link("D", "E")
+    builder.edge_host("v", "A")
+    return builder.build()
 
 
 class TestRoutingTable:
@@ -115,7 +134,7 @@ class TestLazyBfsCache:
         for subnet_id in subnets:
             table.distance("A", subnet_id)
         assert table.bfs_runs == 3
-        assert len(table._distance) == 2
+        assert len(table._levels) == 2
         # The oldest entry was evicted; touching it costs a fresh BFS.
         table.distance("A", subnets[0])
         assert table.bfs_runs == 4
@@ -169,22 +188,93 @@ class TestLazyBfsCache:
                  for _ in range(8)}
         assert len(picks) == 1
 
-    @pytest.mark.skipif(routing_module._np is None,
-                        reason="numpy unavailable; only one path to compare")
-    def test_python_fallback_matches_numpy(self, monkeypatch):
-        topo, _ = diamond()
-        arrays = RoutingTable(topo)
-        monkeypatch.setattr(routing_module, "_np", None)
-        lists = RoutingTable(topo)
-        for subnet_id in sorted(topo.subnets):
-            for router_id in sorted(topo.routers):
-                assert (arrays.distance(router_id, subnet_id)
-                        == lists.distance(router_id, subnet_id)), (
-                    router_id, subnet_id)
-                arrays_hops = arrays.next_hops(router_id, subnet_id)
-                lists_hops = lists.next_hops(router_id, subnet_id)
-                assert arrays_hops == lists_hops, (router_id, subnet_id)
-        assert arrays.bfs_runs == lists.bfs_runs
+
+def reference_routes(members, attached, subnet_id):
+    """Router-level BFS toward ``subnet_id``, kept independent of
+    :class:`RoutingTable`: per-router distances and ECMP sets.
+
+    ``members`` maps each subnet to its routers and ``attached`` each
+    router to its subnets, both ascending.  The ECMP set of router ``r``
+    crosses each of its subnets to the members one hop closer.  Members of
+    one subnet sit at most one hop apart, so those are the members at the
+    subnet's minimal distance whenever ``r`` is one hop above it.
+    """
+    distance = {rid: 0 for rid in members[subnet_id]}
+    frontier = list(distance)
+    while frontier:
+        reached = []
+        for rid in frontier:
+            for sid in attached[rid]:
+                for neighbor in members[sid]:
+                    if neighbor not in distance:
+                        distance[neighbor] = distance[rid] + 1
+                        reached.append(neighbor)
+        frontier = reached
+    nearest = {}
+    for sid, row in members.items():
+        known = [distance[rid] for rid in row if rid in distance]
+        if known:
+            low = min(known)
+            nearest[sid] = (low, [rid for rid in row
+                                  if distance.get(rid) == low])
+    hops = {}
+    for rid, subnets in attached.items():
+        own = distance.get(rid)
+        hops[rid] = [NextHop(router_id=neighbor, via_subnet_id=sid)
+                     for sid in subnets
+                     if own is not None and nearest[sid][0] == own - 1
+                     for neighbor in nearest[sid][1]]
+    return distance, hops
+
+
+def assert_matches_reference(topology, table):
+    members = {sid: sorted(topology.subnets[sid].router_ids)
+               for sid in sorted(topology.subnets)}
+    attached = {rid: [] for rid in sorted(topology.routers)}
+    for sid, row in members.items():
+        for rid in row:
+            attached[rid].append(sid)
+    for subnet_id in members:
+        distance, hops = reference_routes(members, attached, subnet_id)
+        for router_id in attached:
+            assert (table.distance(router_id, subnet_id)
+                    == distance.get(router_id)), (router_id, subnet_id)
+            assert (table.next_hops(router_id, subnet_id)
+                    == hops[router_id]), (router_id, subnet_id)
+
+
+class TestSubnetGraphMatchesRouterBfs:
+    """The subnet-level BFS answers exactly like a router-level BFS:
+    equal distances and equal ECMP sets, candidate order included."""
+
+    @pytest.mark.parametrize("name",
+                             ["lan-ecmp", "internet2", "geant", "gauntlet"])
+    def test_every_router_subnet_pair(self, name):
+        if name == "lan-ecmp":
+            topology = lan_ecmp()
+        elif name == "gauntlet":
+            topology = build_gauntlet(seed=3).network.topology
+        else:
+            topology = {"internet2": internet2,
+                        "geant": geant}[name].build().topology
+        assert_matches_reference(topology, RoutingTable(topology))
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    def test_after_each_mutation_kind(self, kind):
+        network = build_gauntlet(seed=3).network
+        engine = Engine(network.topology, policy=network.policy)
+        table = engine.routing
+        # Warm the caches first, so the mutation has state to invalidate.
+        subnet_id = sorted(network.topology.subnets)[0]
+        for router_id in sorted(network.topology.routers):
+            table.next_hops(router_id, subnet_id)
+        schedule = MutationSchedule.generate(
+            network.topology, seed=11, start=0, count=1, kinds=(kind,))
+        dynamics = NetworkDynamics(engine, schedule)
+        assert [m.kind for m in dynamics.advance(0)]
+        assert_matches_reference(network.topology, table)
+        dynamics.advance(10_000)  # flap/reboot recovery
+        assert_matches_reference(network.topology, table)
 
 
 class TestLoadBalancer:
