@@ -1,15 +1,15 @@
-"""Survey throughput: serial walk vs fast path vs batched pipeline vs shards.
+"""Survey throughput: unmemoized vs fast path vs batched pipeline vs shards.
 
 Tracks the perf trajectory of the collection pipeline on the Internet2
 topology in three groups of lanes:
 
 * **engine probe rate** — the same TTL-sweep probe workload pushed through
   one engine three ways: per-probe ``send`` with the resolved-path cache
-  off (every probe re-walks the routed path), per-probe ``send`` with the
-  cache on, and ``send_many`` batches.  The probe objects are built once
-  outside the timed region for every lane, so the lanes compare dispatch
-  cost, not packet allocation.  Gates: fastpath >= 2x serial, batched
-  >= 5x serial (full runs).
+  off (``unmemoized``: every probe resolves its path afresh and replays
+  it), per-probe ``send`` with the cache on, and ``send_many`` batches.
+  The probe objects are built once outside the timed region for every
+  lane, so the lanes compare dispatch cost, not packet allocation.
+  Gates: fastpath >= 2x unmemoized, batched >= 5x unmemoized (full runs).
 * **counters-only overhead** — the same fastpath survey with no sinks
   vs a single :class:`CounterSink` subscribed (every producer takes the
   type-only ``tally`` path, no event objects constructed) vs counters
@@ -77,7 +77,7 @@ BATCH_CHUNK = 1024
 # to stretch the region to tens of milliseconds; rates are normalized by
 # the actual probe count, so lanes with different loop counts compare
 # directly.
-LANE_LOOPS = {"serial": 1, "fastpath": 3, "batched": 8}
+LANE_LOOPS = {"unmemoized": 1, "fastpath": 3, "batched": 8}
 SCALE_LANES = (100_000, 1_000_000)  # interface budgets, full runs only
 
 
@@ -93,16 +93,16 @@ def peak_rss_bytes() -> int:
 
 def engine_probe_rates(network, targets, reps: int = 5) -> dict:
     """Push a survey-shaped (dst, ttl) workload through three engines:
-    per-probe sends with the resolved-path cache off and on, and
-    ``send_many`` batches.
+    per-probe sends with the resolved-path cache off (unmemoized resolve
+    + replay) and on, and ``send_many`` batches.
 
     The probe list is built once, outside every timed region — all three
     lanes dispatch the *same* prebuilt objects, so the comparison isolates
     engine dispatch cost.  One un-timed warmup pass per engine populates
     the lazily-built routing table and, on the cached engines, the path
     memo.  The sweep is then timed ``reps`` times per engine with the
-    lanes *interleaved* — serial rep, fastpath rep, batched rep, serial
-    rep, ... — so a systematic slowdown mid-bench (CPU throttling, a noisy
+    lanes *interleaved* — unmemoized rep, fastpath rep, batched rep,
+    unmemoized rep, ... — so a systematic slowdown mid-bench (CPU throttling, a noisy
     neighbour) hits every lane equally instead of whichever ran last.  The
     fast lanes finish a single sweep in milliseconds, so each timed rep
     runs the sweep ``LANE_LOOPS[lane]`` times and rates are normalized by
@@ -116,8 +116,8 @@ def engine_probe_rates(network, targets, reps: int = 5) -> dict:
     probes = [Probe(src=src, dst=dst, ttl=ttl)
               for dst in targets for ttl in range(1, TTL_SWEEP + 1)]
     engines = {
-        "serial": Engine(network.topology, policy=network.policy,
-                         path_cache=False),
+        "unmemoized": Engine(network.topology, policy=network.policy,
+                             path_cache=False),
         "fastpath": Engine(network.topology, policy=network.policy,
                            path_cache=True),
         "batched": Engine(network.topology, policy=network.policy,
@@ -136,7 +136,7 @@ def engine_probe_rates(network, targets, reps: int = 5) -> dict:
             for start in range(0, len(probes), BATCH_CHUNK):
                 send_many(probes[start:start + BATCH_CHUNK])
 
-    sweeps = {"serial": sweep_serial, "fastpath": sweep_serial,
+    sweeps = {"unmemoized": sweep_serial, "fastpath": sweep_serial,
               "batched": sweep_batched}
 
     rep_seconds = {lane: [] for lane in engines}
@@ -450,7 +450,7 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
                                        per_subnet=5)
 
     engine_lanes = engine_probe_rates(network, targets)
-    engine_serial = engine_lanes["serial"]
+    engine_unmemoized = engine_lanes["unmemoized"]
     engine_fast = engine_lanes["fastpath"]
     engine_batched = engine_lanes["batched"]
     counters = counters_overhead(network, targets)
@@ -488,9 +488,9 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
              / max(1e-9, survey_fast["probes_per_sec"])), 4)
 
     speedup = (engine_fast["probes_per_sec"]
-               / max(1e-9, engine_serial["probes_per_sec"]))
+               / max(1e-9, engine_unmemoized["probes_per_sec"]))
     batched_speedup = (engine_batched["probes_per_sec"]
-                       / max(1e-9, engine_serial["probes_per_sec"]))
+                       / max(1e-9, engine_unmemoized["probes_per_sec"]))
     result = {
         "bench": "survey_throughput",
         "topology": "internet2",
@@ -499,7 +499,7 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
         "targets": len(targets),
         "ttl_sweep": TTL_SWEEP,
         "probes_per_sec": {
-            "serial": engine_serial["probes_per_sec"],
+            "unmemoized": engine_unmemoized["probes_per_sec"],
             "fastpath": engine_fast["probes_per_sec"],
             "batched": engine_batched["probes_per_sec"],
             "parallel": survey_parallel["cold_probes_per_sec"],
@@ -507,7 +507,7 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
         },
         "fastpath_speedup": round(speedup, 2),
         "batched_speedup": round(batched_speedup, 2),
-        "engine": {"serial": engine_serial, "fastpath": engine_fast,
+        "engine": {"unmemoized": engine_unmemoized, "fastpath": engine_fast,
                    "batched": engine_batched},
         "counters_only": counters,
         # Fractional rate cost when only counter sinks are subscribed:
@@ -591,9 +591,10 @@ def check(result: dict, smoke: bool) -> None:
         f"{batched['batched_probes']} batched probes")
     if not smoke:
         assert result["fastpath_speedup"] >= 2.0, (
-            f"fast path is only {result['fastpath_speedup']}x serial")
+            f"fast path is only {result['fastpath_speedup']}x unmemoized")
         assert result["batched_speedup"] >= 5.0, (
-            f"batched dispatch is only {result['batched_speedup']}x serial")
+            f"batched dispatch is only {result['batched_speedup']}x "
+            "unmemoized")
         assert result["counters_only_overhead"] <= 0.25, (
             f"counter-only instrumentation costs "
             f"{result['counters_only_overhead']:.1%} of survey rate")
@@ -645,7 +646,7 @@ def main(argv=None) -> int:
     check(result, smoke=args.smoke)
     rates = result["probes_per_sec"]
     print(f"targets: {result['targets']}  (smoke={result['smoke']})")
-    print(f"engine probes/sec: serial {rates['serial']:.0f} "
+    print(f"engine probes/sec: unmemoized {rates['unmemoized']:.0f} "
           f"-> fastpath {rates['fastpath']:.0f} "
           f"({result['fastpath_speedup']}x) "
           f"-> batched {rates['batched']:.0f} "

@@ -264,16 +264,6 @@ class TestGroundTruthHelpers:
         assert engine.stats.responses_returned == 1
         assert engine.stats.silent_drops == 1
 
-    def test_wire_log(self):
-        builder = TopologyBuilder()
-        builder.link("R1", "R2")
-        builder.edge_host("v", "R1")
-        topo = builder.build()
-        engine = Engine(topo, keep_wire_log=True)
-        send(engine, topo, address_on(topo, "R2", "R1"))
-        actions = [event.action for event in engine.wire_log]
-        assert "deliver" in actions
-
 
 class TestECMP:
     def _diamond(self, mode):

@@ -1,12 +1,14 @@
 """Differential tests for the batched ``send_many`` fast loop.
 
-The contract: ``send_many`` and a plain ``send`` loop are packet-for-packet
+The contract: ``send_many`` chunks and a plain ``send`` loop through the
+hop-by-hop :class:`~reference_walk.WalkingEngine` are packet-for-packet
 identical — same responses, same IP-ID streams, same rate-limit bucket
 drains, same record-route stamps — and the batched-lookup counters always
 reconcile (``bulk_lookup_hits + bulk_lookup_misses == batched_probes``).
 """
 
 from conftest import address_on
+from reference_walk import WalkingEngine
 from repro.netsim import (
     Engine,
     IndirectConfig,
@@ -22,16 +24,20 @@ from repro.netsim import (
 CHUNK = 32
 
 
-def chain(n=6, policy=None):
+#: The engine class answering each dispatch lane.
+LANE_ENGINE = {"serial": WalkingEngine, "batched": Engine}
+
+
+def chain(engine_cls=Engine, n=6, policy=None):
     builder = TopologyBuilder("chain")
     for i in range(1, n):
         builder.link(f"R{i}", f"R{i+1}")
     builder.edge_host("v", "R1")
     topo = builder.build()
-    return Engine(topo, policy=policy), topo
+    return engine_cls(topo, policy=policy), topo
 
 
-def diamond(mode, seed=5):
+def diamond(mode, engine_cls=Engine, seed=5):
     """v - R1 - {R2 | R3} - R4 - R5: one ECMP split at R1."""
     builder = TopologyBuilder("diamond")
     builder.link("R1", "R2")
@@ -42,7 +48,7 @@ def diamond(mode, seed=5):
     builder.edge_host("v", "R1")
     topo = builder.build()
     balancer = LoadBalancer(default_mode=mode, seed=seed)
-    return Engine(topo, balancer=balancer), topo
+    return engine_cls(topo, balancer=balancer), topo
 
 
 def signature(response):
@@ -80,12 +86,13 @@ def run_lane(engine, probes, lane, chunk=CHUNK):
 def dispatch(make_engine, probes_of, chunk=CHUNK):
     """Run one probe sequence through both dispatch lanes.
 
-    ``make_engine`` must build everything fresh per call (rate-limit
-    buckets are stateful across engines sharing a policy object).
+    ``make_engine(engine_cls)`` must build everything fresh per call
+    (rate-limit buckets are stateful across engines sharing a policy
+    object).
     """
     streams, engines = {}, {}
     for lane in ("serial", "batched"):
-        engine, topo = make_engine()
+        engine, topo = make_engine(LANE_ENGINE[lane])
         responses = run_lane(engine, probes_of(topo), lane, chunk)
         streams[lane] = [signature(r) for r in responses]
         engines[lane] = engine
@@ -110,10 +117,10 @@ class TestBulkEquivalence:
                                      flows=(0, 3, 7)))
 
     def test_rate_limited_bucket_drains_identically(self):
-        def limited():
+        def limited(engine_cls):
             policy = ResponsePolicy().rate_limit_router(
                 "R2", capacity=2, refill_per_tick=0.3)
-            return chain(policy=policy)
+            return chain(engine_cls, policy=policy)
 
         streams, _ = dispatch(
             limited,
@@ -123,8 +130,8 @@ class TestBulkEquivalence:
         assert any(s is not None for s in streams["serial"])
 
     def test_nil_router_and_random_ip_id(self):
-        def configured():
-            engine, topo = chain()
+        def configured(engine_cls):
+            engine, topo = chain(engine_cls)
             topo.routers["R2"].indirect_config = IndirectConfig.NIL
             topo.routers["R3"].ip_id_mode = IpIdMode.RANDOM
             engine.clear_path_cache()
@@ -149,7 +156,7 @@ class TestBulkEquivalence:
 
     def test_per_packet_balancer_preserves_rng_stream(self):
         streams, engines = dispatch(
-            lambda: diamond(LoadBalancingMode.PER_PACKET),
+            lambda cls: diamond(LoadBalancingMode.PER_PACKET, cls),
             lambda topo: ladder(topo, [("R5", "R4")], ttls=(2,),
                                 repeats=48))
         responders = {s[2] for s in streams["batched"] if s is not None}
@@ -160,14 +167,14 @@ class TestBulkEquivalence:
 
     def test_per_flow_balancer_is_cached(self):
         _, engines = dispatch(
-            lambda: diamond(LoadBalancingMode.PER_FLOW),
+            lambda cls: diamond(LoadBalancingMode.PER_FLOW, cls),
             lambda topo: ladder(topo, [("R5", "R4"), ("R4", "R5")],
                                 flows=(0, 5)))
         assert engines["batched"].stats.bulk_lookup_hits > 0
 
     def test_misses_interleaved_mid_batch(self):
         # New destinations first appear in the middle of a batch, so the
-        # fast loop must splice walk results between memo-served hits.
+        # fast loop must splice per-probe sends between memo-served hits.
         def probes_of(topo):
             warm = ladder(topo, [("R5", "R4")], repeats=8)
             cold = ladder(topo, [("R3", "R2")], repeats=1)
@@ -190,7 +197,7 @@ class TestRateLimitedNilOrdering:
             policy = ResponsePolicy().rate_limit_router(
                 "R2", capacity=3, refill_per_tick=0.1)
             policy.silence_router("R2")
-            engine, topo = chain(policy=policy)
+            engine, topo = chain(LANE_ENGINE[lane], policy=policy)
             probes = ladder(topo, [("R5", "R4")], ttls=(2, 3), repeats=30)
             responses = run_lane(engine, probes, lane)
             bucket = policy._rate_limiters["R2"]
@@ -218,7 +225,7 @@ class TestMutationBetweenBatches:
                 builder.link(f"R{i}", f"R{i+1}")
             builder.edge_host("v", "R1")
             topo = builder.build()
-            engine = Engine(topo)
+            engine = LANE_ENGINE[lane](topo)
             probes = ladder(topo, [("R5", "R4"), ("R6", "R5")], repeats=2)
             responses = run_lane(engine, probes, lane)
             builder.link("R1", "R5")

@@ -1,14 +1,17 @@
-"""Unit tests for the engine's resolved-path fast path.
+"""Unit tests for the engine's resolved-path memo.
 
-The contract: a path-cached engine is packet-for-packet identical to a
-walk-only engine — same responses, same IP-IDs, same rate-limit bucket
-drains, same record-route stamps — while answering repeat probes of a
-memoized flow without re-walking the topology.  Flows crossing a per-packet
-load balancer are never memoized.
+The engine answers every probe by resolving its flow's path and replaying
+the response for the probe's TTL; the memo keeps one resolved path per
+flow.  The contract: the engine is packet-for-packet identical to the
+hop-by-hop :class:`~reference_walk.WalkingEngine` — same responses, same
+IP-IDs, same rate-limit bucket drains, same record-route stamps, same
+per-packet balancer draws — while a memoized flow is resolved once, not
+once per probe.  Flows crossing a per-packet load balancer are never
+memoized, and ``path_cache=False`` answers exactly like the memo.
 """
 
-
 from conftest import address_on
+from reference_walk import WalkingEngine
 from repro.netsim import (
     DEFAULT_TTL,
     Engine,
@@ -20,18 +23,23 @@ from repro.netsim import (
     ResponseType,
     TopologyBuilder,
 )
+from repro.netsim.dynamics import (
+    MutationSchedule,
+    NetworkDynamics,
+    ScheduledMutation,
+)
 
 
-def chain(n=5, policy=None, **engine_kwargs):
+def chain(n=5, policy=None, engine_cls=Engine, **engine_kwargs):
     builder = TopologyBuilder("chain")
     for i in range(1, n):
         builder.link(f"R{i}", f"R{i+1}")
     builder.edge_host("v", "R1")
     topo = builder.build()
-    return Engine(topo, policy=policy, **engine_kwargs), topo
+    return engine_cls(topo, policy=policy, **engine_kwargs), topo
 
 
-def diamond(mode, seed=5, **engine_kwargs):
+def diamond(mode, seed=5, engine_cls=Engine, **engine_kwargs):
     """v - R1 - {R2 | R3} - R4 - R5: one ECMP split at R1."""
     builder = TopologyBuilder("diamond")
     builder.link("R1", "R2")
@@ -42,7 +50,7 @@ def diamond(mode, seed=5, **engine_kwargs):
     builder.edge_host("v", "R1")
     topo = builder.build()
     balancer = LoadBalancer(default_mode=mode, seed=seed)
-    return Engine(topo, balancer=balancer, **engine_kwargs), topo
+    return engine_cls(topo, balancer=balancer, **engine_kwargs), topo
 
 
 def probe(topo, dst, ttl, flow_id=0, record_route=False,
@@ -99,10 +107,10 @@ class TestCounters:
 class TestEquivalence:
     def sweep(self, make_engine, dsts, ttls=range(1, 9), flows=(0, 3),
               record_route=(False, True)):
-        """Send the same probe sequence through a walk-only and a cached
-        engine; every response (including IP-ID) must match."""
-        slow, topo = make_engine(path_cache=False)
-        fast, _ = make_engine(path_cache=True)
+        """Send the same probe sequence through the reference walker and a
+        memoizing engine; every response (including IP-ID) must match."""
+        slow, topo = make_engine(engine_cls=WalkingEngine)
+        fast, _ = make_engine()
         for name in dsts:
             dst = address_on(topo, *name) if isinstance(name, tuple) else name
             for ttl in ttls:
@@ -124,8 +132,8 @@ class TestEquivalence:
                    [("R5", "R4"), ("R4", "R5")])
 
     def test_record_route_stamps_identical(self):
-        slow, topo = chain(path_cache=False)
-        fast, _ = chain(path_cache=True)
+        slow, topo = chain(engine_cls=WalkingEngine)
+        fast, _ = chain()
         dst = address_on(topo, "R5", "R4")
         for ttl in (2, 3, 5, 9):
             a = slow.send(probe(topo, dst, ttl, record_route=True))
@@ -134,16 +142,16 @@ class TestEquivalence:
         assert fast.stats.path_cache_hits > 0
 
     def test_rate_limit_buckets_drain_identically(self):
-        # Cached replay must draw from the same token bucket, in the same
-        # cases, as the walk — including a NIL router that consumes a
-        # token and then stays silent.
+        # Replay must draw from the same token bucket, in the same cases,
+        # as the walk — including a NIL router that consumes a token and
+        # then stays silent.
         def limited(**kw):
             policy = ResponsePolicy().rate_limit_router(
                 "R2", capacity=2, refill_per_tick=0.3)
             return chain(policy=policy, **kw)
 
-        slow, topo = limited(path_cache=False)
-        fast, _ = limited(path_cache=True)
+        slow, topo = limited(engine_cls=WalkingEngine)
+        fast, _ = limited()
         dst = address_on(topo, "R5", "R4")
         pattern_slow = [signature(slow.send(probe(topo, dst, 2)))
                         for _ in range(8)]
@@ -165,8 +173,7 @@ class TestUncacheable:
         assert engine.stats.path_cache_hits == 0
 
     def test_per_packet_distribution_preserved(self):
-        # The cached engine must keep sampling both ECMP branches with the
-        # same PRNG stream a walk-only engine uses.
+        # The engine must keep sampling both ECMP branches.
         responders = set()
         engine, topo = diamond(LoadBalancingMode.PER_PACKET)
         dst = address_on(topo, "R5", "R4")
@@ -183,18 +190,85 @@ class TestUncacheable:
         assert engine.stats.path_cache_hits == 1
         assert engine.stats.path_cache_uncacheable == 0
 
+    def test_per_packet_sweep_matches_walk(self):
+        # Live one-off paths draw the balancer PRNG at exactly the hops
+        # the walk draws it: equal seeds keep the two engines' responses,
+        # IP-IDs and balancer state in lockstep after every probe.
+        walker, topo = diamond(LoadBalancingMode.PER_PACKET, seed=13,
+                               engine_cls=WalkingEngine)
+        engine, _ = diamond(LoadBalancingMode.PER_PACKET, seed=13)
+        dsts = [address_on(topo, "R5", "R4"), address_on(topo, "R4", "R2"),
+                address_on(topo, "R3", "R1"), 0x01010101]
+        for _ in range(3):
+            for dst in dsts:
+                for ttl in range(1, 8):
+                    for rr in (False, True):
+                        a = walker.send(probe(topo, dst, ttl, record_route=rr))
+                        b = engine.send(probe(topo, dst, ttl, record_route=rr))
+                        assert signature(a) == signature(b), (dst, ttl, rr)
+                        assert (walker.balancer._rng.getstate()
+                                == engine.balancer._rng.getstate())
+        assert engine.stats.path_cache_uncacheable > 0
 
-class TestWireLog:
-    def test_wire_log_engine_bypasses_cache(self):
-        engine, topo = chain(keep_wire_log=True)
+
+class TestResolveOnce:
+    def test_miss_resolves_the_path_once(self):
+        engine, topo = chain()
+        calls = []
+        next_hops = engine.routing.next_hops
+
+        def counting(router_id, subnet_id):
+            calls.append(router_id)
+            return next_hops(router_id, subnet_id)
+
+        engine.routing.next_hops = counting
         dst = address_on(topo, "R5", "R4")
-        engine.send(probe(topo, dst, 3))
-        engine.send(probe(topo, dst, 3))
-        assert engine.stats.path_cache_hits == 0
-        assert engine.stats.path_cache_misses == 0
-        # Both sends produced full per-hop event streams.
-        ttl_events = [e for e in engine.wire_log if e.action == "ttl-exceeded"]
-        assert len(ttl_events) == 2
+        engine.send(probe(topo, dst, DEFAULT_TTL))
+        assert engine.stats.path_cache_misses == 1
+        # R1, R2 and R3 forward; R4 delivers across the R4-R5 link.
+        assert calls == ["R1", "R2", "R3"]
+        engine.send(probe(topo, dst, 2))
+        assert calls == ["R1", "R2", "R3"]
+
+
+class TestCacheOffUnderChurn:
+    def test_unmemoized_engine_matches_memoizing_engine(self):
+        # NetworkDynamics mutations land mid-stream on a warm memo (a
+        # shortcut link flaps, a router reboots): a never-memoize engine
+        # and a memoizing one must keep answering identically.
+        streams, engines = {}, {}
+        for path_cache in (False, True):
+            builder = TopologyBuilder("shortcut")
+            for i in range(1, 5):
+                builder.link(f"R{i}", f"R{i+1}")
+            shortcut = builder.link("R1", "R4")
+            builder.edge_host("v", "R1")
+            topo = builder.build()
+            engine = Engine(topo, path_cache=path_cache)
+            flap = {"address": [a for a in shortcut.addresses
+                                if topo.interface_at(a).router_id == "R1"][0]}
+            dynamics = NetworkDynamics(engine, MutationSchedule([
+                ScheduledMutation(40, 0, "link-down", "R1", flap),
+                ScheduledMutation(80, 1, "router-down", "R2"),
+                ScheduledMutation(120, 2, "link-up", "R1", flap),
+                ScheduledMutation(160, 3, "router-up", "R2"),
+            ]))
+            dsts = [address_on(topo, "R5", "R4"), address_on(topo, "R3", "R2"),
+                    address_on(topo, "R2", "R3")]
+            stream = []
+            while len(stream) < 200:
+                for dst in dsts:
+                    for ttl in range(1, 7):
+                        dynamics.advance(len(stream))
+                        stream.append(signature(engine.send(
+                            probe(topo, dst, ttl))))
+            assert dynamics.exhausted
+            streams[path_cache] = stream
+            engines[path_cache] = engine
+        assert streams[False] == streams[True]
+        assert streams[True][:36] != streams[True][54:90]   # churn showed
+        assert engines[True].stats.path_cache_hits > 0
+        assert engines[False].stats.path_cache_hits == 0
 
 
 class TestDefaultTTL:
