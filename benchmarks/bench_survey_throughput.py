@@ -26,7 +26,8 @@ topology in three groups of lanes:
   (``batch_window=1``: every ladder probe rides the transport batch API
   with a probe stream byte-identical to the serial path), stop-set
   (Doubletree suppression: fewer probes, equivalent archive), and sharded
-  over worker processes.
+  over a local service fleet (:mod:`repro.service`, one thread-backed
+  vantage worker per shard).
 * **parallel accounting** — the sharded lane reports both a *cold* rate
   (probes / total wall clock, including per-shard engine builds and the
   merge) and a *warm* rate (probes / slowest shard's survey loop alone),
@@ -56,9 +57,10 @@ from repro.mapping.store import archive_to_dict
 from repro.metrics import MetricsRegistry
 from repro.netsim import Engine
 from repro.netsim.packet import Probe
-from repro.parallel import ShardedSurveyRunner, archives_equivalent
+from repro.parallel import ShardSpec, archives_equivalent
 from repro.probing import StopSet
 from repro.runner import SurveyRunner
+from repro.service import Coordinator, JobState, ServiceFleet, VantageWorker
 from repro.topogen import internet2
 from repro.topogen.isp import build_internet, scale_profiles
 from repro.transport import collect_backend_metrics
@@ -209,11 +211,27 @@ def serial_survey(network, targets, path_cache: bool, metrics=None,
 
 
 def parallel_survey(network, targets, workers: int):
-    runner = ShardedSurveyRunner.from_network(
-        network.topology, network.policy, "utdallas", workers=workers)
+    """The sharded lane: one job of ``workers`` shards on a local fleet.
+
+    An in-memory :class:`Coordinator` (no work dir, so no checkpoints)
+    leases the shards to ``workers`` thread-backed vantage workers; the
+    wall clock covers spec serialization, per-shard builds, event
+    streaming and the merge.
+    """
+    spec = ShardSpec.from_network(network.topology, network.policy,
+                                  "utdallas")
     started = time.perf_counter()
-    outcome = runner.run(targets)
+    coordinator = Coordinator()
+    job = coordinator.submit(spec, targets, shards=workers)
+    fleet = [VantageWorker(f"w{index}", coordinator)
+             for index in range(workers)]
+    ServiceFleet(coordinator, fleet).run()
     elapsed = time.perf_counter() - started
+    state = coordinator.queue.get(job.job_id)
+    if state.state is not JobState.DONE:
+        raise RuntimeError(f"parallel lane job ended {state.state.value}: "
+                           f"{state.error}")
+    outcome = coordinator.result(job.job_id)
     sent = outcome.stats.sent
     slowest = max((s.build_seconds + s.survey_seconds
                    for s in outcome.shards), default=elapsed)
@@ -224,8 +242,7 @@ def parallel_survey(network, targets, workers: int):
                          default=elapsed)
     startup = sum(s.build_seconds for s in outcome.shards)
     lane = {
-        "workers": outcome.workers,
-        "executed_inline": outcome.executed_inline,
+        "workers": len(fleet),
         "probes": sent,
         "seconds": round(elapsed, 4),
         "cold_probes_per_sec": round(sent / elapsed, 1),

@@ -99,14 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument("--network", choices=("internet2", "geant"),
                         default="internet2")
     survey.add_argument("--seed", type=int, default=7)
-    survey.add_argument("--workers", type=int, default=1,
-                        help="shard the target list over N worker processes "
-                             "(default: 1, serial)")
     survey.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="per-shard checkpoint directory; a re-run with "
-                             "the same targets and workers resumes")
+                        help="checkpoint the survey to DIR/shard-0.json; a "
+                             "re-run over the same directory resumes")
     survey.add_argument("--progress", action="store_true",
-                        help="render a progress bar on stderr (serial mode)")
+                        help="render a progress bar on stderr")
     _add_transport_options(survey)
     survey.set_defaults(handler=cmd_survey)
 
@@ -510,80 +507,66 @@ def cmd_survey(args) -> int:
     if args.record and args.replay:
         print("--record and --replay are mutually exclusive", file=sys.stderr)
         return 2
-    sharded = args.workers > 1 or args.checkpoint_dir is not None
-    if sharded and (args.record or args.replay or args.events
-                    or args.spans_out or args.chrome_out):
-        print("--record/--replay/--events/--spans-out/--chrome-out need "
-              "the serial path (drop --workers/--checkpoint-dir)",
+    if args.checkpoint_dir is not None and (args.record or args.replay):
+        # A resumed run would journal only the targets it still probes.
+        print("--checkpoint-dir cannot be combined with --record/--replay",
               file=sys.stderr)
         return 2
     module = internet2 if args.network == "internet2" else geant
     network = module.build(seed=args.seed)
     target_list = module.targets(network, seed=args.seed)
-    if sharded:
-        from .parallel import ShardedSurveyRunner
-
-        runner = ShardedSurveyRunner.from_network(
-            network.topology, network.policy, "utdallas",
-            workers=max(1, args.workers),
-            checkpoint_dir=args.checkpoint_dir,
-            batch_window=max(0, args.batch_window),
-            use_stop_sets=args.stop_sets)
-        outcome = runner.run(target_list)
-        subnets = outcome.archive.subnets
-        probes_sent = outcome.stats.sent
-        mode = (f"{outcome.workers} shard(s)"
-                + (", inline" if outcome.executed_inline else ""))
-        if args.metrics_out:
-            # The merged view: per-shard registries summed in shard order.
-            _write_metrics(outcome.metrics, args.metrics_out,
-                           args.metrics_format)
+    if args.replay:
+        # The journal stands in for the network: no Engine at all.
+        transport = ReplayTransport(args.replay)
+        mode = "replay"
     else:
-        if args.replay:
-            # The journal stands in for the network: no Engine at all.
-            transport = ReplayTransport(args.replay)
-            mode = "replay"
-        else:
-            engine = Engine(network.topology, policy=network.policy)
-            transport = SimulatorTransport(engine)
-            mode = "serial"
-            if args.record:
-                metadata = {
-                    "network": args.network,
-                    "seed": args.seed,
-                    "vantage": "utdallas",
-                }
-                options = _collector_options(args)
-                if options:
-                    metadata["collector"] = options
-                transport = RecordingTransport(transport, args.record,
-                                               metadata=metadata)
-                mode = "serial, recording"
-        tool = TraceNET(transport, "utdallas",
-                        **_collector_kwargs(_collector_options(args)))
-        sinks = []
-        if args.events:
-            sinks.append(tool.events.subscribe(JsonlEventSink(args.events)))
-        if args.progress:
-            sinks.append(tool.events.subscribe(ProgressSink()))
-        registry = MetricsRegistry() if args.metrics_out else None
-        tracer = _maybe_tracer(args)
-        try:
-            from .runner import SurveyRunner
+        engine = Engine(network.topology, policy=network.policy)
+        transport = SimulatorTransport(engine)
+        mode = "serial"
+        if args.record:
+            metadata = {
+                "network": args.network,
+                "seed": args.seed,
+                "vantage": "utdallas",
+            }
+            options = _collector_options(args)
+            if options:
+                metadata["collector"] = options
+            transport = RecordingTransport(transport, args.record,
+                                           metadata=metadata)
+            mode = "serial, recording"
+    checkpoint_path = None
+    if args.checkpoint_dir is not None:
+        import os
 
-            SurveyRunner(tool, metrics=registry,
-                         tracer=tracer).run(target_list)
-            if registry is not None:
-                collect_backend_metrics(registry.backend, transport)
-        finally:
-            for sink in sinks:
-                sink.close()
-            transport.close()
+        os.makedirs(args.checkpoint_dir, exist_ok=True)
+        checkpoint_path = os.path.join(args.checkpoint_dir, "shard-0.json")
+        mode = "serial, checkpointed"
+    tool = TraceNET(transport, "utdallas",
+                    **_collector_kwargs(_collector_options(args)))
+    sinks = []
+    if args.events:
+        sinks.append(tool.events.subscribe(JsonlEventSink(args.events)))
+    if args.progress:
+        sinks.append(tool.events.subscribe(ProgressSink()))
+    registry = MetricsRegistry() if args.metrics_out else None
+    tracer = _maybe_tracer(args)
+    try:
+        from .runner import SurveyRunner
+
+        SurveyRunner(tool, checkpoint_path=checkpoint_path, metrics=registry,
+                     tracer=tracer).run(target_list)
         if registry is not None:
-            _write_metrics(registry, args.metrics_out, args.metrics_format)
-        _write_spans(tracer, args)
-        subnets = tool.collected_subnets
-        probes_sent = tool.prober.stats.sent
+            collect_backend_metrics(registry.backend, transport)
+    finally:
+        for sink in sinks:
+            sink.close()
+        transport.close()
+    if registry is not None:
+        _write_metrics(registry, args.metrics_out, args.metrics_format)
+    _write_spans(tracer, args)
+    subnets = tool.collected_subnets
+    probes_sent = tool.prober.stats.sent
     report = match_subnets(network.ground_truth,
                            collected_prefixes(subnets))
     annotate_unresponsive(report, network.records)

@@ -1,13 +1,20 @@
-"""Parallel sharded surveys.
+"""Shard primitives for the distributed survey service.
 
-The paper's headline experiment traces 34 084 targets; at that scale one
-serial :class:`~repro.runner.SurveyRunner` is the bottleneck.  This module
-splits a target list into shards and runs each shard in its own worker
-process.  Determinism is preserved by construction: every worker rebuilds
-its private :class:`~repro.netsim.engine.Engine` and
-:class:`~repro.core.tracenet.TraceNET` from one serialized scenario spec
-(topology + response policy + seeds), so a shard's results depend only on
-the spec and its target slice, never on scheduling.
+The paper's headline experiment traces 34 084 targets from several
+vantages under a central scheduler.  :mod:`repro.service` is that
+scheduler: a coordinator leases target shards to vantage workers.  This
+module holds what a shard *is*, independent of who runs it:
+
+* :class:`ShardSpec` — one serialized scenario (topology + response
+  policy + seeds + collector options).  Every worker rebuilds its private
+  :class:`~repro.netsim.engine.Engine` and
+  :class:`~repro.core.tracenet.TraceNET` from it, so a shard's results
+  depend only on the spec and its target slice, never on scheduling;
+* :func:`shard_targets` — the deterministic target split;
+* :func:`run_shard` — one shard in, one plain payload out (a checkpointing
+  survey, or radar rounds when given a radar config);
+* :func:`outcome_from_payload` and :func:`merge_outcomes` — many payloads
+  folded into one survey-wide result.
 
 The merged result matches a serial run in *content*: the same observed
 subnets (keyed by prefix) and the same trace per target.  Probe *counts*
@@ -15,38 +22,22 @@ legitimately differ — a serial run reuses subnets across the whole target
 list while each shard only reuses within itself — which is exactly the
 redundancy the merge deduplicates.  :func:`archive_signature` defines the
 content-equality contract used by the tests and the throughput bench.
-
-Each shard checkpoints through the ordinary :class:`SurveyRunner` machinery
-into its own file under ``checkpoint_dir``, so an interrupted parallel
-survey resumes shard by shard.
-
-This module is deliberately split into **service primitives** and the
-legacy one-shot runner.  :func:`run_shard`, :func:`outcome_from_payload`
-and :func:`merge_outcomes` are the primitives: one shard in, one plain
-payload out, many payloads merged into one survey-wide result.
-:class:`ShardedSurveyRunner` composes them over a local process pool;
-:mod:`repro.service` composes the same primitives into a long-running
-coordinator/worker fleet with leases, heartbeats and re-delivery.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core.exploration import DEFAULT_MIN_PREFIX_LENGTH
 from .core.tracenet import TraceNET
-from .events import CounterSink
 from .mapping.store import (
     CollectionArchive,
     archive_from_dict,
     archive_to_dict,
     subnet_from_dict,
 )
-from .netsim.addressing import format_ip
 from .netsim.engine import Engine
 from .netsim.packet import Protocol
 from .netsim.responsiveness import ResponsePolicy
@@ -57,44 +48,16 @@ from .netsim.serialize import (
     topology_to_dict,
 )
 from .netsim.topology import Topology
-from .metrics import MetricsRegistry, instrument
 from .probing.budget import ProbeStats
 from .probing.stopset import (
     DEFAULT_STOP_PREFIX_LENGTH,
     StopSet,
     merge_stop_sets,
 )
+from .radar import RadarRunner
 from .runner import SurveyRunner
-from .transport import SimulatorTransport, collect_backend_metrics
-
-
-class ShardExecutionError(RuntimeError):
-    """One shard of a parallel survey failed, with enough context to act.
-
-    Names the shard index, the target slice it was working (first/last
-    target and count), and the shard's checkpoint path — so an operator
-    knows exactly which ``shard-<i>.json`` file holds the salvageable
-    partial work and which targets are affected.  The surviving shards'
-    checkpoints are untouched and remain usable for a resumed run.
-    """
-
-    def __init__(self, shard_index: int, targets: Sequence[int],
-                 checkpoint_path: Optional[str], cause: BaseException):
-        self.shard_index = shard_index
-        self.targets = list(targets)
-        self.checkpoint_path = checkpoint_path
-        self.cause = cause
-        if self.targets:
-            span = (f"{len(self.targets)} targets "
-                    f"[{format_ip(self.targets[0])}.."
-                    f"{format_ip(self.targets[-1])}]")
-        else:
-            span = "0 targets"
-        where = (f"checkpoint {checkpoint_path}" if checkpoint_path
-                 else "no checkpoint")
-        super().__init__(
-            f"shard {shard_index} failed over {span} ({where}): "
-            f"{type(cause).__name__}: {cause}")
+from .transport import SimulatorTransport
+from .tracing import SpanBuilder
 
 
 @dataclass(frozen=True)
@@ -215,16 +178,12 @@ def shard_targets(targets: Sequence[int], shards: int) -> List[List[int]]:
 
 
 def run_shard(spec: ShardSpec, shard_index: int, targets: List[int],
-              checkpoint_path: Optional[str],
-              checkpoint_every: int,
+              checkpoint_path: Optional[str] = None,
+              checkpoint_every: int = 25,
               sinks: Sequence = (),
               seed_subnets: Optional[Sequence[Dict]] = None,
-              audit: bool = True,
-              spans: bool = False) -> Dict:
+              radar: Optional[Dict] = None) -> Dict:
     """Worker entry point: rebuild, survey one shard, return plain dicts.
-
-    This is the shard primitive shared by the process-pool runner and the
-    :mod:`repro.service` vantage workers:
 
     * ``sinks`` are extra session-event sinks subscribed before the survey
       starts (service workers stream events to the coordinator this way);
@@ -234,113 +193,60 @@ def run_shard(spec: ShardSpec, shard_index: int, targets: List[int],
       a shard skip re-exploring prefixes another shard already collected.
       Prefixes already present (e.g. from a resumed checkpoint) are not
       registered twice;
-    * ``audit=False`` suppresses the in-shard probe-economy auditor so a
-      coordinator can run one auditor over the merged event stream instead
-      of double-counting violations;
-    * ``spans=True`` attaches a clocked :class:`~repro.tracing.SpanBuilder`
-      and ships the worker's *timed* span tree in the payload under
-      ``"spans"`` (the deterministic tree is the coordinator's to derive
-      from the committed journal — only the local timings need the worker).
+    * ``radar`` is a radar-job config: the collector gets the radar's
+      churn/fault transport chain (:meth:`ShardSpec.build_tool`) and a
+      :class:`~repro.radar.RadarRunner` drives repeated rounds over the
+      whole slice instead of the checkpointing survey.  ``archive`` is
+      then the *final* round's map and ``"radar"`` holds the per-round
+      summary and diffs.  Radar rounds carry state, so there is no
+      checkpoint: fault recovery re-runs the shard, which is
+      deterministic in (spec, radar, targets).
+
+    The payload always carries the worker's *timed* span tree under
+    ``"spans"``; the deterministic tree and every counter are the
+    coordinator's to derive from the committed event stream.
     """
-    started = time.perf_counter()
-    tool = spec.build_tool()
-    tracer = None
-    if spans:
-        from .tracing import SpanBuilder
-
-        tracer = SpanBuilder(clock=time.perf_counter, root_kind="shard",
-                             root_name=f"shard-{shard_index}",
-                             meta={"shard": shard_index})
-        tool.events.subscribe(tracer)
-    for sink in sinks:
-        tool.events.subscribe(sink)
-    events = CounterSink()
-    tool.events.subscribe(events)
-    registry = MetricsRegistry()
-    instrument(tool.events, registry=registry, audit=audit)
-    built = time.perf_counter()
-    runner = SurveyRunner(tool, checkpoint_path=checkpoint_path,
-                          checkpoint_every=checkpoint_every)
-    if seed_subnets:
-        known = {str(subnet.prefix) for subnet in tool.collected_subnets}
-        for payload in seed_subnets:
-            if payload["prefix"] in known:
-                continue
-            tool.register_subnet(subnet_from_dict(payload))
-            known.add(payload["prefix"])
-    runner.run(targets)
-    collect_backend_metrics(registry.backend, tool.transport)
-    finished = time.perf_counter()
-    return {
-        "shard": shard_index,
-        "archive": archive_to_dict(runner.archive),
-        "stats": tool.prober.stats.snapshot(),
-        "events": dict(events.counts),
-        "metrics": registry.to_dict(),
-        "build_seconds": built - started,
-        "survey_seconds": finished - built,
-        "stop_set": (tool.stop_set.to_dict()
-                     if tool.stop_set is not None else None),
-        "spans": (tracer.finish().to_dict(timing=True)
-                  if tracer is not None else None),
-    }
-
-
-#: Backwards-compatible alias (the primitive used to be module-private).
-_run_shard = run_shard
-
-
-def run_radar_shard(spec: ShardSpec, shard_index: int, targets: List[int],
-                    radar: Dict, sinks: Sequence = (),
-                    audit: bool = True, spans: bool = False) -> Dict:
-    """Radar-job twin of :func:`run_shard`: repeated re-survey rounds.
-
-    Rebuilds the collector with the radar's churn/fault transport chain
-    (:meth:`ShardSpec.build_tool` with the ``radar`` config) and drives a
-    :class:`~repro.radar.RadarRunner` over the whole target slice.  The
-    payload mirrors :func:`run_shard` — ``archive`` is the *final* round's
-    map — plus a ``"radar"`` key holding the per-round summary and diffs.
-    Radar jobs run as one shard (rounds are sequential and carry state),
-    so there is no checkpoint file; fault recovery re-runs the shard,
-    which is deterministic in (spec, radar, targets).
-    """
-    from .radar import RadarRunner
-
     started = time.perf_counter()
     tool = spec.build_tool(radar=radar)
-    tracer = None
-    if spans:
-        from .tracing import SpanBuilder
-
-        tracer = SpanBuilder(clock=time.perf_counter, root_kind="shard",
-                             root_name=f"radar-shard-{shard_index}",
-                             meta={"shard": shard_index})
-        tool.events.subscribe(tracer)
+    tracer = SpanBuilder(clock=time.perf_counter, root_kind="shard",
+                         root_name=(f"radar-shard-{shard_index}"
+                                    if radar is not None
+                                    else f"shard-{shard_index}"),
+                         meta={"shard": shard_index})
+    tool.events.subscribe(tracer)
     for sink in sinks:
         tool.events.subscribe(sink)
-    events = CounterSink()
-    tool.events.subscribe(events)
-    registry = MetricsRegistry()
-    instrument(tool.events, registry=registry, audit=audit)
     built = time.perf_counter()
-    outcome = RadarRunner(tool, targets,
-                          rounds=max(1, radar.get("rounds", 3)),
-                          incremental=radar.get("incremental", True)).run()
-    collect_backend_metrics(registry.backend, tool.transport)
+    radar_summary = None
+    if radar is not None:
+        outcome = RadarRunner(tool, targets,
+                              rounds=max(1, radar.get("rounds", 3)),
+                              incremental=radar.get("incremental",
+                                                    True)).run()
+        archive, radar_summary = outcome.final_archive, outcome.to_dict()
+    else:
+        runner = SurveyRunner(tool, checkpoint_path=checkpoint_path,
+                              checkpoint_every=checkpoint_every)
+        if seed_subnets:
+            known = {str(subnet.prefix) for subnet in tool.collected_subnets}
+            for payload in seed_subnets:
+                if payload["prefix"] in known:
+                    continue
+                tool.register_subnet(subnet_from_dict(payload))
+                known.add(payload["prefix"])
+        runner.run(targets)
+        archive = runner.archive
     finished = time.perf_counter()
     return {
         "shard": shard_index,
-        "archive": archive_to_dict(outcome.final_archive),
+        "archive": archive_to_dict(archive),
         "stats": tool.prober.stats.snapshot(),
-        "events": dict(events.counts),
-        "metrics": registry.to_dict(),
         "build_seconds": built - started,
         "survey_seconds": finished - built,
         "stop_set": (tool.stop_set.to_dict()
                      if tool.stop_set is not None else None),
-        "spans": (tracer.finish().to_dict(timing=True)
-                  if tracer is not None else None),
-        "radar": outcome.to_dict(),
+        "spans": tracer.finish().to_dict(timing=True),
+        "radar": radar_summary,
     }
 
 
@@ -419,11 +325,18 @@ def merge_shard_archives(vantage: str,
 
 
 def archive_signature(archive: CollectionArchive) -> Dict:
-    """The content a parallel run must reproduce from a serial one.
+    """The content a sharded run must reproduce from a serial one.
 
     Probe-count fields (``probes_used``, ``probes_sent``) are deliberately
     excluded: cross-shard subnet reuse makes them differ while the collected
     topology stays identical.
+
+    The contract holds only on networks without history-dependent
+    responses.  ICMP rate limiters answer according to the probes a router
+    has already seen, and a shard sends a different probe sequence than a
+    serial run: on the ISP internet (``build_internet(seed=7)``, 953 rate
+    limiters) 227 of 4,069 traces differ at 2 shards, and they match once
+    the limiters are removed.
     """
     return {
         "subnets": sorted(
@@ -458,8 +371,6 @@ class ShardOutcome:
     targets: List[int]
     archive: CollectionArchive
     stats: ProbeStats
-    event_counts: Dict[str, int] = field(default_factory=dict)
-    metrics: Optional[MetricsRegistry] = None
     build_seconds: float = 0.0
     survey_seconds: float = 0.0
     #: Shard-local stop set, deserialized at merge time like every other
@@ -480,22 +391,17 @@ def outcome_from_payload(shard_index: int, targets: Sequence[int],
                          payload: Dict, attempt: int = 1) -> ShardOutcome:
     """Rehydrate one :func:`run_shard` payload into a typed outcome.
 
-    Every payload field crosses the process (or service) boundary as plain
-    JSON and is round-tripped through its own class here: the archive via
-    :func:`archive_from_dict`, the counters via :class:`ProbeStats`, the
-    registry via :meth:`MetricsRegistry.from_dict`, and the stop set via
-    :meth:`StopSet.from_dict`.
+    Every payload field crosses the service boundary as plain JSON and is
+    round-tripped through its own class here: the archive via
+    :func:`archive_from_dict`, the counters via :class:`ProbeStats`, and
+    the stop set via :meth:`StopSet.from_dict`.
     """
-    shard_metrics = payload.get("metrics")
     shard_stop_set = payload.get("stop_set")
     return ShardOutcome(
         shard_index=shard_index,
         targets=list(targets),
         archive=archive_from_dict(payload["archive"]),
         stats=_stats_from_snapshot(payload["stats"]),
-        event_counts=payload.get("events", {}),
-        metrics=(MetricsRegistry.from_dict(shard_metrics)
-                 if shard_metrics is not None else None),
         build_seconds=payload.get("build_seconds", 0.0),
         survey_seconds=payload.get("survey_seconds", 0.0),
         stop_set=(StopSet.from_dict(shard_stop_set)
@@ -509,176 +415,16 @@ def outcome_from_payload(shard_index: int, targets: Sequence[int],
 def merge_outcomes(vantage: str, targets: Sequence[int],
                    outcomes: Sequence[ShardOutcome],
                    ) -> Tuple[CollectionArchive, ProbeStats,
-                              MetricsRegistry, Optional[StopSet]]:
+                              Optional[StopSet]]:
     """Fold per-shard outcomes into one survey-wide view.
 
-    The merge half of the shard primitive: archives deduplicate by prefix
-    and reorder to the original target order, probe counters and metric
-    registries sum, and shard-local stop sets fold into one global set.
-    Used by both :class:`ShardedSurveyRunner` and the service coordinator.
+    Archives deduplicate by prefix and reorder to the original target
+    order, probe counters sum, and shard-local stop sets fold into one
+    global set (first-recorded path per prefix wins, counters summed).
     """
     archive = merge_shard_archives(
         vantage, [o.archive for o in outcomes], targets)
     stats = merge_probe_stats([o.stats for o in outcomes])
-    metrics = MetricsRegistry()
-    for outcome in outcomes:
-        if outcome.metrics is not None:
-            metrics.merge(outcome.metrics)
     shard_sets = [o.stop_set for o in outcomes if o.stop_set is not None]
     stop_set = merge_stop_sets(shard_sets) if shard_sets else None
-    return archive, stats, metrics, stop_set
-
-
-@dataclass
-class ShardedSurveyResult:
-    """Merged outcome of a parallel survey."""
-
-    archive: CollectionArchive
-    stats: ProbeStats
-    shards: List[ShardOutcome] = field(default_factory=list)
-    workers: int = 1
-    executed_inline: bool = False
-    #: Per-shard registries merged into one survey-wide view.  Counters and
-    #: histograms sum exactly (each event happened in exactly one shard);
-    #: gauges sum too, which turns per-shard totals (``survey_targets``,
-    #: engine backend counters) into fleet totals.
-    metrics: Optional[MetricsRegistry] = None
-    #: The global stop set: every shard-local set merged (first-recorded
-    #: path per prefix wins, counters summed).  None when stop sets were
-    #: off; ready to seed a future survey via ``ShardSpec.seed_stop_set``.
-    stop_set: Optional[StopSet] = None
-
-    @property
-    def probes_sent(self) -> int:
-        return self.stats.sent
-
-    @property
-    def event_counts(self) -> Dict[str, int]:
-        """Session events tallied across every shard, by event type."""
-        merged: Dict[str, int] = {}
-        for shard in self.shards:
-            for name, count in shard.event_counts.items():
-                merged[name] = merged.get(name, 0) + count
-        return merged
-
-
-class ShardedSurveyRunner:
-    """Splits a survey across worker processes and merges the results.
-
-    Args:
-        spec: the serialized scenario every worker rebuilds.
-        workers: shard/process count; 1 runs inline (no processes).
-        checkpoint_dir: when set, shard ``i`` checkpoints into
-            ``<dir>/shard-<i>.json`` through the ordinary
-            :class:`SurveyRunner`, so a re-run with the same targets and
-            worker count resumes each shard.
-        checkpoint_every: per-shard checkpoint cadence.
-    """
-
-    def __init__(self, spec: ShardSpec, workers: int = 2,
-                 checkpoint_dir: Optional[str] = None,
-                 checkpoint_every: int = 25):
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        self.spec = spec
-        self.workers = workers
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = max(1, checkpoint_every)
-
-    @classmethod
-    def from_network(cls, topology: Topology,
-                     policy: Optional[ResponsePolicy],
-                     vantage: str, workers: int = 2,
-                     checkpoint_dir: Optional[str] = None,
-                     checkpoint_every: int = 25,
-                     **spec_overrides) -> "ShardedSurveyRunner":
-        spec = ShardSpec.from_network(topology, policy, vantage,
-                                      **spec_overrides)
-        return cls(spec, workers=workers, checkpoint_dir=checkpoint_dir,
-                   checkpoint_every=checkpoint_every)
-
-    def shard_checkpoint_path(self, shard_index: int) -> Optional[str]:
-        if self.checkpoint_dir is None:
-            return None
-        return os.path.join(self.checkpoint_dir, f"shard-{shard_index}.json")
-
-    def run(self, targets: Sequence[int]) -> ShardedSurveyResult:
-        """Survey every target; returns the merged archive and counters."""
-        slices = shard_targets(targets, self.workers)
-        if self.checkpoint_dir is not None:
-            os.makedirs(self.checkpoint_dir, exist_ok=True)
-        jobs: List[Tuple[int, List[int], Optional[str]]] = [
-            (index, shard, self.shard_checkpoint_path(index))
-            for index, shard in enumerate(slices)
-        ]
-        executed_inline = len(jobs) == 1
-        if executed_inline:
-            payloads = [self._run_inline(job) for job in jobs]
-        else:
-            try:
-                pool = ProcessPoolExecutor(max_workers=len(jobs))
-            except (ImportError, OSError, PermissionError):
-                # No process support in this environment (e.g. a sandboxed
-                # CI runner without semaphores): degrade to inline shards.
-                executed_inline = True
-                payloads = [self._run_inline(job) for job in jobs]
-            else:
-                with pool:
-                    futures = [
-                        pool.submit(run_shard, self.spec, index, shard,
-                                    checkpoint, self.checkpoint_every)
-                        for index, shard, checkpoint in jobs
-                    ]
-                    payloads = []
-                    for (index, shard, checkpoint), future in zip(jobs,
-                                                                  futures):
-                        try:
-                            payloads.append(future.result())
-                        except Exception as exc:
-                            # Name the failed shard: the exception carries
-                            # the shard index, its target slice, and its
-                            # checkpoint path, and the surviving shards'
-                            # checkpoints stay usable for a resumed run.
-                            raise ShardExecutionError(
-                                index, shard, checkpoint, exc) from exc
-        return self._merge(targets, jobs, payloads, executed_inline)
-
-    # -- internals -------------------------------------------------------
-
-    def _run_inline(self, job: Tuple[int, List[int], Optional[str]]) -> Dict:
-        index, shard, checkpoint = job
-        try:
-            return run_shard(self.spec, index, shard, checkpoint,
-                             self.checkpoint_every)
-        except Exception as exc:
-            raise ShardExecutionError(index, shard, checkpoint, exc) from exc
-
-    def _merge(self, targets: Sequence[int], jobs, payloads,
-               executed_inline: bool) -> ShardedSurveyResult:
-        outcomes = [
-            outcome_from_payload(index, shard, payload)
-            for (index, shard, _), payload in zip(jobs, payloads)
-        ]
-        merged, stats, metrics, stop_set = merge_outcomes(
-            self.spec.vantage, targets, outcomes)
-        return ShardedSurveyResult(
-            archive=merged,
-            stats=stats,
-            shards=outcomes,
-            workers=len(jobs),
-            executed_inline=executed_inline,
-            metrics=metrics,
-            stop_set=stop_set,
-        )
-
-
-def run_sharded_survey(topology: Topology, policy: Optional[ResponsePolicy],
-                       vantage: str, targets: Sequence[int],
-                       workers: int = 2,
-                       checkpoint_dir: Optional[str] = None,
-                       **spec_overrides) -> ShardedSurveyResult:
-    """Convenience wrapper mirroring :func:`run_survey_with_checkpoints`."""
-    runner = ShardedSurveyRunner.from_network(
-        topology, policy, vantage, workers=workers,
-        checkpoint_dir=checkpoint_dir, **spec_overrides)
-    return runner.run(targets)
+    return archive, stats, stop_set

@@ -1,7 +1,7 @@
 """The distributed survey service.
 
-This package turns the single-process sharded runner
-(:mod:`repro.parallel`) into a coordinator/worker service: a
+The one runtime that shards a survey.  It composes the shard primitives
+of :mod:`repro.parallel` into a coordinator/worker service: a
 :class:`Coordinator` accepts :class:`SurveyJob`s onto a durable
 :class:`JobQueue`, leases shards to a fleet of :class:`VantageWorker`s
 that stream session events and incremental metrics snapshots back, and

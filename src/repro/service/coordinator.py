@@ -426,13 +426,16 @@ class Coordinator:
             lease.last_heartbeat = self.clock()
             runtime = self._runtimes[job_id]
             buffer = runtime.uncommitted.setdefault(shard_index, [])
+            # The pending tail holds no marker (it would have committed),
+            # so only the new records need scanning.
+            scanned = len(buffer)
             # Annotate at intake: every record carries the lease that
             # produced it into the commit log (and the span assembler).
             buffer.extend({**payload, SHARD_KEY: shard_index,
                            ATTEMPT_KEY: attempt} for payload in events)
             if metrics is not None:
                 runtime.live_snapshots[shard_index] = metrics
-            cut = _last_checkpoint_marker(buffer)
+            cut = _last_checkpoint_marker(buffer, start=scanned)
             if cut is not None:
                 runtime.commit(shard_index, buffer[:cut + 1])
                 del buffer[:cut + 1]
@@ -583,7 +586,7 @@ class Coordinator:
         self.queue.transition(job.job_id, JobState.MERGING)
         outcomes = [runtime.outcomes[index]
                     for index in sorted(runtime.outcomes)]
-        archive, stats, _, stop_set = merge_outcomes(
+        archive, stats, stop_set = merge_outcomes(
             job.spec.vantage, job.targets, outcomes)
         runtime.close()
         counts = dict(runtime.counter.counts)
@@ -609,10 +612,11 @@ class Coordinator:
         self.queue.transition(job.job_id, JobState.DONE)
 
 
-def _last_checkpoint_marker(payloads: Sequence[Dict]) -> Optional[int]:
-    """Index of the last CheckpointWritten in a serialized event batch."""
+def _last_checkpoint_marker(payloads: Sequence[Dict],
+                            start: int = 0) -> Optional[int]:
+    """Index of the last CheckpointWritten in ``payloads[start:]``."""
     marker = CheckpointWritten.__name__
-    for index in range(len(payloads) - 1, -1, -1):
+    for index in range(len(payloads) - 1, start - 1, -1):
         if payloads[index].get("event") == marker:
             return index
     return None

@@ -8,9 +8,9 @@ loop is deliberately dumb — everything stateful lives in the coordinator:
    (transport construction stays behind the :class:`ProbeTransport` seam:
    the worker never sees an Engine, only what ``spec.build_tool()``
    returns, so a live-network worker would differ only in its spec);
-3. survey the shard through the ordinary checkpointing
-   :class:`~repro.runner.SurveyRunner` via
-   :func:`repro.parallel.run_shard`, streaming session events and
+3. survey the shard through :func:`repro.parallel.run_shard` (the
+   ordinary checkpointing :class:`~repro.runner.SurveyRunner`, or radar
+   rounds for a radar job), streaming session events and
    incremental registry snapshots back to the coordinator and
    heartbeating on every completed target;
 4. deliver the shard payload; repeat until no work is left.
@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..events import CheckpointWritten, SessionEvent, SurveyProgressed, \
     TraceFinished, event_to_dict
 from ..metrics import MetricsRegistry, MetricsSink
-from ..parallel import run_radar_shard, run_shard
+from ..parallel import run_shard
 from .coordinator import Coordinator, ShardTask, StaleLeaseError
 
 #: Flush the event stream to the coordinator at least this often.
@@ -160,26 +160,14 @@ class VantageWorker:
         if self.fail_after_targets is not None:
             sinks.append(_CrashAfter(self.fail_after_targets))
         try:
-            if task.radar is not None:
-                payload = run_radar_shard(
-                    task.spec, task.shard_index, task.targets, task.radar,
-                    sinks=sinks,
-                    # Same central-audit / worker-clock split as below.
-                    audit=False,
-                    spans=True)
-            else:
-                payload = run_shard(
-                    task.spec, task.shard_index, task.targets,
-                    task.checkpoint_path, task.checkpoint_every,
-                    sinks=sinks,
-                    seed_subnets=task.seed_subnets,
-                    # Violations are judged once, centrally, over the job's
-                    # committed event stream.
-                    audit=False,
-                    # Ship the worker's clocked span tree in the payload; the
-                    # deterministic tree is the coordinator's, from the
-                    # committed journal.
-                    spans=True)
+            # Violations are judged and counters kept once, centrally, over
+            # the job's committed event stream; the payload ships only the
+            # worker's clocked span tree.
+            payload = run_shard(
+                task.spec, task.shard_index, task.targets,
+                task.checkpoint_path, task.checkpoint_every,
+                sinks=sinks, seed_subnets=task.seed_subnets,
+                radar=task.radar)
         except (StaleLeaseError, WorkerCrashed):
             raise
         except Exception as exc:

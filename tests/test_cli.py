@@ -53,6 +53,28 @@ class TestSurvey:
         out = capsys.readouterr().out
         assert "Table 2" in out
 
+    def test_checkpoint_dir_resumes(self, capsys, tmp_path):
+        argv = ["survey", "--network", "geant", "--seed", "7",
+                "--checkpoint-dir", str(tmp_path / "ck")]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert (tmp_path / "ck" / "shard-0.json").exists()
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert "probes sent: 0 " in second
+        # The resumed archive reproduces the same similarity lines.
+        assert first.splitlines()[:-1] == second.splitlines()[:-1]
+
+    def test_checkpoint_dir_refuses_record(self, capsys, tmp_path):
+        assert main(["survey", "--network", "geant",
+                     "--checkpoint-dir", str(tmp_path / "ck"),
+                     "--record", str(tmp_path / "j.jsonl")]) == 2
+        assert "--checkpoint-dir" in capsys.readouterr().err
+
+    def test_workers_option_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["survey", "--workers", "2"])
+
 
 class TestNoCommand:
     def test_help_shown(self, capsys):

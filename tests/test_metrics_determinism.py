@@ -21,7 +21,6 @@ from repro.metrics import (
     stats_from_journal,
 )
 from repro.netsim import Engine
-from repro.parallel import ShardSpec, ShardedSurveyRunner
 from repro.runner import SurveyRunner
 from repro.topogen import internet2
 from repro.transport import (
@@ -143,26 +142,3 @@ class TestEngineReconciliation:
         # events (none expected here), so rebuild without re-auditing.
         rebuilt = registry_from_events(collected.events)
         assert rebuilt.snapshot() == registry.snapshot()
-
-
-class TestShardedMetrics:
-    def test_sharded_survey_merges_shard_registries(self):
-        network = internet2.build(seed=SEED)
-        targets = internet2.targets(network, seed=SEED)[:16]
-        spec = ShardSpec.from_network(network.topology, network.policy,
-                                      VANTAGE)
-        outcome = ShardedSurveyRunner(spec, workers=2).run(targets)
-        merged = outcome.metrics
-        assert merged is not None
-        assert all(shard.metrics is not None for shard in outcome.shards)
-        # Counters sum exactly across shards.
-        for name in ("probes_sent_total", "traces_finished_total",
-                     "subnets_grown_total"):
-            assert merged.value(name) == sum(
-                shard.metrics.value(name) for shard in outcome.shards)
-        assert merged.value("probes_sent_total") == outcome.stats.sent
-        assert merged.value("traces_finished_total") == len(targets)
-        # Backend gauges sum too: fleet-total engine counters.
-        assert merged.backend.value("engine_probes_sent") == \
-            outcome.stats.sent
-        assert merged.value("overhead_violations_total") == 0

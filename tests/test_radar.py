@@ -25,7 +25,7 @@ from repro.mapping.store import archive_from_dict, archive_to_dict
 from repro.metrics import instrument
 from repro.netsim import Engine
 from repro.netsim.dynamics import MutationSchedule, NetworkDynamics
-from repro.parallel import ShardSpec, run_radar_shard
+from repro.parallel import ShardSpec, run_shard
 from repro.radar import RadarRunner, mutation_prefixes, run_radar
 from repro.runner import SurveyRunner
 from repro.service.jobs import SurveyJob
@@ -255,9 +255,9 @@ class TestRadarService:
 
     def test_run_radar_shard_payload(self):
         spec, targets = self._spec()
-        payload = run_radar_shard(spec, 0, targets, self._radar_config())
-        assert {"shard", "archive", "stats", "events", "metrics",
-                "radar"} <= set(payload)
+        payload = run_shard(spec, 0, targets, radar=self._radar_config())
+        assert {"shard", "archive", "stats", "spans", "radar"} <= set(payload)
+        assert "events" not in payload and "metrics" not in payload
         assert len(payload["radar"]["rounds"]) == 3
         assert payload["radar"]["rounds"][0]["full"]
         restored = archive_from_dict(payload["archive"])
@@ -265,8 +265,8 @@ class TestRadarService:
 
     def test_run_radar_shard_is_deterministic(self):
         spec, targets = self._spec()
-        first = run_radar_shard(spec, 0, targets, self._radar_config())
-        second = run_radar_shard(spec, 0, targets, self._radar_config())
+        first = run_shard(spec, 0, targets, radar=self._radar_config())
+        second = run_shard(spec, 0, targets, radar=self._radar_config())
         assert first["archive"] == second["archive"]
         assert first["radar"] == second["radar"]
 

@@ -202,7 +202,9 @@ class TestLeaseProtocol:
         assert failed.state is JobState.FAILED
         assert f"shard {task.shard_index}" in failed.error
         assert "2 attempts" in failed.error
+        assert f"{len(targets)} targets" in failed.error
         assert "checkpoint" in failed.error
+        assert "shard-0.json" in failed.error
 
     def test_worker_fail_report_requeues(self, spec, targets, tmp_path):
         coordinator, _, job = self.make_coordinator(spec, targets, tmp_path,
@@ -241,6 +243,34 @@ class TestLeaseProtocol:
         coordinator.reap()
         assert task.shard_index not in runtime.uncommitted
         assert len(runtime.committed_events) == 2
+
+    def test_stream_cut_lands_after_marker_in_later_batch(self, spec,
+                                                          targets, tmp_path):
+        coordinator, _, _ = self.make_coordinator(spec, targets, tmp_path)
+        task = coordinator.lease("w0")
+        probes = [{"event": "ProbeSent", "dst": 1, "ttl": ttl,
+                   "protocol": "icmp", "flow_id": 0, "phase": "trace",
+                   "answered": True, "response_kind": "ttl-exceeded",
+                   "response_source": 2} for ttl in range(1, 6)]
+        marker = {"event": "CheckpointWritten", "path": "x.json",
+                  "completed_targets": 1, "traces": 1}
+
+        def stream(batch):
+            coordinator.stream("w0", task.job_id, task.shard_index,
+                               task.attempt, batch)
+
+        runtime = coordinator._runtimes[task.job_id]
+        # A marker-less batch stays pending in full.
+        stream(probes[:3])
+        assert runtime.committed_events == []
+        assert len(runtime.uncommitted[task.shard_index]) == 3
+        # The next batch's mid-batch marker commits everything up to and
+        # including it: the three pending probes, one new probe, the marker.
+        stream([probes[3], marker, probes[4]])
+        assert [record["event"] for record in runtime.committed_events] == \
+            ["ProbeSent"] * 4 + ["CheckpointWritten"]
+        assert [record["ttl"] for record in
+                runtime.uncommitted[task.shard_index]] == [5]
 
 
 class TestDedupeStore:
@@ -291,6 +321,9 @@ class TestServiceEndToEnd:
         assert archives_equivalent(serial_archive, result.archive)
         assert result.attempts == {0: 1, 1: 1}
         assert result.stats.sent > 0
+        # The coordinator's streamed registry totals the merged shards.
+        assert result.metrics.value("probes_sent_total") == result.stats.sent
+        assert result.metrics.value("traces_finished_total") == len(targets)
 
     def test_worker_death_survived_with_parity(self, spec, targets,
                                                tmp_path, serial_archive):

@@ -4,15 +4,13 @@ import random
 
 import pytest
 
+from inline_shards import run_inline_shards
 from repro.core import TraceNET
 from repro.events import HopObserved, ProbeSuppressed
 from repro.metrics import MetricsRegistry, MetricsSink
 from repro.metrics.auditor import ProbeEconomyAuditor
 from repro.netsim import Engine
-from repro.parallel import (
-    ShardedSurveyRunner,
-    archives_equivalent,
-)
+from repro.parallel import ShardSpec, archives_equivalent
 from repro.probing import StopSet, merge_stop_sets
 from repro.probing.stopset import MIN_REMEMBERED_DEPTH
 from repro.runner import SurveyRunner
@@ -163,13 +161,13 @@ class TestParallelStopSets:
     def test_sharded_survey_merges_global_stop_set(self):
         network = internet2.build(seed=7)
         targets = internet2.targets(network, seed=7)[:20]
-        plain = ShardedSurveyRunner.from_network(
-            network.topology, network.policy, "utdallas", workers=2)
-        stopped = ShardedSurveyRunner.from_network(
-            network.topology, network.policy, "utdallas", workers=2,
-            use_stop_sets=True)
-        plain_outcome = plain.run(targets)
-        stopped_outcome = stopped.run(targets)
+        plain_outcome = run_inline_shards(
+            ShardSpec.from_network(network.topology, network.policy,
+                                   "utdallas"), targets, 2)
+        stopped_outcome = run_inline_shards(
+            ShardSpec.from_network(network.topology, network.policy,
+                                   "utdallas", use_stop_sets=True),
+            targets, 2)
 
         assert plain_outcome.stop_set is None
         assert stopped_outcome.stop_set is not None
@@ -182,16 +180,17 @@ class TestParallelStopSets:
     def test_seeding_from_previous_survey(self):
         network = internet2.build(seed=7)
         targets = internet2.targets(network, seed=7)[:20]
-        first = ShardedSurveyRunner.from_network(
-            network.topology, network.policy, "utdallas", workers=2,
-            use_stop_sets=True)
-        first_outcome = first.run(targets)
+        first_outcome = run_inline_shards(
+            ShardSpec.from_network(network.topology, network.policy,
+                                   "utdallas", use_stop_sets=True),
+            targets, 2)
         seed_payload = first_outcome.stop_set.to_dict()
 
-        second = ShardedSurveyRunner.from_network(
-            network.topology, network.policy, "utdallas", workers=2,
-            use_stop_sets=True, seed_stop_set=seed_payload)
-        second_outcome = second.run(targets)
+        second_outcome = run_inline_shards(
+            ShardSpec.from_network(network.topology, network.policy,
+                                   "utdallas", use_stop_sets=True,
+                                   seed_stop_set=seed_payload),
+            targets, 2)
         assert archives_equivalent(first_outcome.archive,
                                    second_outcome.archive)
         # The seeded survey starts warm: it can only suppress more.
