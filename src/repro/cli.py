@@ -22,43 +22,29 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import List, Optional
 
 from .baselines import Traceroute
 from .core import TraceNET
 from .evaluation import (
-    VantageCollection,
-    agreement_rates,
     annotate_unresponsive,
     collected_prefixes,
     match_subnets,
-    prefix_length_histogram,
     render_distribution_table,
-    render_histogram,
-    render_protocol_table,
     render_similarity,
-    render_venn,
     similarity_summary,
-    subnets_per_group,
-    venn_regions,
 )
-from .events import JsonlEventSink, ProgressSink
-from .metrics import (
-    MetricsRegistry,
-    instrument,
-    render_prometheus,
-    stats_from_journal,
-)
-from .netsim import Engine, Protocol, format_ip, ip
-from .topogen import build_internet, figures, geant, internet2
-from .transport import (
-    RecordingTransport,
-    ReplayTransport,
-    SimulatorTransport,
-    collect_backend_metrics,
-)
+from .events import ProgressSink
+from .metrics import MetricsRegistry, render_prometheus, stats_from_journal
+from .netsim import Protocol, format_ip, ip
+from .runspec import RADAR_DEFAULTS, Run, RunSpec, RunSpecError
+from .topogen import figures
+from .transport import JournalError, ReplayMismatch, ReplayTransport
+
+#: Failures a command reports as one line on stderr, exiting 2: bad input
+#: files, contradicted run descriptions, journals that do not replay.
+COMMAND_ERRORS = (OSError, ValueError, JournalError, ReplayMismatch)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -68,7 +54,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except COMMAND_ERRORS as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,13 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = subparsers.add_parser("trace", help="one tracenet session")
     trace.add_argument("--scenario", choices=("figure2", "figure3"),
-                       default="figure3")
+                       help="default: figure3")
     trace.add_argument("--source", default=None,
                        help="vantage host id (default: the scenario's first)")
     trace.add_argument("--dest", default=None,
                        help="destination IP (default: a far interface)")
     trace.add_argument("--protocol", choices=("icmp", "udp", "tcp"),
-                       default="icmp")
+                       help="default: icmp")
     trace.add_argument("--compare-traceroute", action="store_true",
                        help="also print the plain traceroute view")
     trace.add_argument("--json", action="store_true", dest="as_json")
@@ -97,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     survey = subparsers.add_parser(
         "survey", help="Table 1/2: accuracy over Internet2 or GEANT")
     survey.add_argument("--network", choices=("internet2", "geant"),
-                        default="internet2")
-    survey.add_argument("--seed", type=int, default=7)
+                        help="default: internet2")
+    survey.add_argument("--seed", type=int, help="default: 7")
     survey.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                         help="checkpoint the survey to DIR/shard-0.json; a "
                              "re-run over the same directory resumes")
@@ -170,18 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--radar", action="store_true",
                         help="queue a radar job: continuous re-surveys "
                              "(runs as one shard; --shards is ignored)")
-    submit.add_argument("--rounds", type=int, default=3,
-                        help="radar rounds (with --radar)")
-    submit.add_argument("--churn-count", type=int, default=4, metavar="N",
-                        help="radar mutation count (0 = no churn)")
-    submit.add_argument("--churn-seed", type=int, default=7)
-    submit.add_argument("--churn-start", type=int, default=200,
-                        metavar="PROBES")
-    submit.add_argument("--churn-interval", type=int, default=400,
-                        metavar="PROBES")
-    submit.add_argument("--drop-rate", type=float, default=0.0,
-                        help="radar fault-injection loss rate")
-    submit.add_argument("--fault-seed", type=int, default=0)
+    _add_radar_options(submit)
     submit.set_defaults(handler=cmd_submit)
 
     serve = subparsers.add_parser(
@@ -215,27 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
         "radar", help="continuous re-surveys over a churning network with "
                       "incremental dirty-prefix re-probing")
     radar.add_argument("--network", choices=("internet2", "geant"),
-                       default="geant")
-    radar.add_argument("--seed", type=int, default=7)
-    radar.add_argument("--rounds", type=int, default=3,
-                       help="total rounds including the initial full survey")
-    radar.add_argument("--limit", type=int, default=None, metavar="N",
+                       help="default: geant")
+    radar.add_argument("--seed", type=int, help="default: 7")
+    radar.add_argument("--limit", type=int, metavar="N",
                        help="survey only the first N targets")
-    radar.add_argument("--full", action="store_true",
+    radar.add_argument("--full", action="store_true", default=None,
                        help="re-probe every target every round instead of "
                             "only the dirty prefixes")
-    radar.add_argument("--churn-count", type=int, default=4, metavar="N",
-                       help="mutations in the seeded schedule (0 disables "
-                            "churn entirely)")
-    radar.add_argument("--churn-seed", type=int, default=7)
-    radar.add_argument("--churn-start", type=int, default=200,
-                       metavar="PROBES",
-                       help="probe count at which the first mutation fires")
-    radar.add_argument("--churn-interval", type=int, default=400,
-                       metavar="PROBES", help="probes between mutations")
-    radar.add_argument("--drop-rate", type=float, default=0.0,
-                       help="seeded uniform response loss on the live path")
-    radar.add_argument("--fault-seed", type=int, default=0)
+    _add_radar_options(radar)
     radar.add_argument("--out", default=None, metavar="DIR",
                        help="save per-round archives, diffs and the radar "
                             "summary there")
@@ -268,11 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="a JSONL probe journal written by --record, "
                                 "or a session-event journal written by "
                                 "--events / the survey service")
-    stats_cmd.add_argument("--source", default=None,
-                           help="vantage host id (default: from the journal)")
-    stats_cmd.add_argument("--dest", default=None,
-                           help="destination IP override (default: from the "
-                                "journal metadata)")
     stats_cmd.add_argument("--format", choices=("json", "prometheus"),
                            default="json", dest="metrics_format")
     stats_cmd.add_argument("--out", default=None, metavar="PATH",
@@ -290,10 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="a probe journal (--record), session-event "
                                 "journal (--events), or a service job's "
                                 "committed events.jsonl")
-    spans_cmd.add_argument("--source", default=None,
-                           help="vantage host id override (probe journals)")
-    spans_cmd.add_argument("--dest", default=None,
-                           help="destination IP override (probe journals)")
     spans_cmd.add_argument("--json", action="store_true", dest="as_json",
                            help="emit the tree as JSON instead of the "
                                 "critical-path / heuristics report")
@@ -306,26 +263,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _maybe_time(registry: Optional[MetricsRegistry], name: str):
-    """A timing span when metrics are on, a no-op context otherwise."""
-    from contextlib import nullcontext
-
-    return registry.time(name) if registry is not None else nullcontext()
-
-
-def _write_metrics(registry: MetricsRegistry, path: str, fmt: str) -> None:
-    """Render a registry as JSON or Prometheus text, to a file or stdout."""
-    if fmt == "prometheus":
-        payload = render_prometheus(registry)
-    else:
-        payload = json.dumps(registry.full_snapshot(), indent=2,
-                             sort_keys=True) + "\n"
+def _write_text(path: str, payload: str) -> None:
+    """Write ``payload`` to a file, or to stdout for ``-``."""
     if path == "-":
         sys.stdout.write(payload)
     else:
         with open(path, "w", encoding="utf-8") as fp:
             fp.write(payload)
 
+
+def _json_text(payload) -> str:
+    """The JSON of an artifact file: sorted keys, indent 1, final newline."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def _write_metrics(registry: MetricsRegistry, path: str, fmt: str) -> None:
+    """Render a registry as JSON or Prometheus text, to a file or stdout."""
+    _write_text(path, render_prometheus(registry) if fmt == "prometheus"
+                else json.dumps(registry.full_snapshot(), indent=2,
+                                sort_keys=True) + "\n")
+
+
+def _add_radar_options(command: argparse.ArgumentParser) -> None:
+    """The radar config flags.  Like every flag that shapes the probe
+    stream they default to None, so ``--replay`` can tell a given flag from
+    an absent one; ``repro.runspec.COMMAND_DEFAULTS`` has the defaults."""
+    command.add_argument("--rounds", type=int,
+                         help="total rounds including the initial full "
+                              "survey (default: 3)")
+    command.add_argument("--churn-count", type=int, metavar="N",
+                         help="mutations in the seeded schedule (0 disables "
+                              "churn entirely; default: 4)")
+    command.add_argument("--churn-seed", type=int, help="default: 7")
+    command.add_argument("--churn-start", type=int, metavar="PROBES",
+                         help="probe count at which the first mutation "
+                              "fires (default: 200)")
+    command.add_argument("--churn-interval", type=int, metavar="PROBES",
+                         help="probes between mutations (default: 400)")
+    command.add_argument("--drop-rate", type=float,
+                         help="seeded uniform response loss on the live "
+                              "path (default: 0.0)")
+    command.add_argument("--fault-seed", type=int, help="default: 0")
+
+
+def _radar_flags(args) -> dict:
+    """The radar config fields a command's flags give (None = not given)."""
+    full = getattr(args, "full", None)
+    return {**{key: getattr(args, key) for key in RADAR_DEFAULTS
+               if key != "incremental"},
+            "incremental": None if full is None else not full}
 
 def _add_transport_options(command: argparse.ArgumentParser) -> None:
     """The transport-seam options every collection command shares."""
@@ -334,7 +320,9 @@ def _add_transport_options(command: argparse.ArgumentParser) -> None:
                               "this JSONL file")
     command.add_argument("--replay", default=None, metavar="JOURNAL",
                          help="re-serve a recorded journal instead of "
-                              "probing the simulator")
+                              "probing the simulator; the run is rebuilt "
+                              "from the journal header, and a flag that "
+                              "contradicts it is an error")
     command.add_argument("--events", default=None, metavar="PATH",
                          help="write the session-event stream to this "
                               "JSONL file")
@@ -344,14 +332,13 @@ def _add_transport_options(command: argparse.ArgumentParser) -> None:
     command.add_argument("--metrics-format", choices=("json", "prometheus"),
                          default="json",
                          help="metrics file format (default: json)")
-    command.add_argument("--batch-window", type=int, default=0,
-                         metavar="N",
+    command.add_argument("--batch-window", type=int, metavar="N",
                          help="dispatch ladder/sweep probes through the "
                               "transport batch API, up to N per batch "
                               "(1 keeps the probe stream identical to the "
                               "serial path, > 1 is speculative; default: "
                               "0, serial per-probe loop)")
-    command.add_argument("--stop-sets", action="store_true",
+    command.add_argument("--stop-sets", action="store_true", default=None,
                          help="Doubletree stop sets: suppress re-probing of "
                               "path prefixes already traced this session "
                               "(fewer probes, same map)")
@@ -364,139 +351,78 @@ def _add_transport_options(command: argparse.ArgumentParser) -> None:
                               "of the run (timing plane)")
 
 
-def _maybe_tracer(args):
-    """A clocked SpanBuilder when --spans-out/--chrome-out ask for one.
-
-    The clock feeds only the quarantined timing plane: the JSON written by
-    ``--spans-out`` is the deterministic serialization, bit-identical to
-    what ``tracenet spans`` derives from the matching journal offline.
-    """
-    if not (getattr(args, "spans_out", None)
-            or getattr(args, "chrome_out", None)):
-        return None
-    from time import perf_counter
-
-    from .tracing import SpanBuilder
-
-    return SpanBuilder(clock=perf_counter)
-
-
-def _write_spans(tracer, args) -> None:
-    """Flush a finished tracer to --spans-out / --chrome-out."""
-    if tracer is None:
-        return
-    root = tracer.finish()
-    if args.spans_out:
-        payload = json.dumps(root.to_dict(), indent=1, sort_keys=True) + "\n"
-        if args.spans_out == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(args.spans_out, "w", encoding="utf-8") as fp:
-                fp.write(payload)
-            print(f"wrote span tree to {args.spans_out}", file=sys.stderr)
-    if args.chrome_out:
+def _write_tree(root, spans_out: Optional[str],
+                chrome_out: Optional[str]) -> None:
+    """Write a span tree as JSON ('-' for stdout) and as a Chrome trace."""
+    if spans_out:
+        _write_text(spans_out, _json_text(root.to_dict()))
+        if spans_out != "-":
+            print(f"wrote span tree to {spans_out}", file=sys.stderr)
+    if chrome_out:
         from .tracing import chrome_trace, write_chrome_trace
 
-        write_chrome_trace(args.chrome_out, chrome_trace(root))
-        print(f"wrote Chrome trace to {args.chrome_out}", file=sys.stderr)
+        write_chrome_trace(chrome_out, chrome_trace(root))
+        print(f"wrote Chrome trace to {chrome_out}", file=sys.stderr)
 
 
-def _collector_options(args) -> dict:
-    """The probe-pipeline options shared by trace/survey (journal metadata)."""
-    options = {}
-    window = getattr(args, "batch_window", 0) or 0
-    if window >= 1:
-        options["batch_window"] = window
-    if getattr(args, "stop_sets", False):
-        options["stop_sets"] = True
-    return options
+def _open_run(args, shape: str, **given) -> Run:
+    """The command's run: live from its flags, or rebuilt from the
+    --replay journal's header (a flag contradicting it is an error)."""
+    if args.record and args.replay:
+        raise RunSpecError("--record and --replay are mutually exclusive")
+    given.update(batch_window=args.batch_window, stop_sets=args.stop_sets)
+    if args.replay:
+        transport = ReplayTransport(args.replay)
+        spec = RunSpec.from_header(transport.metadata, shape, **given)
+        return spec.build(transport=transport)
+    return RunSpec.from_flags(shape, **given).build(record=args.record)
 
 
-def _collector_kwargs(options: dict) -> dict:
-    """TraceNET keyword arguments for a :func:`_collector_options` payload."""
-    kwargs = {}
-    if options.get("batch_window"):
-        kwargs["batch_window"] = options["batch_window"]
-    if options.get("stop_sets"):
-        from .probing import StopSet
+def _execute(run: Run, args, sinks=(), checkpoint_path=None):
+    """Execute a run with the --events/--spans-out/--metrics-out sinks.
 
-        kwargs["stop_set"] = StopSet()
-    return kwargs
+    The span tracer's clock feeds only the quarantined timing plane: the
+    ``--spans-out`` JSON is the deterministic serialization, bit-identical
+    to what ``tracenet spans`` derives from the run's journal offline.
+    """
+    registry = MetricsRegistry() if args.metrics_out else None
+    tracer = None
+    if args.spans_out or args.chrome_out:
+        from time import perf_counter
+
+        from .tracing import SpanBuilder
+
+        tracer = SpanBuilder(clock=perf_counter)
+    outcome = run.execute(events_path=args.events, sinks=sinks,
+                          tracer=tracer, registry=registry,
+                          checkpoint_path=checkpoint_path)
+    if registry is not None:
+        _write_metrics(registry, args.metrics_out, args.metrics_format)
+    if tracer is not None:
+        _write_tree(tracer.finish(), args.spans_out, args.chrome_out)
+    return outcome
 
 
 def cmd_trace(args) -> int:
-    if args.record and args.replay:
-        print("--record and --replay are mutually exclusive", file=sys.stderr)
-        return 2
-    if args.replay:
-        transport = ReplayTransport(args.replay)
-        source = args.source or transport.metadata.get("source")
-        dest_text = args.dest or transport.metadata.get("destination")
-        if source is None or dest_text is None:
-            print("the journal names no source/destination; pass --source "
-                  "and --dest explicitly", file=sys.stderr)
-            return 2
-        destination = ip(dest_text)
-        scenario = None
-    else:
-        scenario = (figures.figure2_network() if args.scenario == "figure2"
-                    else figures.figure3_network())
-        source = args.source or next(iter(scenario.hosts))
-        if source not in scenario.topology.hosts:
-            print(f"unknown source host {source!r}", file=sys.stderr)
-            return 2
-        destination = _resolve_destination(scenario, source, args.dest)
-        transport = SimulatorTransport(scenario.engine())
-        if args.record:
-            metadata = {
-                "scenario": args.scenario,
-                "source": source,
-                "destination": format_ip(destination),
-                "protocol": args.protocol,
-            }
-            options = _collector_options(args)
-            if options:
-                metadata["collector"] = options
-            transport = RecordingTransport(transport, args.record,
-                                           metadata=metadata)
-    tool = TraceNET(transport, source, protocol=Protocol(args.protocol),
-                    **_collector_kwargs(_collector_options(args)))
-    event_sink = None
-    if args.events:
-        event_sink = tool.events.subscribe(JsonlEventSink(args.events))
-    tracer = _maybe_tracer(args)
-    if tracer is not None:
-        tool.events.subscribe(tracer)
-    registry = None
-    if args.metrics_out:
-        registry = MetricsRegistry()
-        instrument(tool.events, registry=registry)
-    try:
-        with _maybe_time(registry, "collection_seconds"):
-            result = tool.trace(destination)
-        if registry is not None:
-            collect_backend_metrics(registry.backend, transport)
-    finally:
-        if event_sink is not None:
-            event_sink.close()
-        transport.close()
-    if registry is not None:
-        _write_metrics(registry, args.metrics_out, args.metrics_format)
-    _write_spans(tracer, args)
+    run = _open_run(args, "trace", scenario=args.scenario,
+                    vantage=args.source,
+                    destination=ip(args.dest) if args.dest else None,
+                    protocol=args.protocol)
+    result = _execute(run, args)
     if args.as_json:
         print(json.dumps(result.to_dict(), indent=2))
     else:
         print(result.describe())
     if args.compare_traceroute:
-        if scenario is None:
+        if run.network is None:
             print("(--compare-traceroute needs the simulator; "
                   "skipped under --replay)", file=sys.stderr)
         else:
-            baseline = Traceroute(scenario.engine(), source,
-                                  protocol=Protocol(args.protocol))
+            baseline = Traceroute(run.network.engine(), run.spec.vantage,
+                                  protocol=Protocol(run.spec.protocol))
             print()
             print("traceroute view:")
-            for hop in baseline.trace(destination).hops:
+            for hop in baseline.trace(run.spec.destination).hops:
                 addr = (format_ip(hop.address)
                         if hop.address is not None else "*")
                 print(f"{hop.ttl:3d}  {addr}")
@@ -504,37 +430,14 @@ def cmd_trace(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    if args.record and args.replay:
-        print("--record and --replay are mutually exclusive", file=sys.stderr)
-        return 2
     if args.checkpoint_dir is not None and (args.record or args.replay):
         # A resumed run would journal only the targets it still probes.
         print("--checkpoint-dir cannot be combined with --record/--replay",
               file=sys.stderr)
         return 2
-    module = internet2 if args.network == "internet2" else geant
-    network = module.build(seed=args.seed)
-    target_list = module.targets(network, seed=args.seed)
-    if args.replay:
-        # The journal stands in for the network: no Engine at all.
-        transport = ReplayTransport(args.replay)
-        mode = "replay"
-    else:
-        engine = Engine(network.topology, policy=network.policy)
-        transport = SimulatorTransport(engine)
-        mode = "serial"
-        if args.record:
-            metadata = {
-                "network": args.network,
-                "seed": args.seed,
-                "vantage": "utdallas",
-            }
-            options = _collector_options(args)
-            if options:
-                metadata["collector"] = options
-            transport = RecordingTransport(transport, args.record,
-                                           metadata=metadata)
-            mode = "serial, recording"
+    run = _open_run(args, "survey", network=args.network, seed=args.seed)
+    mode = ("replay" if args.replay
+            else "serial, recording" if args.record else "serial")
     checkpoint_path = None
     if args.checkpoint_dir is not None:
         import os
@@ -542,91 +445,37 @@ def cmd_survey(args) -> int:
         os.makedirs(args.checkpoint_dir, exist_ok=True)
         checkpoint_path = os.path.join(args.checkpoint_dir, "shard-0.json")
         mode = "serial, checkpointed"
-    tool = TraceNET(transport, "utdallas",
-                    **_collector_kwargs(_collector_options(args)))
-    sinks = []
-    if args.events:
-        sinks.append(tool.events.subscribe(JsonlEventSink(args.events)))
-    if args.progress:
-        sinks.append(tool.events.subscribe(ProgressSink()))
-    registry = MetricsRegistry() if args.metrics_out else None
-    tracer = _maybe_tracer(args)
-    try:
-        from .runner import SurveyRunner
-
-        SurveyRunner(tool, checkpoint_path=checkpoint_path, metrics=registry,
-                     tracer=tracer).run(target_list)
-        if registry is not None:
-            collect_backend_metrics(registry.backend, transport)
-    finally:
-        for sink in sinks:
-            sink.close()
-        transport.close()
-    if registry is not None:
-        _write_metrics(registry, args.metrics_out, args.metrics_format)
-    _write_spans(tracer, args)
-    subnets = tool.collected_subnets
-    probes_sent = tool.prober.stats.sent
+    _execute(run, args, sinks=[ProgressSink()] if args.progress else [],
+             checkpoint_path=checkpoint_path)
+    network, name = run.network, run.spec.network
     report = match_subnets(network.ground_truth,
-                           collected_prefixes(subnets))
+                           collected_prefixes(run.tool.collected_subnets))
     annotate_unresponsive(report, network.records)
     title = ("Table 1: Internet2, original and collected subnet distribution"
-             if args.network == "internet2"
+             if name == "internet2"
              else "Table 2: GEANT, original and collected subnet distribution")
     print(render_distribution_table(report, title))
-    print(render_similarity(f"{args.network} (incl. unresponsive)",
+    print(render_similarity(f"{name} (incl. unresponsive)",
                             *similarity_summary(report)))
-    print(render_similarity(f"{args.network} (excl. unresponsive)",
+    print(render_similarity(f"{name} (excl. unresponsive)",
                             *similarity_summary(report, exclude_unresponsive=True)))
-    print(f"probes sent: {probes_sent} ({mode})")
+    print(f"probes sent: {run.tool.prober.stats.sent} ({mode})")
     return 0
 
 
 def cmd_crossval(args) -> int:
-    internet = build_internet(seed=args.seed, scale=args.scale)
-    targets = internet.targets(seed=args.seed, per_isp=args.targets_per_isp)
-    flat_targets = [t for group in targets.values() for t in group]
-    collections = {}
-    for site in sorted(internet.vantages):
-        engine = Engine(internet.topology, policy=internet.policy)
-        tool = TraceNET(engine, site)
-        tool.trace_many(flat_targets)
-        collections[site] = VantageCollection(
-            vantage=site, subnets=tool.collected_subnets, targets=flat_targets)
-    prefix_sets = {site: c.prefixes for site, c in collections.items()}
-    print(render_venn(venn_regions(prefix_sets), sorted(prefix_sets)))
-    print()
-    for site, rates in agreement_rates(prefix_sets).items():
-        print(f"  {site}: seen-by-all {rates['all']:.0%}, "
-              f"seen-by-another {rates['shared']:.0%}")
-    print()
-    groups = sorted(internet.isps)
-    counts = {site: subnets_per_group(c, internet.isp_of_prefix, groups)
-              for site, c in collections.items()}
-    from .evaluation import render_group_counts
-    print(render_group_counts(counts))
-    print()
-    histograms = {site: prefix_length_histogram(c)
-                  for site, c in collections.items()}
-    print(render_histogram(histograms, log_bars=False))
+    from .experiments import run_cross_validation
+
+    print(run_cross_validation(seed=args.seed, scale=args.scale,
+                               per_isp=args.targets_per_isp).render())
     return 0
 
 
 def cmd_protocols(args) -> int:
-    internet = build_internet(seed=args.seed, scale=args.scale)
-    targets = internet.targets(seed=args.seed, per_isp=args.targets_per_isp)
-    counts = {name: {} for name in sorted(internet.isps)}
-    for protocol in (Protocol.ICMP, Protocol.UDP, Protocol.TCP):
-        engine = Engine(internet.topology, policy=internet.policy)
-        tool = TraceNET(engine, "rice", protocol=protocol)
-        for group in targets.values():
-            tool.trace_many(group)
-        for name in counts:
-            counts[name][protocol.value] = sum(
-                1 for s in tool.collected_subnets
-                if s.size >= 2 and internet.isp_of(s.pivot) == name
-            )
-    print(render_protocol_table(counts))
+    from .experiments import run_protocol_comparison
+
+    print(run_protocol_comparison(seed=args.seed, scale=args.scale,
+                                  per_isp=args.targets_per_isp).render())
     return 0
 
 
@@ -684,8 +533,8 @@ def cmd_overhead(args) -> int:
 def cmd_export(args) -> int:
     from .netsim import save_scenario
 
-    module = internet2 if args.network == "internet2" else geant
-    network = module.build(seed=args.seed)
+    network = RunSpec.from_flags("survey", network=args.network,
+                                 seed=args.seed).load_network()
     save_scenario(args.out, network.topology, network.policy)
     print(f"exported {args.network} (seed {args.seed}) to {args.out}")
     print(f"  {network.topology.summary()}")
@@ -706,30 +555,17 @@ def cmd_submit(args) -> int:
     from .parallel import ShardSpec
     from .service import SurveyJob
 
-    module = internet2 if args.network == "internet2" else geant
-    network = module.build(seed=args.seed)
-    target_list = module.targets(network, seed=args.seed)
-    if args.limit is not None:
-        target_list = target_list[:max(0, args.limit)]
-    if not target_list:
-        print("no targets to survey (check --limit)", file=sys.stderr)
-        return 2
+    survey = RunSpec.from_flags("survey", network=args.network,
+                                seed=args.seed, limit=args.limit)
+    network = survey.load_network()
+    target_list = survey.targets(network)
     spec = ShardSpec.from_network(
         network.topology, network.policy, "utdallas",
         batch_window=max(0, args.batch_window),
         use_stop_sets=args.stop_sets)
     radar = None
     if args.radar:
-        radar = {
-            "rounds": max(1, args.rounds),
-            "churn_count": max(0, args.churn_count),
-            "churn_seed": args.churn_seed,
-            "churn_start": args.churn_start,
-            "churn_interval": args.churn_interval,
-            "drop_rate": args.drop_rate,
-            "fault_seed": args.fault_seed,
-            "incremental": True,
-        }
+        radar = RunSpec.from_flags("radar", **_radar_flags(args)).radar
     queue = _service_queue(args.queue)
     job = queue.submit(SurveyJob(
         job_id=queue.next_job_id(),
@@ -857,102 +693,13 @@ def cmd_serve(args) -> int:
 def cmd_radar(args) -> int:
     import os
 
-    from .events import EventBus
     from .mapping import save_archive
-    from .netsim import MutationSchedule, NetworkDynamics
-    from .radar import RadarRunner
-    from .transport import FaultInjectingTransport, MutatingTransport
 
-    if args.record and args.replay:
-        print("--record and --replay are mutually exclusive", file=sys.stderr)
-        return 2
-    module = internet2 if args.network == "internet2" else geant
-    network = module.build(seed=args.seed)
-    target_list = module.targets(network, seed=args.seed)
-    if args.limit is not None:
-        target_list = target_list[:max(0, args.limit)]
-    if not target_list:
-        print("no targets to survey (check --limit)", file=sys.stderr)
-        return 2
-
-    # The schedule derives from (topology, seed) alone, so a replay run
-    # regenerates the identical mutation stream without an engine.
-    schedule = None
-    if args.churn_count > 0:
-        schedule = MutationSchedule.generate(
-            network.topology, seed=args.churn_seed,
-            start=max(1, args.churn_start),
-            interval=max(1, args.churn_interval),
-            count=args.churn_count)
-
-    bus = EventBus()
-    if args.replay:
-        transport = ReplayTransport(args.replay)
-        if schedule is not None:
-            transport = MutatingTransport(transport, schedule,
-                                          dynamics=None, events=bus)
-        mode = "replay"
-    else:
-        engine = Engine(network.topology, policy=network.policy)
-        transport = SimulatorTransport(engine)
-        if args.drop_rate > 0.0:
-            transport = FaultInjectingTransport(transport,
-                                                drop_rate=args.drop_rate,
-                                                seed=args.fault_seed)
-        if schedule is not None:
-            dynamics = NetworkDynamics(engine, schedule)
-            transport = MutatingTransport(transport, schedule,
-                                          dynamics=dynamics, events=bus)
-        mode = "live"
-        if args.record:
-            metadata = {
-                "network": args.network,
-                "seed": args.seed,
-                "vantage": "utdallas",
-                "radar": {
-                    "rounds": args.rounds,
-                    "churn_seed": args.churn_seed,
-                    "churn_count": args.churn_count,
-                    "churn_start": args.churn_start,
-                    "churn_interval": args.churn_interval,
-                    "drop_rate": args.drop_rate,
-                    "fault_seed": args.fault_seed,
-                    "incremental": not args.full,
-                },
-            }
-            options = _collector_options(args)
-            if options:
-                metadata["collector"] = options
-            transport = RecordingTransport(transport, args.record,
-                                           metadata=metadata)
-            mode = "live, recording"
-
-    tool = TraceNET(transport, "utdallas", events=bus,
-                    **_collector_kwargs(_collector_options(args)))
-    event_sink = None
-    if args.events:
-        event_sink = bus.subscribe(JsonlEventSink(args.events))
-    tracer = _maybe_tracer(args)
-    if tracer is not None:
-        bus.subscribe(tracer)
-    registry = None
-    if args.metrics_out:
-        registry = MetricsRegistry()
-        instrument(bus, registry=registry)
-    try:
-        with _maybe_time(registry, "collection_seconds"):
-            outcome = RadarRunner(tool, target_list,
-                                  rounds=max(1, args.rounds),
-                                  incremental=not args.full).run()
-        if registry is not None:
-            collect_backend_metrics(registry.backend, transport)
-    finally:
-        if event_sink is not None:
-            event_sink.close()
-        transport.close()
-    if registry is not None:
-        _write_metrics(registry, args.metrics_out, args.metrics_format)
-    _write_spans(tracer, args)
+    run = _open_run(args, "radar", network=args.network, seed=args.seed,
+                    limit=args.limit, **_radar_flags(args))
+    mode = ("replay" if args.replay
+            else "live, recording" if args.record else "live")
+    outcome = _execute(run, args)
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -960,31 +707,27 @@ def cmd_radar(args) -> int:
             save_archive(os.path.join(args.out, f"round-{rnd.index}.json"),
                          rnd.archive)
             if rnd.diff is not None:
-                diff_path = os.path.join(
-                    args.out, f"diff-{rnd.index - 1}-{rnd.index}.json")
-                with open(diff_path, "w", encoding="utf-8") as fp:
-                    json.dump(rnd.diff.to_dict(), fp, indent=1,
-                              sort_keys=True)
-                    fp.write("\n")
-        summary_path = os.path.join(args.out, "radar.json")
-        with open(summary_path, "w", encoding="utf-8") as fp:
-            json.dump(outcome.to_dict(), fp, indent=1, sort_keys=True)
-            fp.write("\n")
+                _write_text(os.path.join(
+                    args.out, f"diff-{rnd.index - 1}-{rnd.index}.json"),
+                    _json_text(rnd.diff.to_dict()))
+        _write_text(os.path.join(args.out, "radar.json"),
+                    _json_text(outcome.to_dict()))
         print(f"saved {len(outcome.rounds)} round archive(s) to {args.out}",
               file=sys.stderr)
 
     if args.as_json:
         print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
         return 0
-    print(f"radar over {args.network} (seed {args.seed}): "
-          f"{len(target_list)} targets, {len(outcome.rounds)} rounds, "
-          f"{'churn ' + str(args.churn_count) if schedule else 'no churn'} "
+    spec, churn = run.spec, run.spec.radar["churn_count"]
+    print(f"radar over {spec.network} (seed {spec.seed}): "
+          f"{len(run.targets)} targets, {len(outcome.rounds)} rounds, "
+          f"{'churn ' + str(churn) if churn > 0 else 'no churn'} "
           f"({mode})")
     for rnd in outcome.rounds:
         degraded = sum(1 for t in rnd.archive.traces if t.degraded)
         line = (f"round {rnd.index}: "
                 f"{'full survey' if rnd.full else 'incremental'}, "
-                f"probed {len(rnd.probed_targets)}/{len(target_list)}, "
+                f"probed {len(rnd.probed_targets)}/{len(run.targets)}, "
                 f"{len(rnd.archive.subnets)} subnets, "
                 f"{rnd.mutations_seen} mutation(s) absorbed"
                 + (f", {degraded} degraded" if degraded else ""))
@@ -1005,10 +748,9 @@ def cmd_diff(args) -> int:
         print(f"diff failed: {exc}", file=sys.stderr)
         return 2
     diff = diff_archives(old, new)
-    payload = json.dumps(diff.to_dict(), indent=1, sort_keys=True) + "\n"
+    payload = _json_text(diff.to_dict())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(payload)
+        _write_text(args.out, payload)
         print(f"wrote diff to {args.out}", file=sys.stderr)
     if args.as_json:
         sys.stdout.write(payload)
@@ -1043,19 +785,11 @@ def cmd_stats(args) -> int:
         from .tracing import SpanBuilder
 
         builder = SpanBuilder()
-    try:
-        if journal_kind(args.journal) == "events":
-            stats = stats_from_events(args.journal)
-            if builder is not None:
-                from .events import replay_events
-
-                for event in replay_events(args.journal):
-                    builder(event)
-        else:
-            stats = _probe_journal_stats(args, builder)
-    except (OSError, ValueError) as exc:
-        print(f"stats failed: {exc}", file=sys.stderr)
-        return 2
+    sinks = (builder,) if builder is not None else ()
+    if journal_kind(args.journal) == "events":
+        stats = stats_from_events(args.journal, extra_sinks=sinks)
+    else:
+        stats = stats_from_journal(args.journal, extra_sinks=sinks)
     print(stats.describe(), file=sys.stderr)
     if args.out:
         _write_metrics(stats.registry, args.out, args.metrics_format)
@@ -1070,60 +804,17 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _probe_journal_stats(args, builder=None):
-    return stats_from_journal(
-        args.journal,
-        vantage=args.source,
-        destination=ip(args.dest) if args.dest else None,
-        extra_sinks=(builder,) if builder is not None else (),
-    )
-
-
 def cmd_spans(args) -> int:
-    from .tracing import (
-        chrome_trace,
-        per_trace_table,
-        render_report,
-        span_tree_from_journal,
-        write_chrome_trace,
-    )
+    from .tracing import per_trace_table, render_report, span_tree_from_journal
 
-    try:
-        root = span_tree_from_journal(
-            args.journal,
-            vantage=args.source,
-            destination=ip(args.dest) if args.dest else None)
-    except (OSError, ValueError) as exc:
-        print(f"spans failed: {exc}", file=sys.stderr)
-        return 2
-    if args.as_json or args.out:
-        payload = json.dumps(root.to_dict(), indent=1, sort_keys=True) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fp:
-                fp.write(payload)
-            print(f"wrote span tree to {args.out}", file=sys.stderr)
-        else:
-            sys.stdout.write(payload)
-    else:
+    root = span_tree_from_journal(args.journal)
+    as_json = args.as_json or args.out
+    if not as_json:
         print(render_report(root))
         print()
         print(per_trace_table(root))
-    if args.chrome_out:
-        write_chrome_trace(args.chrome_out, chrome_trace(root))
-        print(f"wrote Chrome trace to {args.chrome_out}", file=sys.stderr)
+    _write_tree(root, (args.out or "-") if as_json else None, args.chrome_out)
     return 0
-
-
-def _resolve_destination(scenario, source: str, dest: Optional[str]) -> int:
-    """Pick the user's destination, or the farthest interface by default."""
-    if dest is not None:
-        return ip(dest)
-    engine = scenario.engine()
-    addresses = scenario.topology.all_interface_addresses
-    rng = random.Random(0)
-    return max(addresses,
-               key=lambda a: (engine.hop_distance(source, a) or 0,
-                              rng.random()))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,8 +1,9 @@
 """Reusable experiment runners — one per table/figure of the paper.
 
-The benchmark harness, the examples and the CLI all drive the experiments
-through these functions, so a bench's measured run is exactly the run whose
-output is printed.  Every runner returns a structured outcome object with a
+The benchmark harness, the examples and the CLI's ``crossval``,
+``protocols`` and ``overhead`` commands drive the experiments through these
+functions, so a bench's measured run is exactly the run whose output is
+printed.  Every runner returns a structured outcome object with a
 ``render()`` producing the paper-style table/figure text.
 """
 
@@ -121,6 +122,19 @@ def run_geant_survey(seed: int = 7) -> SurveyOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _isp_targets(internet: Optional[MultiISPNetwork], seed: int,
+                 scale: float, per_isp: Optional[int]):
+    """The ISP internet (built unless given) and its target groups: every
+    target with ``per_isp=None``, else ``per_isp`` x ISPs drawn
+    proportionally to ISP size."""
+    if internet is None:
+        internet = build_internet(seed=seed, scale=scale)
+    if per_isp is None:
+        return internet, internet.targets(seed=seed)
+    return internet, internet.targets_proportional(
+        seed=seed, total=per_isp * len(internet.isps))
+
+
 @dataclass
 class CrossValidationOutcome:
     """Result of the three-vantage ISP experiment."""
@@ -187,11 +201,7 @@ def run_cross_validation(seed: int = 42, scale: float = 0.4,
                          internet: Optional[MultiISPNetwork] = None
                          ) -> CrossValidationOutcome:
     """Figures 6-9: one common target set traced from three vantages."""
-    if internet is None:
-        internet = build_internet(seed=seed, scale=scale)
-    total = None if per_isp is None else per_isp * len(internet.isps)
-    grouped = (internet.targets(seed=seed) if total is None
-               else internet.targets_proportional(seed=seed, total=total))
+    internet, grouped = _isp_targets(internet, seed, scale, per_isp)
     targets = [t for group in grouped.values() for t in group]
     collections: Dict[str, VantageCollection] = {}
     for site in sorted(internet.vantages):
@@ -230,11 +240,7 @@ def run_protocol_comparison(seed: int = 42, scale: float = 0.4,
                             internet: Optional[MultiISPNetwork] = None
                             ) -> ProtocolComparisonOutcome:
     """Table 3: the same targets probed with ICMP, UDP and TCP."""
-    if internet is None:
-        internet = build_internet(seed=seed, scale=scale)
-    total = None if per_isp is None else per_isp * len(internet.isps)
-    grouped = (internet.targets(seed=seed) if total is None
-               else internet.targets_proportional(seed=seed, total=total))
+    internet, grouped = _isp_targets(internet, seed, scale, per_isp)
     counts: Dict[str, Dict[str, int]] = {name: {} for name in sorted(internet.isps)}
     for protocol in (Protocol.ICMP, Protocol.UDP, Protocol.TCP):
         engine = Engine(internet.topology, policy=internet.policy)
@@ -485,11 +491,7 @@ def run_vantage_utility(seed: int = 42, scale: float = 0.4,
     limited utility [6] and that exploring each visited subnet in full is
     the better lever; this experiment measures both curves.
     """
-    if internet is None:
-        internet = build_internet(seed=seed, scale=scale)
-    total = None if per_isp is None else per_isp * len(internet.isps)
-    grouped = (internet.targets(seed=seed) if total is None
-               else internet.targets_proportional(seed=seed, total=total))
+    internet, grouped = _isp_targets(internet, seed, scale, per_isp)
     targets = [t for group in grouped.values() for t in group]
     vantage_order = sorted(internet.vantages)
 
@@ -575,11 +577,7 @@ def run_bandwidth_comparison(seed: int = 42, scale: float = 0.4,
     traceroute run from every available vantage point."""
     from .netsim.packet import wire_bytes
 
-    if internet is None:
-        internet = build_internet(seed=seed, scale=scale)
-    total = None if per_isp is None else per_isp * len(internet.isps)
-    grouped = (internet.targets(seed=seed) if total is None
-               else internet.targets_proportional(seed=seed, total=total))
+    internet, grouped = _isp_targets(internet, seed, scale, per_isp)
     targets = [t for group in grouped.values() for t in group]
 
     first_site = sorted(internet.vantages)[0]

@@ -9,10 +9,12 @@ and therefore the exact metrics registry.  That is what ``tracenet stats``
 does: every archived journal becomes a queryable measurement artifact,
 years after the run, with no simulator (or network) involved.
 
-The run shape is resolved from the journal header metadata written by the
-CLI: a ``destination`` entry means a single trace session, a ``network`` +
-``seed`` entry means a survey whose target list is regenerated from the
-named scenario module.  Both can be overridden by the caller.
+The run — shape, network, vantage, protocol, collector options, radar
+config — is rebuilt from the journal header by
+:class:`~repro.runspec.RunSpec`, the same builder the CLI's live and
+``--replay`` runs use, so every journal the CLI records (traces over any
+protocol, surveys with stop sets or batching, radar runs under churn and
+loss) analyses offline from its path alone.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Union
 
-from ..core.tracenet import TraceNET
 from ..events import EventBus, SessionEvent
-from ..runner import SurveyRunner
+from ..runspec import Run, RunSpec
 from ..transport import ProbeTransport, ReplayTransport
-from ..transport.base import collect_backend_metrics
 from .auditor import DEFAULT_SLACK, ProbeEconomyAuditor
 from .registry import MetricsRegistry
 from .sink import MetricsSink, collect_bus_metrics
@@ -57,52 +57,30 @@ def instrumented_collection(transport: ProbeTransport, vantage: str,
                             collector_options: Optional[Dict] = None,
                             extra_sinks: Sequence = ()
                             ) -> MetricsRegistry:
-    """Run one collection (trace or survey) with full instrumentation.
+    """Run one collection over ``transport`` with full instrumentation.
 
-    Exactly one of ``destination`` (a single tracenet session) and
-    ``targets`` (a survey) must be given.  The transport's backend counters
-    are captured into the registry's backend scope after the run.
-    ``collector_options`` (``batch_window``, ``stop_sets``,
-    ``stop_prefix_length``) rebuilds the collector the journal was recorded
-    with — a batched or stop-set journal replays only under the same
-    options, since they change the probe stream.  ``extra_sinks`` are
-    subscribed before the metrics pipeline — e.g. a
-    :class:`~repro.tracing.SpanBuilder` riding along an offline replay.
+    Exactly one of ``destination`` (a trace) and ``targets`` (a survey)
+    must be given; ``collector_options`` are a journal header's
+    ``collector`` entry (they change the probe stream, so a journal
+    replays only under its own).  ``extra_sinks`` (e.g. a
+    :class:`~repro.tracing.SpanBuilder`) subscribe before the metrics
+    pipeline; backend counters land in ``registry.backend``.
     """
     if (destination is None) == (targets is None):
         raise ValueError("pass exactly one of destination= or targets=")
+    spec = RunSpec(shape="trace" if destination is not None else "survey",
+                   vantage=vantage, destination=destination,
+                   collector=dict(collector_options or {}))
+    run = spec.build(transport=transport, targets=targets)
+    return _instrumented(run, registry, slack, extra_sinks)
+
+
+def _instrumented(run: Run, registry: Optional[MetricsRegistry],
+                  slack: float, extra_sinks: Sequence) -> MetricsRegistry:
     registry = registry if registry is not None else MetricsRegistry()
-    tool = TraceNET(transport, vantage,
-                    **_collector_kwargs(collector_options))
-    for sink in extra_sinks:
-        tool.events.subscribe(sink)
-    tool.events.subscribe(MetricsSink(registry))
-    tool.events.subscribe(ProbeEconomyAuditor(tool.events, slack=slack))
-    with registry.time("collection_seconds"):
-        if destination is not None:
-            tool.trace(destination)
-        else:
-            SurveyRunner(tool).run(list(targets))
-    collect_backend_metrics(registry.backend, transport)
-    collect_bus_metrics(registry.backend, tool.events)
+    run.execute(sinks=extra_sinks, registry=registry, slack=slack)
+    collect_bus_metrics(registry.backend, run.tool.events)
     return registry
-
-
-def _collector_kwargs(options: Optional[Dict]) -> Dict:
-    """TraceNET keyword arguments from a journal's ``collector`` metadata."""
-    if not options:
-        return {}
-    kwargs: Dict = {}
-    window = options.get("batch_window")
-    if window:
-        kwargs["batch_window"] = int(window)
-    if options.get("stop_sets"):
-        from ..probing.stopset import StopSet
-
-        prefix_length = options.get("stop_prefix_length")
-        kwargs["stop_set"] = (StopSet(prefix_length=int(prefix_length))
-                              if prefix_length else StopSet())
-    return kwargs
 
 
 @dataclass
@@ -110,7 +88,7 @@ class JournalStats:
     """What ``tracenet stats`` computed for one journal."""
 
     registry: MetricsRegistry
-    mode: str                      # "trace" or "survey"
+    mode: str                      # "trace", "survey", "radar" or "events"
     vantage: str
     metadata: Dict
     destination: Optional[int] = None
@@ -123,7 +101,7 @@ class JournalStats:
             return (f"replayed {self.exchanges_served} session events "
                     f"through the metrics pipeline")
         what = ("1 trace" if self.mode == "trace"
-                else f"{len(self.targets)} survey targets")
+                else f"{len(self.targets)} {self.mode} targets")
         return (f"replayed {what} from vantage {self.vantage!r}: "
                 f"{self.exchanges_served} journaled exchanges served, "
                 f"{self.exchanges_remaining} unused")
@@ -137,29 +115,27 @@ def stats_from_journal(source: Union[str, IO],
                        extra_sinks: Sequence = ()) -> JournalStats:
     """Replay a recorded probe journal offline and rebuild its registry.
 
-    Overrides win over journal metadata; with neither, the journal must
-    have been recorded by ``tracenet trace --record`` (names its
-    destination) or ``tracenet survey --record`` (names network + seed, so
-    the target list is regenerated deterministically).
+    The journal header describes the run (:meth:`RunSpec.from_header`);
+    ``vantage`` and ``destination`` fill in what it does not record, and
+    contradicting it raises :class:`~repro.runspec.RunSpecError`.
+    ``targets`` replaces the target list the header's network and seed
+    would regenerate (for a journal of a partial survey).
     """
     transport = ReplayTransport(source)
     metadata = transport.metadata
-    vantage = vantage or metadata.get("source") or metadata.get("vantage")
-    if vantage is None:
-        raise ValueError("the journal names no vantage; pass vantage=")
-    if destination is None and targets is None:
-        destination, targets = _resolve_run_shape(metadata)
-    registry = instrumented_collection(
-        transport, vantage, destination=destination, targets=targets,
-        slack=slack, collector_options=metadata.get("collector"),
-        extra_sinks=extra_sinks)
+    shape = ("trace" if destination is not None
+             else "survey" if targets is not None else None)
+    spec = RunSpec.from_header(metadata, shape, vantage=vantage,
+                               destination=destination)
+    run = spec.build(transport=transport, targets=targets)
+    registry = _instrumented(run, None, slack, extra_sinks)
     return JournalStats(
         registry=registry,
-        mode="trace" if destination is not None else "survey",
-        vantage=vantage,
+        mode=spec.shape,
+        vantage=run.spec.vantage,
         metadata=dict(metadata),
-        destination=destination,
-        targets=list(targets or []),
+        destination=run.spec.destination,
+        targets=run.targets,
         exchanges_served=transport.cursor,
         exchanges_remaining=transport.remaining,
     )
@@ -167,7 +143,8 @@ def stats_from_journal(source: Union[str, IO],
 
 def stats_from_events(source: Union[str, IO],
                       audit: bool = False,
-                      slack: float = DEFAULT_SLACK) -> JournalStats:
+                      slack: float = DEFAULT_SLACK,
+                      extra_sinks: Sequence = ()) -> JournalStats:
     """Rebuild a registry from a session-event journal (``--events``).
 
     The cheaper sibling of :func:`stats_from_journal`: an event journal
@@ -177,11 +154,15 @@ def stats_from_events(source: Union[str, IO],
     service's parity contract: replaying a job's committed event journal
     must reproduce the coordinator's streamed registry exactly.  Keep
     ``audit=False`` for journals recorded with an auditor attached (the
-    live auditor's violations are already in the stream).
+    live auditor's violations are already in the stream).  Every event
+    is also fed to each of ``extra_sinks`` (e.g. a ``SpanBuilder``).
     """
     from ..events import replay_events
 
     events = replay_events(source)
+    for sink in extra_sinks:
+        for event in events:
+            sink(event)
     registry = registry_from_events(events, audit=audit, slack=slack)
     return JournalStats(
         registry=registry,
@@ -213,28 +194,3 @@ def journal_kind(source: str) -> str:
             return ("events" if isinstance(record, dict)
                     and "event" in record else "probes")
     return "probes"
-
-
-def _resolve_run_shape(metadata: Dict):
-    """(destination, targets) from journal metadata, one of them None."""
-    dest_text = metadata.get("destination")
-    if dest_text is not None:
-        from ..netsim.addressing import parse_ip
-
-        return parse_ip(dest_text), None
-    network_name = metadata.get("network")
-    if network_name is not None:
-        from ..topogen import geant, internet2
-
-        modules = {"internet2": internet2, "geant": geant}
-        module = modules.get(network_name)
-        if module is None:
-            raise ValueError(
-                f"journal names unknown network {network_name!r}; pass "
-                f"targets= explicitly")
-        seed = metadata.get("seed", 7)
-        network = module.build(seed=seed)
-        return None, module.targets(network, seed=seed)
-    raise ValueError(
-        "journal metadata names neither a destination nor a network; "
-        "pass destination= or targets= explicitly")

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core.exploration import DEFAULT_MIN_PREFIX_LENGTH
 from .core.tracenet import TraceNET
+from .events import EventBus
 from .mapping.store import (
     CollectionArchive,
     archive_from_dict,
@@ -56,7 +57,7 @@ from .probing.stopset import (
 )
 from .radar import RadarRunner
 from .runner import SurveyRunner
-from .transport import SimulatorTransport
+from .runspec import live_transport
 from .tracing import SpanBuilder
 
 
@@ -107,11 +108,10 @@ class ShardSpec:
 
         ``radar`` is a radar-job config dict (``churn_count``,
         ``churn_seed``, ``churn_start``, ``churn_interval``, ``drop_rate``,
-        ``fault_seed``): the transport chain gains a seeded
-        :class:`~repro.transport.FaultInjectingTransport` and/or
-        :class:`~repro.transport.MutatingTransport`, both deterministic
-        functions of the spec + config, so every lease attempt of a radar
-        shard replays the identical churn.
+        ``fault_seed``): the transport chain is
+        :func:`repro.runspec.live_transport`'s, so a radar shard sees the
+        loss and churn a CLI radar run with the same config would, and
+        every lease attempt replays the identical churn.
         """
         topology = topology_from_dict(self.topology)
         topology.validate()
@@ -125,28 +125,8 @@ class ShardSpec:
             stop_set = (StopSet.from_dict(self.seed_stop_set)
                         if self.seed_stop_set is not None
                         else StopSet(prefix_length=self.stop_prefix_length))
-        transport = SimulatorTransport(engine)
-        events = None
-        if radar:
-            from .events import EventBus
-            from .netsim.dynamics import MutationSchedule, NetworkDynamics
-            from .transport import FaultInjectingTransport, MutatingTransport
-
-            events = EventBus()
-            if radar.get("drop_rate", 0.0) > 0.0:
-                transport = FaultInjectingTransport(
-                    transport, drop_rate=radar["drop_rate"],
-                    seed=radar.get("fault_seed", 0))
-            if radar.get("churn_count", 0) > 0:
-                schedule = MutationSchedule.generate(
-                    topology, seed=radar.get("churn_seed", 0),
-                    start=max(1, radar.get("churn_start", 200)),
-                    interval=max(1, radar.get("churn_interval", 400)),
-                    count=radar["churn_count"])
-                transport = MutatingTransport(
-                    transport, schedule,
-                    dynamics=NetworkDynamics(engine, schedule),
-                    events=events)
+        events = EventBus()
+        transport = live_transport(engine, radar, events)
         return TraceNET(transport, self.vantage,
                         protocol=Protocol(self.protocol),
                         max_hops=self.max_hops,

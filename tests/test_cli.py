@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments import run_cross_validation, run_protocol_comparison
 
 
 class TestTrace:
@@ -84,10 +85,14 @@ class TestNoCommand:
 
 @pytest.mark.slow
 class TestCrossvalAndProtocols:
+    """The CLI prints exactly the experiments module's outcome."""
+
     def test_crossval(self, capsys):
         assert main(["crossval", "--scale", "0.12",
                      "--targets-per-isp", "8"]) == 0
         out = capsys.readouterr().out
+        outcome = run_cross_validation(seed=42, scale=0.12, per_isp=8)
+        assert out == outcome.render() + "\n"
         assert "Figure 6" in out
         assert "Figure 8" in out
         assert "Figure 9" in out
@@ -96,6 +101,8 @@ class TestCrossvalAndProtocols:
         assert main(["protocols", "--scale", "0.12",
                      "--targets-per-isp", "8"]) == 0
         out = capsys.readouterr().out
+        outcome = run_protocol_comparison(seed=42, scale=0.12, per_isp=8)
+        assert out == outcome.render() + "\n"
         assert "Table 3" in out
         assert "ICMP" in out
 

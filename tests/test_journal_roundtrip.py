@@ -1,0 +1,168 @@
+"""Every recorded run replays and analyses offline from its journal alone.
+
+One matrix over the journal shapes the CLI records — traces over each
+protocol, surveys plain / with stop sets / batched, and a radar run under
+churn, loss and ``--limit`` — asserting the live == replay == offline
+contract through :mod:`repro.runspec`, the one builder behind ``--replay``,
+``tracenet stats`` and ``tracenet spans``:
+
+* ``--replay <journal>`` with no other flag reproduces the live archive,
+  event stream and span tree;
+* :func:`stats_from_journal` reproduces the live deterministic metrics;
+* :func:`span_tree_from_journal` reproduces the live span tree;
+* a flag that contradicts the header makes ``--replay`` exit 2.
+"""
+
+import json
+import os
+
+import pytest
+
+from repro.cli import main
+from repro.mapping import archive_to_dict
+from repro.metrics import stats_from_journal
+from repro.runspec import RunSpec, RunSpecError
+from repro.tracing import span_tree_from_journal
+from repro.transport import ReplayTransport
+
+#: shape -> (live argv, a flag that contradicts the recorded header).
+SHAPES = {
+    "trace-icmp": (["trace", "--protocol", "icmp", "--json"],
+                   ["--protocol", "udp"]),
+    "trace-udp": (["trace", "--protocol", "udp", "--json"],
+                  ["--protocol", "tcp"]),
+    "trace-tcp": (["trace", "--protocol", "tcp", "--json"],
+                  ["--protocol", "icmp"]),
+    "survey": (["survey", "--network", "geant"], ["--stop-sets"]),
+    "survey-stop-sets": (["survey", "--network", "geant", "--stop-sets"],
+                         ["--batch-window", "4"]),
+    "survey-batch-window-4": (["survey", "--network", "geant",
+                               "--batch-window", "4"],
+                              ["--batch-window", "1"]),
+    "radar": (["radar", "--network", "geant", "--drop-rate", "0.05",
+               "--limit", "30"], ["--drop-rate", "0.0"]),
+}
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return out
+
+
+def _outputs(capsys, tmp_path, tag, argv):
+    """Run one CLI collection; returns (stdout, events, spans, out dir)."""
+    paths = {key: str(tmp_path / f"{tag}.{key}")
+             for key in ("events", "spans", "metrics", "out")}
+    extra = ["--events", paths["events"], "--spans-out", paths["spans"]]
+    if argv[0] == "radar":
+        extra += ["--out", paths["out"]]
+    if tag == "live":
+        extra += ["--metrics-out", paths["metrics"]]
+    stdout = _run(capsys, argv + extra)
+    with open(paths["events"], encoding="utf-8") as fp:
+        events = fp.read()
+    with open(paths["spans"], encoding="utf-8") as fp:
+        spans = json.load(fp)
+    return stdout, events, spans, paths
+
+
+def _read_dir(path):
+    return {name: open(os.path.join(path, name), encoding="utf-8").read()
+            for name in sorted(os.listdir(path))}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_journal_round_trip(shape, capsys, tmp_path):
+    argv, contradiction = SHAPES[shape]
+    journal = str(tmp_path / "run.jsonl")
+    live_out, live_events, live_spans, live = _outputs(
+        capsys, tmp_path, "live", argv + ["--record", journal])
+    output_flags = [flag for flag in argv if flag == "--json"]
+    replay_out, replay_events, replay_spans, replay = _outputs(
+        capsys, tmp_path, "replay",
+        [argv[0], "--replay", journal, *output_flags])
+
+    # --replay with nothing but the journal reproduces the live run.
+    assert replay_events == live_events
+    assert replay_spans == live_spans
+    if argv[0] == "trace":
+        assert replay_out == live_out
+    elif argv[0] == "radar":
+        assert _read_dir(replay["out"]) == _read_dir(live["out"])
+        assert replay_out == live_out.replace("(live, recording)",
+                                              "(replay)")
+    else:
+        assert replay_out == live_out.replace("(serial, recording)",
+                                              "(replay)")
+        header = ReplayTransport(journal).metadata
+        replayed = RunSpec.from_header(header).build(
+            transport=ReplayTransport(journal)).execute()
+        rebuilt = RunSpec.from_header(header).build().execute()
+        assert archive_to_dict(replayed) == archive_to_dict(rebuilt)
+
+    # Offline analytics: the live deterministic metrics and span tree.
+    with open(live["metrics"], encoding="utf-8") as fp:
+        live_metrics = json.load(fp)["metrics"]
+    stats = stats_from_journal(journal)
+    assert stats.registry.snapshot() == live_metrics
+    assert stats.exchanges_remaining == 0
+    assert span_tree_from_journal(journal).to_dict() == live_spans
+
+    # The header is authoritative: a contradicting flag exits 2.
+    assert main([argv[0], "--replay", journal, *contradiction]) == 2
+    err = capsys.readouterr().err
+    assert f"{contradiction[0]} contradicts the journal header" in err
+
+
+class TestHeaders:
+    def test_live_header_round_trips(self):
+        for shape, flags in (("trace", {"vantage": "A",
+                                        "destination": 167772161,
+                                        "protocol": "udp"}),
+                             ("survey", {"stop_sets": True}),
+                             ("radar", {"limit": 30, "drop_rate": 0.05})):
+            spec = RunSpec.from_flags(shape, **flags)
+            assert RunSpec.from_header(spec.header()) == spec
+
+    def test_radar_header_records_limit_only_when_given(self):
+        assert "limit" not in RunSpec.from_flags("radar").header()
+        assert RunSpec.from_flags("radar", limit=30).header()["limit"] == 30
+
+    def test_header_fills_gaps_but_rejects_contradictions(self):
+        header = {"network": "geant", "seed": 7}
+        spec = RunSpec.from_header(header, vantage="utdallas")
+        assert spec.shape == "survey" and spec.vantage == "utdallas"
+        with pytest.raises(RunSpecError, match="records seed=7"):
+            RunSpec.from_header(header, seed=8)
+        with pytest.raises(RunSpecError, match="records a survey run"):
+            RunSpec.from_header(header, "radar")
+        with pytest.raises(RunSpecError, match="neither a destination"):
+            RunSpec.from_header({})
+
+
+class TestBrokenJournals:
+    """Malformed or truncated journals fail with one line, exit 2."""
+
+    @pytest.fixture
+    def journal_lines(self, tmp_path, capsys):
+        journal = tmp_path / "trace.jsonl"
+        _run(capsys, ["trace", "--record", str(journal)])
+        return journal.read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("cut", ["exchanges", "mid-line"])
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["spans"], ["trace", "--replay"]])
+    def test_truncated_journal(self, journal_lines, tmp_path, capsys,
+                               cut, command):
+        broken = tmp_path / "broken.jsonl"
+        if cut == "exchanges":
+            text = "".join(journal_lines[:len(journal_lines) // 2])
+        else:
+            text = "".join(journal_lines)[:-40]
+        broken.write_text(text)
+        assert main([*command, str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command[0]} failed: ")
+        assert len(err.strip().splitlines()) == 1
