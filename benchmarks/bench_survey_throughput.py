@@ -1,4 +1,4 @@
-"""Survey throughput: unmemoized vs fast path vs batched pipeline vs shards.
+"""Survey throughput: unmemoized vs fast path vs batched pipeline.
 
 Tracks the perf trajectory of the collection pipeline on the Internet2
 topology in three groups of lanes:
@@ -24,15 +24,8 @@ topology in three groups of lanes:
 * **survey rate** — full tracenet surveys (trace + positioning +
   exploration) serial with cache off/on, instrumented, batched
   (``batch_window=1``: every ladder probe rides the transport batch API
-  with a probe stream byte-identical to the serial path), stop-set
-  (Doubletree suppression: fewer probes, equivalent archive), and sharded
-  over a local service fleet (:mod:`repro.service`, one thread-backed
-  vantage worker per shard).
-* **parallel accounting** — the sharded lane reports both a *cold* rate
-  (probes / total wall clock, including per-shard engine builds and the
-  merge) and a *warm* rate (probes / slowest shard's survey loop alone),
-  so per-shard startup cost is visible instead of silently dragging the
-  headline number.
+  with a probe stream byte-identical to the serial path), and stop-set
+  (Doubletree suppression: fewer probes, equivalent archive).
 
 Results land in ``BENCH_survey_throughput.json`` at the repo root so every
 subsequent PR can diff probes/sec.  ``--smoke`` (or the pytest run) uses a
@@ -57,10 +50,9 @@ from repro.mapping.store import archive_to_dict
 from repro.metrics import MetricsRegistry
 from repro.netsim import Engine
 from repro.netsim.packet import Probe
-from repro.parallel import ShardSpec, archives_equivalent
+from repro.parallel import archives_equivalent
 from repro.probing import StopSet
 from repro.runner import SurveyRunner
-from repro.service import Coordinator, JobState, ServiceFleet, VantageWorker
 from repro.topogen import internet2
 from repro.topogen.isp import build_internet, scale_profiles
 from repro.transport import collect_backend_metrics
@@ -208,62 +200,6 @@ def serial_survey(network, targets, path_cache: bool, metrics=None,
         lane["suppressed"] = tool.prober.stats.suppressed
         lane["stop_set"] = stop_set.counters()
     return lane, runner.archive
-
-
-def parallel_survey(network, targets, workers: int):
-    """The sharded lane: one job of ``workers`` shards on a local fleet.
-
-    An in-memory :class:`Coordinator` (no work dir, so no checkpoints)
-    leases the shards to ``workers`` thread-backed vantage workers; the
-    wall clock covers spec serialization, per-shard builds, event
-    streaming and the merge.
-    """
-    spec = ShardSpec.from_network(network.topology, network.policy,
-                                  "utdallas")
-    started = time.perf_counter()
-    coordinator = Coordinator()
-    job = coordinator.submit(spec, targets, shards=workers)
-    fleet = [VantageWorker(f"w{index}", coordinator)
-             for index in range(workers)]
-    ServiceFleet(coordinator, fleet).run()
-    elapsed = time.perf_counter() - started
-    state = coordinator.queue.get(job.job_id)
-    if state.state is not JobState.DONE:
-        raise RuntimeError(f"parallel lane job ended {state.state.value}: "
-                           f"{state.error}")
-    outcome = coordinator.result(job.job_id)
-    sent = outcome.stats.sent
-    slowest = max((s.build_seconds + s.survey_seconds
-                   for s in outcome.shards), default=elapsed)
-    # Warm rate: the survey loops alone, per-shard engine builds excluded.
-    # That is the steady-state shard throughput a long survey converges to;
-    # the cold rate charges the full wall clock (spec + builds + merge).
-    slowest_survey = max((s.survey_seconds for s in outcome.shards),
-                         default=elapsed)
-    startup = sum(s.build_seconds for s in outcome.shards)
-    lane = {
-        "workers": len(fleet),
-        "probes": sent,
-        "seconds": round(elapsed, 4),
-        "cold_probes_per_sec": round(sent / elapsed, 1),
-        "warm_probes_per_sec": round(sent / max(1e-9, slowest_survey), 1),
-        "shard_build_seconds_total": round(startup, 4),
-        "slowest_shard_seconds": round(slowest, 4),
-        "slowest_shard_survey_seconds": round(slowest_survey, 4),
-        "shards": [
-            {
-                "shard": s.shard_index,
-                "targets": len(s.targets),
-                "probes": s.stats.sent,
-                "build_seconds": round(s.build_seconds, 4),
-                "survey_seconds": round(s.survey_seconds, 4),
-            }
-            for s in outcome.shards
-        ],
-    }
-    # Back-compat alias: "probes_per_sec" stays the cold (wall-clock) rate.
-    lane["probes_per_sec"] = lane["cold_probes_per_sec"]
-    return lane, outcome.archive
 
 
 def archive_bytes(archive) -> str:
@@ -458,7 +394,7 @@ def scale_smoke(interfaces: int = 100_000, target_count: int = 50,
     return result
 
 
-def run(smoke: bool = False, workers: int = 2) -> dict:
+def run(smoke: bool = False) -> dict:
     network = internet2.build(seed=SEED)
     if smoke:
         targets = internet2.targets(network, seed=SEED)[:20]
@@ -493,9 +429,6 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
     survey_stopset, stopset_archive = serial_survey(network, targets,
                                                     path_cache=True,
                                                     stop_set=stop_set)
-    survey_parallel, parallel_archive = parallel_survey(network, targets,
-                                                        workers=workers)
-    parallel_equal = archives_equivalent(serial_archive, parallel_archive)
     metered_equal = archives_equivalent(serial_archive, metered_archive)
     batched_bytes_equal = (archive_bytes(serial_archive)
                            == archive_bytes(batched_archive))
@@ -519,8 +452,6 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
             "unmemoized": engine_unmemoized["probes_per_sec"],
             "fastpath": engine_fast["probes_per_sec"],
             "batched": engine_batched["probes_per_sec"],
-            "parallel": survey_parallel["cold_probes_per_sec"],
-            "parallel_warm": survey_parallel["warm_probes_per_sec"],
         },
         "fastpath_speedup": round(speedup, 2),
         "batched_speedup": round(batched_speedup, 2),
@@ -539,9 +470,7 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
             "instrumented": survey_metered,
             "batched": survey_batched,
             "stopset": survey_stopset,
-            "parallel": survey_parallel,
         },
-        "parallel_equals_serial": parallel_equal,
         "instrumented_equals_serial": metered_equal,
         # batch_window=1 must preserve the probe stream exactly: the
         # serialized archives (probe counts included) are compared as bytes.
@@ -574,8 +503,6 @@ def write_result(result: dict) -> str:
 
 
 def check(result: dict, smoke: bool) -> None:
-    assert result["parallel_equals_serial"], (
-        "parallel archive diverged from the serial archive")
     assert result["instrumented_equals_serial"], (
         "attaching metrics changed the collected archive")
     assert result["batched_equals_serial_bytes"], (
@@ -636,7 +563,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny target set (CI)")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--scale-lane", type=int, default=None, metavar="N",
                         help="run one N-interface scale lane, print JSON "
                              "(used by the parent bench via subprocess)")
@@ -658,7 +584,7 @@ def main(argv=None) -> int:
               f"auditor violations: {result['overhead_violations']})")
         print(f"wrote {SCALE_SMOKE_PATH}")
         return 0
-    result = run(smoke=args.smoke, workers=args.workers)
+    result = run(smoke=args.smoke)
     path = write_result(result)
     check(result, smoke=args.smoke)
     rates = result["probes_per_sec"]
@@ -672,11 +598,6 @@ def main(argv=None) -> int:
           f"{result['survey']['serial']['probes_per_sec']:.0f} "
           f"-> fastpath {result['survey']['fastpath']['probes_per_sec']:.0f} "
           f"-> batched {result['survey']['batched']['probes_per_sec']:.0f}")
-    print(f"parallel probes/sec: cold {rates['parallel']:.0f} "
-          f"-> warm {rates['parallel_warm']:.0f} "
-          f"({result['survey']['parallel']['workers']} workers, "
-          f"{result['survey']['parallel']['shard_build_seconds_total']:.2f}s "
-          f"shard startup)")
     stopset = result["survey"]["stopset"]
     print(f"stop sets: {stopset['suppressed']} probes suppressed, "
           f"{result['stopset_probes_saved']} fewer on the wire "

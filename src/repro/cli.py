@@ -144,22 +144,19 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--network", choices=("internet2", "geant"),
                         default="internet2")
     submit.add_argument("--seed", type=int, default=7)
-    submit.add_argument("--shards", type=int, default=2,
-                        help="split the target list into N shard leases")
     submit.add_argument("--limit", type=int, default=None, metavar="N",
                         help="survey only the first N targets")
     submit.add_argument("--checkpoint-every", type=int, default=25,
-                        metavar="N", help="shard checkpoint cadence")
+                        metavar="N", help="checkpoint cadence")
     submit.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                        help="lease attempts per shard before the job fails")
+                        help="lease attempts before the job fails")
     submit.add_argument("--tenant", default="default")
     submit.add_argument("--batch-window", type=int, default=0, metavar="N",
-                        help="per-shard probe batching window")
+                        help="probe batching window")
     submit.add_argument("--stop-sets", action="store_true",
-                        help="enable Doubletree stop sets per shard")
+                        help="enable Doubletree stop sets")
     submit.add_argument("--radar", action="store_true",
-                        help="queue a radar job: continuous re-surveys "
-                             "(runs as one shard; --shards is ignored)")
+                        help="queue a radar job: continuous re-surveys")
     _add_radar_options(submit)
     submit.set_defaults(handler=cmd_submit)
 
@@ -571,7 +568,6 @@ def cmd_submit(args) -> int:
         job_id=queue.next_job_id(),
         spec=spec,
         targets=list(target_list),
-        shards=max(1, args.shards),
         checkpoint_every=max(1, args.checkpoint_every),
         tenant=args.tenant,
         max_attempts=max(1, args.max_attempts),
@@ -584,7 +580,7 @@ def cmd_submit(args) -> int:
               f"{radar['rounds']} rounds, churn {radar['churn_count']}")
     else:
         print(f"queued {job.job_id}: {args.network} seed {args.seed}, "
-              f"{len(target_list)} targets over {job.shards} shard(s)")
+              f"{len(target_list)} targets")
     return 0
 
 
@@ -592,7 +588,7 @@ def cmd_serve(args) -> int:
     import dataclasses
     import os
 
-    from .mapping import archive_to_dict
+    from .mapping import save_archive
     from .service import (
         Coordinator,
         JobState,
@@ -645,8 +641,7 @@ def cmd_serve(args) -> int:
         job_dir = os.path.join(args.queue, job_id)
         os.makedirs(job_dir, exist_ok=True)
         archive_path = os.path.join(job_dir, "archive.json")
-        with open(archive_path, "w", encoding="utf-8") as fp:
-            json.dump(archive_to_dict(result.archive), fp, indent=1)
+        save_archive(archive_path, result.archive)
         spans_path = chrome_path = None
         if result.spans is not None:
             from .tracing import chrome_trace_for_service, write_chrome_trace
@@ -681,7 +676,6 @@ def cmd_serve(args) -> int:
                 "chrome_trace_path": chrome_path,
                 "stop_set": (result.stop_set.to_dict()
                              if result.stop_set is not None else None),
-                "dedupe": coordinator.store.counters(),
             }, fp, indent=1, sort_keys=True)
         print(f"  {job_id}: done — {len(result.archive.subnets)} subnets, "
               f"{result.stats.sent} probes, "
@@ -766,7 +760,7 @@ def cmd_jobs(args) -> int:
         return 0
     for job in queue.jobs.values():
         line = (f"{job.job_id}  {job.state.value:8s}  "
-                f"{len(job.targets)} targets / {job.shards} shard(s)  "
+                f"{len(job.targets)} targets  "
                 f"tenant={job.tenant}")
         if job.metadata.get("network"):
             line += (f"  [{job.metadata['network']}"

@@ -18,7 +18,6 @@ from .graph import (
 from .merge import MergedSubnet, confirmed, coverage, merge_collections
 from .store import (
     CollectionArchive,
-    SubnetDedupeStore,
     archive_from_dict,
     archive_from_tool,
     archive_to_dict,
@@ -36,7 +35,6 @@ __all__ = [
     "MergedSubnet",
     "PathChange",
     "SubnetChange",
-    "SubnetDedupeStore",
     "TopologyMap",
     "annotate_same_lan",
     "archive_from_dict",

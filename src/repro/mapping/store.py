@@ -10,7 +10,6 @@ JSON document and back, losslessly.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, IO, Iterable, List, Optional, Union
 
@@ -196,90 +195,3 @@ def archive_from_tool(tool, traces: Iterable[TraceResult] = (),
         traces=list(traces),
         metadata=dict(metadata),
     )
-
-
-# -- the shared dedupe store ----------------------------------------------------
-
-
-class SubnetDedupeStore:
-    """Shared subnet store: discoveries published once, reused fleet-wide.
-
-    The distributed survey service's cross-shard redundancy eliminator:
-    when a vantage worker finishes a shard, the coordinator publishes the
-    shard's observed subnets here; when a later shard is leased, the
-    current snapshot seeds its collector's reuse registry
-    (:meth:`TraceNET.register_subnet`), so the shard skips re-exploring
-    prefixes the fleet already collected — exactly the cross-shard subnet
-    reuse a serial run gets for free.
-
-    Subnets are stored as their plain :func:`subnet_to_dict` payloads,
-    keyed by ``(scope, prefix)``.  The ``scope`` partitions tenants:
-    subnets may only be shared between surveys of the *same* scenario
-    (same topology, policy and seeds — the coordinator keys the scope on a
-    fingerprint of the :class:`~repro.parallel.ShardSpec`), because a
-    subnet observed on one topology is meaningless — and archive-polluting
-    — on another.  First publication of a prefix wins; a duplicate is
-    counted and dropped, which is safe because every worker of one
-    scenario rebuilds the same deterministic network and therefore
-    observes the same members for a given prefix.
-
-    All methods are thread-safe: coordinator and workers share one
-    instance across threads.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._scopes: Dict[str, Dict[str, Dict]] = {}
-        self.published = 0    # distinct (scope, prefix) entries stored
-        self.duplicates = 0   # publications dropped as already-known
-
-    def publish(self, subnet: Union[ObservedSubnet, Dict],
-                scope: str = "global") -> bool:
-        """Store one subnet; False when its prefix was already published."""
-        payload = (subnet if isinstance(subnet, dict)
-                   else subnet_to_dict(subnet))
-        prefix = payload["prefix"]
-        with self._lock:
-            entries = self._scopes.setdefault(scope, {})
-            if prefix in entries:
-                self.duplicates += 1
-                return False
-            entries[prefix] = payload
-            self.published += 1
-            return True
-
-    def publish_archive(self, archive: CollectionArchive,
-                        scope: str = "global") -> int:
-        """Publish every subnet of an archive; returns how many were new."""
-        return sum(1 for subnet in archive.subnets
-                   if self.publish(subnet, scope=scope))
-
-    def known(self, prefix: str, scope: str = "global") -> bool:
-        """True when a subnet with this prefix was already published."""
-        with self._lock:
-            return prefix in self._scopes.get(scope, {})
-
-    def snapshot(self, scope: str = "global") -> List[Dict]:
-        """The scope's subnet payloads, sorted by prefix (seeding order)."""
-        with self._lock:
-            entries = self._scopes.get(scope, {})
-            return [entries[prefix] for prefix in sorted(entries)]
-
-    def subnets(self, scope: str = "global") -> List[ObservedSubnet]:
-        """The scope's subnets, rebuilt into :class:`ObservedSubnet`."""
-        return [subnet_from_dict(payload)
-                for payload in self.snapshot(scope)]
-
-    def size(self, scope: str = "global") -> int:
-        with self._lock:
-            return len(self._scopes.get(scope, {}))
-
-    def counters(self) -> Dict[str, int]:
-        """Flat accounting for service metrics and reports."""
-        with self._lock:
-            return {
-                "scopes": len(self._scopes),
-                "prefixes": sum(len(v) for v in self._scopes.values()),
-                "published": self.published,
-                "duplicates": self.duplicates,
-            }

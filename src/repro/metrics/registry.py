@@ -11,10 +11,12 @@ Design constraints, in order of importance:
    counters (engine path cache, transport internals) in
    :attr:`MetricsRegistry.backend`; both appear only in
    :meth:`MetricsRegistry.full_snapshot`.
-2. **Mergeability.**  Parallel sharded surveys produce one registry per
-   worker process; :meth:`MetricsRegistry.merge` folds them into one
-   survey-wide view (counters and histograms sum; gauges sum too, so
-   per-shard totals add up; timings sum, modelling total worker-seconds).
+2. **Mergeability.**  A service job needs no merge: the coordinator
+   feeds the job's committed event stream through one sink.
+   :meth:`MetricsRegistry.merge` folds independent registries — say,
+   several per-vantage jobs — into one view (counters and histograms
+   sum; gauges sum too, so totals add up; timings sum, modelling total
+   worker-seconds).
 3. **No dependencies.**  Plain dicts in, plain dicts out —
    :meth:`to_dict`/:meth:`from_dict` cross process boundaries without
    custom pickling, exactly like :class:`~repro.parallel.ShardSpec`.
@@ -302,7 +304,7 @@ class MetricsRegistry:
             histogram.count = data["count"]
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry (shard → survey aggregation)."""
+        """Fold ``other`` into this registry (e.g. per-vantage jobs)."""
         for metric in other.series():
             labels = dict(metric.labels)
             if isinstance(metric, Counter):

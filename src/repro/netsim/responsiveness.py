@@ -48,8 +48,17 @@ class ResponsePolicy:
     """Decides whether a given router answers a given probe.
 
     All sampling happens at configuration time (per router / interface /
-    subnet), so two engines built from the same policy behave identically
-    probe for probe.
+    subnet), so the silent, firewalled and refusing sets are fixed once
+    built.  Rate limiters are not: their :class:`TokenBucket` state lives
+    in the policy and drains on the virtual clock of whichever engine
+    probes through it.  Two engines built over one rate-limited policy
+    therefore share bucket state: the later engine starts against the
+    token levels the earlier one left behind, and because its clock
+    restarts at 0 the buckets are credited no refill for the gap between
+    the runs (``try_consume`` clamps a backwards step to zero elapsed
+    ticks).  Engines that must behave identically probe for probe each
+    need a fresh policy (:meth:`reset_rate_limiters`, or a
+    ``policy_to_dict`` round trip).
     """
 
     def __init__(self, seed: int = 0):

@@ -1,34 +1,35 @@
 """Shard primitives for the distributed survey service.
 
 The paper's headline experiment traces 34 084 targets from several
-vantages under a central scheduler.  :mod:`repro.service` is that
-scheduler: a coordinator leases target shards to vantage workers.  This
-module holds what a shard *is*, independent of who runs it:
+vantages under a central scheduler, and every vantage traces the whole
+target list.  :mod:`repro.service` is that scheduler: a coordinator leases
+each job — one vantage's survey of its whole target list — to a vantage
+worker as one shard.  This module holds what a shard *is*, independent of
+who runs it:
 
 * :class:`ShardSpec` — one serialized scenario (topology + response
   policy + seeds + collector options).  Every worker rebuilds its private
   :class:`~repro.netsim.engine.Engine` and
   :class:`~repro.core.tracenet.TraceNET` from it, so a shard's results
-  depend only on the spec and its target slice, never on scheduling;
-* :func:`shard_targets` — the deterministic target split;
+  depend only on the spec and its targets, never on scheduling;
 * :func:`run_shard` — one shard in, one plain payload out (a checkpointing
   survey, or radar rounds when given a radar config);
-* :func:`outcome_from_payload` and :func:`merge_outcomes` — many payloads
-  folded into one survey-wide result.
+* :func:`outcome_from_payload` — a payload rehydrated into a typed
+  :class:`ShardOutcome`.
 
-The merged result matches a serial run in *content*: the same observed
-subnets (keyed by prefix) and the same trace per target.  Probe *counts*
-legitimately differ — a serial run reuses subnets across the whole target
-list while each shard only reuses within itself — which is exactly the
-redundancy the merge deduplicates.  :func:`archive_signature` defines the
-content-equality contract used by the tests and the throughput bench.
+A survey shard runs the same :class:`~repro.runner.SurveyRunner` as
+``tracenet survey --checkpoint-dir``, so its archive serializes to the
+same bytes as that command's ``shard-0.json``.
+:func:`archive_signature` defines the map-equality contract (subnets and
+traces, probe counts excluded) that resumed and stop-set surveys are held
+to.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .core.exploration import DEFAULT_MIN_PREFIX_LENGTH
 from .core.tracenet import TraceNET
@@ -37,7 +38,6 @@ from .mapping.store import (
     CollectionArchive,
     archive_from_dict,
     archive_to_dict,
-    subnet_from_dict,
 )
 from .netsim.engine import Engine
 from .netsim.packet import Protocol
@@ -50,11 +50,7 @@ from .netsim.serialize import (
 )
 from .netsim.topology import Topology
 from .probing.budget import ProbeStats
-from .probing.stopset import (
-    DEFAULT_STOP_PREFIX_LENGTH,
-    StopSet,
-    merge_stop_sets,
-)
+from .probing.stopset import DEFAULT_STOP_PREFIX_LENGTH, StopSet
 from .radar import RadarRunner
 from .runner import SurveyRunner
 from .runspec import live_transport
@@ -84,12 +80,12 @@ class ShardSpec:
     #: Probe batching window for each shard's collector (0 = serial loop,
     #: 1 = batch API with a serial-identical stream, > 1 = speculative).
     batch_window: int = 0
-    #: Doubletree stop sets: each shard fills a local set; the merge folds
-    #: them into one global set on the result.  Probe-economy-changing.
+    #: Doubletree stop sets: the shard fills one set over its whole target
+    #: list and ships it with the result.  Probe-economy-changing.
     use_stop_sets: bool = False
     stop_prefix_length: int = DEFAULT_STOP_PREFIX_LENGTH
-    #: Optional serialized :class:`StopSet` seeding every shard (e.g. from
-    #: a previous survey's merged global set).
+    #: Optional serialized :class:`StopSet` seeding the shard (e.g. from
+    #: a previous survey's result).
     seed_stop_set: Optional[Dict] = None
 
     @classmethod
@@ -138,45 +134,19 @@ class ShardSpec:
                         events=events)
 
 
-def shard_targets(targets: Sequence[int], shards: int) -> List[List[int]]:
-    """Split targets into ``shards`` contiguous, balanced, non-empty slices.
-
-    Deterministic in (targets, shards) so a resumed parallel survey maps
-    every target back to the same shard checkpoint.
-    """
-    if shards < 1:
-        raise ValueError(f"need at least one shard, got {shards}")
-    shards = min(shards, max(1, len(targets)))
-    quotient, remainder = divmod(len(targets), shards)
-    slices: List[List[int]] = []
-    start = 0
-    for index in range(shards):
-        size = quotient + (1 if index < remainder else 0)
-        slices.append(list(targets[start:start + size]))
-        start += size
-    return slices
-
-
 def run_shard(spec: ShardSpec, shard_index: int, targets: List[int],
               checkpoint_path: Optional[str] = None,
               checkpoint_every: int = 25,
               sinks: Sequence = (),
-              seed_subnets: Optional[Sequence[Dict]] = None,
               radar: Optional[Dict] = None) -> Dict:
     """Worker entry point: rebuild, survey one shard, return plain dicts.
 
     * ``sinks`` are extra session-event sinks subscribed before the survey
       starts (service workers stream events to the coordinator this way);
-    * ``seed_subnets`` are serialized :class:`ObservedSubnet` payloads
-      (:func:`~repro.mapping.store.subnet_to_dict`) registered into the
-      collector's reuse registry — the shared-dedupe-store hook that lets
-      a shard skip re-exploring prefixes another shard already collected.
-      Prefixes already present (e.g. from a resumed checkpoint) are not
-      registered twice;
     * ``radar`` is a radar-job config: the collector gets the radar's
       churn/fault transport chain (:meth:`ShardSpec.build_tool`) and a
       :class:`~repro.radar.RadarRunner` drives repeated rounds over the
-      whole slice instead of the checkpointing survey.  ``archive`` is
+      whole target list instead of the checkpointing survey.  ``archive`` is
       then the *final* round's map and ``"radar"`` holds the per-round
       summary and diffs.  Radar rounds carry state, so there is no
       checkpoint: fault recovery re-runs the shard, which is
@@ -207,13 +177,6 @@ def run_shard(spec: ShardSpec, shard_index: int, targets: List[int],
     else:
         runner = SurveyRunner(tool, checkpoint_path=checkpoint_path,
                               checkpoint_every=checkpoint_every)
-        if seed_subnets:
-            known = {str(subnet.prefix) for subnet in tool.collected_subnets}
-            for payload in seed_subnets:
-                if payload["prefix"] in known:
-                    continue
-                tool.register_subnet(subnet_from_dict(payload))
-                known.add(payload["prefix"])
         runner.run(targets)
         archive = runner.archive
     finished = time.perf_counter()
@@ -246,77 +209,22 @@ def _stats_from_snapshot(snapshot: Dict[str, int]) -> ProbeStats:
     return stats
 
 
-def merge_probe_stats(parts: Sequence[ProbeStats]) -> ProbeStats:
-    """Sum per-shard probe counters into one survey-wide view."""
-    total = ProbeStats()
-    for part in parts:
-        total.sent += part.sent
-        total.responses += part.responses
-        total.silent += part.silent
-        total.retries += part.retries
-        total.cache_hits += part.cache_hits
-        total.suppressed += part.suppressed
-        for phase, count in part.by_phase.items():
-            total.by_phase[phase] = total.by_phase.get(phase, 0) + count
-    return total
-
-
-def merge_shard_archives(vantage: str,
-                         archives: Sequence[CollectionArchive],
-                         targets: Sequence[int]) -> CollectionArchive:
-    """One archive matching a serial run's content.
-
-    Subnets are deduplicated by observed prefix (two shards crossing the
-    same link both explore it); traces are reordered to the original target
-    order, one per distinct destination — exactly what a serial runner
-    records.
-    """
-    subnets = []
-    seen_prefixes = set()
-    traces_by_destination = {}
-    done: set = set()
-    for archive in archives:
-        for subnet in archive.subnets:
-            key = str(subnet.prefix)
-            if key in seen_prefixes:
-                continue
-            seen_prefixes.add(key)
-            subnets.append(subnet)
-        for trace in archive.traces:
-            traces_by_destination.setdefault(trace.destination, trace)
-        done.update(archive.metadata.get("done_targets", []))
-    traces = []
-    emitted = set()
-    for target in targets:
-        trace = traces_by_destination.get(target)
-        if trace is None or target in emitted:
-            continue
-        emitted.add(target)
-        traces.append(trace)
-    return CollectionArchive(
-        vantage=vantage,
-        subnets=subnets,
-        traces=traces,
-        metadata={"done_targets": sorted(done), "shards": len(archives)},
-    )
-
-
-# -- content-equality contract -------------------------------------------------
+# -- map-equality contract ---------------------------------------------------
 
 
 def archive_signature(archive: CollectionArchive) -> Dict:
-    """The content a sharded run must reproduce from a serial one.
+    """The map two surveys of one scenario must agree on.
 
-    Probe-count fields (``probes_used``, ``probes_sent``) are deliberately
-    excluded: cross-shard subnet reuse makes them differ while the collected
-    topology stays identical.
+    Subnets (prefix and members) and traces (destination, reached, hop
+    addresses).  Probe-count fields (``probes_used``, ``probes_sent``) are
+    deliberately excluded: stop-set suppression and checkpoint resume
+    change what a survey spends while the collected topology stays the
+    same.
 
     The contract holds only on networks without history-dependent
     responses.  ICMP rate limiters answer according to the probes a router
-    has already seen, and a shard sends a different probe sequence than a
-    serial run: on the ISP internet (``build_internet(seed=7)``, 953 rate
-    limiters) 227 of 4,069 traces differ at 2 shards, and they match once
-    the limiters are removed.
+    has already seen, so a survey that sends a different probe sequence
+    can record different traces.
     """
     return {
         "subnets": sorted(
@@ -340,7 +248,7 @@ def archives_equivalent(left: CollectionArchive,
     return archive_signature(left) == archive_signature(right)
 
 
-# -- shard payloads and merging ------------------------------------------------
+# -- shard payloads ----------------------------------------------------------
 
 
 @dataclass
@@ -353,8 +261,8 @@ class ShardOutcome:
     stats: ProbeStats
     build_seconds: float = 0.0
     survey_seconds: float = 0.0
-    #: Shard-local stop set, deserialized at merge time like every other
-    #: payload field (None when stop sets were off).
+    #: The shard's stop set, deserialized like every other payload field
+    #: (None when stop sets were off).
     stop_set: Optional[StopSet] = None
     #: Lease attempt that produced this outcome (1 on the first delivery;
     #: > 1 means the shard was re-leased after a worker death).
@@ -390,21 +298,3 @@ def outcome_from_payload(shard_index: int, targets: Sequence[int],
         spans=payload.get("spans"),
         radar=payload.get("radar"),
     )
-
-
-def merge_outcomes(vantage: str, targets: Sequence[int],
-                   outcomes: Sequence[ShardOutcome],
-                   ) -> Tuple[CollectionArchive, ProbeStats,
-                              Optional[StopSet]]:
-    """Fold per-shard outcomes into one survey-wide view.
-
-    Archives deduplicate by prefix and reorder to the original target
-    order, probe counters sum, and shard-local stop sets fold into one
-    global set (first-recorded path per prefix wins, counters summed).
-    """
-    archive = merge_shard_archives(
-        vantage, [o.archive for o in outcomes], targets)
-    stats = merge_probe_stats([o.stats for o in outcomes])
-    shard_sets = [o.stop_set for o in outcomes if o.stop_set is not None]
-    stop_set = merge_stop_sets(shard_sets) if shard_sets else None
-    return archive, stats, stop_set

@@ -9,11 +9,7 @@ elimination.
 
 from .budget import ProbeBudget, ProbeBudgetExceeded, ProbeStats
 from .prober import Prober, RetryPolicy
-from .stopset import (
-    DEFAULT_STOP_PREFIX_LENGTH,
-    StopSet,
-    merge_stop_sets,
-)
+from .stopset import DEFAULT_STOP_PREFIX_LENGTH, StopSet
 
 __all__ = [
     "DEFAULT_STOP_PREFIX_LENGTH",
@@ -23,5 +19,4 @@ __all__ = [
     "Prober",
     "RetryPolicy",
     "StopSet",
-    "merge_stop_sets",
 ]

@@ -21,9 +21,8 @@ cached response when it reaches that TTL.  Only a verification answered by
 the destination itself can waste a probe, and the cascade stops at the
 first one.
 
-A stop set is *local* while one collector fills it during a survey and
-becomes *global* when shards are merged in :mod:`repro.parallel` (or when a
-survey is seeded from a previous run's serialized set).  Suppression changes
+One collector fills a stop set over its whole target list; a survey can
+also be seeded from a previous run's serialized set.  Suppression changes
 the probe economy by design — counted probes only ever go down — while the
 collected map stays equal on the reference networks; the exact contract is
 gated by the throughput bench and the stop-set tests.
@@ -74,7 +73,7 @@ class StopSet:
         # link must not keep hiding what the network looks like now.
         self.epoch = 0
         self._epochs: Dict[int, int] = {}
-        # Consultation accounting (merged across shards by merge()).
+        # Consultation accounting.
         self.recorded = 0     # destination prefixes with a remembered path
         self.hits = 0         # membership checks that verified
         self.misses = 0       # consultations with no usable remembered path
@@ -174,28 +173,6 @@ class StopSet:
         candidates = self.verification_hops(destination)
         return candidates[0] if candidates else None
 
-    def merge(self, other: "StopSet") -> None:
-        """Fold another stop set in (global stop set across shards).
-
-        The deepest remembered path per prefix wins, exactly as within one
-        collector; the consultation counters sum so a merged set reports
-        fleet totals.
-        """
-        for key, path in other._paths.items():
-            if other._epochs.get(key, 0) != other.epoch:
-                continue  # stale in the donor — do not resurrect it here
-            existing = self._paths.get(key)
-            if existing is None or \
-                    _verifiable_depth(path) > _verifiable_depth(existing):
-                self._paths[key] = path
-                self._epochs[key] = self.epoch
-        self.recorded = len(self._paths)
-        self.hits += other.hits
-        self.misses += other.misses
-        self.rejected += other.rejected
-        self.suppressed += other.suppressed
-        self.invalidated += other.invalidated
-
     # -- serialization (ShardSpec payloads, seeding future surveys) ---------
 
     def to_dict(self) -> Dict:
@@ -275,25 +252,8 @@ def _verifiable_depth(path: Sequence[RememberedHop]) -> int:
     return 0
 
 
-def merge_stop_sets(parts: Sequence[StopSet],
-                    prefix_length: Optional[int] = None) -> StopSet:
-    """One global stop set from many shard-local ones."""
-    if prefix_length is None:
-        prefix_length = (parts[0].prefix_length if parts
-                         else DEFAULT_STOP_PREFIX_LENGTH)
-    merged = StopSet(prefix_length=prefix_length)
-    for part in parts:
-        if part.prefix_length != merged.prefix_length:
-            raise ValueError(
-                "cannot merge stop sets with different prefix lengths "
-                f"({part.prefix_length} vs {merged.prefix_length})")
-        merged.merge(part)
-    return merged
-
-
 __all__ = [
     "DEFAULT_STOP_PREFIX_LENGTH",
     "MIN_REMEMBERED_DEPTH",
     "StopSet",
-    "merge_stop_sets",
 ]

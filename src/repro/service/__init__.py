@@ -1,15 +1,15 @@
 """The distributed survey service.
 
-The one runtime that shards a survey.  It composes the shard primitives
-of :mod:`repro.parallel` into a coordinator/worker service: a
+The one runtime that distributes surveys.  It composes the shard
+primitives of :mod:`repro.parallel` into a coordinator/worker service: a
 :class:`Coordinator` accepts :class:`SurveyJob`s onto a durable
-:class:`JobQueue`, leases shards to a fleet of :class:`VantageWorker`s
-that stream session events and incremental metrics snapshots back, and
-merges the delivered shards into one :class:`JobResult` whose archive is
-equivalent to a serial run.  Worker death is survived by missed-heartbeat
-reaping, re-leasing, and per-shard checkpoint resume; discovered subnets
-are shared fleet-wide through a
-:class:`~repro.mapping.store.SubnetDedupeStore`.
+:class:`JobQueue` and leases each job — one vantage's survey of its whole
+target list, run as one shard — to a fleet of :class:`VantageWorker`s
+that stream session events and incremental metrics snapshots back.  A
+job's :class:`JobResult` archive is the shard's own, the same bytes a
+``tracenet survey --checkpoint-dir`` run of the scenario writes.  Worker
+death is survived by missed-heartbeat reaping, re-leasing, and checkpoint
+resume.
 
 Layering: the service sits strictly *above* the collector — it imports
 :mod:`repro.parallel`, :mod:`repro.events`, :mod:`repro.metrics` and

@@ -1,9 +1,12 @@
 """The survey coordinator: leases, heartbeats, streaming, fault recovery.
 
 The coordinator is the long-running brain of the distributed survey
-service.  It owns the :class:`~repro.service.jobs.JobQueue`, splits each
-accepted job into shards (:func:`repro.parallel.shard_targets`), and hands
-shards to vantage workers as **leases**.  Everything a worker does flows
+service.  It owns the :class:`~repro.service.jobs.JobQueue` and runs each
+accepted job as **one shard** — one vantage's survey of its whole target
+list, index 0 — handed to a vantage worker as a **lease**.  Parallelism
+comes from several jobs (one per vantage, say) leased to different
+workers; a job's result is a pure function of the job, independent of the
+queue's history and the fleet's size.  Everything a worker does flows
 back through four calls — :meth:`Coordinator.lease`,
 :meth:`Coordinator.heartbeat`, :meth:`Coordinator.stream` and
 :meth:`Coordinator.complete`/:meth:`Coordinator.fail` — each of which is
@@ -16,10 +19,10 @@ Fault tolerance is heartbeat-driven: workers heartbeat on every survey
 target, :meth:`Coordinator.reap` expires leases whose heartbeat is older
 than ``heartbeat_timeout`` and puts the shard back on the pending list
 with ``attempt + 1``.  The next worker to lease it resumes from the
-shard's checkpoint file (the ordinary :class:`~repro.runner.SurveyRunner`
+job's checkpoint file (the ordinary :class:`~repro.runner.SurveyRunner`
 resume path), so re-delivery costs only the targets since the last
 checkpoint.  A shard that exceeds ``SurveyJob.max_attempts`` fails the
-job with an error naming the shard, its target slice and its checkpoint.
+job with an error naming the shard, its target count and its checkpoint.
 
 **Event streaming and the commit log.**  Workers stream serialized
 session events in order.  The coordinator treats
@@ -54,15 +57,9 @@ from ..events import (
     event_from_dict,
     event_to_dict,
 )
-from ..mapping.store import CollectionArchive, SubnetDedupeStore
+from ..mapping.store import CollectionArchive
 from ..metrics import MetricsRegistry, MetricsSink, ProbeEconomyAuditor
-from ..parallel import (
-    ShardOutcome,
-    ShardSpec,
-    merge_outcomes,
-    outcome_from_payload,
-    shard_targets,
-)
+from ..parallel import ShardOutcome, ShardSpec, outcome_from_payload
 from ..probing.budget import ProbeStats
 from ..probing.stopset import StopSet
 from ..tracing import Span
@@ -106,9 +103,6 @@ class ShardTask:
     targets: List[int]
     checkpoint_path: Optional[str]
     checkpoint_every: int
-    #: Serialized subnets already collected by the fleet for this
-    #: scenario — seeds the worker's reuse registry (shared dedupe).
-    seed_subnets: List[Dict] = field(default_factory=list)
     #: Radar-job config; the worker runs the radar primitive instead of
     #: the checkpointing survey runner when this is set.
     radar: Optional[Dict] = None
@@ -116,19 +110,20 @@ class ShardTask:
 
 @dataclass
 class JobResult:
-    """The merged outcome of one finished job."""
+    """The outcome of one finished job: its shard's own archive, probe
+    counters and stop set, plus the coordinator's view of the committed
+    event stream."""
 
     job: SurveyJob
     archive: CollectionArchive
     stats: ProbeStats
     #: The coordinator's streamed registry: a pure function of the
     #: committed event stream, equal to an offline replay of
-    #: ``events_path`` — *not* the sum of shard payload registries, which
-    #: cover only the attempts that completed (work lost to worker deaths
+    #: ``events_path`` — *not* a registry of the shard payload, which
+    #: covers only the attempt that completed (work lost to worker deaths
     #: appears here, in the committed stream, but in no payload).
     metrics: MetricsRegistry
     stop_set: Optional[StopSet]
-    shards: List[ShardOutcome]
     #: Lease attempts per shard index (a value > 1 means a re-lease).
     attempts: Dict[int, int]
     event_counts: Dict[str, int]
@@ -149,17 +144,16 @@ class JobResult:
 class _JobRuntime:
     """Coordinator-internal live state of one running job."""
 
-    def __init__(self, job: SurveyJob, slices: List[List[int]],
-                 events_path: Optional[str], clock=time.monotonic):
+    def __init__(self, job: SurveyJob, events_path: Optional[str],
+                 clock=time.monotonic):
         self.job = job
         self.clock = clock
-        self.slices = slices
-        self.pending: List[int] = list(range(len(slices)))
+        # A job is one shard, index 0.  The per-shard bookkeeping keeps
+        # the index so the fenced worker calls, the committed journal's
+        # lease annotations and the span tree keep their shape.
+        self.pending: List[int] = [0]
         self.leases: Dict[int, ShardLease] = {}
-        self.payloads: Dict[int, Dict] = {}
-        self.outcomes: Dict[int, ShardOutcome] = {}
-        self.attempts: Dict[int, int] = {index: 0
-                                         for index in range(len(slices))}
+        self.attempts: Dict[int, int] = {0: 0}
         #: Uncommitted streamed events per shard (serialized payloads).
         self.uncommitted: Dict[int, List[Dict]] = {}
         #: Latest streamed registry snapshot per shard (live introspection).
@@ -168,8 +162,8 @@ class _JobRuntime:
         self._events_fp: Optional[IO] = None
         self.committed_events: List[Dict] = []
         # The coordinator-side event pipeline: metrics sink + counter sink
-        # + journal writer + ONE auditor for the whole job (shards run
-        # with audit=False so violations are judged centrally, once).
+        # + journal writer + ONE auditor for the whole job (the worker
+        # runs no auditor, so violations are judged centrally, once).
         self.registry = MetricsRegistry()
         self.bus = EventBus()
         self.bus.subscribe(MetricsSink(self.registry))
@@ -243,7 +237,6 @@ class Coordinator:
         queue: the (possibly journal-backed) job queue; a fresh in-memory
             queue by default.  Mid-flight jobs found in a durable queue
             are demoted back to ``queued`` (crash recovery).
-        store: the shared subnet dedupe store; a fresh one by default.
         work_dir: when set, per-job artifacts land under
             ``<work_dir>/<job_id>/`` — shard checkpoints (unless the job
             names its own directory) and the committed event journal.
@@ -253,12 +246,10 @@ class Coordinator:
     """
 
     def __init__(self, queue: Optional[JobQueue] = None,
-                 store: Optional[SubnetDedupeStore] = None,
                  work_dir: Optional[str] = None,
                  heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
                  clock=time.monotonic):
         self.queue = queue if queue is not None else JobQueue()
-        self.store = store if store is not None else SubnetDedupeStore()
         self.work_dir = work_dir
         self.heartbeat_timeout = heartbeat_timeout
         self.clock = clock
@@ -270,19 +261,16 @@ class Coordinator:
     # -- job intake ------------------------------------------------------
 
     def submit(self, spec: ShardSpec, targets: Sequence[int],
-               shards: int = 2, checkpoint_dir: Optional[str] = None,
+               checkpoint_dir: Optional[str] = None,
                checkpoint_every: int = 25, tenant: str = "default",
                max_attempts: int = 3,
                job_id: Optional[str] = None) -> SurveyJob:
         """Accept one survey job; returns it in ``queued`` state."""
-        if shards < 1:
-            raise ValueError(f"need at least one shard, got {shards}")
         with self._lock:
             job = SurveyJob(
                 job_id=job_id or self.queue.next_job_id(),
                 spec=spec,
                 targets=list(targets),
-                shards=shards,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
                 tenant=tenant,
@@ -295,12 +283,12 @@ class Coordinator:
             return list(self.queue.jobs.values())
 
     def unfinished(self) -> bool:
-        """True while any job still needs scheduling, work, or merging."""
+        """True while any job still needs scheduling or work."""
         with self._lock:
             return bool(self.queue.unfinished())
 
     def result(self, job_id: str) -> JobResult:
-        """The merged result of a ``done`` job (KeyError otherwise)."""
+        """The result of a ``done`` job (KeyError otherwise)."""
         with self._lock:
             return self._results[job_id]
 
@@ -387,15 +375,9 @@ class Coordinator:
                 shard_index=shard_index,
                 attempt=runtime.attempts[shard_index],
                 spec=job.spec,
-                targets=list(runtime.slices[shard_index]),
+                targets=list(job.targets),
                 checkpoint_path=self._checkpoint_path(job, shard_index),
                 checkpoint_every=job.checkpoint_every,
-                # Radar shards must rebuild from the spec alone: seeding the
-                # reuse registry with fleet discoveries would make a
-                # re-leased attempt diverge from the first one.
-                seed_subnets=([] if job.radar is not None
-                              else self.store.snapshot(
-                                  scope=job.scenario_fingerprint())),
                 radar=(dict(job.radar)
                        if job.radar is not None else None),
             )
@@ -442,7 +424,7 @@ class Coordinator:
 
     def complete(self, worker_id: str, job_id: str, shard_index: int,
                  attempt: int, payload: Dict) -> None:
-        """Accept a finished shard's payload (fenced), maybe merge the job."""
+        """Accept a finished shard's payload (fenced) and finish the job."""
         with self._lock:
             self._check_lease(worker_id, job_id, shard_index, attempt)
             runtime = self._runtimes[job_id]
@@ -450,16 +432,8 @@ class Coordinator:
             tail = runtime.uncommitted.pop(shard_index, [])
             runtime.commit(shard_index, tail)
             runtime.spans.stamp(shard_index, attempt, end=self.clock())
-            runtime.payloads[shard_index] = payload
-            runtime.outcomes[shard_index] = outcome_from_payload(
-                shard_index, runtime.slices[shard_index], payload,
-                attempt=attempt)
-            # Publish the shard's discoveries so later shards skip them.
-            self.store.publish_archive(
-                runtime.outcomes[shard_index].archive,
-                scope=runtime.job.scenario_fingerprint())
-            if not runtime.pending and not runtime.leases:
-                self._merge(runtime)
+            self._finish(runtime, outcome_from_payload(
+                shard_index, runtime.job.targets, payload, attempt=attempt))
 
     def fail(self, worker_id: str, job_id: str, shard_index: int,
              attempt: int, error: str) -> None:
@@ -525,17 +499,11 @@ class Coordinator:
         return None
 
     def _activate(self, job: SurveyJob) -> _JobRuntime:
-        if job.radar is not None:
-            # Radar rounds carry state across the whole target list, so a
-            # radar job is always exactly one shard regardless of job.shards.
-            slices = [list(job.targets)]
-        else:
-            slices = shard_targets(job.targets, job.shards)
         events_path = None
         if self.work_dir is not None:
             events_path = os.path.join(self.work_dir, job.job_id,
                                        "events.jsonl")
-        runtime = _JobRuntime(job, slices, events_path, clock=self.clock)
+        runtime = _JobRuntime(job, events_path, clock=self.clock)
         self._runtimes[job.job_id] = runtime
         self.queue.transition(job.job_id, JobState.RUNNING)
         return runtime
@@ -570,44 +538,35 @@ class Coordinator:
         job = runtime.job
         if runtime.attempts[shard_index] >= job.max_attempts:
             checkpoint = self._checkpoint_path(job, shard_index)
-            targets = runtime.slices[shard_index]
             runtime.close()
             self.queue.transition(
                 job.job_id, JobState.FAILED,
                 error=(f"shard {shard_index} exhausted "
                        f"{job.max_attempts} attempts over "
-                       f"{len(targets)} targets "
+                       f"{len(job.targets)} targets "
                        f"(checkpoint {checkpoint}): {error}"))
             return
         runtime.pending.append(shard_index)
 
-    def _merge(self, runtime: _JobRuntime) -> None:
+    def _finish(self, runtime: _JobRuntime, outcome: ShardOutcome) -> None:
         job = runtime.job
         self.queue.transition(job.job_id, JobState.MERGING)
-        outcomes = [runtime.outcomes[index]
-                    for index in sorted(runtime.outcomes)]
-        archive, stats, stop_set = merge_outcomes(
-            job.spec.vantage, job.targets, outcomes)
         runtime.close()
-        counts = dict(runtime.counter.counts)
         spans_root = runtime.spans.finish()
         spans_root.end = self.clock()
         self._results[job.job_id] = JobResult(
             job=job,
-            archive=archive,
-            stats=stats,
+            archive=outcome.archive,
+            stats=outcome.stats,
             metrics=runtime.registry,
-            stop_set=stop_set,
-            shards=outcomes,
+            stop_set=outcome.stop_set,
             attempts=dict(runtime.attempts),
-            event_counts=counts,
+            event_counts=dict(runtime.counter.counts),
             events_path=runtime.events_path,
             spans=spans_root,
-            worker_spans={outcome.shard_index: outcome.spans
-                          for outcome in outcomes
-                          if outcome.spans is not None},
-            radar=next((outcome.radar for outcome in outcomes
-                        if outcome.radar is not None), None),
+            worker_spans=({outcome.shard_index: outcome.spans}
+                          if outcome.spans is not None else {}),
+            radar=outcome.radar,
         )
         self.queue.transition(job.job_id, JobState.DONE)
 

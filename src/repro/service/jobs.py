@@ -1,10 +1,11 @@
 """Survey jobs and the durable job queue.
 
 A :class:`SurveyJob` is the unit of work the distributed survey service
-accepts: one serialized scenario (:class:`~repro.parallel.ShardSpec`), a
-target list, and scheduling options (shard count, checkpoint cadence,
-tenant, per-shard re-lease budget).  Jobs move through a small state
-machine::
+accepts: one serialized scenario (:class:`~repro.parallel.ShardSpec`) —
+one vantage — its whole target list, and scheduling options (checkpoint
+cadence, tenant, re-lease budget).  A job runs as exactly one shard;
+parallelism comes from several jobs, for example one per vantage.  Jobs
+move through a small state machine::
 
     queued -> running -> merging -> done
        \\         \\          \\
@@ -15,7 +16,7 @@ submission and state transition to an append-only JSONL file, so a
 restarted coordinator rebuilds exactly the queue it crashed with.  Jobs
 that were mid-flight (``running``/``merging``) at the crash are demoted
 back to ``queued`` by :meth:`JobQueue.recover` — re-scheduling is cheap
-because every shard resumes from its own checkpoint file.
+because the job's shard resumes from its checkpoint file.
 
 The queue itself is not thread-safe; the coordinator serializes access
 under its own lock.
@@ -24,7 +25,6 @@ under its own lock.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -37,10 +37,10 @@ from ..parallel import ShardSpec
 class JobState(str, Enum):
     """Lifecycle of one survey job."""
 
-    QUEUED = "queued"      # accepted, no shard leased yet
-    RUNNING = "running"    # at least one shard leased to a worker
-    MERGING = "merging"    # every shard delivered; merging payloads
-    DONE = "done"          # merged result available
+    QUEUED = "queued"      # accepted, shard not leased yet
+    RUNNING = "running"    # the shard is leased (or awaiting a re-lease)
+    MERGING = "merging"    # the shard delivered; building the result
+    DONE = "done"          # result available
     FAILED = "failed"      # gave up (see SurveyJob.error)
 
 
@@ -70,38 +70,18 @@ class SurveyJob:
     job_id: str
     spec: ShardSpec
     targets: List[int]
-    shards: int = 2
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 25
     tenant: str = "default"
-    #: How many times one shard may be (re-)leased before the job fails.
+    #: How many times the shard may be (re-)leased before the job fails.
     max_attempts: int = 3
     state: JobState = JobState.QUEUED
     error: Optional[str] = None
     metadata: Dict = field(default_factory=dict)
     #: Radar-job config (rounds, churn_*, drop_rate, incremental) — when
-    #: set, the job runs as one radar shard over the whole target list
-    #: (rounds carry state, so the slice cannot split) and the result
-    #: carries the per-round archive diffs.
+    #: set, the shard runs radar rounds over the target list and the
+    #: result carries the per-round archive diffs.
     radar: Optional[Dict] = None
-
-    def scenario_fingerprint(self) -> str:
-        """Content hash of the scenario this job probes.
-
-        Keys the shared :class:`~repro.mapping.store.SubnetDedupeStore`
-        scope: two jobs may share discovered subnets only when they would
-        rebuild byte-identical networks (same topology, policy, seeds and
-        collector options).
-        """
-        spec_payload = dataclasses.asdict(self.spec)
-        if self.radar is not None:
-            # A radar job probes a *mutating* network: its discoveries must
-            # not seed (or be seeded by) plain surveys of the same scenario.
-            payload = json.dumps({"spec": spec_payload, "radar": self.radar},
-                                 sort_keys=True)
-        else:
-            payload = json.dumps(spec_payload, sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> Dict:
         """Plain-JSON representation, invertible by :meth:`from_dict`."""
@@ -109,7 +89,6 @@ class SurveyJob:
             "job_id": self.job_id,
             "spec": dataclasses.asdict(self.spec),
             "targets": list(self.targets),
-            "shards": self.shards,
             "checkpoint_dir": self.checkpoint_dir,
             "checkpoint_every": self.checkpoint_every,
             "tenant": self.tenant,
@@ -122,11 +101,12 @@ class SurveyJob:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "SurveyJob":
+        """Inverse of :meth:`to_dict`.  Queues written when a job split
+        into several shards carry a ``"shards"`` count; it is ignored."""
         return cls(
             job_id=payload["job_id"],
             spec=ShardSpec(**payload["spec"]),
             targets=list(payload["targets"]),
-            shards=payload.get("shards", 2),
             checkpoint_dir=payload.get("checkpoint_dir"),
             checkpoint_every=payload.get("checkpoint_every", 25),
             tenant=payload.get("tenant", "default"),

@@ -166,8 +166,7 @@ class VantageWorker:
             payload = run_shard(
                 task.spec, task.shard_index, task.targets,
                 task.checkpoint_path, task.checkpoint_every,
-                sinks=sinks, seed_subnets=task.seed_subnets,
-                radar=task.radar)
+                sinks=sinks, radar=task.radar)
         except (StaleLeaseError, WorkerCrashed):
             raise
         except Exception as exc:

@@ -420,16 +420,6 @@ class TestStopSetEpochs:
         assert restored.lookup(0x0B000001) is not None
         assert restored.lookup(0x0A000001) is None
 
-    def test_merge_skips_donor_stale_entries(self):
-        donor = StopSet()
-        donor.record(0x0A000001, [(1, 0x0A000101)])
-        donor.advance_epoch()
-        donor.record(0x0B000001, [(1, 0x0B000101)])
-        merged = StopSet()
-        merged.merge(donor)
-        assert merged.lookup(0x0B000001) is not None
-        assert merged.lookup(0x0A000001) is None
-
     def test_churn_advances_collector_stop_set(self):
         """Regression: a flapped link's stale path must not keep
         suppressing probes after the mutation (the pre-epoch bug hid

@@ -1,26 +1,23 @@
 """Unit tests for the shard primitives behind the survey service.
 
-The determinism contract: a sharded run merged back together collects the
-same subnets and traces as one serial run over the same target list, and a
-re-run against existing shard checkpoints resumes without re-probing.
+A shard is one vantage's survey of its whole target list: its archive
+serializes to the same bytes as a serial :class:`SurveyRunner` run, and a
+re-run against an existing checkpoint resumes without re-probing.
 """
-
-import os
 
 import pytest
 
-from inline_shards import run_inline_shards
 from repro.core import TraceNET
+from repro.mapping import archive_to_dict
 from repro.netsim import Engine
 from repro.parallel import (
     ShardSpec,
     archive_signature,
     archives_equivalent,
-    merge_probe_stats,
+    outcome_from_payload,
     run_shard,
-    shard_targets,
 )
-from repro.probing import ProbeStats
+from repro.probing import StopSet
 from repro.runner import SurveyRunner
 from repro.topogen import internet2
 
@@ -42,30 +39,18 @@ def spec(network):
 
 
 @pytest.fixture(scope="module")
-def serial_archive(network, targets):
+def serial_run(network, targets):
     tool = TraceNET(Engine(network.topology, policy=network.policy),
                     "utdallas")
     runner = SurveyRunner(tool)
     runner.run(targets)
-    return runner.archive
+    return runner.archive, tool.prober.stats.sent
 
 
-class TestShardTargets:
-    def test_balanced_contiguous_split(self):
-        slices = shard_targets(list(range(10)), 3)
-        assert slices == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-
-    def test_more_shards_than_targets(self):
-        slices = shard_targets([1, 2], 5)
-        assert slices == [[1], [2]]
-
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError):
-            shard_targets([1], 0)
-
-    def test_deterministic(self):
-        assert shard_targets(list(range(7)), 2) == shard_targets(
-            list(range(7)), 2)
+def run_one(spec, targets, checkpoint_path=None, checkpoint_every=25):
+    """One shard through the payload boundary, as the coordinator sees it."""
+    payload = run_shard(spec, 0, targets, checkpoint_path, checkpoint_every)
+    return outcome_from_payload(0, targets, payload)
 
 
 class TestShardSpec:
@@ -79,15 +64,16 @@ class TestShardSpec:
 
 
 class TestParallelEquivalence:
-    def test_two_workers_match_serial_content(self, spec, targets,
-                                              serial_archive):
-        outcome = run_inline_shards(spec, targets, 2)
-        assert len(outcome.shards) == 2
-        assert archives_equivalent(serial_archive, outcome.archive)
-        assert outcome.stats.sent > 0
+    def test_shard_matches_serial_bytes(self, spec, targets, serial_run):
+        serial_archive, serial_sent = serial_run
+        outcome = run_one(spec, targets)
+        assert archive_to_dict(outcome.archive) == \
+            archive_to_dict(serial_archive)
+        assert outcome.stats.sent == serial_sent
         assert len(outcome.archive.traces) == len(targets)
 
-    def test_signature_ignores_probe_counts(self, serial_archive):
+    def test_signature_ignores_probe_counts(self, serial_run):
+        serial_archive, _ = serial_run
         sig = archive_signature(serial_archive)
         assert "probes" not in str(sig.keys())
         assert sig == archive_signature(serial_archive)
@@ -96,75 +82,37 @@ class TestParallelEquivalence:
 class TestShardCheckpoints:
     def test_rerun_resumes_from_shard_checkpoints(self, spec, targets,
                                                   tmp_path):
-        checkpoint_dir = str(tmp_path / "shards")
-        outcome = run_inline_shards(spec, targets, 2,
-                                    checkpoint_dir=checkpoint_dir,
-                                    checkpoint_every=3)
-        for index in range(2):
-            assert (tmp_path / "shards" / f"shard-{index}.json").exists()
+        checkpoint = tmp_path / "shard-0.json"
+        outcome = run_one(spec, targets, str(checkpoint), checkpoint_every=3)
+        assert checkpoint.exists()
 
-        # A second run over the same directory resumes every shard:
-        # nothing is re-probed, the merged archive is unchanged.
-        resumed = run_inline_shards(spec, targets, 2,
-                                    checkpoint_dir=checkpoint_dir,
-                                    checkpoint_every=3)
+        # A second run over the same checkpoint resumes: nothing is
+        # re-probed and the archive is unchanged.
+        resumed = run_one(spec, targets, str(checkpoint), checkpoint_every=3)
         assert resumed.stats.sent == 0
         assert archives_equivalent(outcome.archive, resumed.archive)
 
     def test_partial_checkpoint_resume_matches_uninterrupted(
-            self, spec, targets, tmp_path, serial_archive):
-        # Interrupt: survey only each shard's first half, checkpointing
-        # into the same shard file the full run will use.
-        checkpoint_dir = str(tmp_path / "partial")
-        os.makedirs(checkpoint_dir)
-        for index, full in enumerate(shard_targets(targets, 2)):
-            half = full[:len(full) // 2]
-            run_shard(spec, index, half,
-                      os.path.join(checkpoint_dir, f"shard-{index}.json"),
-                      checkpoint_every=2)
+            self, spec, targets, tmp_path, serial_run):
+        # Interrupt: survey only the first half, checkpointing into the
+        # file the full run will use.
+        checkpoint = str(tmp_path / "shard-0.json")
+        run_one(spec, targets[:len(targets) // 2], checkpoint,
+                checkpoint_every=2)
 
-        resumed = run_inline_shards(spec, targets, 2,
-                                    checkpoint_dir=checkpoint_dir)
-        assert archives_equivalent(serial_archive, resumed.archive)
-
-
-class TestMergeStats:
-    def test_probe_stats_summed(self):
-        a = ProbeStats(sent=5, responses=4, silent=1, by_phase={"p": 2})
-        b = ProbeStats(sent=3, responses=3, by_phase={"p": 1, "q": 4})
-        total = merge_probe_stats([a, b])
-        assert total.sent == 8
-        assert total.responses == 7
-        assert total.by_phase == {"p": 3, "q": 4}
-
-
-class TestShardTargetsEdgeCases:
-    def test_empty_target_list_yields_one_empty_shard(self):
-        assert shard_targets([], 3) == [[]]
-
-    def test_duplicate_targets_preserved_in_order(self):
-        assert shard_targets([5, 5, 7, 5], 2) == [[5, 5], [7, 5]]
-
-    def test_shards_capped_at_target_count(self):
-        slices = shard_targets([1, 2, 3], 10)
-        assert slices == [[1], [2], [3]]
+        resumed = run_one(spec, targets, checkpoint)
+        assert archives_equivalent(serial_run[0], resumed.archive)
 
 
 class TestTypedStopSets:
     def test_outcomes_carry_typed_stop_sets(self, network, targets):
-        from repro.probing import StopSet
-
         spec = ShardSpec.from_network(network.topology, network.policy,
                                       "utdallas", use_stop_sets=True)
-        outcome = run_inline_shards(spec, targets, 2)
+        outcome = run_one(spec, targets)
         assert isinstance(outcome.stop_set, StopSet)
-        for shard in outcome.shards:
-            assert isinstance(shard.stop_set, StopSet)
-        assert outcome.stop_set.recorded >= max(
-            shard.stop_set.recorded for shard in outcome.shards)
+        assert outcome.stop_set.recorded > 0
+        assert outcome.stop_set.suppressed == outcome.stats.suppressed
 
     def test_outcomes_without_stop_sets_stay_none(self, spec, targets):
-        outcome = run_inline_shards(spec, targets[:6], 2)
+        outcome = run_one(spec, targets[:6])
         assert outcome.stop_set is None
-        for shard in outcome.shards:
-            assert shard.stop_set is None

@@ -277,14 +277,3 @@ class TestRadarService:
         restored = SurveyJob.from_dict(job.to_dict())
         assert restored.radar == job.radar
         assert restored.to_dict() == job.to_dict()
-
-    def test_radar_scenario_fingerprint_is_scoped(self):
-        """Radar discoveries must not cross-pollinate plain surveys."""
-        spec, targets = self._spec()
-        plain = SurveyJob(job_id="a", spec=spec, targets=targets)
-        radar = SurveyJob(job_id="b", spec=spec, targets=targets,
-                          radar=self._radar_config())
-        assert plain.scenario_fingerprint() != radar.scenario_fingerprint()
-        other = SurveyJob(job_id="c", spec=spec, targets=targets,
-                          radar=dict(self._radar_config(), churn_seed=8))
-        assert other.scenario_fingerprint() != radar.scenario_fingerprint()

@@ -1,16 +1,20 @@
 """Tests for the distributed survey service (repro.service).
 
-Three layers of coverage:
+Four layers of coverage:
 
 * protocol units — job state machine, durable queue journal, lease
   fencing, and the checkpoint-aligned event commit log, all driven
   deterministically with a manual clock and no threads;
-* the shared subnet dedupe store;
 * the fault-tolerance proof — a real two-worker fleet where one worker
   dies mid-shard, asserting the job completes via re-lease + checkpoint
-  resume, the merged archive matches a serial run, and the coordinator's
+  resume, the archive matches a serial run, and the coordinator's
   streamed registry equals an offline replay of the committed event
-  journal (live == replay parity across worker death).
+  journal (live == replay parity across worker death);
+* determinism — a job's archive is a pure function of the job: identical
+  jobs give identical bytes on any fleet size, and per-vantage jobs
+  reproduce independent serial runs of their vantages;
+* compatibility — queues written when jobs split into several shards
+  still load and run.
 """
 
 import json
@@ -18,9 +22,11 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.core import TraceNET
 from repro.events import replay_events
-from repro.mapping import SubnetDedupeStore
+from repro.experiments import run_cross_validation
+from repro.mapping import archive_to_dict, load_archive
 from repro.metrics import registry_from_events, stats_from_events
 from repro.netsim import Engine
 from repro.parallel import ShardSpec, archives_equivalent
@@ -37,6 +43,7 @@ from repro.service import (
     shard_attempt_summary,
 )
 from repro.topogen import internet2
+from repro.topogen.isp import build_internet
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +72,7 @@ def serial_archive(network, targets):
 
 
 def make_job(spec, targets, **overrides):
-    options = dict(job_id="job-0001", spec=spec, targets=list(targets),
-                   shards=2)
+    options = dict(job_id="job-0001", spec=spec, targets=list(targets))
     options.update(overrides)
     return SurveyJob(**options)
 
@@ -116,15 +122,6 @@ class TestJobQueue:
         # recovery is journaled too: a third open sees queued directly
         assert JobQueue(path).get("job-0001").state is JobState.QUEUED
 
-    def test_scenario_fingerprint_tracks_spec(self, spec, targets):
-        job = make_job(spec, targets)
-        same = make_job(spec, targets, job_id="job-0002")
-        assert job.scenario_fingerprint() == same.scenario_fingerprint()
-        other_spec = ShardSpec(**{**spec.__dict__, "engine_seed": 99})
-        other = make_job(other_spec, targets, job_id="job-0003")
-        assert (job.scenario_fingerprint()
-                != other.scenario_fingerprint())
-
     def test_attempt_summary(self):
         assert shard_attempt_summary({0: 1, 1: 1}) == "no re-leases"
         assert "shard 1: 3 attempts" in shard_attempt_summary({0: 1, 1: 3})
@@ -141,20 +138,24 @@ class FakeClock:
 class TestLeaseProtocol:
     """Deterministic single-thread protocol tests (manual clock)."""
 
-    def make_coordinator(self, spec, targets, tmp_path, shards=2,
-                         **submit_options):
+    def make_coordinator(self, spec, targets, tmp_path, **submit_options):
         clock = FakeClock()
         coordinator = Coordinator(work_dir=str(tmp_path / "work"),
                                   heartbeat_timeout=5.0, clock=clock)
-        job = coordinator.submit(spec, targets, shards=shards,
-                                 **submit_options)
+        job = coordinator.submit(spec, targets, **submit_options)
         return coordinator, clock, job
 
     def test_lease_grants_distinct_shards(self, spec, targets, tmp_path):
+        # A job is one shard over its whole target list; a second job
+        # is the next distinct shard a second worker can lease.
         coordinator, _, job = self.make_coordinator(spec, targets, tmp_path)
+        other = coordinator.submit(spec, targets)
         first = coordinator.lease("w0")
         second = coordinator.lease("w1")
-        assert {first.shard_index, second.shard_index} == {0, 1}
+        assert [(first.job_id, first.shard_index),
+                (second.job_id, second.shard_index)] == \
+            [(job.job_id, 0), (other.job_id, 0)]
+        assert first.targets == list(targets)
         assert first.attempt == 1
         assert coordinator.lease("w2") is None
         assert coordinator.queue.get(job.job_id).state is JobState.RUNNING
@@ -170,11 +171,10 @@ class TestLeaseProtocol:
         clock.now += 6.0  # beyond the 5s timeout
         expired = coordinator.reap()
         assert [lease.worker_id for lease in expired] == ["w0"]
-        # the shard rejoins the back of the pending list with attempt 2;
-        # the old attempt is fenced
-        leases = [coordinator.lease("w1"), coordinator.lease("w1")]
-        retaken = next(lease for lease in leases
-                       if lease.shard_index == task.shard_index)
+        # the shard rejoins the pending list with attempt 2; the old
+        # attempt is fenced
+        retaken = coordinator.lease("w1")
+        assert retaken.shard_index == task.shard_index
         assert retaken.attempt == 2
         with pytest.raises(StaleLeaseError):
             coordinator.heartbeat("w0", task.job_id, task.shard_index,
@@ -192,7 +192,7 @@ class TestLeaseProtocol:
 
     def test_exhausted_attempts_fail_the_job(self, spec, targets, tmp_path):
         coordinator, clock, job = self.make_coordinator(
-            spec, targets, tmp_path, shards=1, max_attempts=2)
+            spec, targets, tmp_path, max_attempts=2)
         for expected_attempt in (1, 2):
             task = coordinator.lease("w0")
             assert task.attempt == expected_attempt
@@ -207,8 +207,7 @@ class TestLeaseProtocol:
         assert "shard-0.json" in failed.error
 
     def test_worker_fail_report_requeues(self, spec, targets, tmp_path):
-        coordinator, _, job = self.make_coordinator(spec, targets, tmp_path,
-                                                    shards=1)
+        coordinator, _, job = self.make_coordinator(spec, targets, tmp_path)
         task = coordinator.lease("w0")
         coordinator.fail("w0", task.job_id, task.shard_index, task.attempt,
                          "ValueError: boom")
@@ -273,37 +272,14 @@ class TestLeaseProtocol:
                 runtime.uncommitted[task.shard_index]] == [5]
 
 
-class TestDedupeStore:
-    def test_first_publication_wins(self):
-        store = SubnetDedupeStore()
-        payload = {"prefix": "10.0.0.0/30", "pivot": "10.0.0.1",
-                   "pivot_distance": 3, "members": ["10.0.0.1"],
-                   "prefix_length": 30}
-        assert store.publish(payload) is True
-        assert store.publish(dict(payload)) is False
-        assert store.known("10.0.0.0/30")
-        assert store.counters()["duplicates"] == 1
-
-    def test_scopes_are_isolated(self):
-        store = SubnetDedupeStore()
-        payload = {"prefix": "10.0.0.0/30", "pivot": "10.0.0.1",
-                   "pivot_distance": 3, "members": ["10.0.0.1"],
-                   "prefix_length": 30}
-        store.publish(payload, scope="scenario-a")
-        assert not store.known("10.0.0.0/30", scope="scenario-b")
-        assert store.size("scenario-a") == 1
-        assert store.snapshot("scenario-b") == []
-
-
 class TestServiceEndToEnd:
     def run_fleet(self, spec, targets, tmp_path, fail_after=None,
-                  shards=2, heartbeat_timeout=1.5):
+                  heartbeat_timeout=1.5):
         queue = JobQueue(str(tmp_path / "queue.jsonl"))
         coordinator = Coordinator(queue=queue,
                                   work_dir=str(tmp_path / "work"),
                                   heartbeat_timeout=heartbeat_timeout)
-        job = coordinator.submit(spec, targets, shards=shards,
-                                 checkpoint_every=3)
+        job = coordinator.submit(spec, targets, checkpoint_every=3)
         workers = [
             VantageWorker("w0", coordinator, stream_every=8,
                           fail_after_targets=fail_after),
@@ -318,10 +294,11 @@ class TestServiceEndToEnd:
         coordinator, job, workers = self.run_fleet(spec, targets, tmp_path)
         assert coordinator.queue.get(job.job_id).state is JobState.DONE
         result = coordinator.result(job.job_id)
-        assert archives_equivalent(serial_archive, result.archive)
-        assert result.attempts == {0: 1, 1: 1}
+        assert archive_to_dict(result.archive) == \
+            archive_to_dict(serial_archive)
+        assert result.attempts == {0: 1}
         assert result.stats.sent > 0
-        # The coordinator's streamed registry totals the merged shards.
+        # The coordinator's streamed registry totals the shard.
         assert result.metrics.value("probes_sent_total") == result.stats.sent
         assert result.metrics.value("traces_finished_total") == len(targets)
 
@@ -331,8 +308,8 @@ class TestServiceEndToEnd:
 
         Worker w0 dies silently mid-shard.  The coordinator must detect it
         by missed heartbeats, re-lease the shard, and the successor must
-        resume from the shard checkpoint — ending with (a) a merged
-        archive equivalent to the serial run and (b) a streamed registry
+        resume from the job's checkpoint — ending with (a) an archive
+        equivalent to the serial run and (b) a streamed registry
         equal to an offline replay of the committed event journal.
         """
         coordinator, job, workers = self.run_fleet(spec, targets, tmp_path,
@@ -353,14 +330,6 @@ class TestServiceEndToEnd:
         # no economy violations slipped in through the resume path
         counters = result.metrics.snapshot().get("counters", {})
         assert counters.get("overhead_violations_total", 0) == 0
-
-    def test_dedupe_store_seeds_later_shards(self, spec, targets, tmp_path):
-        coordinator, job, workers = self.run_fleet(spec, targets, tmp_path)
-        counters = coordinator.store.counters()
-        assert counters["published"] > 0
-        result = coordinator.result(job.job_id)
-        assert counters["published"] == len({
-            str(subnet.prefix) for subnet in result.archive.subnets})
 
     def test_durable_queue_survives_serve_restart(self, spec, targets,
                                                   tmp_path):
@@ -383,3 +352,76 @@ class TestServiceEndToEnd:
             journal_counts[record["event"]] = journal_counts.get(
                 record["event"], 0) + 1
         assert journal_counts == dict(result.event_counts)
+
+
+def drain(coordinator, workers):
+    fleet = [VantageWorker(f"w{index}", coordinator)
+             for index in range(workers)]
+    ServiceFleet(coordinator, fleet).run(reap_interval=0.05, timeout=120.0)
+
+
+class TestJobDeterminism:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_identical_jobs_give_identical_bytes(self, spec, targets,
+                                                 tmp_path, serial_archive,
+                                                 workers):
+        """No job sees another job's discoveries, and no fleet size
+        changes what a job probes."""
+        coordinator = Coordinator(work_dir=str(tmp_path / "work"))
+        jobs = [coordinator.submit(spec, targets) for _ in range(2)]
+        drain(coordinator, workers)
+        results = [coordinator.result(job.job_id) for job in jobs]
+        payloads = [archive_to_dict(result.archive) for result in results]
+        assert payloads[0] == payloads[1] == archive_to_dict(serial_archive)
+        assert results[0].stats.sent == results[1].stats.sent
+
+    def test_per_vantage_jobs_reproduce_independent_serial_runs(
+            self, tmp_path):
+        """One job per vantage of the ISP internet, drained by 2 workers.
+
+        The reference is a serial run of each vantage on a freshly built
+        internet, not ``run_cross_validation``: its vantages share one
+        policy's rate-limiter buckets, so its later vantages start against
+        drained buckets and collect different maps than independent runs.
+        """
+        targets = run_cross_validation().targets
+        internet = build_internet(seed=42, scale=0.4)
+        vantages = sorted(internet.vantages)
+        coordinator = Coordinator(work_dir=str(tmp_path / "work"))
+        jobs = {site: coordinator.submit(
+                    ShardSpec.from_network(internet.topology,
+                                           internet.policy, site), targets)
+                for site in vantages}
+        drain(coordinator, 2)
+        assert len(vantages) == 3
+        for site, job in jobs.items():
+            fresh = build_internet(seed=42, scale=0.4)
+            runner = SurveyRunner(TraceNET(
+                Engine(fresh.topology, policy=fresh.policy), site))
+            runner.run(targets)
+            assert archive_to_dict(coordinator.result(job.job_id).archive) \
+                == archive_to_dict(runner.archive), site
+
+
+class TestOldQueues:
+    def test_queue_with_shard_counts_loads_and_runs(self, spec, targets,
+                                                    tmp_path,
+                                                    serial_archive, capsys):
+        """A queue journal from when a job split into several shards: its
+        ``"shards"`` count is ignored and its unfinished job runs."""
+        job = make_job(spec, targets).to_dict()
+        job["shards"] = 3
+        records = [{"record": "job", "job": job},
+                   {"record": "state", "job_id": "job-0001",
+                    "state": "running", "error": None}]
+        (tmp_path / "queue.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in records))
+        assert main(["serve", "--queue", str(tmp_path),
+                     "--workers", "1"]) == 0
+        assert JobQueue(str(tmp_path / "queue.jsonl")).get(
+            "job-0001").state is JobState.DONE
+        archive = load_archive(str(tmp_path / "job-0001" / "archive.json"))
+        assert archive_to_dict(archive) == archive_to_dict(serial_archive)
+        capsys.readouterr()
+        assert main(["jobs", "--queue", str(tmp_path)]) == 0
+        assert "job-0001  done" in capsys.readouterr().out

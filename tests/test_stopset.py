@@ -4,14 +4,18 @@ import random
 
 import pytest
 
-from inline_shards import run_inline_shards
 from repro.core import TraceNET
 from repro.events import HopObserved, ProbeSuppressed
 from repro.metrics import MetricsRegistry, MetricsSink
 from repro.metrics.auditor import ProbeEconomyAuditor
 from repro.netsim import Engine
-from repro.parallel import ShardSpec, archives_equivalent
-from repro.probing import StopSet, merge_stop_sets
+from repro.parallel import (
+    ShardSpec,
+    archives_equivalent,
+    outcome_from_payload,
+    run_shard,
+)
+from repro.probing import StopSet
 from repro.probing.stopset import MIN_REMEMBERED_DEPTH
 from repro.runner import SurveyRunner
 from repro.topogen import geant, internet2
@@ -61,32 +65,18 @@ class TestStopSetUnit:
         assert stop_set.verification_hops(destination) == []
         assert stop_set.verification_hop(destination) is None
 
-    def test_roundtrip_and_merge(self):
-        left = StopSet(prefix_length=24)
-        left.record(0x0A000001, [(1, 111), (2, 222)])
-        left.hits, left.suppressed = 3, 4
-        right = StopSet(prefix_length=24)
-        right.record(0x0A000001, [(1, 111), (2, 222), (3, 333)])
-        right.record(0x0B000001, [(1, 111), (2, 999)])
-        right.misses = 2
+    def test_roundtrip(self):
+        stop_set = StopSet(prefix_length=24)
+        stop_set.record(0x0A000001, [(1, 111), (2, 222), (3, 333)])
+        stop_set.record(0x0B000001, [(1, 111), (2, 999)])
+        stop_set.hits, stop_set.misses, stop_set.suppressed = 3, 2, 4
 
-        merged = merge_stop_sets([left, right])
-        assert len(merged) == 2
-        # Deepest path wins across shards too.
-        assert merged.lookup(0x0A000001) == ((1, 111), (2, 222), (3, 333))
-        counters = merged.counters()
-        assert counters["hits"] == 3
-        assert counters["misses"] == 2
-        assert counters["suppressed"] == 4
-
-        restored = StopSet.from_dict(merged.to_dict())
-        assert restored.lookup(0x0A000001) == merged.lookup(0x0A000001)
-        assert restored.counters() == merged.counters()
-
-    def test_merge_rejects_mixed_granularity(self):
-        with pytest.raises(ValueError, match="prefix length"):
-            merge_stop_sets([StopSet(prefix_length=24),
-                             StopSet(prefix_length=28)])
+        restored = StopSet.from_dict(stop_set.to_dict())
+        assert restored.prefix_length == 24
+        assert len(restored) == 2
+        assert restored.lookup(0x0A000001) == ((1, 111), (2, 222), (3, 333))
+        assert restored.lookup(0x0B000001) == stop_set.lookup(0x0B000001)
+        assert restored.counters() == stop_set.counters()
 
     def test_invalid_prefix_length(self):
         with pytest.raises(ValueError):
@@ -157,17 +147,22 @@ class TestStopSetCollection:
                               reason="stop-set") > 0
 
 
+def run_one(spec, targets):
+    """One shard through the payload boundary, as the coordinator sees it."""
+    return outcome_from_payload(0, targets, run_shard(spec, 0, targets))
+
+
 class TestParallelStopSets:
-    def test_sharded_survey_merges_global_stop_set(self):
+    def test_shard_ships_its_stop_set(self):
         network = internet2.build(seed=7)
         targets = internet2.targets(network, seed=7)[:20]
-        plain_outcome = run_inline_shards(
+        plain_outcome = run_one(
             ShardSpec.from_network(network.topology, network.policy,
-                                   "utdallas"), targets, 2)
-        stopped_outcome = run_inline_shards(
+                                   "utdallas"), targets)
+        stopped_outcome = run_one(
             ShardSpec.from_network(network.topology, network.policy,
                                    "utdallas", use_stop_sets=True),
-            targets, 2)
+            targets)
 
         assert plain_outcome.stop_set is None
         assert stopped_outcome.stop_set is not None
@@ -180,17 +175,17 @@ class TestParallelStopSets:
     def test_seeding_from_previous_survey(self):
         network = internet2.build(seed=7)
         targets = internet2.targets(network, seed=7)[:20]
-        first_outcome = run_inline_shards(
+        first_outcome = run_one(
             ShardSpec.from_network(network.topology, network.policy,
                                    "utdallas", use_stop_sets=True),
-            targets, 2)
+            targets)
         seed_payload = first_outcome.stop_set.to_dict()
 
-        second_outcome = run_inline_shards(
+        second_outcome = run_one(
             ShardSpec.from_network(network.topology, network.policy,
                                    "utdallas", use_stop_sets=True,
                                    seed_stop_set=seed_payload),
-            targets, 2)
+            targets)
         assert archives_equivalent(first_outcome.archive,
                                    second_outcome.archive)
         # The seeded survey starts warm: it can only suppress more.

@@ -43,13 +43,12 @@ def spec(network):
                                   "utdallas")
 
 
-def run_fleet(spec, targets, tmp_path, fail_after=None, shards=2):
+def run_fleet(spec, targets, tmp_path, fail_after=None):
     queue = JobQueue(str(tmp_path / "queue.jsonl"))
     coordinator = Coordinator(queue=queue,
                               work_dir=str(tmp_path / "work"),
                               heartbeat_timeout=1.5)
-    job = coordinator.submit(spec, targets, shards=shards,
-                             checkpoint_every=3)
+    job = coordinator.submit(spec, targets, checkpoint_every=3)
     workers = [
         VantageWorker("w0", coordinator, stream_every=8,
                       fail_after_targets=fail_after),
@@ -70,8 +69,8 @@ class TestServiceSpanParity:
         offline = span_tree_from_journal(result.events_path)
         assert result.spans.to_dict() == offline.to_dict()
         leases = [s for s in result.spans.children if s.kind == "lease"]
-        assert {s.meta["shard"] for s in leases} == {0, 1}
-        assert all(s.meta["attempt"] == 1 for s in leases)
+        assert [(s.meta["shard"], s.meta["attempt"]) for s in leases] == \
+            [(0, 1)]
         # Every committed probe is attributed to some lease subtree.
         committed_probes = result.event_counts.get("ProbeSent", 0)
         assert result.spans.total("probes") == committed_probes
@@ -114,15 +113,15 @@ class TestServiceSpanParity:
 
     def test_worker_spans_ship_and_export(self, spec, targets, tmp_path):
         _, result, _ = run_fleet(spec, targets, tmp_path)
-        assert set(result.worker_spans) == {0, 1}
+        assert set(result.worker_spans) == {0}
         for shard, payload in result.worker_spans.items():
             tree = Span.from_dict(payload)
             assert tree.kind == "shard"
             assert tree.duration is not None
         doc = chrome_trace_for_service(result.spans, result.worker_spans)
         pids = {event["pid"] for event in doc["traceEvents"]}
-        # pid 0 = coordinator job/leases; pid 1+shard = worker timebases.
-        assert pids == {0, 1, 2}
+        # pid 0 = coordinator job/leases; pid 1+shard = worker timebase.
+        assert pids == {0, 1}
 
 
 class TestFleetHealthTelemetry:
@@ -151,7 +150,7 @@ class TestFleetHealthTelemetry:
         coordinator = Coordinator(queue=queue,
                                   work_dir=str(tmp_path / "work"),
                                   heartbeat_timeout=1e9)
-        job = coordinator.submit(spec, targets, shards=2)
+        job = coordinator.submit(spec, targets)
         task = coordinator.lease("w0")
         assert task is not None
         text = render_prometheus(coordinator.health_registry())
