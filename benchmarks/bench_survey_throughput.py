@@ -46,11 +46,10 @@ import time
 
 from repro.core import TraceNET
 from repro.events import CounterSink
-from repro.mapping.store import archive_to_dict
+from repro.mapping.store import archive_to_dict, archives_equivalent
 from repro.metrics import MetricsRegistry
 from repro.netsim import Engine
 from repro.netsim.packet import Probe
-from repro.parallel import archives_equivalent
 from repro.probing import StopSet
 from repro.runner import SurveyRunner
 from repro.topogen import internet2

@@ -549,20 +549,13 @@ def _service_queue(directory: str):
 
 
 def cmd_submit(args) -> int:
-    from .parallel import ShardSpec
     from .service import SurveyJob
 
-    survey = RunSpec.from_flags("survey", network=args.network,
-                                seed=args.seed, limit=args.limit)
-    network = survey.load_network()
-    target_list = survey.targets(network)
-    spec = ShardSpec.from_network(
-        network.topology, network.policy, "utdallas",
-        batch_window=max(0, args.batch_window),
-        use_stop_sets=args.stop_sets)
-    radar = None
-    if args.radar:
-        radar = RunSpec.from_flags("radar", **_radar_flags(args)).radar
+    spec = RunSpec.from_flags(
+        "radar" if args.radar else "survey", network=args.network,
+        seed=args.seed, limit=args.limit, batch_window=args.batch_window,
+        stop_sets=args.stop_sets, **_radar_flags(args))
+    target_list = spec.targets(spec.load_network())
     queue = _service_queue(args.queue)
     job = queue.submit(SurveyJob(
         job_id=queue.next_job_id(),
@@ -571,13 +564,12 @@ def cmd_submit(args) -> int:
         checkpoint_every=max(1, args.checkpoint_every),
         tenant=args.tenant,
         max_attempts=max(1, args.max_attempts),
-        metadata={"network": args.network, "seed": args.seed},
-        radar=radar,
     ))
-    if radar is not None:
+    if spec.radar is not None:
         print(f"queued {job.job_id}: radar over {args.network} "
               f"seed {args.seed}, {len(target_list)} targets, "
-              f"{radar['rounds']} rounds, churn {radar['churn_count']}")
+              f"{spec.radar['rounds']} rounds, "
+              f"churn {spec.radar['churn_count']}")
     else:
         print(f"queued {job.job_id}: {args.network} seed {args.seed}, "
               f"{len(target_list)} targets")
@@ -647,36 +639,30 @@ def cmd_serve(args) -> int:
             from .tracing import chrome_trace_for_service, write_chrome_trace
 
             spans_path = os.path.join(job_dir, "spans.json")
-            with open(spans_path, "w", encoding="utf-8") as fp:
-                json.dump(result.spans.to_dict(), fp, indent=1,
-                          sort_keys=True)
-                fp.write("\n")
+            _write_text(spans_path, _json_text(result.spans.to_dict()))
             chrome_path = os.path.join(job_dir, "trace.chrome.json")
             write_chrome_trace(chrome_path, chrome_trace_for_service(
                 result.spans, result.worker_spans))
         radar_path = None
         if result.radar is not None:
             radar_path = os.path.join(job_dir, "radar.json")
-            with open(radar_path, "w", encoding="utf-8") as fp:
-                json.dump(result.radar, fp, indent=1, sort_keys=True)
-                fp.write("\n")
+            _write_text(radar_path, _json_text(result.radar))
         result_path = os.path.join(job_dir, "result.json")
-        with open(result_path, "w", encoding="utf-8") as fp:
-            json.dump({
-                "job": job.to_dict(),
-                "radar_path": radar_path,
-                "attempts": {str(k): v
-                             for k, v in sorted(result.attempts.items())},
-                "stats": dataclasses.asdict(result.stats),
-                "metrics": result.metrics.full_snapshot(),
-                "event_counts": dict(sorted(result.event_counts.items())),
-                "events_path": result.events_path,
-                "archive_path": archive_path,
-                "spans_path": spans_path,
-                "chrome_trace_path": chrome_path,
-                "stop_set": (result.stop_set.to_dict()
-                             if result.stop_set is not None else None),
-            }, fp, indent=1, sort_keys=True)
+        _write_text(result_path, _json_text({
+            "job": job.to_dict(),
+            "radar_path": radar_path,
+            "attempts": {str(k): v
+                         for k, v in sorted(result.attempts.items())},
+            "stats": dataclasses.asdict(result.stats),
+            "metrics": result.metrics.full_snapshot(),
+            "event_counts": dict(sorted(result.event_counts.items())),
+            "events_path": result.events_path,
+            "archive_path": archive_path,
+            "spans_path": spans_path,
+            "chrome_trace_path": chrome_path,
+            "stop_set": (result.stop_set.to_dict()
+                         if result.stop_set is not None else None),
+        }))
         print(f"  {job_id}: done — {len(result.archive.subnets)} subnets, "
               f"{result.stats.sent} probes, "
               f"{shard_attempt_summary(result.attempts)} "
@@ -762,9 +748,7 @@ def cmd_jobs(args) -> int:
         line = (f"{job.job_id}  {job.state.value:8s}  "
                 f"{len(job.targets)} targets  "
                 f"tenant={job.tenant}")
-        if job.metadata.get("network"):
-            line += (f"  [{job.metadata['network']}"
-                     f" seed {job.metadata.get('seed')}]")
+        line += f"  [{job.spec.network} seed {job.spec.seed}]"
         if job.error:
             line += f"  error: {job.error}"
         print(line)

@@ -279,5 +279,16 @@ class TraceNET:
                                     min_prefix_length=self.min_prefix_length,
                                     disabled_rules=self.disabled_rules,
                                     batch_window=self.batch_window)
+        # A sparse LAN explored from inside can first shrink to a false
+        # /31; a later trace through its ingress collects the true block.
+        # The block supersedes what it strictly contains, so the stale
+        # piece stops being served to the block's members.
+        block = subnet.prefix
+        low, high = block.network, block.broadcast
+        if block.length < 32 and any(low <= known.pivot <= high
+                                     for known in self._subnets):
+            # A block holding a known pivot is nested, never partial.
+            self.evict_subnets(lambda known: low <= known.pivot <= high
+                               and known.prefix.length > block.length)
         self.register_subnet(subnet)
         return subnet

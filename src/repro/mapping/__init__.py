@@ -20,7 +20,9 @@ from .store import (
     CollectionArchive,
     archive_from_dict,
     archive_from_tool,
+    archive_signature,
     archive_to_dict,
+    archives_equivalent,
     load_archive,
     save_archive,
     subnet_from_dict,
@@ -41,7 +43,9 @@ __all__ = [
     "diff_archives",
     "dirty_prefixes",
     "archive_from_tool",
+    "archive_signature",
     "archive_to_dict",
+    "archives_equivalent",
     "confirmed",
     "coverage",
     "load_archive",

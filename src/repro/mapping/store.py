@@ -166,6 +166,42 @@ def archive_from_dict(payload: Dict) -> CollectionArchive:
     )
 
 
+def archive_signature(archive: CollectionArchive) -> Dict:
+    """The map two surveys of one scenario must agree on.
+
+    Subnets (prefix and members) and traces (destination, reached, hop
+    addresses).  Probe-count fields (``probes_used``, ``probes_sent``) are
+    deliberately excluded: stop-set suppression and checkpoint resume
+    change what a survey spends while the collected topology stays the
+    same.
+
+    The contract holds only on networks without history-dependent
+    responses.  ICMP rate limiters answer according to the probes a router
+    has already seen, so a survey that sends a different probe sequence
+    can record different traces.
+    """
+    return {
+        "subnets": sorted(
+            (str(subnet.prefix), tuple(sorted(subnet.members)))
+            for subnet in archive.subnets
+        ),
+        "traces": sorted(
+            (
+                trace.destination,
+                trace.reached,
+                tuple((hop.ttl, hop.address) for hop in trace.hops),
+            )
+            for trace in archive.traces
+        ),
+    }
+
+
+def archives_equivalent(left: CollectionArchive,
+                        right: CollectionArchive) -> bool:
+    """True when both archives collected the same subnets and traces."""
+    return archive_signature(left) == archive_signature(right)
+
+
 def save_archive(destination: Union[str, IO], archive: CollectionArchive) -> None:
     """Write an archive as JSON to a path or open file object."""
     payload = archive_to_dict(archive)

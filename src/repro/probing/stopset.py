@@ -173,10 +173,11 @@ class StopSet:
         candidates = self.verification_hops(destination)
         return candidates[0] if candidates else None
 
-    # -- serialization (ShardSpec payloads, seeding future surveys) ---------
+    # -- serialization (shard payloads, seeding future surveys) -------------
 
     def to_dict(self) -> Dict:
-        """Plain-JSON payload (crosses process boundaries in ShardSpec)."""
+        """Plain-JSON payload (crosses the service boundary in a shard's
+        result, and seeds a later survey through :meth:`from_dict`)."""
         paths = {}
         for key in sorted(self._paths):
             prefix = Prefix(key, self.prefix_length)

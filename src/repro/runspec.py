@@ -197,6 +197,8 @@ class RunSpec:
         else:
             metadata = {"network": self.network, "seed": self.seed,
                         "vantage": self.vantage}
+            if self.protocol != Protocol.ICMP.value:
+                metadata["protocol"] = self.protocol
             if self.radar is not None:
                 metadata["radar"] = dict(self.radar)
             if self.limit is not None:
@@ -304,7 +306,8 @@ class Run:
 
     def execute(self, events_path: Optional[str] = None,
                 sinks: Sequence = (), tracer=None, registry=None,
-                checkpoint_path: Optional[str] = None, slack=None):
+                checkpoint_path: Optional[str] = None,
+                checkpoint_every: int = 25, slack=None):
         """Run the shape: a trace returns its ``TraceResult``, a survey its
         ``CollectionArchive``, a radar its ``RadarResult``.
 
@@ -312,6 +315,8 @@ class Run:
         ``sinks``, ``tracer``, then the metrics sink and auditor feeding
         ``registry``, whose backend scope gets the transport's counters
         after the run.  Sinks with ``close()`` and the transport close.
+        A survey checkpoints to ``checkpoint_path`` every
+        ``checkpoint_every`` targets and resumes from it.
         """
         bus = self.tool.events
         attached = list(sinks)
@@ -327,7 +332,7 @@ class Run:
         try:
             with (registry.time("collection_seconds")
                   if registry is not None else nullcontext()):
-                outcome = self._run_shape(checkpoint_path)
+                outcome = self._run_shape(checkpoint_path, checkpoint_every)
             if registry is not None:
                 collect_backend_metrics(registry.backend, self.tool.transport)
         finally:
@@ -337,11 +342,13 @@ class Run:
             self.tool.transport.close()
         return outcome
 
-    def _run_shape(self, checkpoint_path: Optional[str]):
+    def _run_shape(self, checkpoint_path: Optional[str],
+                   checkpoint_every: int):
         if self.spec.shape == "trace":
             return self.tool.trace(self.spec.destination)
         if self.spec.shape == "survey":
-            runner = SurveyRunner(self.tool, checkpoint_path=checkpoint_path)
+            runner = SurveyRunner(self.tool, checkpoint_path=checkpoint_path,
+                                  checkpoint_every=checkpoint_every)
             runner.run(self.targets)
             return runner.archive
         config = {**RADAR_DEFAULTS, **self.spec.radar}

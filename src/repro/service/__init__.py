@@ -1,18 +1,18 @@
 """The distributed survey service.
 
-The one runtime that distributes surveys.  It composes the shard
-primitives of :mod:`repro.parallel` into a coordinator/worker service: a
-:class:`Coordinator` accepts :class:`SurveyJob`s onto a durable
-:class:`JobQueue` and leases each job — one vantage's survey of its whole
-target list, run as one shard — to a fleet of :class:`VantageWorker`s
-that stream session events and incremental metrics snapshots back.  A
-job's :class:`JobResult` archive is the shard's own, the same bytes a
-``tracenet survey --checkpoint-dir`` run of the scenario writes.  Worker
-death is survived by missed-heartbeat reaping, re-leasing, and checkpoint
-resume.
+The one runtime that distributes surveys: a :class:`Coordinator`
+accepts :class:`SurveyJob`s onto a durable :class:`JobQueue` and leases
+each job — one vantage's survey of its whole target list, run as one
+shard — to a fleet of :class:`VantageWorker`s that stream session
+events and incremental metrics snapshots back.  A job is a
+:class:`~repro.runspec.RunSpec` plus its targets, and a worker runs it
+through ``RunSpec.build`` → ``Run.execute`` like ``tracenet survey``,
+so a job's :class:`JobResult` archive is the same bytes a ``tracenet
+survey --checkpoint-dir`` run of the scenario writes.  Worker death is
+survived by missed-heartbeat reaping, re-leasing, and checkpoint resume.
 
 Layering: the service sits strictly *above* the collector — it imports
-:mod:`repro.parallel`, :mod:`repro.events`, :mod:`repro.metrics` and
+:mod:`repro.runspec`, :mod:`repro.events`, :mod:`repro.metrics` and
 :mod:`repro.mapping`, and nothing in the sealed core imports it.
 """
 

@@ -57,11 +57,11 @@ from ..events import (
     event_from_dict,
     event_to_dict,
 )
-from ..mapping.store import CollectionArchive
+from ..mapping.store import CollectionArchive, archive_from_dict
 from ..metrics import MetricsRegistry, MetricsSink, ProbeEconomyAuditor
-from ..parallel import ShardOutcome, ShardSpec, outcome_from_payload
 from ..probing.budget import ProbeStats
 from ..probing.stopset import StopSet
+from ..runspec import RunSpec
 from ..tracing import Span
 from ..tracing.service import ATTEMPT_KEY, SHARD_KEY, ServiceSpanAssembler
 from .jobs import JobQueue, JobState, SurveyJob
@@ -99,13 +99,10 @@ class ShardTask:
     job_id: str
     shard_index: int
     attempt: int
-    spec: ShardSpec
+    spec: RunSpec
     targets: List[int]
     checkpoint_path: Optional[str]
     checkpoint_every: int
-    #: Radar-job config; the worker runs the radar primitive instead of
-    #: the checkpointing survey runner when this is set.
-    radar: Optional[Dict] = None
 
 
 @dataclass
@@ -260,7 +257,7 @@ class Coordinator:
 
     # -- job intake ------------------------------------------------------
 
-    def submit(self, spec: ShardSpec, targets: Sequence[int],
+    def submit(self, spec: RunSpec, targets: Sequence[int],
                checkpoint_dir: Optional[str] = None,
                checkpoint_every: int = 25, tenant: str = "default",
                max_attempts: int = 3,
@@ -378,8 +375,6 @@ class Coordinator:
                 targets=list(job.targets),
                 checkpoint_path=self._checkpoint_path(job, shard_index),
                 checkpoint_every=job.checkpoint_every,
-                radar=(dict(job.radar)
-                       if job.radar is not None else None),
             )
 
     def heartbeat(self, worker_id: str, job_id: str, shard_index: int,
@@ -432,8 +427,7 @@ class Coordinator:
             tail = runtime.uncommitted.pop(shard_index, [])
             runtime.commit(shard_index, tail)
             runtime.spans.stamp(shard_index, attempt, end=self.clock())
-            self._finish(runtime, outcome_from_payload(
-                shard_index, runtime.job.targets, payload, attempt=attempt))
+            self._finish(runtime, shard_index, payload)
 
     def fail(self, worker_id: str, job_id: str, shard_index: int,
              attempt: int, error: str) -> None:
@@ -548,25 +542,30 @@ class Coordinator:
             return
         runtime.pending.append(shard_index)
 
-    def _finish(self, runtime: _JobRuntime, outcome: ShardOutcome) -> None:
+    def _finish(self, runtime: _JobRuntime, shard_index: int,
+                payload: Dict) -> None:
+        """Rehydrate the shard's plain payload into the job's result."""
         job = runtime.job
         self.queue.transition(job.job_id, JobState.MERGING)
         runtime.close()
         spans_root = runtime.spans.finish()
         spans_root.end = self.clock()
+        stop_set = payload.get("stop_set")
+        worker_spans = payload.get("spans")
         self._results[job.job_id] = JobResult(
             job=job,
-            archive=outcome.archive,
-            stats=outcome.stats,
+            archive=archive_from_dict(payload["archive"]),
+            stats=ProbeStats.from_snapshot(payload["stats"]),
             metrics=runtime.registry,
-            stop_set=outcome.stop_set,
+            stop_set=(StopSet.from_dict(stop_set)
+                      if stop_set is not None else None),
             attempts=dict(runtime.attempts),
             event_counts=dict(runtime.counter.counts),
             events_path=runtime.events_path,
             spans=spans_root,
-            worker_spans=({outcome.shard_index: outcome.spans}
-                          if outcome.spans is not None else {}),
-            radar=outcome.radar,
+            worker_spans=({shard_index: worker_spans}
+                          if worker_spans is not None else {}),
+            radar=payload.get("radar"),
         )
         self.queue.transition(job.job_id, JobState.DONE)
 

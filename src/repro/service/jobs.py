@@ -1,11 +1,12 @@
 """Survey jobs and the durable job queue.
 
 A :class:`SurveyJob` is the unit of work the distributed survey service
-accepts: one serialized scenario (:class:`~repro.parallel.ShardSpec`) —
-one vantage — its whole target list, and scheduling options (checkpoint
-cadence, tenant, re-lease budget).  A job runs as exactly one shard;
-parallelism comes from several jobs, for example one per vantage.  Jobs
-move through a small state machine::
+accepts: one run description (a :class:`~repro.runspec.RunSpec`, the
+same description a probe journal's header records) — one vantage — its
+whole target list, and scheduling options (checkpoint cadence, tenant,
+re-lease budget).  A job runs as exactly one shard; parallelism comes
+from several jobs, for example one per vantage.  Jobs move through a
+small state machine::
 
     queued -> running -> merging -> done
        \\         \\          \\
@@ -24,14 +25,15 @@ under its own lock.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional
 
-from ..parallel import ShardSpec
+from ..core.exploration import DEFAULT_MIN_PREFIX_LENGTH
+from ..probing.stopset import DEFAULT_STOP_PREFIX_LENGTH
+from ..runspec import RunSpec
 
 
 class JobState(str, Enum):
@@ -65,10 +67,10 @@ class InvalidTransition(ValueError):
 
 @dataclass
 class SurveyJob:
-    """One accepted survey: scenario + targets + scheduling options."""
+    """One accepted survey: run description + targets + scheduling."""
 
     job_id: str
-    spec: ShardSpec
+    spec: RunSpec
     targets: List[int]
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 25
@@ -77,17 +79,12 @@ class SurveyJob:
     max_attempts: int = 3
     state: JobState = JobState.QUEUED
     error: Optional[str] = None
-    metadata: Dict = field(default_factory=dict)
-    #: Radar-job config (rounds, churn_*, drop_rate, incremental) — when
-    #: set, the shard runs radar rounds over the target list and the
-    #: result carries the per-round archive diffs.
-    radar: Optional[Dict] = None
 
     def to_dict(self) -> Dict:
         """Plain-JSON representation, invertible by :meth:`from_dict`."""
         return {
             "job_id": self.job_id,
-            "spec": dataclasses.asdict(self.spec),
+            "spec": self.spec.header(),
             "targets": list(self.targets),
             "checkpoint_dir": self.checkpoint_dir,
             "checkpoint_every": self.checkpoint_every,
@@ -95,17 +92,19 @@ class SurveyJob:
             "max_attempts": self.max_attempts,
             "state": self.state.value,
             "error": self.error,
-            "metadata": dict(self.metadata),
-            "radar": dict(self.radar) if self.radar is not None else None,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "SurveyJob":
         """Inverse of :meth:`to_dict`.  Queues written when a job split
-        into several shards carry a ``"shards"`` count; it is ignored."""
+        into several shards carry a ``"shards"`` count; it is ignored.
+        Records whose spec embeds a topology convert through
+        :func:`_spec_from_shard_spec`."""
+        spec = payload["spec"]
         return cls(
             job_id=payload["job_id"],
-            spec=ShardSpec(**payload["spec"]),
+            spec=(_spec_from_shard_spec(payload) if "topology" in spec
+                  else RunSpec.from_header(spec)),
             targets=list(payload["targets"]),
             checkpoint_dir=payload.get("checkpoint_dir"),
             checkpoint_every=payload.get("checkpoint_every", 25),
@@ -113,9 +112,45 @@ class SurveyJob:
             max_attempts=payload.get("max_attempts", 3),
             state=JobState(payload.get("state", "queued")),
             error=payload.get("error"),
-            metadata=payload.get("metadata", {}),
-            radar=payload.get("radar"),
         )
+
+
+#: The embedded-topology job spec's fields ``tracenet submit`` set.
+_SHARD_SPEC_SET = frozenset({"topology", "policy", "vantage", "batch_window",
+                             "use_stop_sets"})
+
+#: The defaults of the fields it never set (None where not listed): a
+#: record holding anything else describes a run a RunSpec cannot rebuild.
+_SHARD_SPEC_DEFAULTS = {
+    "protocol": "icmp", "engine_seed": 0, "policy_seed": 0,
+    "ip_id_noise": 8, "path_cache": True, "max_hops": 30,
+    "min_prefix_length": DEFAULT_MIN_PREFIX_LENGTH, "explore": True,
+    "reuse_subnets": True, "stop_prefix_length": DEFAULT_STOP_PREFIX_LENGTH,
+}
+
+
+def _spec_from_shard_spec(payload: Dict) -> RunSpec:
+    """The RunSpec of a job record written when job specs embedded their
+    serialized topology: the network and seed come from the record's
+    metadata, the vantage and collector options from its spec and the
+    shape from its radar config."""
+    job_id, old = payload["job_id"], payload["spec"]
+    network = (payload.get("metadata") or {}).get("network")
+    if network is None:
+        raise ValueError(f"job {job_id}: its embedded-topology spec names "
+                         f"no network, so it cannot be rebuilt")
+    for name, value in sorted(old.items()):
+        if name not in _SHARD_SPEC_SET and \
+                value != _SHARD_SPEC_DEFAULTS.get(name):
+            raise ValueError(f"job {job_id}: its spec sets {name}="
+                             f"{value!r}, which a run description "
+                             f"cannot express")
+    radar = payload.get("radar")
+    return RunSpec.from_flags(
+        "radar" if radar is not None else "survey", network=network,
+        seed=payload["metadata"].get("seed"), vantage=old["vantage"],
+        batch_window=old.get("batch_window"),
+        stop_sets=old.get("use_stop_sets"), **(radar or {}))
 
 
 class JobQueue:

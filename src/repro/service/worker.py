@@ -4,16 +4,14 @@ A :class:`VantageWorker` is one measurement vantage in the fleet.  Its
 loop is deliberately dumb — everything stateful lives in the coordinator:
 
 1. ask the coordinator for a shard lease;
-2. rebuild the collector from the leased :class:`~repro.parallel.ShardSpec`
-   (transport construction stays behind the :class:`ProbeTransport` seam:
-   the worker never sees an Engine, only what ``spec.build_tool()``
-   returns, so a live-network worker would differ only in its spec);
-3. survey the shard through :func:`repro.parallel.run_shard` (the
-   ordinary checkpointing :class:`~repro.runner.SurveyRunner`, or radar
-   rounds for a radar job), streaming session events and
-   incremental registry snapshots back to the coordinator and
-   heartbeating on every completed target;
-4. deliver the shard payload; repeat until no work is left.
+2. build the run the leased :class:`~repro.runspec.RunSpec` describes
+   over the job's targets — the same ``spec.build(...).execute(...)``
+   call ``tracenet survey``/``tracenet radar`` make, so a job's archive
+   is the bytes that command writes;
+3. execute it (a checkpointing survey, or radar rounds for a radar
+   job), streaming session events and incremental registry snapshots
+   back to the coordinator and heartbeating on every completed target;
+4. deliver the plain shard payload; repeat until no work is left.
 
 Workers run as daemon threads under :class:`ServiceFleet`.  Threads (not
 processes) because the coordinator protocol is plain method calls and the
@@ -36,8 +34,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..events import CheckpointWritten, SessionEvent, SurveyProgressed, \
     TraceFinished, event_to_dict
+from ..mapping.store import archive_to_dict
 from ..metrics import MetricsRegistry, MetricsSink
-from ..parallel import run_shard
+from ..tracing import SpanBuilder
 from .coordinator import Coordinator, ShardTask, StaleLeaseError
 
 #: Flush the event stream to the coordinator at least this often.
@@ -160,13 +159,7 @@ class VantageWorker:
         if self.fail_after_targets is not None:
             sinks.append(_CrashAfter(self.fail_after_targets))
         try:
-            # Violations are judged and counters kept once, centrally, over
-            # the job's committed event stream; the payload ships only the
-            # worker's clocked span tree.
-            payload = run_shard(
-                task.spec, task.shard_index, task.targets,
-                task.checkpoint_path, task.checkpoint_every,
-                sinks=sinks, radar=task.radar)
+            payload = _execute(task, sinks)
         except (StaleLeaseError, WorkerCrashed):
             raise
         except Exception as exc:
@@ -184,7 +177,7 @@ class VantageWorker:
         # SurveyProgressed/CheckpointWritten — heartbeat per finished
         # trace instead so long radar jobs don't get reaped mid-round.
         kinds = ((SurveyProgressed, CheckpointWritten, TraceFinished)
-                 if task.radar is not None
+                 if task.spec.shape == "radar"
                  else (SurveyProgressed, CheckpointWritten))
 
         def sink(event: SessionEvent) -> None:
@@ -195,6 +188,36 @@ class VantageWorker:
         # sink defect — it must reach the worker loop.
         sink.propagate_errors = True
         return sink
+
+
+def _execute(task: ShardTask, sinks: Sequence) -> Dict:
+    """Run one leased shard; return its plain payload.
+
+    A radar job's ``archive`` is its final round's map and ``"radar"``
+    holds the round summary and diffs.  Radar rounds carry state, so there
+    is no checkpoint: recovery re-runs the shard, which is deterministic
+    in (spec, targets).  Violations are judged and counters kept once,
+    centrally, over the job's committed event stream; the payload ships
+    only the worker's clocked span tree.
+    """
+    radar = task.spec.shape == "radar"
+    run = task.spec.build(targets=task.targets)
+    tracer = SpanBuilder(
+        clock=time.perf_counter, root_kind="shard",
+        root_name=f"{'radar-' if radar else ''}shard-{task.shard_index}",
+        meta={"shard": task.shard_index})
+    outcome = run.execute(checkpoint_path=task.checkpoint_path,
+                          checkpoint_every=task.checkpoint_every,
+                          sinks=sinks, tracer=tracer)
+    stop_set = run.tool.stop_set
+    return {
+        "archive": archive_to_dict(outcome.final_archive if radar
+                                   else outcome),
+        "stats": run.tool.prober.stats.snapshot(),
+        "stop_set": stop_set.to_dict() if stop_set is not None else None,
+        "spans": tracer.finish().to_dict(timing=True),
+        "radar": outcome.to_dict() if radar else None,
+    }
 
 
 class _CrashAfter:

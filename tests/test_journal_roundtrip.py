@@ -126,6 +126,35 @@ class TestHeaders:
             spec = RunSpec.from_flags(shape, **flags)
             assert RunSpec.from_header(spec.header()) == spec
 
+    @pytest.mark.parametrize("spec", [
+        RunSpec("trace", vantage="A", destination=167772161,
+                scenario="figure3", protocol="tcp"),
+        RunSpec("survey", network="geant", seed=7, vantage="utdallas"),
+        RunSpec("survey", network="geant", seed=7, vantage="utdallas",
+                protocol="udp", limit=10),
+        RunSpec("survey", network="internet2", seed=13, vantage="utdallas",
+                collector={"batch_window": 4, "stop_sets": True}),
+        RunSpec.from_flags("radar", protocol="tcp", limit=30,
+                           drop_rate=0.05),
+    ], ids=["trace-tcp", "survey", "survey-udp", "survey-collector",
+            "radar-tcp"])
+    def test_spec_round_trips_through_header(self, spec):
+        assert RunSpec.from_header(spec.header()) == spec
+
+    def test_icmp_survey_header_omits_protocol(self):
+        assert "protocol" not in RunSpec.from_flags("survey").header()
+        assert "protocol" not in RunSpec.from_flags("radar").header()
+
+    def test_udp_survey_journal_replays(self, tmp_path):
+        spec = RunSpec("survey", network="geant", seed=7, vantage="utdallas",
+                       protocol="udp", limit=10)
+        journal = str(tmp_path / "udp.jsonl")
+        live = spec.build(record=journal).execute()
+        transport = ReplayTransport(journal)
+        replayed = RunSpec.from_header(transport.metadata).build(
+            transport=transport).execute()
+        assert archive_to_dict(replayed) == archive_to_dict(live)
+
     def test_radar_header_records_limit_only_when_given(self):
         assert "limit" not in RunSpec.from_flags("radar").header()
         assert RunSpec.from_flags("radar", limit=30).header()["limit"] == 30

@@ -1,24 +1,20 @@
-"""Unit tests for the shard primitives behind the survey service.
+"""Unit tests for the run a service shard executes.
 
-A shard is one vantage's survey of its whole target list: its archive
-serializes to the same bytes as a serial :class:`SurveyRunner` run, and a
-re-run against an existing checkpoint resumes without re-probing.
+A fleet job is a :class:`~repro.runspec.RunSpec` over its target list,
+run through ``RunSpec.build`` → ``Run.execute``: its archive serializes
+to the same bytes as a serial :class:`SurveyRunner` run, and a re-run
+against an existing checkpoint resumes without re-probing.
 """
 
 import pytest
 
 from repro.core import TraceNET
-from repro.mapping import archive_to_dict
+from repro.mapping import archive_signature, archive_to_dict, \
+    archives_equivalent
 from repro.netsim import Engine
-from repro.parallel import (
-    ShardSpec,
-    archive_signature,
-    archives_equivalent,
-    outcome_from_payload,
-    run_shard,
-)
 from repro.probing import StopSet
 from repro.runner import SurveyRunner
+from repro.runspec import RunSpec
 from repro.topogen import internet2
 
 
@@ -33,9 +29,9 @@ def targets(network):
 
 
 @pytest.fixture(scope="module")
-def spec(network):
-    return ShardSpec.from_network(network.topology, network.policy,
-                                  "utdallas")
+def spec():
+    return RunSpec("survey", network="internet2", seed=13,
+                   vantage="utdallas")
 
 
 @pytest.fixture(scope="module")
@@ -48,29 +44,21 @@ def serial_run(network, targets):
 
 
 def run_one(spec, targets, checkpoint_path=None, checkpoint_every=25):
-    """One shard through the payload boundary, as the coordinator sees it."""
-    payload = run_shard(spec, 0, targets, checkpoint_path, checkpoint_every)
-    return outcome_from_payload(0, targets, payload)
-
-
-class TestShardSpec:
-    def test_round_trip_builds_equivalent_tool(self, network):
-        spec = ShardSpec.from_network(network.topology, network.policy,
-                                      "utdallas")
-        tool = spec.build_tool()
-        assert tool.vantage_host_id == "utdallas"
-        assert len(tool.engine.topology.routers) == len(
-            network.topology.routers)
+    """One job's run, as a service worker executes it: the archive and the
+    collector (its prober counters and stop set)."""
+    run = spec.build(targets=targets)
+    archive = run.execute(checkpoint_path=checkpoint_path,
+                          checkpoint_every=checkpoint_every)
+    return archive, run.tool
 
 
 class TestParallelEquivalence:
     def test_shard_matches_serial_bytes(self, spec, targets, serial_run):
         serial_archive, serial_sent = serial_run
-        outcome = run_one(spec, targets)
-        assert archive_to_dict(outcome.archive) == \
-            archive_to_dict(serial_archive)
-        assert outcome.stats.sent == serial_sent
-        assert len(outcome.archive.traces) == len(targets)
+        archive, tool = run_one(spec, targets)
+        assert archive_to_dict(archive) == archive_to_dict(serial_archive)
+        assert tool.prober.stats.sent == serial_sent
+        assert len(archive.traces) == len(targets)
 
     def test_signature_ignores_probe_counts(self, serial_run):
         serial_archive, _ = serial_run
@@ -83,14 +71,16 @@ class TestShardCheckpoints:
     def test_rerun_resumes_from_shard_checkpoints(self, spec, targets,
                                                   tmp_path):
         checkpoint = tmp_path / "shard-0.json"
-        outcome = run_one(spec, targets, str(checkpoint), checkpoint_every=3)
+        archive, _ = run_one(spec, targets, str(checkpoint),
+                             checkpoint_every=3)
         assert checkpoint.exists()
 
         # A second run over the same checkpoint resumes: nothing is
         # re-probed and the archive is unchanged.
-        resumed = run_one(spec, targets, str(checkpoint), checkpoint_every=3)
-        assert resumed.stats.sent == 0
-        assert archives_equivalent(outcome.archive, resumed.archive)
+        resumed, tool = run_one(spec, targets, str(checkpoint),
+                                checkpoint_every=3)
+        assert tool.prober.stats.sent == 0
+        assert archives_equivalent(archive, resumed)
 
     def test_partial_checkpoint_resume_matches_uninterrupted(
             self, spec, targets, tmp_path, serial_run):
@@ -100,19 +90,19 @@ class TestShardCheckpoints:
         run_one(spec, targets[:len(targets) // 2], checkpoint,
                 checkpoint_every=2)
 
-        resumed = run_one(spec, targets, checkpoint)
-        assert archives_equivalent(serial_run[0], resumed.archive)
+        resumed, _ = run_one(spec, targets, checkpoint)
+        assert archives_equivalent(serial_run[0], resumed)
 
 
 class TestTypedStopSets:
-    def test_outcomes_carry_typed_stop_sets(self, network, targets):
-        spec = ShardSpec.from_network(network.topology, network.policy,
-                                      "utdallas", use_stop_sets=True)
-        outcome = run_one(spec, targets)
-        assert isinstance(outcome.stop_set, StopSet)
-        assert outcome.stop_set.recorded > 0
-        assert outcome.stop_set.suppressed == outcome.stats.suppressed
+    def test_outcomes_carry_typed_stop_sets(self, spec, targets):
+        stopped = RunSpec("survey", network="internet2", seed=13,
+                          vantage="utdallas", collector={"stop_sets": True})
+        _, tool = run_one(stopped, targets)
+        assert isinstance(tool.stop_set, StopSet)
+        assert tool.stop_set.recorded > 0
+        assert tool.stop_set.suppressed == tool.prober.stats.suppressed
 
     def test_outcomes_without_stop_sets_stay_none(self, spec, targets):
-        outcome = run_one(spec, targets[:6])
-        assert outcome.stop_set is None
+        _, tool = run_one(spec, targets[:6])
+        assert tool.stop_set is None

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import infer_subnets
@@ -134,6 +134,8 @@ class TestMatchingProperties:
 
 class TestTraceNETProperties:
     @given(st.integers(min_value=0, max_value=10_000))
+    @example(seed=2015)
+    @example(seed=4819)
     @settings(max_examples=10, deadline=None)
     def test_random_network_trace_invariants(self, seed):
         """On any random topology: traces terminate, collected subnets

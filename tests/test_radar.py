@@ -25,10 +25,10 @@ from repro.mapping.store import archive_from_dict, archive_to_dict
 from repro.metrics import instrument
 from repro.netsim import Engine
 from repro.netsim.dynamics import MutationSchedule, NetworkDynamics
-from repro.parallel import ShardSpec, run_shard
 from repro.radar import RadarRunner, mutation_prefixes, run_radar
 from repro.runner import SurveyRunner
-from repro.service.jobs import SurveyJob
+from repro.runspec import RunSpec
+from repro.service import Coordinator, SurveyJob, VantageWorker
 from repro.topogen import geant
 from repro.transport import (
     FaultInjectingTransport,
@@ -244,36 +244,45 @@ class TestMutationPrefixes:
 class TestRadarService:
     def _spec(self):
         network = geant.build(seed=2010)
-        spec = ShardSpec.from_network(network.topology, network.policy,
-                                      "utdallas")
+        spec = RunSpec("radar", network="geant", seed=2010,
+                       vantage="utdallas",
+                       radar={"rounds": 3, "churn_count": 3,
+                              "churn_seed": 7, "churn_start": 60,
+                              "churn_interval": 90, "drop_rate": 0.0,
+                              "fault_seed": 0, "incremental": True})
         return spec, geant.targets(network, seed=2010)[:8]
 
-    def _radar_config(self):
-        return {"rounds": 3, "churn_count": 3, "churn_seed": 7,
-                "churn_start": 60, "churn_interval": 90,
-                "drop_rate": 0.0, "fault_seed": 0, "incremental": True}
+    def _run_job(self, spec, targets):
+        """One radar job drained by an inline worker."""
+        coordinator = Coordinator()
+        job = coordinator.submit(spec, targets)
+        VantageWorker("w0", coordinator).run()
+        return coordinator.result(job.job_id)
 
     def test_run_radar_shard_payload(self):
         spec, targets = self._spec()
-        payload = run_shard(spec, 0, targets, radar=self._radar_config())
-        assert {"shard", "archive", "stats", "spans", "radar"} <= set(payload)
-        assert "events" not in payload and "metrics" not in payload
-        assert len(payload["radar"]["rounds"]) == 3
-        assert payload["radar"]["rounds"][0]["full"]
-        restored = archive_from_dict(payload["archive"])
-        assert archive_to_dict(restored) == payload["archive"]
+        result = self._run_job(spec, targets)
+        assert len(result.radar["rounds"]) == 3
+        assert result.radar["rounds"][0]["full"]
+        assert result.worker_spans[0]["name"] == "radar-shard-0"
+        # The job's archive is the final round's, as a CLI radar run of
+        # the same description collects it.
+        outcome = spec.build(targets=targets).execute()
+        assert archive_to_dict(result.archive) == \
+            archive_to_dict(outcome.final_archive)
+        assert result.radar == outcome.to_dict()
 
     def test_run_radar_shard_is_deterministic(self):
         spec, targets = self._spec()
-        first = run_shard(spec, 0, targets, radar=self._radar_config())
-        second = run_shard(spec, 0, targets, radar=self._radar_config())
-        assert first["archive"] == second["archive"]
-        assert first["radar"] == second["radar"]
+        first = self._run_job(spec, targets)
+        second = self._run_job(spec, targets)
+        assert archive_to_dict(first.archive) == \
+            archive_to_dict(second.archive)
+        assert first.radar == second.radar
 
     def test_survey_job_radar_round_trip(self):
         spec, targets = self._spec()
-        job = SurveyJob(job_id="radar-1", spec=spec, targets=targets,
-                        radar=self._radar_config())
+        job = SurveyJob(job_id="radar-1", spec=spec, targets=targets)
         restored = SurveyJob.from_dict(job.to_dict())
-        assert restored.radar == job.radar
+        assert restored.spec == spec
         assert restored.to_dict() == job.to_dict()

@@ -14,9 +14,9 @@ import pytest
 
 from repro.core import TraceNET
 from repro.events import CollectingSink, event_to_dict
+from repro.mapping import archive_signature
 from repro.netsim import Engine, Probe
 from repro.netsim import engine as engine_module
-from repro.parallel import archive_signature
 from repro.runner import SurveyRunner
 from repro.topogen import figures
 from repro.transport import (

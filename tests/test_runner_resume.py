@@ -8,8 +8,8 @@ re-entering ``run`` must not inherit stale per-run counters.
 import pytest
 
 from repro.core import TraceNET
+from repro.mapping import archives_equivalent
 from repro.netsim import Engine
-from repro.parallel import archives_equivalent
 from repro.runner import SurveyRunner
 from repro.topogen import internet2
 

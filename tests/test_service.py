@@ -11,10 +11,10 @@ Four layers of coverage:
   streamed registry equals an offline replay of the committed event
   journal (live == replay parity across worker death);
 * determinism — a job's archive is a pure function of the job: identical
-  jobs give identical bytes on any fleet size, and per-vantage jobs
-  reproduce independent serial runs of their vantages;
-* compatibility — queues written when jobs split into several shards
-  still load and run.
+  jobs give identical bytes on any fleet size, and jobs over different
+  networks reproduce their own ``Run.execute``;
+* compatibility — queues written when jobs split into several shards, or
+  when job specs embedded a serialized topology, still load and run.
 """
 
 import json
@@ -25,12 +25,11 @@ import pytest
 from repro.cli import main
 from repro.core import TraceNET
 from repro.events import replay_events
-from repro.experiments import run_cross_validation
-from repro.mapping import archive_to_dict, load_archive
+from repro.mapping import archive_to_dict, archives_equivalent, load_archive
 from repro.metrics import registry_from_events, stats_from_events
-from repro.netsim import Engine
-from repro.parallel import ShardSpec, archives_equivalent
+from repro.netsim import Engine, policy_to_dict, topology_to_dict
 from repro.runner import SurveyRunner
+from repro.runspec import RunSpec
 from repro.service import (
     Coordinator,
     InvalidTransition,
@@ -43,7 +42,6 @@ from repro.service import (
     shard_attempt_summary,
 )
 from repro.topogen import internet2
-from repro.topogen.isp import build_internet
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +55,9 @@ def targets(network):
 
 
 @pytest.fixture(scope="module")
-def spec(network):
-    return ShardSpec.from_network(network.topology, network.policy,
-                                  "utdallas")
+def spec():
+    return RunSpec("survey", network="internet2", seed=13,
+                   vantage="utdallas")
 
 
 @pytest.fixture(scope="module")
@@ -375,33 +373,40 @@ class TestJobDeterminism:
         assert payloads[0] == payloads[1] == archive_to_dict(serial_archive)
         assert results[0].stats.sent == results[1].stats.sent
 
-    def test_per_vantage_jobs_reproduce_independent_serial_runs(
-            self, tmp_path):
-        """One job per vantage of the ISP internet, drained by 2 workers.
-
-        The reference is a serial run of each vantage on a freshly built
-        internet, not ``run_cross_validation``: its vantages share one
-        policy's rate-limiter buckets, so its later vantages start against
-        drained buckets and collect different maps than independent runs.
-        """
-        targets = run_cross_validation().targets
-        internet = build_internet(seed=42, scale=0.4)
-        vantages = sorted(internet.vantages)
+    def test_named_network_jobs_reproduce_their_own_runs(self, tmp_path):
+        """Three jobs over two networks and two seeds, drained by 2
+        workers: each job's archive is the bytes its own ``Run.execute``
+        collects."""
+        specs = [RunSpec("survey", network=network, seed=seed,
+                         vantage="utdallas", limit=24)
+                 for network, seed in (("internet2", 7), ("geant", 7),
+                                       ("internet2", 13))]
         coordinator = Coordinator(work_dir=str(tmp_path / "work"))
-        jobs = {site: coordinator.submit(
-                    ShardSpec.from_network(internet.topology,
-                                           internet.policy, site), targets)
-                for site in vantages}
+        jobs = [coordinator.submit(spec, spec.targets(spec.load_network()))
+                for spec in specs]
         drain(coordinator, 2)
-        assert len(vantages) == 3
-        for site, job in jobs.items():
-            fresh = build_internet(seed=42, scale=0.4)
-            runner = SurveyRunner(TraceNET(
-                Engine(fresh.topology, policy=fresh.policy), site))
-            runner.run(targets)
-            assert archive_to_dict(coordinator.result(job.job_id).archive) \
-                == archive_to_dict(runner.archive), site
+        for spec, job in zip(specs, jobs):
+            run = spec.build()
+            archive = run.execute()
+            result = coordinator.result(job.job_id)
+            assert archive_to_dict(result.archive) == \
+                archive_to_dict(archive), (spec.network, spec.seed)
+            assert result.stats.sent == run.tool.prober.stats.sent
 
+
+class TestQueueRecords:
+    def test_job_record_holds_no_topology(self, tmp_path):
+        """A job's queue line is its run description and target list: a
+        full GEANT seed-7 job stays under 10 KB."""
+        spec = RunSpec("survey", network="geant", seed=7, vantage="utdallas")
+        path = str(tmp_path / "queue.jsonl")
+        queue = JobQueue(path)
+        queue.submit(make_job(spec, spec.targets(spec.load_network())))
+        with open(path, "rb") as fp:
+            line = fp.readline()
+        assert b'"topology"' not in line
+        assert len(line) < 10_000
+        assert JobQueue(path).get("job-0001").spec == spec
 
 class TestOldQueues:
     def test_queue_with_shard_counts_loads_and_runs(self, spec, targets,
@@ -425,3 +430,72 @@ class TestOldQueues:
         capsys.readouterr()
         assert main(["jobs", "--queue", str(tmp_path)]) == 0
         assert "job-0001  done" in capsys.readouterr().out
+
+    def _embedded_topology_queue(self, network, targets, tmp_path,
+                                 metadata, radar=None, **spec_fields):
+        """A queue journal as written when a job's spec embedded its
+        serialized topology and policy."""
+        spec = {"topology": topology_to_dict(network.topology),
+                "policy": policy_to_dict(network.policy),
+                "vantage": "utdallas", "protocol": "icmp",
+                "engine_seed": 0, "policy_seed": 0, "ip_id_noise": 8,
+                "path_cache": True, "max_hops": 30, "min_prefix_length": 20,
+                "explore": True, "reuse_subnets": True, "batch_window": 0,
+                "use_stop_sets": False, "stop_prefix_length": 28,
+                "seed_stop_set": None, **spec_fields}
+        job = {"job_id": "job-0001", "spec": spec, "targets": list(targets),
+               "checkpoint_dir": None, "checkpoint_every": 25,
+               "tenant": "default", "max_attempts": 3, "state": "queued",
+               "error": None, "metadata": metadata, "radar": radar}
+        (tmp_path / "queue.jsonl").write_text(
+            json.dumps({"record": "job", "job": job}) + "\n")
+
+    def test_embedded_topology_job_serves_like_survey(self, network,
+                                                      tmp_path, capsys):
+        service = tmp_path / "service"
+        service.mkdir()
+        targets = internet2.targets(network, seed=13)
+        self._embedded_topology_queue(network, targets, service,
+                                      {"network": "internet2", "seed": 13})
+        job = JobQueue(str(service / "queue.jsonl")).get("job-0001")
+        assert job.spec == RunSpec("survey", network="internet2", seed=13,
+                                   vantage="utdallas")
+        assert job.targets == targets
+        assert main(["serve", "--queue", str(service),
+                     "--workers", "1"]) == 0
+        serial = tmp_path / "serial"
+        assert main(["survey", "--network", "internet2", "--seed", "13",
+                     "--checkpoint-dir", str(serial)]) == 0
+        capsys.readouterr()
+        assert (service / "job-0001" / "archive.json").read_bytes() == \
+            (serial / "shard-0.json").read_bytes()
+
+    def test_embedded_topology_radar_job_converts(self, network, targets,
+                                                  tmp_path):
+        radar = RunSpec.from_flags("radar", drop_rate=0.05).radar
+        self._embedded_topology_queue(network, targets, tmp_path,
+                                      {"network": "geant", "seed": 7},
+                                      radar=radar, batch_window=4)
+        job = JobQueue(str(tmp_path / "queue.jsonl")).get("job-0001")
+        assert job.spec == RunSpec("radar", network="geant", seed=7,
+                                   vantage="utdallas", radar=radar,
+                                   collector={"batch_window": 4})
+
+    @pytest.mark.parametrize("metadata, spec_fields, complaint", [
+        ({}, {}, "names no network"),
+        ({"network": "internet2", "seed": 13}, {"max_hops": 20},
+         "max_hops=20"),
+        ({"network": "internet2", "seed": 13},
+         {"seed_stop_set": {"prefix_length": 28, "paths": {}}},
+         "seed_stop_set="),
+    ], ids=["no-network", "non-default-field", "seeded-stop-set"])
+    def test_unconvertible_embedded_topology_job_is_named(
+            self, network, targets, tmp_path, capsys, metadata,
+            spec_fields, complaint):
+        self._embedded_topology_queue(network, targets, tmp_path, metadata,
+                                      **spec_fields)
+        capsys.readouterr()
+        assert main(["serve", "--queue", str(tmp_path)]) == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1
+        assert "job job-0001" in error and complaint in error

@@ -6,18 +6,15 @@ import pytest
 
 from repro.core import TraceNET
 from repro.events import HopObserved, ProbeSuppressed
+from repro.mapping import archives_equivalent
 from repro.metrics import MetricsRegistry, MetricsSink
 from repro.metrics.auditor import ProbeEconomyAuditor
 from repro.netsim import Engine
-from repro.parallel import (
-    ShardSpec,
-    archives_equivalent,
-    outcome_from_payload,
-    run_shard,
-)
 from repro.probing import StopSet
 from repro.probing.stopset import MIN_REMEMBERED_DEPTH
 from repro.runner import SurveyRunner
+from repro.runspec import RunSpec
+from repro.service import Coordinator, VantageWorker
 from repro.topogen import geant, internet2
 
 
@@ -147,47 +144,42 @@ class TestStopSetCollection:
                               reason="stop-set") > 0
 
 
-def run_one(spec, targets):
-    """One shard through the payload boundary, as the coordinator sees it."""
-    return outcome_from_payload(0, targets, run_shard(spec, 0, targets))
+def run_job(targets, **collector):
+    """One service job over Internet2 seed 7, drained by an inline
+    worker: the coordinator's rehydrated result."""
+    coordinator = Coordinator()
+    job = coordinator.submit(
+        RunSpec("survey", network="internet2", seed=7, vantage="utdallas",
+                collector=collector), targets)
+    VantageWorker("w0", coordinator).run()
+    return coordinator.result(job.job_id)
 
 
 class TestParallelStopSets:
     def test_shard_ships_its_stop_set(self):
         network = internet2.build(seed=7)
         targets = internet2.targets(network, seed=7)[:20]
-        plain_outcome = run_one(
-            ShardSpec.from_network(network.topology, network.policy,
-                                   "utdallas"), targets)
-        stopped_outcome = run_one(
-            ShardSpec.from_network(network.topology, network.policy,
-                                   "utdallas", use_stop_sets=True),
-            targets)
+        plain_result = run_job(targets)
+        stopped_result = run_job(targets, stop_sets=True)
 
-        assert plain_outcome.stop_set is None
-        assert stopped_outcome.stop_set is not None
-        assert len(stopped_outcome.stop_set) > 0
-        assert archives_equivalent(plain_outcome.archive,
-                                   stopped_outcome.archive)
-        counters = stopped_outcome.stop_set.counters()
-        assert counters["suppressed"] == stopped_outcome.stats.suppressed
+        assert plain_result.stop_set is None
+        assert isinstance(stopped_result.stop_set, StopSet)
+        assert len(stopped_result.stop_set) > 0
+        assert archives_equivalent(plain_result.archive,
+                                   stopped_result.archive)
+        counters = stopped_result.stop_set.counters()
+        assert counters["suppressed"] == stopped_result.stats.suppressed
 
     def test_seeding_from_previous_survey(self):
         network = internet2.build(seed=7)
         targets = internet2.targets(network, seed=7)[:20]
-        first_outcome = run_one(
-            ShardSpec.from_network(network.topology, network.policy,
-                                   "utdallas", use_stop_sets=True),
-            targets)
-        seed_payload = first_outcome.stop_set.to_dict()
+        first_tool, first_archive = survey(network, targets,
+                                           stop_set=StopSet())
+        seed_payload = first_tool.stop_set.to_dict()
 
-        second_outcome = run_one(
-            ShardSpec.from_network(network.topology, network.policy,
-                                   "utdallas", use_stop_sets=True,
-                                   seed_stop_set=seed_payload),
-            targets)
-        assert archives_equivalent(first_outcome.archive,
-                                   second_outcome.archive)
+        second_tool, second_archive = survey(
+            network, targets, stop_set=StopSet.from_dict(seed_payload))
+        assert archives_equivalent(first_archive, second_archive)
         # The seeded survey starts warm: it can only suppress more.
-        assert second_outcome.stats.suppressed >= \
-            first_outcome.stats.suppressed
+        assert second_tool.prober.stats.suppressed >= \
+            first_tool.prober.stats.suppressed

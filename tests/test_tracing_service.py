@@ -11,7 +11,6 @@ prefix; the re-lease attempt holds the rest).
 import pytest
 
 from repro.metrics import render_prometheus
-from repro.parallel import ShardSpec
 from repro.service import (
     Coordinator,
     JobQueue,
@@ -19,6 +18,7 @@ from repro.service import (
     ServiceFleet,
     VantageWorker,
 )
+from repro.runspec import RunSpec
 from repro.topogen import internet2
 from repro.tracing import (
     Span,
@@ -38,9 +38,9 @@ def targets(network):
 
 
 @pytest.fixture(scope="module")
-def spec(network):
-    return ShardSpec.from_network(network.topology, network.policy,
-                                  "utdallas")
+def spec():
+    return RunSpec("survey", network="internet2", seed=13,
+                   vantage="utdallas")
 
 
 def run_fleet(spec, targets, tmp_path, fail_after=None):
