@@ -38,6 +38,7 @@ from .evaluation import (
 from .events import ProgressSink
 from .metrics import MetricsRegistry, render_prometheus, stats_from_journal
 from .netsim import Protocol, format_ip, ip
+from .runner import CHECKPOINT_FILENAME
 from .runspec import RADAR_DEFAULTS, Run, RunSpec, RunSpecError
 from .topogen import figures
 from .transport import JournalError, ReplayMismatch, ReplayTransport
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default: internet2")
     survey.add_argument("--seed", type=int, help="default: 7")
     survey.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="checkpoint the survey to DIR/shard-0.json; a "
+                        help=f"checkpoint the survey to DIR/{CHECKPOINT_FILENAME}; a "
                              "re-run over the same directory resumes")
     survey.add_argument("--progress", action="store_true",
                         help="render a progress bar on stderr")
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="vantage workers in the fleet (default: 2)")
     serve.add_argument("--heartbeat-timeout", type=float, default=5.0,
                        metavar="SECONDS",
-                       help="re-lease a shard after this long without a "
+                       help="re-lease a job after this long without a "
                             "worker heartbeat")
     serve.add_argument("--timeout", type=float, default=300.0,
                        metavar="SECONDS",
@@ -440,7 +441,8 @@ def cmd_survey(args) -> int:
         import os
 
         os.makedirs(args.checkpoint_dir, exist_ok=True)
-        checkpoint_path = os.path.join(args.checkpoint_dir, "shard-0.json")
+        checkpoint_path = os.path.join(args.checkpoint_dir,
+                                       CHECKPOINT_FILENAME)
         mode = "serial, checkpointed"
     _execute(run, args, sinks=[ProgressSink()] if args.progress else [],
              checkpoint_path=checkpoint_path)
@@ -586,7 +588,6 @@ def cmd_serve(args) -> int:
         JobState,
         ServiceFleet,
         VantageWorker,
-        shard_attempt_summary,
     )
 
     queue = _service_queue(args.queue)
@@ -651,8 +652,7 @@ def cmd_serve(args) -> int:
         _write_text(result_path, _json_text({
             "job": job.to_dict(),
             "radar_path": radar_path,
-            "attempts": {str(k): v
-                         for k, v in sorted(result.attempts.items())},
+            "attempts": result.attempts,
             "stats": dataclasses.asdict(result.stats),
             "metrics": result.metrics.full_snapshot(),
             "event_counts": dict(sorted(result.event_counts.items())),
@@ -665,8 +665,7 @@ def cmd_serve(args) -> int:
         }))
         print(f"  {job_id}: done — {len(result.archive.subnets)} subnets, "
               f"{result.stats.sent} probes, "
-              f"{shard_attempt_summary(result.attempts)} "
-              f"-> {result_path}")
+              f"{result.attempts - 1} re-lease(s) -> {result_path}")
     return 1 if failures else 0
 
 

@@ -361,7 +361,7 @@ class EventBus:
     quarantined backend metrics scope), and keeps dispatching to the
     remaining sinks.  Sinks that *are* control flow — the service worker's
     heartbeat/streaming sinks whose :class:`StaleLeaseError` aborts a
-    fenced shard, fault-injection sinks — opt out by setting
+    fenced lease, fault-injection sinks — opt out by setting
     ``propagate_errors = True``.
     """
 

@@ -19,7 +19,7 @@ Design constraints, in order of importance:
    worker-seconds).
 3. **No dependencies.**  Plain dicts in, plain dicts out —
    :meth:`to_dict`/:meth:`from_dict` cross process boundaries without
-   custom pickling, exactly like a service job's shard payload.
+   custom pickling, exactly like a service job's payload.
 
 Metric identity is ``(name, labels)``; a name maps to exactly one metric
 kind (creating ``x`` as a counter and again as a gauge raises).  Histograms

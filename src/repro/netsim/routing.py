@@ -120,7 +120,7 @@ class RoutingTable:
     a chain of subnet crossings from ``r`` to the destination is exactly a
     walk in the subnet graph.  Level maps and next-hop sets are derived
     lazily and cached, so a worker that only routes toward its own
-    shard's targets never pays for the rest of the network.
+    job's targets never pays for the rest of the network.
 
     The graph is interned on first use: router and subnet ids are mapped
     to dense integer indices in sorted-id order, which fixes the ECMP

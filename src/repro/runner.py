@@ -45,6 +45,12 @@ class SurveyProgress:
                 f"{self.probes_sent} probes)")
 
 
+#: The checkpoint file a survey writes inside its checkpoint directory —
+#: ``tracenet survey --checkpoint-dir DIR`` and every fleet job alike, so
+#: an existing directory resumes under either.
+CHECKPOINT_FILENAME = "shard-0.json"
+
+
 class SurveyRunner:
     """Drives a TraceNET instance over a target list with checkpoints.
 

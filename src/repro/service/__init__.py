@@ -2,9 +2,8 @@
 
 The one runtime that distributes surveys: a :class:`Coordinator`
 accepts :class:`SurveyJob`s onto a durable :class:`JobQueue` and leases
-each job — one vantage's survey of its whole target list, run as one
-shard — to a fleet of :class:`VantageWorker`s that stream session
-events and incremental metrics snapshots back.  A job is a
+each job — one vantage's survey of its whole target list — to a fleet of
+:class:`VantageWorker`s that stream session events back.  A job is a
 :class:`~repro.runspec.RunSpec` plus its targets, and a worker runs it
 through ``RunSpec.build`` → ``Run.execute`` like ``tracenet survey``,
 so a job's :class:`JobResult` archive is the same bytes a ``tracenet
@@ -20,8 +19,8 @@ from .coordinator import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     Coordinator,
     JobResult,
-    ShardLease,
-    ShardTask,
+    Lease,
+    LeaseTask,
     StaleLeaseError,
 )
 from .jobs import (
@@ -31,7 +30,6 @@ from .jobs import (
     JobQueue,
     JobState,
     SurveyJob,
-    shard_attempt_summary,
 )
 from .worker import (
     DEFAULT_STREAM_EVERY,
@@ -49,9 +47,9 @@ __all__ = [
     "JobQueue",
     "JobResult",
     "JobState",
+    "Lease",
+    "LeaseTask",
     "ServiceFleet",
-    "ShardLease",
-    "ShardTask",
     "StaleLeaseError",
     "StreamingEventSink",
     "SurveyJob",
@@ -59,5 +57,4 @@ __all__ = [
     "VALID_TRANSITIONS",
     "VantageWorker",
     "WorkerCrashed",
-    "shard_attempt_summary",
 ]

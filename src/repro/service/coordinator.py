@@ -1,44 +1,44 @@
 """The survey coordinator: leases, heartbeats, streaming, fault recovery.
 
 The coordinator is the long-running brain of the distributed survey
-service.  It owns the :class:`~repro.service.jobs.JobQueue` and runs each
-accepted job as **one shard** — one vantage's survey of its whole target
-list, index 0 — handed to a vantage worker as a **lease**.  Parallelism
-comes from several jobs (one per vantage, say) leased to different
-workers; a job's result is a pure function of the job, independent of the
-queue's history and the fleet's size.  Everything a worker does flows
-back through four calls — :meth:`Coordinator.lease`,
+service.  It owns the :class:`~repro.service.jobs.JobQueue` and hands each
+accepted job — one vantage's survey of its whole target list — to a
+vantage worker as a **lease**, the service's only unit of work.
+Parallelism comes from several jobs (one per vantage, say) leased to
+different workers; a job's result is a pure function of the job,
+independent of the queue's history and the fleet's size.  Everything a
+worker does flows back through four calls — :meth:`Coordinator.lease`,
 :meth:`Coordinator.heartbeat`, :meth:`Coordinator.stream` and
 :meth:`Coordinator.complete`/:meth:`Coordinator.fail` — each of which is
 **fenced**: the call must present the lease's worker id and attempt
 number, so a worker that was declared dead and re-leased cannot corrupt
 the job when it comes back from a long GC pause (its calls raise
-:class:`StaleLeaseError` and it abandons the shard).
+:class:`StaleLeaseError` and it abandons the job).
 
 Fault tolerance is heartbeat-driven: workers heartbeat on every survey
 target, :meth:`Coordinator.reap` expires leases whose heartbeat is older
-than ``heartbeat_timeout`` and puts the shard back on the pending list
-with ``attempt + 1``.  The next worker to lease it resumes from the
-job's checkpoint file (the ordinary :class:`~repro.runner.SurveyRunner`
-resume path), so re-delivery costs only the targets since the last
-checkpoint.  A shard that exceeds ``SurveyJob.max_attempts`` fails the
-job with an error naming the shard, its target count and its checkpoint.
+than ``heartbeat_timeout`` and marks the job pending again for lease
+``attempt + 1``.  The next worker to lease it resumes from the job's
+checkpoint file (the ordinary :class:`~repro.runner.SurveyRunner` resume
+path), so re-delivery costs only the targets since the last checkpoint.
+A job whose leases exceed ``SurveyJob.max_attempts`` fails with an error
+naming its target count and its checkpoint.
 
 **Event streaming and the commit log.**  Workers stream serialized
 session events in order.  The coordinator treats
 :class:`~repro.events.CheckpointWritten` markers as commit points: events
 up to the last marker in the stream are *committed* — appended to the
-job's event journal, fed through the coordinator's own
-:class:`~repro.metrics.MetricsSink` and probe-economy auditor — while the
-tail stays pending.  When a shard completes, its remaining tail commits;
-when its lease expires, the tail is discarded.  The committed stream
-therefore describes exactly the *effective* execution (work whose results
-survive in some checkpoint or payload), with no duplicates and no holes:
-a crashed attempt's committed targets are precisely the ones its
-successor skips on resume.  Live streamed totals and an offline replay of
-the job journal (:func:`repro.metrics.registry_from_events`) agree by
-construction — the live == replay parity contract, preserved across
-worker death.
+job's event journal with a ``"lease": N`` annotation, fed through the
+coordinator's own :class:`~repro.metrics.MetricsSink` and probe-economy
+auditor — while the tail stays pending.  When a lease completes, its
+remaining tail commits; when it expires, the tail is discarded.  The
+committed stream therefore describes exactly the *effective* execution
+(work whose results survive in some checkpoint or payload), with no
+duplicates and no holes: a crashed lease's committed targets are
+precisely the ones its successor skips on resume.  Live streamed totals
+and an offline replay of the job journal
+(:func:`repro.metrics.registry_from_events`) agree by construction — the
+live == replay parity contract, preserved across worker death.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, IO, List, Optional, Sequence
 
 from ..events import (
@@ -61,9 +61,10 @@ from ..mapping.store import CollectionArchive, archive_from_dict
 from ..metrics import MetricsRegistry, MetricsSink, ProbeEconomyAuditor
 from ..probing.budget import ProbeStats
 from ..probing.stopset import StopSet
+from ..runner import CHECKPOINT_FILENAME
 from ..runspec import RunSpec
 from ..tracing import Span
-from ..tracing.service import ATTEMPT_KEY, SHARD_KEY, ServiceSpanAssembler
+from ..tracing.service import LEASE_KEY, ServiceSpanAssembler
 from .jobs import JobQueue, JobState, SurveyJob
 
 #: Leases whose heartbeat is older than this many seconds are reaped.
@@ -74,18 +75,17 @@ class StaleLeaseError(RuntimeError):
     """A worker acted on a lease the coordinator no longer recognizes.
 
     Raised on heartbeat/stream/complete/fail calls whose (worker, attempt)
-    no longer holds the shard — the fencing that keeps a worker presumed
+    no longer holds the job — the fencing that keeps a worker presumed
     dead (and already replaced) from corrupting the job if it wakes up.
-    The worker's correct response is to abandon the shard silently.
+    The worker's correct response is to abandon the job silently.
     """
 
 
 @dataclass
-class ShardLease:
-    """One shard currently delegated to one worker."""
+class Lease:
+    """One job currently delegated to one worker."""
 
     job_id: str
-    shard_index: int
     worker_id: str
     attempt: int
     leased_at: float
@@ -93,11 +93,10 @@ class ShardLease:
 
 
 @dataclass
-class ShardTask:
+class LeaseTask:
     """What a worker receives when a lease is granted."""
 
     job_id: str
-    shard_index: int
     attempt: int
     spec: RunSpec
     targets: List[int]
@@ -107,32 +106,32 @@ class ShardTask:
 
 @dataclass
 class JobResult:
-    """The outcome of one finished job: its shard's own archive, probe
-    counters and stop set, plus the coordinator's view of the committed
-    event stream."""
+    """The outcome of one finished job: the completing lease's archive,
+    probe counters and stop set, plus the coordinator's view of the
+    committed event stream."""
 
     job: SurveyJob
     archive: CollectionArchive
     stats: ProbeStats
     #: The coordinator's streamed registry: a pure function of the
     #: committed event stream, equal to an offline replay of
-    #: ``events_path`` — *not* a registry of the shard payload, which
-    #: covers only the attempt that completed (work lost to worker deaths
+    #: ``events_path`` — *not* a registry of the job payload, which
+    #: covers only the lease that completed (work lost to worker deaths
     #: appears here, in the committed stream, but in no payload).
     metrics: MetricsRegistry
     stop_set: Optional[StopSet]
-    #: Lease attempts per shard index (a value > 1 means a re-lease).
-    attempts: Dict[int, int]
+    #: Leases granted (a value > 1 means a re-lease).
+    attempts: int
     event_counts: Dict[str, int]
     events_path: Optional[str] = None
-    #: Job → shard-lease → trace span tree assembled from the committed
-    #: stream; its deterministic serialization equals
+    #: Job → lease → trace span tree assembled from the committed stream;
+    #: its deterministic serialization equals
     #: ``span_tree_from_journal(events_path)`` (lease stamps are timing
     #: plane only).
     spans: Optional[Span] = None
-    #: Shard index → the worker's own timed span tree (dict form; worker
+    #: The completing worker's own timed span tree (dict form; worker
     #: clocks share no timebase with the coordinator's).
-    worker_spans: Dict[int, Dict] = field(default_factory=dict)
+    worker_spans: Optional[Dict] = None
     #: Radar-job round summary + per-round archive diffs
     #: (``RadarResult.to_dict()``); None for ordinary survey jobs.
     radar: Optional[Dict] = None
@@ -145,16 +144,13 @@ class _JobRuntime:
                  clock=time.monotonic):
         self.job = job
         self.clock = clock
-        # A job is one shard, index 0.  The per-shard bookkeeping keeps
-        # the index so the fenced worker calls, the committed journal's
-        # lease annotations and the span tree keep their shape.
-        self.pending: List[int] = [0]
-        self.leases: Dict[int, ShardLease] = {}
-        self.attempts: Dict[int, int] = {0: 0}
-        #: Uncommitted streamed events per shard (serialized payloads).
-        self.uncommitted: Dict[int, List[Dict]] = {}
-        #: Latest streamed registry snapshot per shard (live introspection).
-        self.live_snapshots: Dict[int, Dict] = {}
+        #: True while the job awaits a (re-)lease.
+        self.pending = True
+        self.lease: Optional[Lease] = None
+        #: Leases granted so far; the current lease's attempt number.
+        self.attempts = 0
+        #: The current lease's streamed events past its last commit point.
+        self.uncommitted: List[Dict] = []
         self.events_path = events_path
         self._events_fp: Optional[IO] = None
         self.committed_events: List[Dict] = []
@@ -172,24 +168,23 @@ class _JobRuntime:
         # (timing plane) are applied by the coordinator's lease/complete/
         # reap paths; the root's wall-clock extent is stamped manually so
         # the lease *children* stay untimed on the coordinator side — the
-        # worker's own clocked tree rides in the shard payload instead.
+        # worker's own clocked tree rides in the job payload instead.
         self.spans = ServiceSpanAssembler()
         self.spans.root.start = clock()
-        self._committing: Optional[tuple] = None
+        #: The lease number of the batch being committed.
+        self._committing: Optional[int] = None
         self.bus.subscribe(self._span_sink)
         self.auditor = ProbeEconomyAuditor(self.bus)
         self.bus.subscribe(self.auditor)
 
     def _span_sink(self, event) -> None:
         if self._committing is not None:
-            self.spans.feed_event(event, *self._committing)
+            self.spans.feed_event(event, self._committing)
 
     def _journal_sink(self, event) -> None:
         payload = event_to_dict(event)
         if self._committing is not None:
-            shard_index, attempt = self._committing
-            payload[SHARD_KEY] = shard_index
-            payload[ATTEMPT_KEY] = attempt
+            payload[LEASE_KEY] = self._committing
         self.committed_events.append(payload)
         if self.events_path is None:
             return
@@ -201,25 +196,30 @@ class _JobRuntime:
         self._events_fp.write(json.dumps(payload, sort_keys=True))
         self._events_fp.write("\n")
 
-    def commit(self, shard_index: int, payloads: Sequence[Dict]) -> None:
-        """Feed committed events through the pipeline, in stream order.
+    def commit(self, attempt: int, payloads: Sequence[Dict]) -> None:
+        """Feed one lease's committed events through the pipeline.
 
-        ``_committing`` carries each payload's lease annotation through
-        the dispatch: the journal sink re-attaches it to the record it
-        writes and the span sink demuxes on it — including for events the
+        ``_committing`` carries the lease number through the dispatch: the
+        journal sink writes it as each record's ``lease`` annotation and
+        the span sink demuxes on it — including for events the
         *coordinator* originates mid-dispatch (the auditor's nested
-        :class:`~repro.events.OverheadViolation` re-emits), which inherit
-        the annotation of the committed event that triggered them.
+        :class:`~repro.events.OverheadViolation` re-emits), which take
+        the lease of the committed event that triggered them.
         """
-        for payload in payloads:
-            self._committing = (payload.get(SHARD_KEY, shard_index),
-                                payload.get(ATTEMPT_KEY, 1))
-            try:
+        self._committing = attempt
+        try:
+            for payload in payloads:
                 self.bus.emit(event_from_dict(payload))
-            finally:
-                self._committing = None
+        finally:
+            self._committing = None
         if self._events_fp is not None:
             self._events_fp.flush()
+
+    def release(self, end: float) -> List[Dict]:
+        """End the current lease at ``end``; return its uncommitted tail."""
+        self.spans.stamp(self.lease.attempt, end=end)
+        tail, self.lease, self.uncommitted = self.uncommitted, None, []
+        return tail
 
     def close(self) -> None:
         if self._events_fp is not None:
@@ -235,10 +235,10 @@ class Coordinator:
             queue by default.  Mid-flight jobs found in a durable queue
             are demoted back to ``queued`` (crash recovery).
         work_dir: when set, per-job artifacts land under
-            ``<work_dir>/<job_id>/`` — shard checkpoints (unless the job
-            names its own directory) and the committed event journal.
+            ``<work_dir>/<job_id>/`` — the job's checkpoint (unless the
+            job names its own directory) and the committed event journal.
         heartbeat_timeout: seconds without a heartbeat before a lease is
-            considered dead and its shard re-leased.
+            considered dead and its job re-leased.
         clock: injectable monotonic clock (tests).
     """
 
@@ -293,20 +293,18 @@ class Coordinator:
         """Fleet health telemetry as a Prometheus-renderable registry.
 
         A point-in-time operational surface, rebuilt per call: job counts
-        by state, queue depth, pending shards per running job, active
-        lease count, and per-lease age / heartbeat lag (the reap
-        predictor: a lag approaching ``heartbeat_timeout`` is a worker
-        about to be declared dead).  Operational, not archival — nothing
-        here participates in the replay-parity contract.
+        by state, queue depth, active lease count, and per-lease age /
+        heartbeat lag (the reap predictor: a lag approaching
+        ``heartbeat_timeout`` is a worker about to be declared dead).
+        Operational, not archival — nothing here participates in the
+        replay-parity contract.
         """
         registry = MetricsRegistry()
         registry.describe("service_jobs", "Jobs by lifecycle state")
         registry.describe("service_queue_depth",
                           "Jobs accepted but not yet activated")
-        registry.describe("service_shards_pending",
-                          "Shards awaiting a lease, per running job")
         registry.describe("service_leases_active",
-                          "Shard leases currently held by workers")
+                          "Leases currently held by workers")
         registry.describe("service_lease_age_seconds",
                           "Seconds since each active lease was granted")
         registry.describe("service_heartbeat_lag_seconds",
@@ -324,28 +322,25 @@ class Coordinator:
                                len(self.queue.queued()))
             active = 0
             for job_id, runtime in self._runtimes.items():
-                if runtime.job.state is JobState.RUNNING:
-                    registry.set_gauge("service_shards_pending",
-                                       len(runtime.pending), job=job_id)
-                for lease in runtime.leases.values():
-                    active += 1
-                    labels = {"job": job_id,
-                              "shard": str(lease.shard_index)}
-                    registry.set_gauge("service_lease_age_seconds",
-                                       max(0.0, now - lease.leased_at),
-                                       **labels)
-                    registry.set_gauge("service_heartbeat_lag_seconds",
-                                       max(0.0, now - lease.last_heartbeat),
-                                       **labels)
+                lease = runtime.lease
+                if lease is None:
+                    continue
+                active += 1
+                registry.set_gauge("service_lease_age_seconds",
+                                   max(0.0, now - lease.leased_at),
+                                   job=job_id)
+                registry.set_gauge("service_heartbeat_lag_seconds",
+                                   max(0.0, now - lease.last_heartbeat),
+                                   job=job_id)
             registry.set_gauge("service_leases_active", active)
         return registry
 
     # -- the worker-facing API -------------------------------------------
 
-    def lease(self, worker_id: str) -> Optional[ShardTask]:
-        """Grant the next pending shard to ``worker_id`` (None when idle).
+    def lease(self, worker_id: str) -> Optional[LeaseTask]:
+        """Grant the next pending job to ``worker_id`` (None when idle).
 
-        Prefers shards of already-running jobs (FIFO by submission);
+        Prefers re-leasing already-running jobs (FIFO by submission);
         activates the next queued job only when nothing is pending.
         """
         with self._lock:
@@ -353,119 +348,99 @@ class Coordinator:
             if runtime is None:
                 return None
             job = runtime.job
-            shard_index = runtime.pending.pop(0)
-            runtime.attempts[shard_index] += 1
+            runtime.pending = False
+            runtime.attempts += 1
             now = self.clock()
-            runtime.leases[shard_index] = ShardLease(
+            runtime.lease = Lease(
                 job_id=job.job_id,
-                shard_index=shard_index,
                 worker_id=worker_id,
-                attempt=runtime.attempts[shard_index],
+                attempt=runtime.attempts,
                 leased_at=now,
                 last_heartbeat=now,
             )
-            runtime.uncommitted[shard_index] = []
-            runtime.spans.stamp(shard_index, runtime.attempts[shard_index],
-                                start=now)
-            return ShardTask(
+            runtime.spans.stamp(runtime.attempts, start=now)
+            return LeaseTask(
                 job_id=job.job_id,
-                shard_index=shard_index,
-                attempt=runtime.attempts[shard_index],
+                attempt=runtime.attempts,
                 spec=job.spec,
                 targets=list(job.targets),
-                checkpoint_path=self._checkpoint_path(job, shard_index),
+                checkpoint_path=self._checkpoint_path(job),
                 checkpoint_every=job.checkpoint_every,
             )
 
-    def heartbeat(self, worker_id: str, job_id: str, shard_index: int,
-                  attempt: int) -> None:
+    def heartbeat(self, worker_id: str, job_id: str, attempt: int) -> None:
         """Refresh a lease (fenced; raises :class:`StaleLeaseError`)."""
         with self._lock:
-            lease = self._check_lease(worker_id, job_id, shard_index,
-                                      attempt)
+            lease = self._check_lease(worker_id, job_id, attempt)
             lease.last_heartbeat = self.clock()
 
-    def stream(self, worker_id: str, job_id: str, shard_index: int,
-               attempt: int, events: Sequence[Dict],
-               metrics: Optional[Dict] = None) -> None:
-        """Ingest a batch of streamed events (and a registry snapshot).
+    def stream(self, worker_id: str, job_id: str, attempt: int,
+               events: Sequence[Dict]) -> None:
+        """Ingest a batch of streamed events.
 
-        Events accumulate per shard; everything up to (and including) the
+        Events accumulate per lease; everything up to (and including) the
         last :class:`CheckpointWritten` marker in the accumulated stream
         commits immediately — the marker proves the corresponding results
-        are durable in the shard checkpoint, so a later crash cannot
+        are durable in the job's checkpoint, so a later crash cannot
         invalidate them.  The tail past the last marker stays pending
-        until the shard completes (commit) or its lease expires (discard).
+        until the lease completes (commit) or expires (discard).
         """
         with self._lock:
-            lease = self._check_lease(worker_id, job_id, shard_index,
-                                      attempt)
+            lease = self._check_lease(worker_id, job_id, attempt)
             lease.last_heartbeat = self.clock()
             runtime = self._runtimes[job_id]
-            buffer = runtime.uncommitted.setdefault(shard_index, [])
+            buffer = runtime.uncommitted
             # The pending tail holds no marker (it would have committed),
             # so only the new records need scanning.
             scanned = len(buffer)
-            # Annotate at intake: every record carries the lease that
-            # produced it into the commit log (and the span assembler).
-            buffer.extend({**payload, SHARD_KEY: shard_index,
-                           ATTEMPT_KEY: attempt} for payload in events)
-            if metrics is not None:
-                runtime.live_snapshots[shard_index] = metrics
+            buffer.extend(events)
             cut = _last_checkpoint_marker(buffer, start=scanned)
             if cut is not None:
-                runtime.commit(shard_index, buffer[:cut + 1])
+                runtime.commit(attempt, buffer[:cut + 1])
                 del buffer[:cut + 1]
 
-    def complete(self, worker_id: str, job_id: str, shard_index: int,
-                 attempt: int, payload: Dict) -> None:
-        """Accept a finished shard's payload (fenced) and finish the job."""
+    def complete(self, worker_id: str, job_id: str, attempt: int,
+                 payload: Dict) -> None:
+        """Accept a finished lease's payload (fenced) and finish the job."""
         with self._lock:
-            self._check_lease(worker_id, job_id, shard_index, attempt)
+            self._check_lease(worker_id, job_id, attempt)
             runtime = self._runtimes[job_id]
-            del runtime.leases[shard_index]
-            tail = runtime.uncommitted.pop(shard_index, [])
-            runtime.commit(shard_index, tail)
-            runtime.spans.stamp(shard_index, attempt, end=self.clock())
-            self._finish(runtime, shard_index, payload)
+            runtime.commit(attempt, runtime.release(end=self.clock()))
+            self._finish(runtime, payload)
 
-    def fail(self, worker_id: str, job_id: str, shard_index: int,
-             attempt: int, error: str) -> None:
-        """A worker reports a shard exception: requeue or fail the job."""
+    def fail(self, worker_id: str, job_id: str, attempt: int,
+             error: str) -> None:
+        """A worker reports a job exception: requeue or fail the job."""
         with self._lock:
-            self._check_lease(worker_id, job_id, shard_index, attempt)
+            self._check_lease(worker_id, job_id, attempt)
             runtime = self._runtimes[job_id]
-            del runtime.leases[shard_index]
-            runtime.uncommitted.pop(shard_index, None)
-            runtime.spans.stamp(shard_index, attempt, end=self.clock())
-            self._requeue_or_fail(runtime, shard_index, error)
+            runtime.release(end=self.clock())
+            self._requeue_or_fail(runtime, error)
 
-    def reap(self, now: Optional[float] = None) -> List[ShardLease]:
-        """Expire leases with missed heartbeats; re-lease their shards.
+    def reap(self, now: Optional[float] = None) -> List[Lease]:
+        """Expire leases with missed heartbeats; re-lease their jobs.
 
         Returns the expired leases.  Call this from the fleet loop (or a
         monitor thread) at a cadence well below ``heartbeat_timeout``.
         """
         now = self.clock() if now is None else now
-        expired: List[ShardLease] = []
+        expired: List[Lease] = []
         with self._lock:
             for runtime in list(self._runtimes.values()):
-                if runtime.job.state is not JobState.RUNNING:
+                lease = runtime.lease
+                if runtime.job.state is not JobState.RUNNING \
+                        or lease is None \
+                        or now - lease.last_heartbeat < self.heartbeat_timeout:
                     continue
-                for shard_index, lease in list(runtime.leases.items()):
-                    if now - lease.last_heartbeat < self.heartbeat_timeout:
-                        continue
-                    expired.append(lease)
-                    del runtime.leases[shard_index]
-                    # Discard the attempt's uncommitted tail: its results
-                    # never reached a checkpoint, so the re-leased run
-                    # re-executes (and re-streams) those targets.
-                    runtime.uncommitted.pop(shard_index, None)
-                    runtime.spans.stamp(shard_index, lease.attempt, end=now)
-                    self._requeue_or_fail(
-                        runtime, shard_index,
-                        f"worker {lease.worker_id!r} missed heartbeats "
-                        f"(attempt {lease.attempt})")
+                expired.append(lease)
+                # Discard the lease's uncommitted tail: its results never
+                # reached a checkpoint, so the re-leased run re-executes
+                # (and re-streams) those targets.
+                runtime.release(end=now)
+                self._requeue_or_fail(
+                    runtime,
+                    f"worker {lease.worker_id!r} missed heartbeats "
+                    f"(attempt {lease.attempt})")
         return expired
 
     def abort_unfinished(self, reason: str) -> List[SurveyJob]:
@@ -502,56 +477,54 @@ class Coordinator:
         self.queue.transition(job.job_id, JobState.RUNNING)
         return runtime
 
-    def _checkpoint_path(self, job: SurveyJob,
-                         shard_index: int) -> Optional[str]:
+    def _checkpoint_path(self, job: SurveyJob) -> Optional[str]:
         directory = job.checkpoint_dir
         if directory is None and self.work_dir is not None:
+            # The directory name predates one-lease jobs; keeping it lets
+            # an interrupted job in an existing queue resume.
             directory = os.path.join(self.work_dir, job.job_id, "shards")
         if directory is None:
             return None
         os.makedirs(directory, exist_ok=True)
-        return os.path.join(directory, f"shard-{shard_index}.json")
+        return os.path.join(directory, CHECKPOINT_FILENAME)
 
-    def _check_lease(self, worker_id: str, job_id: str, shard_index: int,
-                     attempt: int) -> ShardLease:
+    def _check_lease(self, worker_id: str, job_id: str,
+                     attempt: int) -> Lease:
         runtime = self._runtimes.get(job_id)
-        if runtime is not None and runtime.job.state is not JobState.RUNNING:
-            # The job left RUNNING (aborted/failed) — every lease is void.
-            runtime = None
-        lease = (runtime.leases.get(shard_index)
-                 if runtime is not None else None)
+        # A job that left RUNNING (aborted/failed) voids its lease.
+        lease = (runtime.lease if runtime is not None
+                 and runtime.job.state is JobState.RUNNING else None)
         if (lease is None or lease.worker_id != worker_id
                 or lease.attempt != attempt):
             raise StaleLeaseError(
                 f"worker {worker_id!r} no longer holds job {job_id} "
-                f"shard {shard_index} (attempt {attempt})")
+                f"(attempt {attempt})")
         return lease
 
-    def _requeue_or_fail(self, runtime: _JobRuntime, shard_index: int,
-                         error: str) -> None:
+    def _requeue_or_fail(self, runtime: _JobRuntime, error: str) -> None:
         job = runtime.job
-        if runtime.attempts[shard_index] >= job.max_attempts:
-            checkpoint = self._checkpoint_path(job, shard_index)
+        if runtime.attempts >= job.max_attempts:
             runtime.close()
             self.queue.transition(
                 job.job_id, JobState.FAILED,
-                error=(f"shard {shard_index} exhausted "
-                       f"{job.max_attempts} attempts over "
+                error=(f"exhausted {job.max_attempts} attempts over "
                        f"{len(job.targets)} targets "
-                       f"(checkpoint {checkpoint}): {error}"))
+                       f"(checkpoint {self._checkpoint_path(job)}): "
+                       f"{error}"))
             return
-        runtime.pending.append(shard_index)
+        runtime.pending = True
 
-    def _finish(self, runtime: _JobRuntime, shard_index: int,
-                payload: Dict) -> None:
-        """Rehydrate the shard's plain payload into the job's result."""
+    def _finish(self, runtime: _JobRuntime, payload: Dict) -> None:
+        """Rehydrate the lease's plain payload into the job's result.
+
+        Runs under the coordinator lock, so the job moves from running to
+        done without an observable state in between.
+        """
         job = runtime.job
-        self.queue.transition(job.job_id, JobState.MERGING)
         runtime.close()
         spans_root = runtime.spans.finish()
         spans_root.end = self.clock()
         stop_set = payload.get("stop_set")
-        worker_spans = payload.get("spans")
         self._results[job.job_id] = JobResult(
             job=job,
             archive=archive_from_dict(payload["archive"]),
@@ -559,12 +532,11 @@ class Coordinator:
             metrics=runtime.registry,
             stop_set=(StopSet.from_dict(stop_set)
                       if stop_set is not None else None),
-            attempts=dict(runtime.attempts),
+            attempts=runtime.attempts,
             event_counts=dict(runtime.counter.counts),
             events_path=runtime.events_path,
             spans=spans_root,
-            worker_spans=({shard_index: worker_spans}
-                          if worker_spans is not None else {}),
+            worker_spans=payload.get("spans"),
             radar=payload.get("radar"),
         )
         self.queue.transition(job.job_id, JobState.DONE)
@@ -584,7 +556,7 @@ __all__ = [
     "Coordinator",
     "DEFAULT_HEARTBEAT_TIMEOUT",
     "JobResult",
-    "ShardLease",
-    "ShardTask",
+    "Lease",
+    "LeaseTask",
     "StaleLeaseError",
 ]

@@ -4,20 +4,20 @@ A :class:`SurveyJob` is the unit of work the distributed survey service
 accepts: one run description (a :class:`~repro.runspec.RunSpec`, the
 same description a probe journal's header records) — one vantage — its
 whole target list, and scheduling options (checkpoint cadence, tenant,
-re-lease budget).  A job runs as exactly one shard; parallelism comes
-from several jobs, for example one per vantage.  Jobs move through a
-small state machine::
+re-lease budget).  A job runs under one lease at a time; parallelism
+comes from several jobs, for example one per vantage.  Jobs move through
+a small state machine::
 
-    queued -> running -> merging -> done
-       \\         \\          \\
-        +---------+----------+--> failed
+    queued -> running -> done
+       \\         \\
+        +---------+--> failed
 
 The :class:`JobQueue` keeps the job table in memory and journals every
 submission and state transition to an append-only JSONL file, so a
 restarted coordinator rebuilds exactly the queue it crashed with.  Jobs
-that were mid-flight (``running``/``merging``) at the crash are demoted
-back to ``queued`` by :meth:`JobQueue.recover` — re-scheduling is cheap
-because the job's shard resumes from its checkpoint file.
+that were mid-flight (``running``) at the crash are demoted back to
+``queued`` by :meth:`JobQueue.recover` — re-scheduling is cheap because
+the job resumes from its checkpoint file.
 
 The queue itself is not thread-safe; the coordinator serializes access
 under its own lock.
@@ -39,26 +39,30 @@ from ..runspec import RunSpec
 class JobState(str, Enum):
     """Lifecycle of one survey job."""
 
-    QUEUED = "queued"      # accepted, shard not leased yet
-    RUNNING = "running"    # the shard is leased (or awaiting a re-lease)
-    MERGING = "merging"    # the shard delivered; building the result
+    QUEUED = "queued"      # accepted, not leased yet
+    RUNNING = "running"    # leased (or awaiting a re-lease)
     DONE = "done"          # result available
     FAILED = "failed"      # gave up (see SurveyJob.error)
 
 
-#: States a job can move to from each state.  ``running``/``merging`` may
-#: fall back to ``queued`` only through crash recovery.
+#: States a job can move to from each state.  ``running`` may fall back
+#: to ``queued`` only through crash recovery.
 VALID_TRANSITIONS: Dict[JobState, frozenset] = {
     JobState.QUEUED: frozenset({JobState.RUNNING, JobState.FAILED}),
-    JobState.RUNNING: frozenset({JobState.MERGING, JobState.FAILED,
-                                 JobState.QUEUED}),
-    JobState.MERGING: frozenset({JobState.DONE, JobState.FAILED,
+    JobState.RUNNING: frozenset({JobState.DONE, JobState.FAILED,
                                  JobState.QUEUED}),
     JobState.DONE: frozenset(),
     JobState.FAILED: frozenset(),
 }
 
 TERMINAL_STATES = (JobState.DONE, JobState.FAILED)
+
+
+def _job_state(value: str) -> JobState:
+    """A journaled state.  Older queues could record ``merging`` between a
+    job's last lease and its result; it reads as ``running``, so
+    :meth:`JobQueue.recover` demotes it like any mid-flight job."""
+    return JobState.RUNNING if value == "merging" else JobState(value)
 
 
 class InvalidTransition(ValueError):
@@ -75,7 +79,7 @@ class SurveyJob:
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 25
     tenant: str = "default"
-    #: How many times the shard may be (re-)leased before the job fails.
+    #: How many times the job may be (re-)leased before it fails.
     max_attempts: int = 3
     state: JobState = JobState.QUEUED
     error: Optional[str] = None
@@ -110,7 +114,7 @@ class SurveyJob:
             checkpoint_every=payload.get("checkpoint_every", 25),
             tenant=payload.get("tenant", "default"),
             max_attempts=payload.get("max_attempts", 3),
-            state=JobState(payload.get("state", "queued")),
+            state=_job_state(payload.get("state", "queued")),
             error=payload.get("error"),
         )
 
@@ -209,13 +213,13 @@ class JobQueue:
     def recover(self) -> List[SurveyJob]:
         """Demote jobs that were mid-flight when the last serve died.
 
-        ``running``/``merging`` jobs are put back to ``queued`` so the
-        next fleet re-schedules them; their shard checkpoints make the
-        re-run resume instead of restart.  Returns the demoted jobs.
+        ``running`` jobs are put back to ``queued`` so the next fleet
+        re-schedules them; their checkpoints make the re-run resume
+        instead of restart.  Returns the demoted jobs.
         """
         demoted = []
         for job in self.jobs.values():
-            if job.state in (JobState.RUNNING, JobState.MERGING):
+            if job.state is JobState.RUNNING:
                 self.transition(job.job_id, JobState.QUEUED)
                 demoted.append(job)
         return demoted
@@ -254,22 +258,11 @@ class JobQueue:
                 elif kind == "state":
                     job = self.jobs.get(record["job_id"])
                     if job is not None:
-                        job.state = JobState(record["state"])
+                        job.state = _job_state(record["state"])
                         job.error = record.get("error")
                 else:
                     raise ValueError(
                         f"unknown job-queue record kind {kind!r}")
-
-
-def shard_attempt_summary(attempts: Dict[int, int]) -> str:
-    """Human summary of per-shard lease attempts (``tracenet jobs``)."""
-    releases = sum(count - 1 for count in attempts.values() if count > 1)
-    if not releases:
-        return "no re-leases"
-    noisy = ", ".join(f"shard {index}: {count} attempts"
-                      for index, count in sorted(attempts.items())
-                      if count > 1)
-    return f"{releases} re-lease(s) ({noisy})"
 
 
 __all__ = [
@@ -279,5 +272,4 @@ __all__ = [
     "SurveyJob",
     "TERMINAL_STATES",
     "VALID_TRANSITIONS",
-    "shard_attempt_summary",
 ]

@@ -3,15 +3,15 @@
 A :class:`VantageWorker` is one measurement vantage in the fleet.  Its
 loop is deliberately dumb — everything stateful lives in the coordinator:
 
-1. ask the coordinator for a shard lease;
+1. ask the coordinator for a lease on a job;
 2. build the run the leased :class:`~repro.runspec.RunSpec` describes
    over the job's targets — the same ``spec.build(...).execute(...)``
    call ``tracenet survey``/``tracenet radar`` make, so a job's archive
    is the bytes that command writes;
 3. execute it (a checkpointing survey, or radar rounds for a radar
-   job), streaming session events and incremental registry snapshots
-   back to the coordinator and heartbeating on every completed target;
-4. deliver the plain shard payload; repeat until no work is left.
+   job), streaming session events back to the coordinator and
+   heartbeating on every completed target;
+4. deliver the plain job payload; repeat until no work is left.
 
 Workers run as daemon threads under :class:`ServiceFleet`.  Threads (not
 processes) because the coordinator protocol is plain method calls and the
@@ -21,7 +21,7 @@ fencing (:class:`~repro.service.coordinator.StaleLeaseError`) and the
 checkpoint-aligned commit protocol are designed for exactly that.
 
 Worker death is first-class: ``fail_after_targets`` makes a worker raise
-:class:`WorkerCrashed` mid-shard and die *silently* — no fail() call, no
+:class:`WorkerCrashed` mid-job and die *silently* — no fail() call, no
 cleanup — which is how the tests and the CI smoke lane exercise the
 missed-heartbeat → re-lease → checkpoint-resume recovery path end to end.
 """
@@ -35,9 +35,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..events import CheckpointWritten, SessionEvent, SurveyProgressed, \
     TraceFinished, event_to_dict
 from ..mapping.store import archive_to_dict
-from ..metrics import MetricsRegistry, MetricsSink
 from ..tracing import SpanBuilder
-from .coordinator import Coordinator, ShardTask, StaleLeaseError
+from .coordinator import Coordinator, LeaseTask, StaleLeaseError
 
 #: Flush the event stream to the coordinator at least this often.
 DEFAULT_STREAM_EVERY = 256
@@ -55,31 +54,21 @@ class StreamingEventSink:
     and, crucially, on every :class:`CheckpointWritten` — synchronously,
     before the survey proceeds — so the coordinator's commit log always
     holds the events backing any checkpoint that exists on disk.
-
-    The sink also maintains its own :class:`MetricsRegistry` fed through a
-    private :class:`MetricsSink`; each flush ships the registry's current
-    ``to_dict()`` as the incremental snapshot — a monotone, deterministic
-    view of the shard so far that the coordinator exposes for live
-    introspection (``tracenet jobs`` while a survey runs).
     """
 
     #: The flush callback raises StaleLeaseError to fence a dead worker —
     #: control flow, not a sink defect; the bus must not swallow it.
     propagate_errors = True
 
-    def __init__(self, flush: Callable[[List[Dict], Dict], None],
+    def __init__(self, flush: Callable[[List[Dict]], None],
                  every: int = DEFAULT_STREAM_EVERY):
         if every < 1:
             raise ValueError(f"flush cadence must be >= 1, got {every}")
         self._flush = flush
         self.every = every
         self.buffer: List[Dict] = []
-        self.registry = MetricsRegistry()
-        self._metrics_sink = MetricsSink(self.registry)
-        self.flushes = 0
 
     def __call__(self, event: SessionEvent) -> None:
-        self._metrics_sink(event)
         self.buffer.append(event_to_dict(event))
         if len(self.buffer) >= self.every or isinstance(event,
                                                         CheckpointWritten):
@@ -89,8 +78,7 @@ class StreamingEventSink:
         if not self.buffer:
             return
         batch, self.buffer = self.buffer, []
-        self.flushes += 1
-        self._flush(batch, self.registry.to_dict())
+        self._flush(batch)
 
 
 class VantageWorker:
@@ -104,7 +92,7 @@ class VantageWorker:
             flush regardless).
         fail_after_targets: when set, the worker raises
             :class:`WorkerCrashed` after completing this many targets of
-            its current shard and dies without telling the coordinator —
+            its current job and dies without telling the coordinator —
             fault-injection for the re-lease/resume path.
     """
 
@@ -118,8 +106,6 @@ class VantageWorker:
         self.stream_every = stream_every
         self.fail_after_targets = fail_after_targets
         self.crashed = False
-        self.shards_completed = 0
-        self.shards_abandoned = 0
 
     # -- the fleet loop --------------------------------------------------
 
@@ -137,9 +123,8 @@ class VantageWorker:
             try:
                 self._run_task(task)
             except StaleLeaseError:
-                # The coordinator gave this shard away (we were presumed
+                # The coordinator gave this job away (we were presumed
                 # dead).  Abandon it: the new holder's results win.
-                self.shards_abandoned += 1
                 continue
             except WorkerCrashed:
                 # Die silently, exactly like a killed process: no fail()
@@ -147,13 +132,12 @@ class VantageWorker:
                 self.crashed = True
                 return
 
-    # -- one leased shard ------------------------------------------------
+    # -- one leased job --------------------------------------------------
 
-    def _run_task(self, task: ShardTask) -> None:
+    def _run_task(self, task: LeaseTask) -> None:
         stream = StreamingEventSink(
-            lambda events, metrics: self.coordinator.stream(
-                self.worker_id, task.job_id, task.shard_index,
-                task.attempt, events, metrics),
+            lambda events: self.coordinator.stream(
+                self.worker_id, task.job_id, task.attempt, events),
             every=self.stream_every)
         sinks = [stream, self._heartbeat_sink(task)]
         if self.fail_after_targets is not None:
@@ -163,17 +147,15 @@ class VantageWorker:
         except (StaleLeaseError, WorkerCrashed):
             raise
         except Exception as exc:
-            self.coordinator.fail(self.worker_id, task.job_id,
-                                  task.shard_index, task.attempt,
+            self.coordinator.fail(self.worker_id, task.job_id, task.attempt,
                                   f"{type(exc).__name__}: {exc}")
             return
         stream.flush()
-        self.coordinator.complete(self.worker_id, task.job_id,
-                                  task.shard_index, task.attempt, payload)
-        self.shards_completed += 1
+        self.coordinator.complete(self.worker_id, task.job_id, task.attempt,
+                                  payload)
 
-    def _heartbeat_sink(self, task: ShardTask):
-        # Radar shards run through RadarRunner, which emits no
+    def _heartbeat_sink(self, task: LeaseTask):
+        # Radar jobs run through RadarRunner, which emits no
         # SurveyProgressed/CheckpointWritten — heartbeat per finished
         # trace instead so long radar jobs don't get reaped mid-round.
         kinds = ((SurveyProgressed, CheckpointWritten, TraceFinished)
@@ -183,29 +165,27 @@ class VantageWorker:
         def sink(event: SessionEvent) -> None:
             if isinstance(event, kinds):
                 self.coordinator.heartbeat(self.worker_id, task.job_id,
-                                           task.shard_index, task.attempt)
+                                           task.attempt)
         # StaleLeaseError from a fenced heartbeat is control flow, not a
         # sink defect — it must reach the worker loop.
         sink.propagate_errors = True
         return sink
 
 
-def _execute(task: ShardTask, sinks: Sequence) -> Dict:
-    """Run one leased shard; return its plain payload.
+def _execute(task: LeaseTask, sinks: Sequence) -> Dict:
+    """Run one leased job; return its plain payload.
 
     A radar job's ``archive`` is its final round's map and ``"radar"``
     holds the round summary and diffs.  Radar rounds carry state, so there
-    is no checkpoint: recovery re-runs the shard, which is deterministic
+    is no checkpoint: recovery re-runs the job, which is deterministic
     in (spec, targets).  Violations are judged and counters kept once,
     centrally, over the job's committed event stream; the payload ships
     only the worker's clocked span tree.
     """
     radar = task.spec.shape == "radar"
     run = task.spec.build(targets=task.targets)
-    tracer = SpanBuilder(
-        clock=time.perf_counter, root_kind="shard",
-        root_name=f"{'radar-' if radar else ''}shard-{task.shard_index}",
-        meta={"shard": task.shard_index})
+    tracer = SpanBuilder(clock=time.perf_counter, root_kind="job",
+                         root_name=task.job_id)
     outcome = run.execute(checkpoint_path=task.checkpoint_path,
                           checkpoint_every=task.checkpoint_every,
                           sinks=sinks, tracer=tracer)

@@ -10,7 +10,7 @@ Two coordinated planes over the session-event stream:
   :meth:`repro.metrics.MetricsRegistry.snapshot`;
 * the **timing plane** annotates the same spans with monotonic-clock
   stamps when a live builder is given a clock, stitches coordinator job →
-  shard-lease → worker trace spans across the service seam
+  lease → worker trace spans across the service seam
   (:class:`ServiceSpanAssembler`), and exports Chrome trace-event JSON
   (:func:`chrome_trace`) plus a critical-path / heuristic-attribution
   report (:mod:`repro.tracing.critical`).
@@ -39,8 +39,7 @@ from .export import (
 )
 from .offline import span_tree_from_journal
 from .service import (
-    ATTEMPT_KEY,
-    SHARD_KEY,
+    LEASE_KEY,
     ServiceSpanAssembler,
     is_service_payload,
     service_span_tree,
@@ -48,8 +47,7 @@ from .service import (
 from .spans import Span, SpanBuilder, span_tree_from_events
 
 __all__ = [
-    "ATTEMPT_KEY",
-    "SHARD_KEY",
+    "LEASE_KEY",
     "ServiceSpanAssembler",
     "Span",
     "SpanBuilder",

@@ -7,7 +7,7 @@ when a level has untimed children — the deterministic plane, or worker
 trace spans stitched from streamed events — the walk falls back to rolled
 up probe cost, which is the paper's own currency (Section 3.6 prices
 everything in probes).  A service job therefore reports the slowest
-job → shard-lease chain by wall clock and continues into its slowest
+job → lease chain by wall clock and continues into its slowest
 trace by probe weight.
 
 The heuristic attribution table answers "where did the probes go, rule by
@@ -135,7 +135,7 @@ def render_summary(root: Span) -> str:
              f"{root.total('subnets')} subnets",
              f"{traces} traces"]
     if leases:
-        parts.insert(1, f"{leases} shard leases")
+        parts.insert(1, f"{leases} leases")
     if root.duration is not None:
         parts.append(f"{root.duration:.3f} s")
     return "  ".join(parts)

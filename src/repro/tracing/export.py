@@ -7,9 +7,9 @@ plane) are skipped: a flamegraph of structure without durations would be
 fiction.
 
 For service runs, :func:`chrome_trace_for_service` lays the coordinator's
-job/lease spans on pid 0 and each completed shard's worker-side timed tree
-on its own pid — worker clocks are monotonic but mutually unrelated, so
-each tree keeps its own timebase (normalized to its root) instead of
+job/lease spans on pid 0 and the completing worker's timed tree on pid 1 —
+the worker's clock is monotonic but unrelated to the coordinator's, so
+its tree keeps its own timebase (normalized to its root) instead of
 being force-fit onto the coordinator's.
 """
 
@@ -67,23 +67,18 @@ def chrome_trace(root: Span, pid: int = 0, tid: int = 0) -> Dict:
 
 
 def chrome_trace_for_service(job_root: Span,
-                             worker_spans: Optional[Dict[int, Dict]] = None,
-                             ) -> Dict:
-    """Job + lease spans (pid 0) plus per-shard worker trees (pid 1+N).
+                             worker_spans: Optional[Dict] = None) -> Dict:
+    """Job + lease spans (pid 0) plus the worker's own tree (pid 1).
 
-    ``worker_spans`` maps shard index → the worker's timed span tree as a
-    plain dict (``Span.to_dict(timing=True)``), the form it crosses the
-    service seam in.
+    ``worker_spans`` is the worker's timed span tree as a plain dict
+    (``Span.to_dict(timing=True)``), the form it crosses the service seam
+    in.
     """
-    events: List[Dict] = []
     origin = job_root.start if job_root.start is not None else 0.0
-    events.extend(chrome_trace_events(job_root, pid=0, tid=0, origin=origin))
-    for shard in sorted(worker_spans or {}):
-        payload = (worker_spans or {})[shard]
-        if not payload:
-            continue
-        tree = Span.from_dict(payload)
-        events.extend(chrome_trace_events(tree, pid=1 + shard, tid=shard))
+    events = chrome_trace_events(job_root, pid=0, tid=0, origin=origin)
+    if worker_spans:
+        events.extend(chrome_trace_events(Span.from_dict(worker_spans),
+                                          pid=1, tid=0))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

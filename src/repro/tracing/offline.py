@@ -11,7 +11,7 @@ records and derives the identical tree a live builder produced:
 * a **session-event journal** (``--events``): the stream is fed straight
   through a builder;
 * a **service job journal** (the coordinator's committed ``events.jsonl``,
-  shard/attempt-annotated): demuxed through a
+  lease-annotated): demuxed through a
   :class:`~repro.tracing.service.ServiceSpanAssembler` into the job →
   lease → trace tree the coordinator assembled live at commit time.
 """
@@ -22,7 +22,7 @@ import json
 from typing import Dict, List, Optional
 
 from ..events import event_from_dict
-from .service import SHARD_KEY, ServiceSpanAssembler
+from .service import is_service_payload, service_span_tree
 from .spans import Span, SpanBuilder
 
 
@@ -41,11 +41,8 @@ def span_tree_from_journal(path: str,
 
     if journal_kind(path) == "events":
         payloads = _load_event_payloads(path)
-        if any(SHARD_KEY in payload for payload in payloads):
-            assembler = ServiceSpanAssembler()
-            for payload in payloads:
-                assembler.feed(payload)
-            return assembler.finish()
+        if any(is_service_payload(payload) for payload in payloads):
+            return service_span_tree(payloads)
         builder = SpanBuilder()
         for payload in payloads:
             builder(event_from_dict(payload))

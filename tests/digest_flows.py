@@ -13,6 +13,9 @@ leaves behind:
   (backend counters and the timing plane are excluded);
 * ``spans`` — the ``--spans-out`` deterministic span tree.
 
+A service flow (``submit`` then ``serve --workers 1``) hashes the job's
+``archive.json``, its committed ``events.jsonl`` and its ``spans.json``.
+
 ``tests/test_digests.py`` re-derives every digest and compares it with
 ``tests/digests.json``.  Regenerate the file only for an intended behaviour
 change::
@@ -36,7 +39,7 @@ DIGESTS_PATH = os.path.join(HERE, "digests.json")
 
 #: flow name -> the collection's argv.  A survey's archive comes from a
 #: second, checkpointed run of the same argv (``--checkpoint-dir`` cannot
-#: be combined with ``--record``).
+#: be combined with ``--record``).  A ``submit`` argv is a service flow.
 FLOWS: Dict[str, List[str]] = {
     "trace-figure3-icmp": ["trace", "--scenario", "figure3",
                            "--protocol", "icmp", "--json"],
@@ -50,6 +53,7 @@ FLOWS: Dict[str, List[str]] = {
                                     "--seed", "7", "--batch-window", "4"],
     "radar-geant-drop-0.05": ["radar", "--network", "geant",
                               "--drop-rate", "0.05"],
+    "serve-geant": ["submit", "--network", "geant", "--seed", "7"],
 }
 
 
@@ -71,10 +75,10 @@ def _dir_sha(path: str) -> str:
     return digest.hexdigest()
 
 
-def _cli(argv: List[str]) -> bytes:
+def _cli(argv: List[str], cwd: Optional[str] = None) -> bytes:
     env = dict(os.environ, PYTHONPATH=SRC)
     completed = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *argv], env=env,
+        [sys.executable, "-m", "repro.cli", *argv], env=env, cwd=cwd,
         capture_output=True, check=False)
     if completed.returncode != 0:
         raise RuntimeError(
@@ -83,9 +87,26 @@ def _cli(argv: List[str]) -> bytes:
     return completed.stdout
 
 
+def _service_digests(name: str, workdir: str) -> Dict[str, str]:
+    """Queue the flow's job, drain it with one worker and hash the job's
+    artifacts.  The queue path is relative to ``workdir``, so the
+    checkpoint path the committed journal records is the same in every
+    directory."""
+    queue = f"{name}.queue"
+    _cli([*FLOWS[name], "--queue", queue], cwd=workdir)
+    _cli(["serve", "--queue", queue, "--workers", "1"], cwd=workdir)
+    job_dir = os.path.join(workdir, queue, "job-0001")
+    return {key: _file_sha(os.path.join(job_dir, filename))
+            for key, filename in (("archive", "archive.json"),
+                                  ("events", "events.jsonl"),
+                                  ("spans", "spans.json"))}
+
+
 def flow_digests(name: str, workdir: str) -> Dict[str, str]:
-    """Run one flow in ``workdir`` and hash its five outputs."""
+    """Run one flow in ``workdir`` and hash its outputs."""
     argv = FLOWS[name]
+    if argv[0] == "submit":
+        return _service_digests(name, workdir)
     paths = {key: os.path.join(workdir, f"{name}.{key}")
              for key in ("journal", "events", "metrics", "spans", "out")}
     stdout = _cli([*argv,

@@ -2,7 +2,8 @@
 
 ``tests/digests.json`` holds SHA-256 digests of the journal, archive,
 event stream, deterministic metrics and span tree of the reference CLI
-flows in ``tests/digest_flows.py``.  A refactor that claims to change no
+flows in ``tests/digest_flows.py``, and of the archive, committed event
+journal and span tree of a one-worker service job.  A refactor that claims to change no
 behaviour must leave every one of them unchanged.
 """
 
@@ -18,6 +19,13 @@ with open(DIGESTS_PATH, "r", encoding="utf-8") as _fp:
 
 def test_every_flow_is_pinned():
     assert sorted(PINNED) == sorted(FLOWS)
+
+
+def test_service_job_archive_is_the_survey_archive():
+    """A fleet job's archive is the bytes ``tracenet survey
+    --checkpoint-dir`` writes for the same network and seed."""
+    assert PINNED["serve-geant"]["archive"] == \
+        PINNED["survey-geant"]["archive"]
 
 
 @pytest.mark.parametrize("flow", sorted(FLOWS))

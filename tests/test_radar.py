@@ -264,7 +264,7 @@ class TestRadarService:
         result = self._run_job(spec, targets)
         assert len(result.radar["rounds"]) == 3
         assert result.radar["rounds"][0]["full"]
-        assert result.worker_spans[0]["name"] == "radar-shard-0"
+        assert result.worker_spans["name"] == result.job.job_id
         # The job's archive is the final round's, as a CLI radar run of
         # the same description collects it.
         outcome = spec.build(targets=targets).execute()

@@ -6,15 +6,16 @@ Four layers of coverage:
   fencing, and the checkpoint-aligned event commit log, all driven
   deterministically with a manual clock and no threads;
 * the fault-tolerance proof — a real two-worker fleet where one worker
-  dies mid-shard, asserting the job completes via re-lease + checkpoint
+  dies mid-job, asserting the job completes via re-lease + checkpoint
   resume, the archive matches a serial run, and the coordinator's
   streamed registry equals an offline replay of the committed event
   journal (live == replay parity across worker death);
 * determinism — a job's archive is a pure function of the job: identical
   jobs give identical bytes on any fleet size, and jobs over different
   networks reproduce their own ``Run.execute``;
-* compatibility — queues written when jobs split into several shards, or
-  when job specs embedded a serialized topology, still load and run.
+* compatibility — queues written when jobs split into several shards,
+  when job specs embedded a serialized topology, or when a job could be
+  recorded ``merging``, still load and run.
 """
 
 import json
@@ -39,7 +40,6 @@ from repro.service import (
     StaleLeaseError,
     SurveyJob,
     VantageWorker,
-    shard_attempt_summary,
 )
 from repro.topogen import internet2
 
@@ -82,7 +82,6 @@ class TestJobQueue:
         with pytest.raises(InvalidTransition):
             queue.transition("job-0001", JobState.DONE)
         queue.transition("job-0001", JobState.RUNNING)
-        queue.transition("job-0001", JobState.MERGING)
         queue.transition("job-0001", JobState.DONE)
         with pytest.raises(InvalidTransition):
             queue.transition("job-0001", JobState.FAILED)
@@ -120,10 +119,6 @@ class TestJobQueue:
         # recovery is journaled too: a third open sees queued directly
         assert JobQueue(path).get("job-0001").state is JobState.QUEUED
 
-    def test_attempt_summary(self):
-        assert shard_attempt_summary({0: 1, 1: 1}) == "no re-leases"
-        assert "shard 1: 3 attempts" in shard_attempt_summary({0: 1, 1: 3})
-
 
 class FakeClock:
     def __init__(self):
@@ -143,16 +138,14 @@ class TestLeaseProtocol:
         job = coordinator.submit(spec, targets, **submit_options)
         return coordinator, clock, job
 
-    def test_lease_grants_distinct_shards(self, spec, targets, tmp_path):
-        # A job is one shard over its whole target list; a second job
-        # is the next distinct shard a second worker can lease.
+    def test_lease_grants_distinct_jobs(self, spec, targets, tmp_path):
+        # A job is leased whole, over its whole target list; a second job
+        # is the next distinct lease a second worker can take.
         coordinator, _, job = self.make_coordinator(spec, targets, tmp_path)
         other = coordinator.submit(spec, targets)
         first = coordinator.lease("w0")
         second = coordinator.lease("w1")
-        assert [(first.job_id, first.shard_index),
-                (second.job_id, second.shard_index)] == \
-            [(job.job_id, 0), (other.job_id, 0)]
+        assert [first.job_id, second.job_id] == [job.job_id, other.job_id]
         assert first.targets == list(targets)
         assert first.attempt == 1
         assert coordinator.lease("w2") is None
@@ -164,28 +157,22 @@ class TestLeaseProtocol:
             spec, targets, tmp_path)
         task = coordinator.lease("w0")
         clock.now += 3.0
-        coordinator.heartbeat("w0", task.job_id, task.shard_index,
-                              task.attempt)
+        coordinator.heartbeat("w0", task.job_id, task.attempt)
         clock.now += 6.0  # beyond the 5s timeout
         expired = coordinator.reap()
         assert [lease.worker_id for lease in expired] == ["w0"]
-        # the shard rejoins the pending list with attempt 2; the old
-        # attempt is fenced
+        # the job is pending again for attempt 2; the old attempt is fenced
         retaken = coordinator.lease("w1")
-        assert retaken.shard_index == task.shard_index
+        assert retaken.job_id == task.job_id
         assert retaken.attempt == 2
         with pytest.raises(StaleLeaseError):
-            coordinator.heartbeat("w0", task.job_id, task.shard_index,
-                                  task.attempt)
+            coordinator.heartbeat("w0", task.job_id, task.attempt)
         with pytest.raises(StaleLeaseError):
-            coordinator.fail("w0", task.job_id, task.shard_index,
-                             task.attempt, "boom")
+            coordinator.fail("w0", task.job_id, task.attempt, "boom")
         with pytest.raises(StaleLeaseError):
-            coordinator.stream("w0", task.job_id, task.shard_index,
-                               task.attempt, [])
+            coordinator.stream("w0", task.job_id, task.attempt, [])
         with pytest.raises(StaleLeaseError):
-            coordinator.complete("w0", task.job_id, task.shard_index,
-                                 task.attempt, {})
+            coordinator.complete("w0", task.job_id, task.attempt, {})
         assert coordinator.queue.get(job.job_id).state is JobState.RUNNING
 
     def test_exhausted_attempts_fail_the_job(self, spec, targets, tmp_path):
@@ -198,7 +185,6 @@ class TestLeaseProtocol:
             coordinator.reap()
         failed = coordinator.queue.get(job.job_id)
         assert failed.state is JobState.FAILED
-        assert f"shard {task.shard_index}" in failed.error
         assert "2 attempts" in failed.error
         assert f"{len(targets)} targets" in failed.error
         assert "checkpoint" in failed.error
@@ -207,10 +193,9 @@ class TestLeaseProtocol:
     def test_worker_fail_report_requeues(self, spec, targets, tmp_path):
         coordinator, _, job = self.make_coordinator(spec, targets, tmp_path)
         task = coordinator.lease("w0")
-        coordinator.fail("w0", task.job_id, task.shard_index, task.attempt,
-                         "ValueError: boom")
+        coordinator.fail("w0", task.job_id, task.attempt, "ValueError: boom")
         retaken = coordinator.lease("w0")
-        assert retaken.shard_index == task.shard_index
+        assert retaken.job_id == task.job_id
         assert retaken.attempt == 2
 
     def test_stream_commits_only_up_to_checkpoint_marker(self, spec,
@@ -224,21 +209,20 @@ class TestLeaseProtocol:
                  "response_source": 2}
         marker = {"event": "CheckpointWritten", "path": "x.json",
                   "completed_targets": 1, "traces": 1}
-        coordinator.stream("w0", task.job_id, task.shard_index,
-                           task.attempt, [probe, marker, probe])
+        coordinator.stream("w0", task.job_id, task.attempt,
+                           [probe, marker, probe])
         runtime = coordinator._runtimes[task.job_id]
         assert len(runtime.committed_events) == 2    # probe + marker
-        # Intake annotates every record with the lease that produced it.
-        annotated = {**probe, "shard": task.shard_index,
-                     "attempt": task.attempt}
-        assert runtime.uncommitted[task.shard_index] == [annotated]
-        assert all(record["shard"] == task.shard_index
-                   and record["attempt"] == task.attempt
-                   for record in runtime.committed_events)
+        assert runtime.uncommitted == [probe]
+        # The commit log annotates every record with the lease that
+        # produced it, under a key no event field uses.
+        assert [record.pop("lease") for record in
+                runtime.committed_events] == [task.attempt] * 2
+        assert runtime.committed_events == [probe, marker]
         # lease expiry discards the uncommitted tail
         clock.now += 10.0
         coordinator.reap()
-        assert task.shard_index not in runtime.uncommitted
+        assert runtime.uncommitted == []
         assert len(runtime.committed_events) == 2
 
     def test_stream_cut_lands_after_marker_in_later_batch(self, spec,
@@ -253,21 +237,19 @@ class TestLeaseProtocol:
                   "completed_targets": 1, "traces": 1}
 
         def stream(batch):
-            coordinator.stream("w0", task.job_id, task.shard_index,
-                               task.attempt, batch)
+            coordinator.stream("w0", task.job_id, task.attempt, batch)
 
         runtime = coordinator._runtimes[task.job_id]
         # A marker-less batch stays pending in full.
         stream(probes[:3])
         assert runtime.committed_events == []
-        assert len(runtime.uncommitted[task.shard_index]) == 3
+        assert len(runtime.uncommitted) == 3
         # The next batch's mid-batch marker commits everything up to and
         # including it: the three pending probes, one new probe, the marker.
         stream([probes[3], marker, probes[4]])
         assert [record["event"] for record in runtime.committed_events] == \
             ["ProbeSent"] * 4 + ["CheckpointWritten"]
-        assert [record["ttl"] for record in
-                runtime.uncommitted[task.shard_index]] == [5]
+        assert [record["ttl"] for record in runtime.uncommitted] == [5]
 
 
 class TestServiceEndToEnd:
@@ -294,9 +276,9 @@ class TestServiceEndToEnd:
         result = coordinator.result(job.job_id)
         assert archive_to_dict(result.archive) == \
             archive_to_dict(serial_archive)
-        assert result.attempts == {0: 1}
+        assert result.attempts == 1
         assert result.stats.sent > 0
-        # The coordinator's streamed registry totals the shard.
+        # The coordinator's streamed registry totals the job.
         assert result.metrics.value("probes_sent_total") == result.stats.sent
         assert result.metrics.value("traces_finished_total") == len(targets)
 
@@ -304,8 +286,8 @@ class TestServiceEndToEnd:
                                                tmp_path, serial_archive):
         """The PR's fault-tolerance proof.
 
-        Worker w0 dies silently mid-shard.  The coordinator must detect it
-        by missed heartbeats, re-lease the shard, and the successor must
+        Worker w0 dies silently mid-job.  The coordinator must detect it
+        by missed heartbeats, re-lease the job, and the successor must
         resume from the job's checkpoint — ending with (a) an archive
         equivalent to the serial run and (b) a streamed registry
         equal to an offline replay of the committed event journal.
@@ -316,7 +298,7 @@ class TestServiceEndToEnd:
         job = coordinator.queue.get(job.job_id)
         assert job.state is JobState.DONE, job.error
         result = coordinator.result(job.job_id)
-        assert max(result.attempts.values()) > 1, "expected a re-lease"
+        assert result.attempts > 1, "expected a re-lease"
         assert archives_equivalent(serial_archive, result.archive)
         # live == replay parity over the committed event journal
         replayed = registry_from_events(
@@ -430,6 +412,30 @@ class TestOldQueues:
         capsys.readouterr()
         assert main(["jobs", "--queue", str(tmp_path)]) == 0
         assert "job-0001  done" in capsys.readouterr().out
+
+    def test_merging_state_record_recovers_and_serves(
+            self, spec, targets, tmp_path, serial_archive):
+        """A queue journal that recorded the ``merging`` state (between a
+        job's last lease and its result) when the serve died: the job
+        loads as mid-flight, recovery demotes it to queued, and it serves
+        to done."""
+        records = [{"record": "job", "job": make_job(spec, targets).to_dict()},
+                   {"record": "state", "job_id": "job-0001",
+                    "state": "running", "error": None},
+                   {"record": "state", "job_id": "job-0001",
+                    "state": "merging", "error": None}]
+        path = tmp_path / "queue.jsonl"
+        path.write_text(
+            "".join(json.dumps(record) + "\n" for record in records))
+        queue = JobQueue(str(path))
+        assert queue.get("job-0001").state is JobState.RUNNING
+        assert [job.job_id for job in queue.recover()] == ["job-0001"]
+        assert queue.get("job-0001").state is JobState.QUEUED
+        assert main(["serve", "--queue", str(tmp_path),
+                     "--workers", "1"]) == 0
+        assert JobQueue(str(path)).get("job-0001").state is JobState.DONE
+        archive = load_archive(str(tmp_path / "job-0001" / "archive.json"))
+        assert archive_to_dict(archive) == archive_to_dict(serial_archive)
 
     def _embedded_topology_queue(self, network, targets, tmp_path,
                                  metadata, radar=None, **spec_fields):

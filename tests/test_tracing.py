@@ -333,10 +333,9 @@ class TestChromeExport:
 
     def test_service_document_separates_worker_timebases(self):
         job = _timed("job", "job", 100.0, 110.0)
-        job.children = [_timed("lease", "shard-0-attempt-1", 101.0, 109.0)]
-        worker_tree = _timed("shard", "shard-0", 5000.0, 5009.0)
-        doc = chrome_trace_for_service(
-            job, {0: worker_tree.to_dict(timing=True)})
+        job.children = [_timed("lease", "lease-1", 101.0, 109.0)]
+        worker_tree = _timed("job", "job-0001", 5000.0, 5009.0)
+        doc = chrome_trace_for_service(job, worker_tree.to_dict(timing=True))
         pids = {event["pid"] for event in doc["traceEvents"]}
         assert pids == {0, 1}
         # Each pid keeps its own origin: both trees start at ts == 0.
