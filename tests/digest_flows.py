@@ -11,10 +11,14 @@ leaves behind:
 * ``events`` — the ``--events`` session-event JSONL;
 * ``metrics`` — the deterministic ``metrics`` section of ``--metrics-out``
   (backend counters and the timing plane are excluded);
-* ``spans`` — the ``--spans-out`` deterministic span tree.
+* ``spans`` — the ``--spans-out`` deterministic span tree;
+* ``map`` — the collected map alone: the
+  :func:`~repro.mapping.store.archive_signature` of the archive (of every
+  radar round, in order), so probe counts may move while it stays put.
 
 A service flow (``submit`` then ``serve --workers 1``) hashes the job's
-``archive.json``, its committed ``events.jsonl`` and its ``spans.json``.
+``archive.json`` (and its map), its committed ``events.jsonl`` and its
+``spans.json``.
 
 ``tests/test_digests.py`` re-derives every digest and compares it with
 ``tests/digests.json``.  Regenerate the file only for an intended behaviour
@@ -32,6 +36,14 @@ import subprocess
 import sys
 import tempfile
 from typing import Dict, List, Optional
+
+from repro.mapping.store import (
+    CollectionArchive,
+    archive_signature,
+    load_archive,
+    subnet_from_dict,
+    trace_from_dict,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
@@ -75,6 +87,29 @@ def _dir_sha(path: str) -> str:
     return digest.hexdigest()
 
 
+def _map_sha(archives: List[CollectionArchive]) -> str:
+    return _sha(json.dumps([archive_signature(a) for a in archives],
+                           sort_keys=True).encode())
+
+
+def _trace_archive(payload: Dict):
+    """A ``trace --json`` result as a one-trace archive."""
+    subnets = {}
+    for hop in payload["hops"]:
+        subnet = hop["subnet"]
+        if subnet is not None:
+            subnets[subnet["prefix"]] = subnet_from_dict({
+                **subnet, "pivot_distance": None,
+                "prefix_length": int(subnet["prefix"].split("/")[1])})
+    return CollectionArchive(vantage=payload["vantage"],
+                             subnets=list(subnets.values()),
+                             traces=[trace_from_dict(payload)])
+
+
+def _load_archives(*paths: str) -> List[CollectionArchive]:
+    return [load_archive(path) for path in paths]
+
+
 def _cli(argv: List[str], cwd: Optional[str] = None) -> bytes:
     env = dict(os.environ, PYTHONPATH=SRC)
     completed = subprocess.run(
@@ -96,10 +131,13 @@ def _service_digests(name: str, workdir: str) -> Dict[str, str]:
     _cli([*FLOWS[name], "--queue", queue], cwd=workdir)
     _cli(["serve", "--queue", queue, "--workers", "1"], cwd=workdir)
     job_dir = os.path.join(workdir, queue, "job-0001")
-    return {key: _file_sha(os.path.join(job_dir, filename))
-            for key, filename in (("archive", "archive.json"),
-                                  ("events", "events.jsonl"),
-                                  ("spans", "spans.json"))}
+    digests = {key: _file_sha(os.path.join(job_dir, filename))
+               for key, filename in (("archive", "archive.json"),
+                                     ("events", "events.jsonl"),
+                                     ("spans", "spans.json"))}
+    digests["map"] = _map_sha(
+        _load_archives(os.path.join(job_dir, "archive.json")))
+    return digests
 
 
 def flow_digests(name: str, workdir: str) -> Dict[str, str]:
@@ -117,11 +155,18 @@ def flow_digests(name: str, workdir: str) -> Dict[str, str]:
                    *(["--out", paths["out"]] if argv[0] == "radar" else [])])
     if argv[0] == "trace":
         archive = _sha(stdout)
+        collected = [_trace_archive(json.loads(stdout))]
     elif argv[0] == "radar":
         archive = _dir_sha(paths["out"])
+        collected = _load_archives(*(
+            os.path.join(paths["out"], name)
+            for name in sorted(os.listdir(paths["out"]))
+            if name.startswith("round-")))
     else:
         _cli([*argv, "--checkpoint-dir", paths["out"]])
         archive = _file_sha(os.path.join(paths["out"], "shard-0.json"))
+        collected = _load_archives(os.path.join(paths["out"],
+                                                "shard-0.json"))
     with open(paths["metrics"], "r", encoding="utf-8") as fp:
         metrics = json.load(fp)["metrics"]
     return {
@@ -130,6 +175,7 @@ def flow_digests(name: str, workdir: str) -> Dict[str, str]:
         "events": _file_sha(paths["events"]),
         "metrics": _sha(json.dumps(metrics, sort_keys=True).encode()),
         "spans": _file_sha(paths["spans"]),
+        "map": _map_sha(collected),
     }
 
 
