@@ -15,12 +15,12 @@ response caching.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..events import DegradedResult, EventBus, TraceFinished, TraceStarted
 from ..netsim.packet import Protocol
 from ..probing.budget import ProbeBudget
-from ..probing.prober import Prober
+from ..probing.prober import Prober, RetryPolicy
 from ..probing.stopset import StopSet
 from ..transport import as_transport
 from ..transport.churn import find_mutating
@@ -65,6 +65,9 @@ class TraceNET:
             Doubletree-style suppression of already-traced path prefixes;
             also probe-economy-changing (probes only ever go down), map-equal
             on the reference networks.
+        retries: the prober's retry rule on silence — the evidence-gated
+            retry-once by default, ``RetryPolicy(gated=False)`` for the
+            paper's retry of every silence.
     """
 
     def __init__(self, network, vantage_host_id: str,
@@ -78,13 +81,14 @@ class TraceNET:
                  disabled_rules: frozenset = frozenset(),
                  events: Optional[EventBus] = None,
                  batch_window: int = 0,
-                 stop_set: Optional[StopSet] = None):
+                 stop_set: Optional[StopSet] = None,
+                 retries: Union[int, RetryPolicy] = 1):
         self.transport = as_transport(network)
         self.events = events if events is not None else EventBus()
         self.vantage_host_id = vantage_host_id
         self.prober = Prober(self.transport, vantage_host_id,
-                             protocol=protocol, budget=budget,
-                             events=self.events)
+                             protocol=protocol, retries=retries,
+                             budget=budget, events=self.events)
         self.max_hops = max_hops
         self.min_prefix_length = min_prefix_length
         self.explore = explore

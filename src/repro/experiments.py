@@ -209,7 +209,7 @@ def run_cross_validation(seed: int = 42, scale: float = 0.4,
     first vantage (rice) therefore matches an independent run.  At the
     defaults umass collects 109 subnets here against 108 on a fresh
     internet, uoregon 106 against 110, and Figure 6's all-three region
-    holds 54 subnets against 75 with fresh buckets.
+    holds 56 subnets against 75 with fresh buckets.
     """
     internet, grouped = _isp_targets(internet, seed, scale, per_isp)
     targets = [t for group in grouped.values() for t in group]
@@ -254,7 +254,7 @@ def run_protocol_comparison(seed: int = 42, scale: float = 0.4,
     The three protocol runs share ``internet.policy`` and so its
     rate-limiter buckets, exactly as the vantages of
     :func:`run_cross_validation` do: UDP and TCP start against buckets
-    the previous run drained.  At the defaults UDP collects 35 subnets
+    the previous run drained.  At the defaults UDP collects 36 subnets
     here against 41 on a fresh internet; ICMP and TCP match.
     """
     internet, grouped = _isp_targets(internet, seed, scale, per_isp)

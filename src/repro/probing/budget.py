@@ -19,12 +19,18 @@ class ProbeBudgetExceeded(RuntimeError):
 
 @dataclass
 class ProbeStats:
-    """Counters for probes issued through one prober."""
+    """Counters for probes issued through one prober.
+
+    ``retries_answered`` counts the retries that drew a response: the
+    session's evidence that re-probing silence pays, which the default
+    :class:`~repro.probing.prober.RetryPolicy` reads.
+    """
 
     sent: int = 0
     responses: int = 0
     silent: int = 0
     retries: int = 0
+    retries_answered: int = 0
     cache_hits: int = 0
     suppressed: int = 0
     by_phase: Dict[str, int] = field(default_factory=dict)
@@ -74,6 +80,7 @@ class ProbeStats:
             "responses": self.responses,
             "silent": self.silent,
             "retries": self.retries,
+            "retries_answered": self.retries_answered,
             "cache_hits": self.cache_hits,
             "suppressed": self.suppressed,
         }
@@ -86,7 +93,8 @@ class ProbeStats:
         """Inverse of :meth:`snapshot` (flat dict -> counters)."""
         stats = cls(**{key: snapshot.get(key, 0)
                        for key in ("sent", "responses", "silent", "retries",
-                                   "cache_hits", "suppressed")})
+                                   "retries_answered", "cache_hits",
+                                   "suppressed")})
         for key, count in snapshot.items():
             if key.startswith("phase:"):
                 stats.by_phase[key[len("phase:"):]] = count
@@ -99,6 +107,8 @@ class ProbeStats:
             responses=self.responses - earlier.responses,
             silent=self.silent - earlier.silent,
             retries=self.retries - earlier.retries,
+            retries_answered=(self.retries_answered
+                              - earlier.retries_answered),
             cache_hits=self.cache_hits - earlier.cache_hits,
             suppressed=self.suppressed - earlier.suppressed,
         )
@@ -114,6 +124,7 @@ class ProbeStats:
             responses=self.responses,
             silent=self.silent,
             retries=self.retries,
+            retries_answered=self.retries_answered,
             cache_hits=self.cache_hits,
             suppressed=self.suppressed,
             by_phase=dict(self.by_phase),

@@ -3,15 +3,28 @@
 Everything above this layer (tracenet, traceroute, ping) sees the network
 exclusively as *probe in, response out* — exactly the contract a raw-socket
 or scapy implementation would have.  The prober adds the operational
-behaviours the paper describes: one re-probe on silence (Section 3.8),
+behaviours the paper describes: re-probing on silence (Section 3.8),
 response caching so merged heuristics don't pay twice for the same answer,
 stable ICMP header fields (Paris-style flow identity), and probe metering.
+
+The paper re-probes every silence once.  The default :class:`RetryPolicy`
+gates that retry on evidence: trace-collection silences are always
+retried, while exploration and positioning silences are retried only
+while some retry of the session has been answered, or during a warm-up of
+``RetryPolicy.WARMUP`` retries.  On a lossless network no retry is ever
+answered, so once the warm-up is spent the exploration and positioning
+retries stop — about 18% of a reference survey's probes, with the same
+map.  Under loss the first answered retry re-arms every phase.  The gate
+reads only the prober's own counters, so a replay of a journal makes the
+same decisions as the live run.  ``RetryPolicy(gated=False)`` is the
+paper's retry-every-silence rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (ClassVar, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..events import CacheHit, EventBus, ProbeBatchSent, ProbeRetried, ProbeSent
 from ..netsim.packet import DEFAULT_TTL, Probe, Protocol, Response
@@ -23,19 +36,32 @@ CacheKey = Tuple[int, int, Protocol]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How silence is retried: attempt count plus optional idle backoff.
+    """How silence is retried: attempt count, idle backoff and the gate.
 
     ``attempts`` is the number of *re*-probes after the first silent send
     (the paper's implementation re-probes once).  ``backoff_ticks`` idles
     the transport clock before each retry — entry ``i`` before retry
-    ``i+1``, the last entry repeating for any further retries.  The default
-    policy is budget-identical to the historical bare ``retries=1``: same
-    wire probes, same charges, no idling, so existing archives stay byte
-    for byte.
+    ``i+1``, the last entry repeating for any further retries.
+
+    ``gated`` (the default) spends a retry on a silence in one of
+    :attr:`GATED_PHASES` only while the session has evidence that retries
+    pay: some retry has been answered, or fewer than :attr:`WARMUP`
+    retries have been sent.  Other phases — trace collection, where an
+    anonymous hop ends a decision — are always retried, and they keep
+    sampling the retry yield.  ``gated=False`` retries every silence, the
+    paper's Section 3.8 rule.
     """
+
+    #: Retries a session sends before an unanswered record closes the gate.
+    WARMUP: ClassVar[int] = 64
+    #: The phases whose silences the gate may leave unretried (the
+    #: ``PHASE_*`` names of :mod:`repro.core`).
+    GATED_PHASES: ClassVar[FrozenSet[str]] = frozenset(
+        {"subnet-exploration", "subnet-positioning"})
 
     attempts: int = 1
     backoff_ticks: Tuple[int, ...] = ()
+    gated: bool = True
 
     def __post_init__(self):
         if self.attempts < 0:
@@ -49,6 +75,12 @@ class RetryPolicy:
         if isinstance(value, cls):
             return value
         return cls(attempts=int(value))
+
+    def allows(self, phase: Optional[str], stats: ProbeStats) -> bool:
+        """Whether a silence in ``phase`` may be retried, given the
+        session's counters so far."""
+        return (not self.gated or phase not in self.GATED_PHASES
+                or stats.retries_answered > 0 or stats.retries < self.WARMUP)
 
     def backoff_for(self, attempt: int) -> int:
         """Idle ticks before retry ``attempt`` (1-based); 0 when none."""
@@ -67,8 +99,8 @@ class Prober:
         vantage_host_id: which registered host the probes originate from.
         protocol: probe transport protocol (Section 4.2 compares all three).
         retries: re-probes on silence — a bare int (the paper's
-            implementation uses 1) or a :class:`RetryPolicy` adding idle
-            backoff between attempts.
+            implementation uses 1; gated as :class:`RetryPolicy` describes)
+            or a :class:`RetryPolicy` choosing the gate and idle backoff.
         use_cache: memoize (dst, ttl) -> response, including silence.
         budget: optional hard probe cap.
         flow_id: constant flow identity (vary per probe for classic
@@ -138,12 +170,16 @@ class Prober:
             return self._cache[key]
         response = self._send_once(dst, ttl, phase, flow_id)
         attempt = 0
-        while response is None and attempt < self.retries:
+        policy, stats = self.retry_policy, self.stats
+        while response is None and attempt < self.retries \
+                and policy.allows(phase, stats):
             attempt += 1
-            self.stats.retries += 1
+            stats.retries += 1
             self._note_retry(dst, ttl, attempt, phase)
-            self.backoff(self.retry_policy.backoff_for(attempt))
+            self.backoff(policy.backoff_for(attempt))
             response = self._send_once(dst, ttl, phase, flow_id)
+            if response is not None:
+                stats.retries_answered += 1
         if self.use_cache and flow_id is None:
             self._cache[key] = response
         return response
@@ -156,7 +192,8 @@ class Prober:
         Per-probe semantics are exactly :meth:`probe`'s — the cache is
         consulted (and populated) identically, the same stats counters move,
         per-probe :class:`~repro.events.ProbeSent` / ``CacheHit`` events
-        fire, silence is retried up to ``retries`` times, the budget is
+        fire, silence is retried up to ``retries`` times where the retry
+        gate allows, the budget is
         charged per wire probe — but the uncached probes travel to the
         transport together through ``send_many``, and each dispatched wire
         batch additionally emits :class:`~repro.events.ProbeBatchSent`.
@@ -200,20 +237,27 @@ class Prober:
                 [requests[i] for i in pending], phase)
             for index, response in zip(pending, responses):
                 results[index] = response
-            # Re-probe silence, batch-wide, with per-probe retry budgets.
+            # Re-probe silence, batch-wide, with per-probe retry budgets;
+            # the gate sees each retry counted as :meth:`probe` would.
+            policy, stats = self.retry_policy, self.stats
             for attempt in range(1, self.retries + 1):
-                silent = [i for i in pending if results[i] is None]
+                silent = []
+                for i in pending:
+                    if results[i] is None and policy.allows(phase, stats):
+                        silent.append(i)
+                        stats.retries += 1
                 if not silent:
                     break
-                self.stats.retries += len(silent)
                 for i in silent:
                     dst, ttl = requests[i]
                     self._note_retry(dst, ttl, attempt, phase)
-                self.backoff(self.retry_policy.backoff_for(attempt))
+                self.backoff(policy.backoff_for(attempt))
                 responses = self._send_many_once(
                     [requests[i] for i in silent], phase)
                 for index, response in zip(silent, responses):
                     results[index] = response
+                    if response is not None:
+                        stats.retries_answered += 1
             if cacheable:
                 for index in pending:
                     dst, ttl = requests[index]

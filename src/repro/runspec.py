@@ -12,6 +12,12 @@ live and ``--replay`` runs, ``tracenet stats`` and ``tracenet spans`` all
 go through here.  Under replay the header is authoritative: a caller's
 value only fills what it does not record, and a contradicting one raises
 :class:`RunSpecError` naming the recorded value.
+
+A survey records its retry rule, ``"retry": "gated"``, among the collector
+options (see :class:`~repro.probing.RetryPolicy`).  A header without one —
+a trace, a radar, or any journal or queue record written before the gate
+existed — runs the paper's retry of every silence, so those journals keep
+replaying byte for byte.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .netsim.addressing import format_ip, parse_ip
 from .netsim.dynamics import MutationSchedule, NetworkDynamics
 from .netsim.engine import Engine
 from .netsim.packet import Protocol
+from .probing import RetryPolicy
 from .radar import RadarRunner
 from .runner import SurveyRunner
 from .topogen import figures, geant, internet2
@@ -131,6 +138,8 @@ class RunSpec:
             collector["batch_window"] = values["batch_window"]
         if values.get("stop_sets"):
             collector["stop_sets"] = True
+        if shape == "survey":
+            collector["retry"] = "gated"
         radar = ({key: values[key] for key in RADAR_DEFAULTS}
                  if shape == "radar" else None)
         return cls(shape, collector=collector, radar=radar,
@@ -208,8 +217,13 @@ class RunSpec:
         return metadata
 
     def tool_kwargs(self) -> Dict:
-        """TraceNET keyword arguments: the protocol and collector options."""
-        kwargs: Dict = {"protocol": Protocol(self.protocol)}
+        """TraceNET keyword arguments: the protocol and collector options
+        (no recorded retry rule means the ungated retry-once)."""
+        retry = self.collector.get("retry")
+        if retry not in (None, "gated"):
+            raise RunSpecError(f"unknown retry rule {retry!r}")
+        kwargs: Dict = {"protocol": Protocol(self.protocol),
+                        "retries": RetryPolicy(gated=retry == "gated")}
         if self.collector.get("batch_window"):
             kwargs["batch_window"] = int(self.collector["batch_window"])
         if self.collector.get("stop_sets"):

@@ -25,6 +25,7 @@ under its own lock.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -137,7 +138,8 @@ def _spec_from_shard_spec(payload: Dict) -> RunSpec:
     """The RunSpec of a job record written when job specs embedded their
     serialized topology: the network and seed come from the record's
     metadata, the vantage and collector options from its spec and the
-    shape from its radar config."""
+    shape from its radar config.  Such a job predates the retry gate, so
+    its description records no retry rule: it runs retry-once."""
     job_id, old = payload["job_id"], payload["spec"]
     network = (payload.get("metadata") or {}).get("network")
     if network is None:
@@ -150,11 +152,14 @@ def _spec_from_shard_spec(payload: Dict) -> RunSpec:
                              f"{value!r}, which a run description "
                              f"cannot express")
     radar = payload.get("radar")
-    return RunSpec.from_flags(
+    spec = RunSpec.from_flags(
         "radar" if radar is not None else "survey", network=network,
         seed=payload["metadata"].get("seed"), vantage=old["vantage"],
         batch_window=old.get("batch_window"),
         stop_sets=old.get("use_stop_sets"), **(radar or {}))
+    collector = {name: value for name, value in spec.collector.items()
+                 if name != "retry"}
+    return dataclasses.replace(spec, collector=collector)
 
 
 class JobQueue:

@@ -13,6 +13,7 @@ contract through :mod:`repro.runspec`, the one builder behind ``--replay``,
 * a flag that contradicts the header makes ``--replay`` exit 2.
 """
 
+import dataclasses
 import json
 import os
 
@@ -21,9 +22,10 @@ import pytest
 from repro.cli import main
 from repro.mapping import archive_to_dict
 from repro.metrics import stats_from_journal
+from repro.probing import RetryPolicy
 from repro.runspec import RunSpec, RunSpecError
 from repro.tracing import span_tree_from_journal
-from repro.transport import ReplayTransport
+from repro.transport import ReplayMismatch, ReplayTransport
 
 #: shape -> (live argv, a flag that contradicts the recorded header).
 SHAPES = {
@@ -154,6 +156,48 @@ class TestHeaders:
         replayed = RunSpec.from_header(transport.metadata).build(
             transport=transport).execute()
         assert archive_to_dict(replayed) == archive_to_dict(live)
+
+    def test_only_survey_headers_record_the_gated_retry(self):
+        specs = {"trace": RunSpec.from_flags("trace", destination=167772161),
+                 "survey": RunSpec.from_flags("survey"),
+                 "radar": RunSpec.from_flags("radar")}
+        assert specs["survey"].header()["collector"] == {"retry": "gated"}
+        assert "collector" not in specs["trace"].header()
+        assert "collector" not in specs["radar"].header()
+        assert {shape: spec.tool_kwargs()["retries"]
+                for shape, spec in specs.items()} == {
+            "trace": RetryPolicy(gated=False), "survey": RetryPolicy(),
+            "radar": RetryPolicy(gated=False)}
+        with pytest.raises(RunSpecError, match="unknown retry rule"):
+            RunSpec("survey", collector={"retry": "twice"}).tool_kwargs()
+
+    def test_header_without_retry_rule_replays_retry_once(self, tmp_path):
+        """A journal written before the retry gate records no rule: it
+        rebuilds the paper's retry of every silence, byte for byte."""
+        gated = RunSpec.from_flags("survey", network="internet2")
+        old = dataclasses.replace(gated, collector={})
+        header = gated.header()
+        assert header.pop("collector") == {"retry": "gated"}
+        assert old.header() == header
+        journal = str(tmp_path / "old.jsonl")
+        live = old.build(record=journal)
+        live_archive = live.execute(events_path=str(tmp_path / "live.jsonl"))
+        stats = live.tool.prober.stats
+        # Enough unanswered retries that the gate would have closed.
+        assert stats.retries_answered == 0 and stats.retries > 10 * (
+            RetryPolicy.WARMUP)
+        transport = ReplayTransport(journal)
+        spec = RunSpec.from_header(transport.metadata)
+        assert spec == old
+        replayed = spec.build(transport=transport).execute(
+            events_path=str(tmp_path / "replay.jsonl"))
+        assert archive_to_dict(replayed) == archive_to_dict(live_archive)
+        assert (tmp_path / "replay.jsonl").read_bytes() == \
+            (tmp_path / "live.jsonl").read_bytes()
+        # The gated rule would not have sent this journal's probes.
+        transport = ReplayTransport(journal)
+        with pytest.raises(ReplayMismatch):
+            gated.build(transport=transport).execute()
 
     def test_radar_header_records_limit_only_when_given(self):
         assert "limit" not in RunSpec.from_flags("radar").header()

@@ -22,7 +22,7 @@ from repro.metrics import (
     render_prometheus,
 )
 from repro.netsim import Engine, TopologyBuilder
-from repro.probing import Prober
+from repro.probing import Prober, RetryPolicy
 from repro.runner import SurveyRunner
 from repro.topogen import geant, internet2
 from repro.transport import (
@@ -274,16 +274,17 @@ class TestAuditor:
 
     def test_forced_violation_on_hostile_lan(self):
         # A sparse /27 LAN (two real members, silence everywhere else)
-        # probed by an aggressive-retry vantage: every silent candidate
-        # burns 1 + retries probes, pushing the subnet past the worst case
-        # over even the candidates it touched.  This is exactly the
+        # probed by an aggressive, ungated-retry vantage: every silent
+        # candidate burns 1 + retries probes, pushing the subnet past the
+        # worst case over even the candidates it touched.  This is exactly the
         # silently-degraded probe economy the live auditor exists to flag.
         builder = TopologyBuilder("hostile")
         builder.link("R1", "R2")
         lan = builder.lan(["R2", "M0"], length=27)
         builder.edge_host("v", "R1")
         topology = builder.build()
-        prober = Prober(Engine(topology), "v", retries=12)
+        prober = Prober(Engine(topology), "v",
+                        retries=RetryPolicy(attempts=12, gated=False))
         inst = instrument(prober.events)
         seen = CollectingSink()
         prober.events.subscribe(seen)

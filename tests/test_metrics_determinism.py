@@ -41,7 +41,8 @@ def _record_survey(targets):
     buffer = io.StringIO()
     transport = RecordingTransport(
         SimulatorTransport(engine), buffer,
-        metadata={"network": "internet2", "seed": SEED, "vantage": VANTAGE})
+        metadata={"network": "internet2", "seed": SEED, "vantage": VANTAGE,
+                  "collector": {"retry": "gated"}})
     tool = TraceNET(transport, VANTAGE)
     registry = MetricsRegistry()
     instrument(tool.events, registry=registry)

@@ -30,8 +30,7 @@ def targets(network):
 
 @pytest.fixture(scope="module")
 def spec():
-    return RunSpec("survey", network="internet2", seed=13,
-                   vantage="utdallas")
+    return RunSpec.from_flags("survey", network="internet2", seed=13)
 
 
 @pytest.fixture(scope="module")

@@ -1,16 +1,42 @@
-"""Unit tests for the probing layer: retries, caching, distance measuring,
-budgets and statistics."""
+"""Unit tests for the probing layer: retries and the retry gate, caching,
+distance measuring, budgets and statistics."""
+
+import io
 
 import pytest
 
 from conftest import address_on
+from repro.core import TraceNET
+from repro.core.collection import PHASE_TRACE
+from repro.core.heuristics import PHASE_EXPLORATION
+from repro.core.positioning import PHASE_POSITIONING
+from repro.events import CollectingSink, ProbeBatchSent, event_to_dict
+from repro.mapping import archive_to_dict
 from repro.netsim import (
     DEFAULT_TTL,
     Engine,
     ResponsePolicy,
     TopologyBuilder,
 )
-from repro.probing import ProbeBudget, ProbeBudgetExceeded, ProbeStats, Prober
+from repro.probing import (
+    ProbeBudget,
+    ProbeBudgetExceeded,
+    ProbeStats,
+    Prober,
+    RetryPolicy,
+)
+from repro.runner import SurveyRunner
+from repro.topogen import internet2
+from repro.transport import (
+    FaultInjectingTransport,
+    RecordingTransport,
+    ReplayTransport,
+    SimulatorTransport,
+)
+
+#: A block nothing in the test topologies answers from.
+SILENT = 0x01010100
+WARMUP = RetryPolicy.WARMUP
 
 
 def chain(n=4, policy=None):
@@ -79,6 +105,137 @@ class TestRetries:
         # and the retry one tick later succeeds.
         assert prober.direct_probe(dst) is not None
         assert prober.stats.retries >= 1
+
+
+def sends_for(prober, dst, phase):
+    """Wire probes one uncached direct probe of ``dst`` costs."""
+    before = prober.stats.sent
+    prober.direct_probe(dst, phase=phase)
+    return prober.stats.sent - before
+
+
+def close_gate(prober):
+    """Spend the warm-up on unanswered exploration retries."""
+    for i in range(WARMUP):
+        assert sends_for(prober, SILENT + i, PHASE_EXPLORATION) == 2
+    assert prober.stats.retries == WARMUP
+    assert prober.stats.retries_answered == 0
+
+
+class TestRetryGate:
+    def test_gated_phases_are_the_collectors_phase_names(self):
+        assert RetryPolicy.GATED_PHASES == {PHASE_EXPLORATION,
+                                            PHASE_POSITIONING}
+
+    def test_gate_closes_for_exploration_and_positioning_only(self):
+        engine, _ = chain()
+        prober = Prober(engine, "v")
+        close_gate(prober)
+        assert sends_for(prober, SILENT + 100, PHASE_EXPLORATION) == 1
+        assert sends_for(prober, SILENT + 101, PHASE_POSITIONING) == 1
+        # Trace-collection silences (and unphased ones) keep retrying.
+        assert sends_for(prober, SILENT + 102, PHASE_TRACE) == 2
+        assert sends_for(prober, SILENT + 103, None) == 2
+        assert sends_for(prober, SILENT + 104, PHASE_EXPLORATION) == 1
+        assert prober.stats.retries == WARMUP + 2
+        assert prober.stats.retries_answered == 0
+
+    def test_ungated_policy_retries_every_silence(self):
+        engine, _ = chain()
+        prober = Prober(engine, "v", retries=RetryPolicy(gated=False))
+        close_gate(prober)
+        assert sends_for(prober, SILENT + 100, PHASE_EXPLORATION) == 2
+        assert sends_for(prober, SILENT + 101, PHASE_POSITIONING) == 2
+
+    def test_one_answered_retry_rearms_every_phase(self):
+        engine, topo = chain()
+        flaky = address_on(topo, "R2", "R1")
+        # Answers every other probe toward ``flaky``: the first, then the
+        # third, and so on.
+        transport = FaultInjectingTransport(SimulatorTransport(engine),
+                                            intermittent={flaky: (1, 1)})
+        prober = Prober(transport, "v")
+        close_gate(prober)
+        assert prober.direct_probe(flaky) is not None
+        assert sends_for(prober, SILENT + 100, PHASE_EXPLORATION) == 1
+        # A trace retry is answered: the second probe drops, the third
+        # gets through.
+        response = prober.probe(flaky, DEFAULT_TTL, phase=PHASE_TRACE,
+                                refresh=True)
+        assert response is not None
+        assert prober.stats.retries_answered == 1
+        assert sends_for(prober, SILENT + 101, PHASE_EXPLORATION) == 2
+        assert sends_for(prober, SILENT + 102, PHASE_POSITIONING) == 2
+        assert sends_for(prober, SILENT + 103, PHASE_TRACE) == 2
+
+    def test_batches_of_one_equal_serial_probes(self):
+        """The gate decides identically in probe() and probe_many()."""
+        def script_run(batched):
+            engine, topo = chain()
+            flaky = address_on(topo, "R3", "R2")
+            transport = FaultInjectingTransport(
+                SimulatorTransport(engine), drop_rate=0.05, seed=3,
+                intermittent={flaky: (1, 1)})
+            prober = Prober(transport, "v")
+            sink = prober.events.subscribe(CollectingSink())
+            # Close the gate, then re-arm it: ``flaky`` answers its
+            # first probe and drops the second, whose retry is answered.
+            script = ([(SILENT + i, DEFAULT_TTL, PHASE_EXPLORATION)
+                       for i in range(70)]
+                      + [(SILENT + 70 + i, DEFAULT_TTL, PHASE_POSITIONING)
+                         for i in range(4)]
+                      + [(flaky, DEFAULT_TTL, PHASE_TRACE),
+                         (SILENT + 80, DEFAULT_TTL, PHASE_TRACE),
+                         (flaky, DEFAULT_TTL - 1, PHASE_TRACE)]
+                      + [(SILENT + 90 + i, DEFAULT_TTL, PHASE_EXPLORATION)
+                         for i in range(8)])
+            answers = []
+            for dst, ttl, phase in script:
+                if batched:
+                    [response] = prober.probe_many([(dst, ttl)],
+                                                   phase=phase)
+                else:
+                    response = prober.probe(dst, ttl, phase=phase)
+                answers.append(None if response is None
+                               else (response.kind, response.source))
+            events = [event_to_dict(e) for e in sink.events
+                      if not isinstance(e, ProbeBatchSent)]
+            return answers, prober.stats.snapshot(), events
+
+        serial, batched = script_run(False), script_run(True)
+        assert batched == serial
+        _, stats, _ = serial
+        # The script ran both with the gate closed and re-armed.
+        assert stats["retries_answered"] >= 1
+        assert stats["retries"] < stats["silent"]
+
+    @pytest.mark.parametrize("drop_rate", [0.0, 0.05])
+    def test_gated_survey_replays_byte_identically(self, drop_rate):
+        network = internet2.build(seed=7)
+        targets = internet2.targets(network, seed=7)
+
+        def survey(transport):
+            tool = TraceNET(transport, "utdallas")
+            sink = tool.events.subscribe(CollectingSink())
+            runner = SurveyRunner(tool)
+            runner.run(targets)
+            return (archive_to_dict(runner.archive),
+                    [event_to_dict(e) for e in sink.events],
+                    tool.prober.stats)
+
+        journal = io.StringIO()
+        live = SimulatorTransport(
+            Engine(network.topology, policy=network.policy))
+        if drop_rate:
+            live = FaultInjectingTransport(live, drop_rate=drop_rate, seed=0)
+        archive, events, stats = survey(RecordingTransport(live, journal))
+        replayed = survey(ReplayTransport(io.StringIO(journal.getvalue())))
+        assert replayed[:2] == (archive, events)
+        assert replayed[2] == stats
+        if drop_rate:
+            assert stats.retries_answered > 0
+        else:
+            assert stats.retries_answered == 0 and stats.retries >= WARMUP
 
 
 class TestCache:

@@ -29,6 +29,7 @@ from repro.events import replay_events
 from repro.mapping import archive_to_dict, archives_equivalent, load_archive
 from repro.metrics import registry_from_events, stats_from_events
 from repro.netsim import Engine, policy_to_dict, topology_to_dict
+from repro.probing import RetryPolicy
 from repro.runner import SurveyRunner
 from repro.runspec import RunSpec
 from repro.service import (
@@ -56,14 +57,17 @@ def targets(network):
 
 @pytest.fixture(scope="module")
 def spec():
-    return RunSpec("survey", network="internet2", seed=13,
-                   vantage="utdallas")
+    return RunSpec.from_flags("survey", network="internet2", seed=13)
 
 
 @pytest.fixture(scope="module")
 def serial_archive(network, targets):
+    return serial_survey(network, targets)
+
+
+def serial_survey(network, targets, **options):
     tool = TraceNET(Engine(network.topology, policy=network.policy),
-                    "utdallas")
+                    "utdallas", **options)
     runner = SurveyRunner(tool)
     runner.run(targets)
     return runner.archive
@@ -413,6 +417,16 @@ class TestOldQueues:
         assert main(["jobs", "--queue", str(tmp_path)]) == 0
         assert "job-0001  done" in capsys.readouterr().out
 
+    def test_job_record_without_retry_rule_runs_retry_once(self, spec,
+                                                          targets):
+        """Job records written before the retry gate carry no rule; they
+        run the paper's retry of every silence, as they did then."""
+        job = make_job(spec, targets).to_dict()
+        assert job["spec"]["collector"].pop("retry") == "gated"
+        old = SurveyJob.from_dict(job).spec
+        assert old.tool_kwargs()["retries"] == RetryPolicy(gated=False)
+        assert spec.tool_kwargs()["retries"] == RetryPolicy()
+
     def test_merging_state_record_recovers_and_serves(
             self, spec, targets, tmp_path, serial_archive):
         """A queue journal that recorded the ``merging`` state (between a
@@ -458,6 +472,9 @@ class TestOldQueues:
 
     def test_embedded_topology_job_serves_like_survey(self, network,
                                                       tmp_path, capsys):
+        """The job records no retry rule, so it runs the paper's retry of
+        every silence: the bytes of that serial survey, the map of
+        ``tracenet survey``."""
         service = tmp_path / "service"
         service.mkdir()
         targets = internet2.targets(network, seed=13)
@@ -473,8 +490,11 @@ class TestOldQueues:
         assert main(["survey", "--network", "internet2", "--seed", "13",
                      "--checkpoint-dir", str(serial)]) == 0
         capsys.readouterr()
-        assert (service / "job-0001" / "archive.json").read_bytes() == \
-            (serial / "shard-0.json").read_bytes()
+        archive = load_archive(str(service / "job-0001" / "archive.json"))
+        assert archive_to_dict(archive) == archive_to_dict(serial_survey(
+            network, targets, retries=RetryPolicy(gated=False)))
+        assert archives_equivalent(
+            archive, load_archive(str(serial / "shard-0.json")))
 
     def test_embedded_topology_radar_job_converts(self, network, targets,
                                                   tmp_path):
