@@ -6,17 +6,20 @@ a collection run fully auditable ("A Radar for the Internet": repeated
 measurements are only comparable when each run's probe stream is recorded);
 replaying re-serves the journal deterministically with zero simulator (or
 network) involvement, so a collection can be re-run, unit-tested, and
-debugged offline.  Replay is strict: a probe that does not match the next
+debugged offline.  Replay decodes the whole journal once, at load, so a
+malformed record raises :class:`JournalError` naming its line before any
+probe is served.  Replay is strict: a probe that does not match the next
 journaled exchange fails loudly instead of returning a plausible answer.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Dict, IO, List, Optional, Sequence, Union
 
 from ..netsim.addressing import format_ip, parse_ip
-from ..netsim.packet import Probe, Response, ResponseType
+from ..netsim.packet import Probe, Protocol, Response, ResponseType
 from .base import ProbeTransport, TransportCapabilities, send_batch
 
 JOURNAL_FORMAT = "tracenet-journal"
@@ -63,23 +66,6 @@ def response_to_dict(response: Response) -> Dict:
         "ip_id": response.ip_id,
         "record_route": [format_ip(stamp) for stamp in response.record_route],
     }
-
-
-def response_from_dict(payload: Dict, probe: Probe) -> Response:
-    """Rebuild a recorded response, bound to the probe being replayed."""
-    return Response(
-        kind=ResponseType(payload["kind"]),
-        source=parse_ip(payload["source"]),
-        probe=probe,
-        responder=payload.get("responder"),
-        ip_id=payload.get("ip_id"),
-        record_route=tuple(parse_ip(stamp)
-                           for stamp in payload.get("record_route", [])),
-    )
-
-
-def _match_key(payload: Dict) -> tuple:
-    return tuple(payload[field] for field in MATCHED_PROBE_FIELDS)
 
 
 # -- recording ----------------------------------------------------------------
@@ -197,22 +183,29 @@ class RecordingTransport:
 
 # -- replay -------------------------------------------------------------------
 
+_PROTOCOLS = {protocol.value: protocol for protocol in Protocol}
+_RESPONSE_KINDS = {kind.value: kind for kind in ResponseType}
+
 
 class ReplayTransport:
     """Re-serves a recorded journal, exchange by exchange, with no network.
 
-    Probes must arrive in the recorded order and match the recorded header
-    fields exactly — any divergence raises :class:`ReplayMismatch` (or
+    Each exchange is decoded once, at load, into an immutable key, the
+    probe's :data:`MATCHED_PROBE_FIELDS` in wire types, and a response,
+    ``None`` or ``(kind, source, responder, ip_id, stamps)``; two parallel
+    lists, not pairs, keep one garbage-collected object per exchange off the
+    heap.  Probes must arrive in the recorded order and match the key
+    exactly — any divergence raises :class:`ReplayMismatch` (or
     :class:`ReplayExhausted` past the end) rather than inventing an answer.
     """
 
     def __init__(self, source: Union[str, IO]):
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fp:
-                records = _parse_journal(fp)
+                records = _decode_journal(fp)
         else:
-            records = _parse_journal(source)
-        self.header, self._vantages, self._exchanges = records
+            records = _decode_journal(source)
+        self.header, self._vantages, self._keys, self._responses = records
         self.cursor = 0
         self.batches = 0
 
@@ -222,24 +215,25 @@ class ReplayTransport:
 
     @property
     def remaining(self) -> int:
-        return len(self._exchanges) - self.cursor
+        return len(self._keys) - self.cursor
 
     def send(self, probe: Probe) -> Optional[Response]:
-        if self.cursor >= len(self._exchanges):
+        cursor = self.cursor
+        if cursor >= len(self._keys):
             raise ReplayExhausted(
-                f"journal exhausted after {len(self._exchanges)} exchanges; "
+                f"journal exhausted after {len(self._keys)} exchanges; "
                 f"unexpected probe {probe.describe()}")
-        expected = self._exchanges[self.cursor]
-        sent = probe_to_dict(probe)
-        if _match_key(sent) != _match_key(expected["probe"]):
+        if self._keys[cursor] != (probe.src, probe.dst, probe.ttl, probe.protocol,
+                                  probe.flow_id, probe.record_route):
             raise ReplayMismatch(
-                f"probe #{self.cursor + 1} diverged from the journal: "
-                f"sent {sent!r}, recorded {expected['probe']!r}")
-        self.cursor += 1
-        payload = expected["response"]
-        if payload is None:
+                f"probe #{cursor + 1} diverged from the journal: sent {probe_to_dict(probe)!r}, "
+                f"recorded {_key_to_dict(self._keys[cursor])!r}")
+        self.cursor = cursor + 1
+        recorded = self._responses[cursor]
+        if recorded is None:
             return None
-        return response_from_dict(payload, probe)
+        kind, source, responder, ip_id, stamps = recorded
+        return Response(kind, source, probe, responder, ip_id, stamps)
 
     def send_many(self, probes: Sequence[Probe]
                   ) -> List[Optional[Response]]:
@@ -279,7 +273,7 @@ class ReplayTransport:
         }
 
     def close(self) -> None:
-        """Journals are fully loaded up front; nothing to release."""
+        """The journal was decoded and its file closed at load; no-op."""
 
     def assert_drained(self) -> None:
         """Fail when the collection sent fewer probes than were recorded."""
@@ -288,34 +282,60 @@ class ReplayTransport:
                 f"{self.remaining} recorded exchange(s) were never replayed")
 
 
-def _parse_journal(fp: IO):
-    header: Optional[Dict] = None
-    vantages: Dict[str, int] = {}
-    exchanges: List[Dict] = []
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise JournalError(f"journal line {lineno} is not JSON: {exc}")
-        kind = record.get("kind")
-        if kind == "header":
-            if record.get("format") != JOURNAL_FORMAT:
-                raise JournalError(
-                    f"not a {JOURNAL_FORMAT} file (line {lineno})")
-            if record.get("version") != JOURNAL_VERSION:
-                raise JournalError(
-                    f"unsupported journal version {record.get('version')!r}")
-            header = record
-        elif kind == "vantage":
-            vantages[record["host"]] = parse_ip(record["address"])
-        elif kind == "exchange":
-            exchanges.append(record)
-        else:
-            raise JournalError(
-                f"unknown journal record kind {kind!r} (line {lineno})")
+def _key_to_dict(key: tuple) -> Dict:
+    """A decoded probe key, rendered back as its journal dict."""
+    src, dst, ttl, protocol, flow_id, record_route = key
+    return dict(zip(MATCHED_PROBE_FIELDS, (format_ip(src), format_ip(dst), ttl,
+                                           protocol.value, flow_id, record_route)))
+
+
+def _line_number(raw: List[str], index: int) -> int:
+    """The file line (from 1) of the ``index``-th non-blank line."""
+    return [n for n, line in enumerate(raw, start=1) if line.strip()][index]
+
+
+def _decode_journal(fp: IO):
+    raw = fp.read().split("\n")
+    lines = [line for line in raw if line.strip()]
+    try:  # one json.loads for the whole journal
+        records = json.loads("[" + ",".join(lines) + "]")
+    except json.JSONDecodeError:
+        records = ()
+    if len(records) != len(lines):  # name the first line that is not JSON on its own
+        for index, line in enumerate(lines):
+            try:
+                json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise JournalError(f"journal line {_line_number(raw, index)} is not JSON: {exc}")
+    header, vantages, keys, responses = None, {}, [], []
+    address = functools.cache(parse_ip)  # a survey has few distinct addresses
+    try:
+        for index, record in enumerate(records):
+            kind = record.get("kind")
+            if kind == "exchange":
+                probe, response = record["probe"], record["response"]
+                keys.append((address(probe["src"]), address(probe["dst"]), probe["ttl"],
+                             _PROTOCOLS[probe["protocol"]], probe["flow_id"],
+                             probe["record_route"]))
+                responses.append(None if response is None else (
+                    _RESPONSE_KINDS[response["kind"]], address(response["source"]),
+                    response["responder"], response["ip_id"],
+                    tuple(map(address, stamps)) if (stamps := response["record_route"]) else ()))
+            elif kind == "vantage":
+                vantages[record["host"]] = address(record["address"])
+            elif kind == "header":
+                if record.get("format") != JOURNAL_FORMAT:
+                    raise JournalError(
+                        f"not a {JOURNAL_FORMAT} file (line {_line_number(raw, index)})")
+                if record.get("version") != JOURNAL_VERSION:
+                    raise JournalError(f"unsupported journal version {record.get('version')!r}")
+                header = record
+            else:
+                raise JournalError(f"unknown journal record kind {kind!r} "
+                                   f"(line {_line_number(raw, index)})")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise JournalError(f"malformed record on journal line {_line_number(raw, index)}: "
+                           f"{type(exc).__name__}: {exc}")
     if header is None:
         raise JournalError("journal has no header line")
-    return header, vantages, exchanges
+    return header, vantages, keys, responses

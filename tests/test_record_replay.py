@@ -8,18 +8,25 @@ offline ("A Radar for the Internet": runs are only comparable when each
 probe stream is fully recorded).
 """
 
+import ast
 import io
+import json
+import tracemalloc
 
 import pytest
 
+from repro.baselines import DisCarte
+from repro.cli import main
 from repro.core import TraceNET
 from repro.events import CollectingSink, event_to_dict
 from repro.mapping import archive_signature
 from repro.netsim import Engine, Probe
 from repro.netsim import engine as engine_module
+from repro.netsim.addressing import format_ip
 from repro.runner import SurveyRunner
 from repro.topogen import figures
 from repro.transport import (
+    JournalError,
     RecordingTransport,
     ReplayExhausted,
     ReplayMismatch,
@@ -96,8 +103,17 @@ class TestReplayFailsLoudly:
     def test_mismatched_probe_rejected(self, line_engine):
         journal, src, dst = self.make_journal(line_engine)
         replay = ReplayTransport(io.StringIO(journal))
-        with pytest.raises(ReplayMismatch, match="diverged"):
-            replay.send(Probe(src=src, dst=dst, ttl=9))
+        probe = Probe(src=src, dst=dst, ttl=9)
+        with pytest.raises(ReplayMismatch, match="diverged") as raised:
+            replay.send(probe)
+        # Both sides read as journal dicts: dotted quads, protocol names.
+        sent, recorded = str(raised.value).split("sent ")[1].split(
+            ", recorded ")
+        matched = {"src": format_ip(src), "dst": format_ip(dst),
+                   "protocol": "icmp", "flow_id": 0, "record_route": False}
+        assert ast.literal_eval(sent) == dict(matched, ttl=9,
+                                              probe_id=probe.probe_id)
+        assert ast.literal_eval(recorded) == dict(matched, ttl=1)
 
     def test_exhausted_journal_rejected(self, line_engine):
         journal, src, dst = self.make_journal(line_engine)
@@ -122,3 +138,99 @@ class TestReplayFailsLoudly:
         assert replayed.kind == expected.kind
         assert replayed.source == expected.source
         assert replayed.responder == expected.responder
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda record: record["probe"].pop("flow_id"),
+                     id="missing-matched-field"),
+        pytest.param(lambda record: record["probe"].update(protocol="sctp"),
+                     id="unknown-protocol"),
+        pytest.param(lambda record: record["response"].update(kind="redirect"),
+                     id="unknown-response-kind"),
+        pytest.param(lambda record: record["probe"].update(dst="1.2.3"),
+                     id="bad-address"),
+    ])
+    def test_malformed_exchange_fails_at_load(self, line_engine, corrupt):
+        journal, _, _ = self.make_journal(line_engine)
+        header, vantage, exchange = journal.splitlines()
+        record = json.loads(exchange)
+        corrupt(record)
+        broken = "\n".join([header, vantage, json.dumps(record)]) + "\n"
+        with pytest.raises(JournalError, match="journal line 3"):
+            ReplayTransport(io.StringIO(broken))
+
+
+class CapturingTransport(SimulatorTransport):
+    """A simulator backend that keeps every live (probe, response) pair."""
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.exchanges = []
+
+    def send(self, probe):
+        response = super().send(probe)
+        self.exchanges.append((probe, response))
+        return response
+
+    def send_many(self, probes):
+        responses = super().send_many(probes)
+        self.exchanges.extend(zip(probes, responses))
+        return responses
+
+
+class TestResponsesRoundTrip:
+    """Every replayed exchange equals the live one, field by field."""
+
+    def record(self, collect):
+        scenario = figures.figure2_network()
+        vantage = next(iter(scenario.hosts))
+        live = CapturingTransport(scenario.engine())
+        journal = io.StringIO()
+        result = collect(RecordingTransport(live, journal), vantage,
+                         max(survey_targets(scenario)))
+        return live.exchanges, journal.getvalue(), vantage, result
+
+    def assert_replays_exactly(self, exchanges, journal):
+        replay = ReplayTransport(io.StringIO(journal))
+        for probe, response in exchanges:
+            replayed = replay.send(probe)
+            assert replayed == response
+            assert replayed is None or replayed.probe is probe
+        replay.assert_drained()
+
+    def test_record_route_stamps_roundtrip(self):
+        def collect(transport, vantage, target):
+            return DisCarte(transport, vantage).trace(target)
+
+        exchanges, journal, vantage, live = self.record(collect)
+        assert any(response.record_route
+                   for _, response in exchanges if response is not None)
+        self.assert_replays_exactly(exchanges, journal)
+        replay = ReplayTransport(io.StringIO(journal))
+        assert collect(replay, vantage, live.destination) == live
+
+    def test_tracenet_trace_roundtrip(self):
+        def collect(transport, vantage, target):
+            return TraceNET(transport, vantage).trace(target)
+
+        exchanges, journal, _, _ = self.record(collect)
+        assert any(response is None for _, response in exchanges)
+        assert any(response is not None for _, response in exchanges)
+        self.assert_replays_exactly(exchanges, journal)
+
+
+def test_decoded_journal_is_compact(tmp_path, capsys):
+    """A decoded exchange holds native fields, not three nested JSON dicts
+    (about 1.7 KB per exchange)."""
+    path = tmp_path / "geant.jsonl"
+    assert main(["survey", "--network", "geant", "--seed", "7",
+                 "--record", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text()
+    tracemalloc.start()
+    try:
+        replay = ReplayTransport(io.StringIO(text))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert replay.remaining > 1000
+    assert held / replay.remaining <= 400
