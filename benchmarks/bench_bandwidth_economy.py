@@ -10,15 +10,20 @@ This bench pits one tracenet vantage against classic traceroute run from
 yield per byte on the wire.
 """
 
-from conftest import BENCH_SEED, BENCH_TARGETS_PER_ISP, write_artifact
+from conftest import (
+    BENCH_SCALE,
+    BENCH_SEED,
+    BENCH_TARGETS_PER_ISP,
+    write_artifact,
+)
 from repro import experiments
 
 
-def test_bandwidth_economy(benchmark, isp_internet):
+def test_bandwidth_economy(benchmark):
     outcome = benchmark.pedantic(
         experiments.run_bandwidth_comparison,
-        kwargs=dict(seed=BENCH_SEED, per_isp=BENCH_TARGETS_PER_ISP,
-                    internet=isp_internet),
+        kwargs=dict(seed=BENCH_SEED, scale=BENCH_SCALE,
+                    per_isp=BENCH_TARGETS_PER_ISP),
         rounds=1, iterations=1)
     text = outcome.render()
     print()

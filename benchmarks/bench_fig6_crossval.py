@@ -8,7 +8,7 @@ Paper: ~60% of a vantage's subnets are observed by all three sites, and
 from conftest import write_artifact
 
 
-def test_fig6_crossval_venn(benchmark, isp_internet, crossval_outcome):
+def test_fig6_crossval_venn(benchmark, crossval_outcome):
     # The shared cross-validation run is the expensive part; benchmark the
     # Venn/agreement computation it feeds.
     def compute():

@@ -5,6 +5,7 @@ ICMP clearly outperforms UDP, and TCP is negligible.
 """
 
 from conftest import (
+    BENCH_SCALE,
     BENCH_SEED,
     BENCH_TARGETS_PER_ISP,
     write_artifact,
@@ -12,11 +13,11 @@ from conftest import (
 from repro import experiments
 
 
-def test_table3_protocols(benchmark, isp_internet):
+def test_table3_protocols(benchmark):
     outcome = benchmark.pedantic(
         experiments.run_protocol_comparison,
-        kwargs=dict(seed=BENCH_SEED, per_isp=BENCH_TARGETS_PER_ISP,
-                    vantage="rice", internet=isp_internet),
+        kwargs=dict(seed=BENCH_SEED, scale=BENCH_SCALE,
+                    per_isp=BENCH_TARGETS_PER_ISP, vantage="rice"),
         rounds=1, iterations=1)
     text = outcome.render()
     print()

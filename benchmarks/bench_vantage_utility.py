@@ -10,15 +10,20 @@ Measured: cumulative coverage as vantage points are added, tracenet vs
 classic traceroute over the same target set.
 """
 
-from conftest import BENCH_SEED, BENCH_TARGETS_PER_ISP, write_artifact
+from conftest import (
+    BENCH_SCALE,
+    BENCH_SEED,
+    BENCH_TARGETS_PER_ISP,
+    write_artifact,
+)
 from repro import experiments
 
 
-def test_vantage_utility(benchmark, isp_internet):
+def test_vantage_utility(benchmark):
     outcome = benchmark.pedantic(
         experiments.run_vantage_utility,
-        kwargs=dict(seed=BENCH_SEED, per_isp=BENCH_TARGETS_PER_ISP,
-                    internet=isp_internet),
+        kwargs=dict(seed=BENCH_SEED, scale=BENCH_SCALE,
+                    per_isp=BENCH_TARGETS_PER_ISP),
         rounds=1, iterations=1)
     text = outcome.render()
     print()

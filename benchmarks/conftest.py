@@ -1,10 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-The Section 4.2 experiments (Table 3, Figures 6-9) share one four-ISP
-internet and one cross-validation run, exactly as in the paper; the
-session-scoped fixtures below build them once.  Every bench writes its
-rendered artifact under ``benchmarks/output/`` so a run leaves the full set
-of regenerated tables/figures on disk.
+Figures 6-9 share one cross-validation run, which the session-scoped
+fixture below makes once.  Every Section 4.2 run builds its own four-ISP
+internet from (seed, scale), so no bench's numbers depend on which bench
+ran before it.  Every bench writes its rendered artifact under
+``benchmarks/output/`` so a run leaves the full set of regenerated
+tables/figures on disk.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ def write_artifact(name: str, text: str) -> str:
 
 
 @pytest.fixture(scope="session")
-def isp_internet():
-    from repro.topogen import build_internet
-    return build_internet(seed=BENCH_SEED, scale=BENCH_SCALE)
-
-
-@pytest.fixture(scope="session")
-def crossval_outcome(isp_internet):
+def crossval_outcome():
     return experiments.run_cross_validation(
-        seed=BENCH_SEED, per_isp=BENCH_TARGETS_PER_ISP, internet=isp_internet)
+        seed=BENCH_SEED, scale=BENCH_SCALE, per_isp=BENCH_TARGETS_PER_ISP)

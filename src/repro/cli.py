@@ -27,15 +27,8 @@ from typing import List, Optional
 
 from .baselines import Traceroute
 from .core import TraceNET
-from .evaluation import (
-    annotate_unresponsive,
-    collected_prefixes,
-    match_subnets,
-    render_distribution_table,
-    render_similarity,
-    similarity_summary,
-)
 from .events import ProgressSink
+from .experiments import SurveyOutcome
 from .metrics import MetricsRegistry, render_prometheus, stats_from_journal
 from .netsim import Protocol, format_ip, ip
 from .runner import CHECKPOINT_FILENAME
@@ -444,20 +437,14 @@ def cmd_survey(args) -> int:
         checkpoint_path = os.path.join(args.checkpoint_dir,
                                        CHECKPOINT_FILENAME)
         mode = "serial, checkpointed"
-    _execute(run, args, sinks=[ProgressSink()] if args.progress else [],
-             checkpoint_path=checkpoint_path)
-    network, name = run.network, run.spec.network
-    report = match_subnets(network.ground_truth,
-                           collected_prefixes(run.tool.collected_subnets))
-    annotate_unresponsive(report, network.records)
-    title = ("Table 1: Internet2, original and collected subnet distribution"
-             if name == "internet2"
-             else "Table 2: GEANT, original and collected subnet distribution")
-    print(render_distribution_table(report, title))
-    print(render_similarity(f"{name} (incl. unresponsive)",
-                            *similarity_summary(report)))
-    print(render_similarity(f"{name} (excl. unresponsive)",
-                            *similarity_summary(report, exclude_unresponsive=True)))
+    archive = _execute(run, args,
+                       sinks=[ProgressSink()] if args.progress else [],
+                       checkpoint_path=checkpoint_path)
+    name = run.spec.network
+    print(SurveyOutcome.of(run, archive, name).render(
+        "Table 1: Internet2, original and collected subnet distribution"
+        if name == "internet2" else
+        "Table 2: GEANT, original and collected subnet distribution"))
     print(f"probes sent: {run.tool.prober.stats.sent} ({mode})")
     return 0
 

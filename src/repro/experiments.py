@@ -1,10 +1,17 @@
 """Reusable experiment runners — one per table/figure of the paper.
 
-The benchmark harness, the examples and the CLI's ``crossval``,
-``protocols`` and ``overhead`` commands drive the experiments through these
-functions, so a bench's measured run is exactly the run whose output is
-printed.  Every runner returns a structured outcome object with a
-``render()`` producing the paper-style table/figure text.
+The benchmark harness, the examples and the CLI's ``survey``,
+``crossval``, ``protocols`` and ``overhead`` commands drive the experiments
+through these functions, so a bench's measured run is exactly the run
+whose output is printed.  Every runner returns a structured outcome object
+with a ``render()`` producing the paper-style table/figure text.
+
+Every survey-shaped run is a :class:`~repro.runspec.RunSpec` survey over
+its own freshly built network, and each outcome is a fold over the runs'
+archives: no run inherits rate-limiter state another drained, so every
+outcome is a pure function of its arguments.  Only the Section 3.6
+overhead sweep, the Section 3.7 fluctuation study and the Figure 2 case
+study assemble collectors by hand.
 """
 
 from __future__ import annotations
@@ -37,10 +44,27 @@ from .evaluation import (
     subnets_per_group,
     venn_regions,
 )
+from .mapping import CollectionArchive
 from .netsim import Engine, LoadBalancer, LoadBalancingMode, Prefix, Protocol
 from .probing import Prober
-from .topogen import MultiISPNetwork, build_internet, figures, geant, internet2
+from .runspec import Run, RunSpec
+from .topogen import MultiISPNetwork, figures
+from .topogen.isp import VANTAGE_SITES
 from .topogen.spec import GeneratedNetwork
+
+
+def _survey(**flags) -> Tuple[Run, CollectionArchive]:
+    """Build and execute the survey ``flags`` describe on its own network."""
+    run = RunSpec.from_flags("survey", **flags).build()
+    return run, run.execute()
+
+
+def _traceroute(spec: RunSpec, site: str) -> Traceroute:
+    """The classic-traceroute baseline from ``site`` over a fresh build of
+    ``spec``'s network."""
+    network = spec.load_network()
+    return Traceroute(Engine(network.topology, policy=network.policy), site,
+                      vary_flow=False)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +82,17 @@ class SurveyOutcome:
     probes_sent: int
     collected: List[ObservedSubnet]
 
+    @classmethod
+    def of(cls, run: Run, archive: CollectionArchive,
+           name: str) -> "SurveyOutcome":
+        """Classify a survey run's archive against its ground truth."""
+        report = match_subnets(run.network.ground_truth,
+                               collected_prefixes(archive.subnets))
+        annotate_unresponsive(report, run.network.records)
+        return cls(name=name, network=run.network, report=report,
+                   probes_sent=run.tool.prober.stats.sent,
+                   collected=archive.subnets)
+
     @property
     def exact_match_rate(self) -> float:
         return self.report.exact_match_rate()
@@ -70,9 +105,10 @@ class SurveyOutcome:
         return similarity_summary(self.report,
                                   exclude_unresponsive=exclude_unresponsive)
 
-    def render(self) -> str:
-        title = (f"Table: {self.name}, original and collected subnet "
-                 f"distribution ({self.probes_sent} probes)")
+    def render(self, title: Optional[str] = None) -> str:
+        if title is None:
+            title = (f"Table: {self.name}, original and collected subnet "
+                     f"distribution ({self.probes_sent} probes)")
         lines = [render_distribution_table(self.report, title)]
         lines.append(render_similarity(f"{self.name} (incl. unresponsive)",
                                        *self.similarity()))
@@ -82,57 +118,21 @@ class SurveyOutcome:
         return "\n".join(lines)
 
 
-def run_survey(network: GeneratedNetwork, targets: List[int],
-               vantage: str, name: str,
-               protocol: Protocol = Protocol.ICMP,
-               disabled_rules: frozenset = frozenset()) -> SurveyOutcome:
-    """Trace every target from one vantage and classify the collection."""
-    engine = Engine(network.topology, policy=network.policy)
-    tool = TraceNET(engine, vantage, protocol=protocol,
-                    disabled_rules=disabled_rules)
-    tool.trace_many(targets)
-    report = match_subnets(network.ground_truth,
-                           collected_prefixes(tool.collected_subnets))
-    annotate_unresponsive(report, network.records)
-    return SurveyOutcome(
-        name=name,
-        network=network,
-        report=report,
-        probes_sent=tool.prober.stats.sent,
-        collected=tool.collected_subnets,
-    )
-
-
 def run_internet2_survey(seed: int = 7) -> SurveyOutcome:
     """Table 1: tracenet accuracy over the Internet2-like topology."""
-    network = internet2.build(seed=seed)
-    return run_survey(network, internet2.targets(network, seed=seed),
-                      "utdallas", "Internet2")
+    return SurveyOutcome.of(*_survey(network="internet2", seed=seed),
+                            name="Internet2")
 
 
 def run_geant_survey(seed: int = 7) -> SurveyOutcome:
     """Table 2: tracenet accuracy over the GEANT-like topology."""
-    network = geant.build(seed=seed)
-    return run_survey(network, geant.targets(network, seed=seed),
-                      "utdallas", "GEANT")
+    return SurveyOutcome.of(*_survey(network="geant", seed=seed),
+                            name="GEANT")
 
 
 # ---------------------------------------------------------------------------
 # Section 4.2 (cross-validation over four ISPs; Figures 6-9, Table 3)
 # ---------------------------------------------------------------------------
-
-
-def _isp_targets(internet: Optional[MultiISPNetwork], seed: int,
-                 scale: float, per_isp: Optional[int]):
-    """The ISP internet (built unless given) and its target groups: every
-    target with ``per_isp=None``, else ``per_isp`` x ISPs drawn
-    proportionally to ISP size."""
-    if internet is None:
-        internet = build_internet(seed=seed, scale=scale)
-    if per_isp is None:
-        return internet, internet.targets(seed=seed)
-    return internet, internet.targets_proportional(
-        seed=seed, total=per_isp * len(internet.isps))
 
 
 @dataclass
@@ -197,31 +197,24 @@ class CrossValidationOutcome:
 
 
 def run_cross_validation(seed: int = 42, scale: float = 0.4,
-                         per_isp: Optional[int] = 60,
-                         internet: Optional[MultiISPNetwork] = None
+                         per_isp: Optional[int] = 60
                          ) -> CrossValidationOutcome:
     """Figures 6-9: one common target set traced from three vantages.
 
-    Every vantage's engine probes through the one ``internet.policy``, so
-    the vantages share its rate-limiter buckets: a later vantage starts
-    its new virtual clock against the token levels an earlier one drained
-    (see :class:`~repro.netsim.responsiveness.ResponsePolicy`).  Only the
-    first vantage (rice) therefore matches an independent run.  At the
-    defaults umass collects 109 subnets here against 108 on a fresh
-    internet, uoregon 106 against 110, and Figure 6's all-three region
-    holds 56 subnets against 75 with fresh buckets.
+    Each vantage is its own ``isp`` survey over its own freshly built
+    internet, so a vantage's collection is exactly the one its standalone
+    run collects.  No vantage starts against rate-limiter buckets another
+    one drained: the paper's vantages are separate PlanetLab hosts.
     """
-    internet, grouped = _isp_targets(internet, seed, scale, per_isp)
-    targets = [t for group in grouped.values() for t in group]
     collections: Dict[str, VantageCollection] = {}
-    for site in sorted(internet.vantages):
-        engine = Engine(internet.topology, policy=internet.policy)
-        tool = TraceNET(engine, site)
-        tool.trace_many(targets)
+    for site in sorted(VANTAGE_SITES):
+        run, archive = _survey(network="isp", seed=seed, scale=scale,
+                               per_isp=per_isp, vantage=site)
         collections[site] = VantageCollection(
-            vantage=site, subnets=tool.collected_subnets, targets=targets)
-    return CrossValidationOutcome(internet=internet, collections=collections,
-                                  targets=targets)
+            vantage=site, subnets=archive.subnets, targets=run.targets)
+    return CrossValidationOutcome(internet=run.network,
+                                  collections=collections,
+                                  targets=run.targets)
 
 
 @dataclass
@@ -246,28 +239,24 @@ class ProtocolComparisonOutcome:
 
 def run_protocol_comparison(seed: int = 42, scale: float = 0.4,
                             per_isp: Optional[int] = 60,
-                            vantage: str = "rice",
-                            internet: Optional[MultiISPNetwork] = None
+                            vantage: str = "rice"
                             ) -> ProtocolComparisonOutcome:
     """Table 3: the same targets probed with ICMP, UDP and TCP.
 
-    The three protocol runs share ``internet.policy`` and so its
-    rate-limiter buckets, exactly as the vantages of
-    :func:`run_cross_validation` do: UDP and TCP start against buckets
-    the previous run drained.  At the defaults UDP collects 36 subnets
-    here against 41 on a fresh internet; ICMP and TCP match.
+    Each protocol is its own ``isp`` survey from ``vantage`` over its own
+    freshly built internet, so each protocol's counts are those of its
+    standalone run: no protocol starts against rate-limiter buckets the
+    previous one drained.
     """
-    internet, grouped = _isp_targets(internet, seed, scale, per_isp)
-    counts: Dict[str, Dict[str, int]] = {name: {} for name in sorted(internet.isps)}
+    counts: Dict[str, Dict[str, int]] = {}
     for protocol in (Protocol.ICMP, Protocol.UDP, Protocol.TCP):
-        engine = Engine(internet.topology, policy=internet.policy)
-        tool = TraceNET(engine, vantage, protocol=protocol)
-        for group in grouped.values():
-            tool.trace_many(group)
-        for name in counts:
-            counts[name][protocol.value] = sum(
-                1 for s in tool.collected_subnets
-                if s.size >= 2 and internet.isp_of(s.pivot) == name)
+        run, archive = _survey(network="isp", seed=seed, scale=scale,
+                               per_isp=per_isp, vantage=vantage,
+                               protocol=protocol.value)
+        for name in sorted(run.network.isps):
+            counts.setdefault(name, {})[protocol.value] = sum(
+                1 for s in archive.subnets
+                if s.size >= 2 and run.network.isp_of(s.pivot) == name)
     return ProtocolComparisonOutcome(counts=counts, vantage=vantage)
 
 
@@ -414,18 +403,14 @@ def run_alias_resolution(seed: int = 7) -> AliasResolutionOutcome:
         score_pairs,
     )
 
-    network = internet2.build(seed=seed)
-    engine = Engine(network.topology, policy=network.policy)
-    tool = TraceNET(engine, "utdallas")
-    tool.trace_many(internet2.targets(network, seed=seed))
-
-    pairs = pair_keys(analytical_pairs(tool.collected_subnets))
-    negatives = negative_pairs(tool.collected_subnets)
-    observed = tool.collected_addresses
-    truth = ground_truth_pairs(network.topology, restrict_to=observed)
+    run, archive = _survey(network="internet2", seed=seed)
+    pairs = pair_keys(analytical_pairs(archive.subnets))
+    negatives = negative_pairs(archive.subnets)
+    truth = ground_truth_pairs(run.network.topology,
+                               restrict_to=run.tool.collected_addresses)
     analytical_accuracy = score_pairs(pairs, truth)
 
-    prober = Prober(engine, "utdallas")
+    prober = Prober(run.tool.transport, run.spec.vantage)
     before = prober.stats_snapshot()
     resolver = AllyResolver(prober)
     confirmed = [
@@ -437,9 +422,9 @@ def run_alias_resolution(seed: int = 7) -> AliasResolutionOutcome:
 
     from .aliases import groups_from_pairs
     from .evaluation import build_router_level_map, score_router_level_map
-    router_map = build_router_level_map(tool.collected_subnets,
+    router_map = build_router_level_map(archive.subnets,
                                         groups_from_pairs(confirmed))
-    router_accuracy = score_router_level_map(router_map, network.topology)
+    router_accuracy = score_router_level_map(router_map, run.network.topology)
 
     return AliasResolutionOutcome(
         analytical_precision=analytical_accuracy.precision,
@@ -499,19 +484,17 @@ class VantageUtilityOutcome:
 
 
 def run_vantage_utility(seed: int = 42, scale: float = 0.4,
-                        per_isp: Optional[int] = 60,
-                        internet: Optional[MultiISPNetwork] = None
+                        per_isp: Optional[int] = 60
                         ) -> VantageUtilityOutcome:
     """Coverage vs number of vantage points, tracenet against traceroute.
 
     The paper's introduction argues that piling on vantage points has
     limited utility [6] and that exploring each visited subnet in full is
-    the better lever; this experiment measures both curves.
+    the better lever; this experiment measures both curves.  Every
+    vantage's tracenet survey and traceroute baseline probe their own
+    freshly built internet.
     """
-    internet, grouped = _isp_targets(internet, seed, scale, per_isp)
-    targets = [t for group in grouped.values() for t in group]
-    vantage_order = sorted(internet.vantages)
-
+    vantage_order = sorted(VANTAGE_SITES)
     subnet_curves: Dict[str, List[int]] = {"tracenet": [], "traceroute": []}
     address_curves: Dict[str, List[int]] = {"tracenet": [], "traceroute": []}
 
@@ -520,20 +503,17 @@ def run_vantage_utility(seed: int = 42, scale: float = 0.4,
     traceroute_addresses: Set[int] = set()
     traceroute_links: Set[tuple] = set()
     for site in vantage_order:
-        tool = TraceNET(Engine(internet.topology, policy=internet.policy),
-                        site)
-        tool.trace_many(targets)
-        tracenet_blocks |= {s.prefix for s in tool.collected_subnets
-                            if s.size > 1}
-        tracenet_addresses |= tool.collected_addresses
+        run, archive = _survey(network="isp", seed=seed, scale=scale,
+                               per_isp=per_isp, vantage=site)
+        tracenet_blocks |= {s.prefix for s in archive.subnets if s.size > 1}
+        tracenet_addresses |= run.tool.collected_addresses
         subnet_curves["tracenet"].append(len(tracenet_blocks))
         address_curves["tracenet"].append(len(tracenet_addresses))
 
-        tracer = Traceroute(Engine(internet.topology, policy=internet.policy),
-                            site, vary_flow=False)
-        for target in targets:
-            result = tracer.trace(target)
-            hops = [a for a in result.path_addresses if a is not None]
+        tracer = _traceroute(run.spec, site)
+        for target in run.targets:
+            hops = [a for a in tracer.trace(target).path_addresses
+                    if a is not None]
             traceroute_addresses.update(hops)
             traceroute_links.update(zip(hops, hops[1:]))
         subnet_curves["traceroute"].append(len(traceroute_links))
@@ -587,43 +567,36 @@ class BandwidthOutcome:
 
 
 def run_bandwidth_comparison(seed: int = 42, scale: float = 0.4,
-                             per_isp: Optional[int] = 60,
-                             internet: Optional[MultiISPNetwork] = None
+                             per_isp: Optional[int] = 60
                              ) -> BandwidthOutcome:
     """Compare address yield per byte: one tracenet vantage against classic
-    traceroute run from every available vantage point."""
+    traceroute run from every available vantage point, each run over its
+    own freshly built internet."""
     from .netsim.packet import wire_bytes
 
-    internet, grouped = _isp_targets(internet, seed, scale, per_isp)
-    targets = [t for group in grouped.values() for t in group]
-
-    first_site = sorted(internet.vantages)[0]
-    tracenet_tool = TraceNET(
-        Engine(internet.topology, policy=internet.policy), first_site)
-    tracenet_tool.trace_many(targets)
-    tracenet_addresses = len(tracenet_tool.collected_addresses)
-    tracenet_probes = tracenet_tool.prober.stats.sent
+    sites = sorted(VANTAGE_SITES)
+    run, _ = _survey(network="isp", seed=seed, scale=scale, per_isp=per_isp,
+                     vantage=sites[0])
+    tracenet_probes = run.tool.prober.stats.sent
 
     traceroute_addresses: set = set()
     traceroute_probes = 0
-    for site in sorted(internet.vantages):
-        tracer = Traceroute(
-            Engine(internet.topology, policy=internet.policy), site,
-            vary_flow=False)
-        for target in targets:
-            result = tracer.trace(target)
+    for site in sites:
+        tracer = _traceroute(run.spec, site)
+        for target in run.targets:
             traceroute_addresses.update(
-                a for a in result.path_addresses if a is not None)
+                a for a in tracer.trace(target).path_addresses
+                if a is not None)
         traceroute_probes += tracer.prober.stats.sent
 
     return BandwidthOutcome(
-        tracenet_addresses=tracenet_addresses,
+        tracenet_addresses=len(run.tool.collected_addresses),
         tracenet_probes=tracenet_probes,
         tracenet_bytes=wire_bytes(Protocol.ICMP, tracenet_probes),
         traceroute_addresses=len(traceroute_addresses),
         traceroute_probes=traceroute_probes,
         traceroute_bytes=wire_bytes(Protocol.ICMP, traceroute_probes),
-        traceroute_vantages=len(internet.vantages),
+        traceroute_vantages=len(sites),
     )
 
 
@@ -669,10 +642,9 @@ def run_heuristic_ablation(seed: int = 7) -> HeuristicAblationOutcome:
             ("no H3+H4", frozenset({"H3", "H4"})),
             ("no H6+H7+H8", frozenset({"H6", "H7", "H8"})),
     ):
-        network = internet2.build(seed=seed)
-        variants[name] = run_survey(
-            network, internet2.targets(network, seed=seed), "utdallas",
-            f"Internet2[{name}]", disabled_rules=disabled)
+        variants[name] = SurveyOutcome.of(
+            *_survey(network="internet2", seed=seed, disabled_rules=disabled),
+            name=f"Internet2[{name}]")
     return HeuristicAblationOutcome(variants=variants)
 
 

@@ -3,13 +3,16 @@
 :class:`RunSpec` is a probe journal's header metadata: the run shape (a
 ``trace``, a ``survey`` or a ``radar``), scenario or network and seed,
 vantage, destination, protocol, the ``collector`` options that change the
-probe stream, the ``radar`` config and the target ``limit``.
-:meth:`RunSpec.build` maps it to a collector over Simulator → Fault →
-Mutating → Recording (live) or Replay → Mutating without dynamics (the
-journal already holds the loss and the mutated network's answers), and
-:meth:`Run.execute` runs the shape with the requested sinks.  The CLI's
-live and ``--replay`` runs, ``tracenet stats`` and ``tracenet spans`` all
-go through here.  Under replay the header is authoritative: a caller's
+probe stream, the ``radar`` config and the target ``limit``.  The
+networks are the Table 1-2 ``internet2`` and ``geant`` and the Section 4.2
+four-ISP ``isp`` internet, whose header also records its ``scale`` and
+``per_isp`` target draw.  :meth:`RunSpec.build` maps it to a collector
+over Simulator → Fault → Mutating → Recording (live) or Replay → Mutating
+without dynamics (the journal already holds the loss and the mutated
+network's answers), and :meth:`Run.execute` runs the shape with the
+requested sinks.  The CLI's live and ``--replay`` runs, ``tracenet stats``,
+``tracenet spans`` and every survey of :mod:`repro.experiments` go through
+here.  Under replay the header is authoritative: a caller's
 value only fills what it does not record, and a contradicting one raises
 :class:`RunSpecError` naming the recorded value.
 
@@ -37,7 +40,7 @@ from .netsim.packet import Protocol
 from .probing import RetryPolicy
 from .radar import RadarRunner
 from .runner import SurveyRunner
-from .topogen import figures, geant, internet2
+from .topogen import build_internet, figures, geant, internet2
 from .transport import (
     FaultInjectingTransport,
     MutatingTransport,
@@ -67,7 +70,7 @@ _SCENARIOS = {"figure2": figures.figure2_network,
 
 #: The single-valued fields of a description (the rest are the dicts).
 _SCALARS = ("vantage", "destination", "scenario", "network", "seed",
-            "protocol", "limit")
+            "protocol", "limit", "scale", "per_isp")
 
 #: Fields a caller may supply when the header does not record them.
 _FILLABLE = frozenset({"vantage", "destination", "scenario", "network"})
@@ -127,6 +130,8 @@ class RunSpec:
     collector: Dict = field(default_factory=dict)
     radar: Optional[Dict] = None
     limit: Optional[int] = None
+    scale: float = 1.0              # the "isp" network's size
+    per_isp: Optional[int] = None   # "isp" targets per ISP (None: every one)
 
     @classmethod
     def from_flags(cls, shape: str, **given) -> "RunSpec":
@@ -138,6 +143,8 @@ class RunSpec:
             collector["batch_window"] = values["batch_window"]
         if values.get("stop_sets"):
             collector["stop_sets"] = True
+        if values.get("disabled_rules"):
+            collector["disabled_rules"] = sorted(values["disabled_rules"])
         if shape == "survey":
             collector["retry"] = "gated"
         radar = ({key: values[key] for key in RADAR_DEFAULTS}
@@ -206,6 +213,8 @@ class RunSpec:
         else:
             metadata = {"network": self.network, "seed": self.seed,
                         "vantage": self.vantage}
+            if self.network == "isp":
+                metadata.update(scale=self.scale, per_isp=self.per_isp)
             if self.protocol != Protocol.ICMP.value:
                 metadata["protocol"] = self.protocol
             if self.radar is not None:
@@ -224,6 +233,9 @@ class RunSpec:
             raise RunSpecError(f"unknown retry rule {retry!r}")
         kwargs: Dict = {"protocol": Protocol(self.protocol),
                         "retries": RetryPolicy(gated=retry == "gated")}
+        if self.collector.get("disabled_rules"):
+            kwargs["disabled_rules"] = frozenset(
+                self.collector["disabled_rules"])
         if self.collector.get("batch_window"):
             kwargs["batch_window"] = int(self.collector["batch_window"])
         if self.collector.get("stop_sets"):
@@ -238,14 +250,27 @@ class RunSpec:
         """The figure scenario or generated network this run probes."""
         if self.shape == "trace" and self.scenario in _SCENARIOS:
             return _SCENARIOS[self.scenario]()
+        if self.shape != "trace" and self.network == "isp":
+            return build_internet(seed=self.seed, scale=self.scale)
         if self.shape != "trace" and self.network in _NETWORKS:
             return _NETWORKS[self.network].build(seed=self.seed)
         raise RunSpecError(f"unknown scenario or network "
                            f"{self.scenario or self.network!r}")
 
     def targets(self, network) -> List[int]:
-        """The target list the network and seed generate, cut to limit."""
-        targets = _NETWORKS[self.network].targets(network, seed=self.seed)
+        """The target list the network and seed generate, cut to limit.
+
+        The ISP internet's are its per-ISP groups, flattened: every target
+        with ``per_isp`` None, else ``per_isp`` x ISPs drawn in proportion
+        to each ISP's subnet count."""
+        if self.network == "isp":
+            grouped = (network.targets(seed=self.seed) if self.per_isp is None
+                       else network.targets_proportional(
+                           seed=self.seed,
+                           total=self.per_isp * len(network.isps)))
+            targets = [t for group in grouped.values() for t in group]
+        else:
+            targets = _NETWORKS[self.network].targets(network, seed=self.seed)
         if self.limit is not None:
             targets = targets[:max(0, self.limit)]
         if not targets:

@@ -1,8 +1,21 @@
 """Unit tests for the experiment runners (shared by benches and CLI)."""
 
+import hashlib
+
 import pytest
 
 from repro import experiments
+from repro.evaluation import Category
+from repro.netsim import format_ip
+from repro.runspec import RunSpec
+
+
+def collection_digest(subnets):
+    """SHA-256 over the sorted ``prefix member...`` lines of a collection."""
+    lines = sorted(f"{s.prefix} " + " ".join(format_ip(m)
+                                             for m in sorted(s.members))
+                   for s in subnets)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestSurveyRunners:
@@ -31,6 +44,37 @@ class TestSurveyRunners:
         assert abs(a.exact_match_rate - b.exact_match_rate) < 0.15
 
 
+class TestTablesPinned:
+    """Tables 1-2 as the hand-assembled collectors produced them before
+    every survey became a ``RunSpec`` run: collection, probes, exact
+    matches out of ground-truth subnets."""
+
+    @pytest.mark.parametrize("runner,seed,probes,exact,digest", [
+        ("run_internet2_survey", 7, 3045, (136, 179),
+         "800270c26df2f5a930b5a1ba39c19e598b16c98691eebdad27d7bfd5643d2374"),
+        ("run_internet2_survey", 11, 3168, (135, 179),
+         "2c20bcc40f46ba6b1159762ca331a78c184d6646c6cd5a69b02816d715a1be4d"),
+        ("run_geant_survey", 7, 4004, (147, 271),
+         "ce89c9ac0bc7390694e936bb8c956781c5861334bb25cd975a764f3a9c20144e"),
+        ("run_geant_survey", 11, 4361, (147, 271),
+         "81585d718abc83c1befde9541a22f37b66d64919c2c5f82c060d385f0fdce533"),
+    ])
+    def test_survey_unchanged(self, runner, seed, probes, exact, digest):
+        outcome = getattr(experiments, runner)(seed=seed)
+        assert outcome.probes_sent == probes
+        assert (outcome.report.count(Category.EXACT),
+                len(outcome.report.outcomes)) == exact
+        assert collection_digest(outcome.collected) == digest
+
+
+def isp_run(site, protocol=None):
+    """The standalone ``isp`` survey the tests below compare against."""
+    run = RunSpec.from_flags("survey", network="isp", seed=5, scale=0.12,
+                             per_isp=10, vantage=site,
+                             protocol=protocol).build()
+    return run, run.execute()
+
+
 class TestCrossValidation:
     @pytest.fixture(scope="class")
     def outcome(self):
@@ -56,6 +100,13 @@ class TestCrossValidation:
         for row in rows:
             assert row.targets >= 0
 
+    def test_each_vantage_is_its_standalone_survey(self, outcome):
+        for site, collection in outcome.collections.items():
+            run, archive = isp_run(site)
+            assert collection.targets == run.targets
+            assert collection_digest(collection.subnets) == \
+                collection_digest(archive.subnets), site
+
     def test_renders(self, outcome):
         assert "Figure 6" in outcome.render_figure6()
         assert "Figure 7" in outcome.render_figure7()
@@ -74,6 +125,18 @@ class TestProtocolComparison:
             assert set(per_isp) == {"icmp", "udp", "tcp"}
         totals = outcome.totals()
         assert totals["icmp"] >= totals["udp"] >= totals["tcp"]
+
+    def test_each_protocol_is_its_standalone_survey(self):
+        outcome = experiments.run_protocol_comparison(seed=5, scale=0.12,
+                                                      per_isp=10)
+        for protocol in ("icmp", "udp", "tcp"):
+            run, archive = isp_run("rice", protocol)
+            alone = {name: sum(1 for s in archive.subnets
+                               if s.size >= 2
+                               and run.network.isp_of(s.pivot) == name)
+                     for name in outcome.counts}
+            assert {name: counts[protocol] for name, counts
+                    in outcome.counts.items()} == alone, protocol
 
 
 class TestOverheadSweep:

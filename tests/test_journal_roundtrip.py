@@ -214,6 +214,53 @@ class TestHeaders:
         with pytest.raises(RunSpecError, match="neither a destination"):
             RunSpec.from_header({})
 
+    def test_isp_and_ablation_specs_round_trip(self):
+        isp = RunSpec.from_flags("survey", network="isp", seed=5, scale=0.12,
+                                 per_isp=10, vantage="umass")
+        every_target = dataclasses.replace(isp, per_isp=None)
+        ablated = RunSpec.from_flags("survey", network="internet2",
+                                     disabled_rules=frozenset({"H7", "H6"}))
+        assert isp.header() == {
+            "network": "isp", "seed": 5, "vantage": "umass", "scale": 0.12,
+            "per_isp": 10, "collector": {"retry": "gated"}}
+        assert every_target.header()["per_isp"] is None
+        assert ablated.header()["collector"] == {
+            "disabled_rules": ["H6", "H7"], "retry": "gated"}
+        assert ablated.tool_kwargs()["disabled_rules"] == {"H6", "H7"}
+        for spec in (isp, every_target, ablated):
+            assert RunSpec.from_header(spec.header()) == spec
+        plain = RunSpec.from_flags("survey", network="internet2").header()
+        assert not {"scale", "per_isp"} & set(plain)
+        assert "disabled_rules" not in plain["collector"]
+
+    def test_isp_targets_are_the_proportional_draw(self):
+        spec = RunSpec.from_flags("survey", network="isp", seed=5, scale=0.12,
+                                  per_isp=10, vantage="rice")
+        internet = spec.load_network()
+        grouped = internet.targets_proportional(seed=5, total=10 * 4)
+        assert spec.targets(internet) == [t for group in grouped.values()
+                                          for t in group]
+        assert dataclasses.replace(spec, limit=7).targets(internet) == \
+            spec.targets(internet)[:7]
+        assert len(dataclasses.replace(spec, per_isp=None).targets(
+            internet)) == sum(map(len, internet.targets(seed=5).values()))
+
+    def test_isp_survey_journal_replays(self, tmp_path):
+        spec = RunSpec.from_flags("survey", network="isp", seed=5,
+                                  scale=0.12, per_isp=10, vantage="uoregon",
+                                  limit=12)
+        journal = str(tmp_path / "isp.jsonl")
+        live = spec.build(record=journal).execute()
+        transport = ReplayTransport(journal)
+        assert RunSpec.from_header(transport.metadata) == spec
+        replayed = RunSpec.from_header(transport.metadata).build(
+            transport=transport).execute()
+        assert archive_to_dict(replayed) == archive_to_dict(live)
+
+    def test_unknown_network_raises(self):
+        with pytest.raises(RunSpecError, match="unknown scenario or network"):
+            RunSpec.from_flags("survey", network="arpanet").build()
+
 
 class TestBrokenJournals:
     """Malformed or truncated journals fail with one line, exit 2."""
