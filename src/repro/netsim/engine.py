@@ -9,16 +9,21 @@ configuration.  Firewalls, silent interfaces, protocol bias and rate limits
 are consulted through the :class:`~repro.netsim.responsiveness.ResponsePolicy`.
 
 Every probe takes one path through the engine: the flow's route is
-resolved into a :class:`ResolvedPath` (memoized per flow unless it crosses
-a per-packet load balancer), and the probe's response is replayed from it
-for the probe's TTL.
+resolved into a :class:`ResolvedPath`, and the probe's response is replayed
+from it for the probe's TTL.  Resolution is memoized at two levels.  A
+route toward a destination *subnet* is walked once per (vantage, subnet,
+protocol, flow) and holds every transit hop's response plan; a probed
+address's path is derived from its subnet's route in O(1) (only the route's
+last router can own the address) and memoized per flow.  Flows crossing a
+per-packet load balancer are never memoized, and a route that crossed a
+per-flow balancer's real choice serves only the address it was walked for.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .packet import (
@@ -30,8 +35,14 @@ from .packet import (
     ResponseType,
 )
 from .responsiveness import ResponsePolicy, fully_responsive
-from .router import DirectConfig, IndirectConfig, IpIdMode
-from .routing import FlowKey, LoadBalancer, NextHop, RoutingTable
+from .router import DirectConfig, IndirectConfig, IpIdMode, Router
+from .routing import (
+    FlowKey,
+    LoadBalancer,
+    LoadBalancingMode,
+    NextHop,
+    RoutingTable,
+)
 from .topology import Host, Topology
 
 
@@ -132,7 +143,9 @@ class ResolvedPath(NamedTuple):
     hop; ``expiry_limit`` is the largest TTL that still expires in transit
     (and the number of hops whose stamps a probe past it collects).  Rate
     limiters, IP-ID counters and the virtual clock are consulted live at
-    replay, so a memoized path answers every probe of its flow.
+    replay, so a memoized path answers every probe of its flow.  The tuples
+    are shared with the route toward the destination subnet the path was
+    derived from.
     """
 
     router_ids: Tuple[str, ...]
@@ -145,9 +158,56 @@ class ResolvedPath(NamedTuple):
     expiry_limit: int = 0
 
 
+class _Route(NamedTuple):
+    """One walked route toward a destination subnet, shared by every
+    address inside it.
+
+    A route that reaches the subnet ends at ``lan_router``, the first
+    router attached to it: ``stamps`` ends with that router's LAN interface
+    (it forwards across the LAN) and ``owner_stamps`` with None (it owns
+    the address and answers itself).  Any other route (``NO_ROUTE``,
+    ``HOP_LIMIT``, or a live route cut where its TTL expires) reaches no
+    router that owns or delivers an address of the subnet, so its one
+    finished ``path`` answers for all of them.
+    """
+
+    router_ids: Tuple[str, ...]
+    incoming: Tuple[Optional[int], ...]
+    stamps: Tuple[Optional[int], ...]
+    owner_stamps: Tuple[Optional[int], ...]
+    hop_plans: Tuple[Optional[ResponsePlan], ...]
+    lan_router: Optional[Router]
+    lan_subnet_id: Optional[str]
+    path: Optional[ResolvedPath]
+
+
 #: Cache sentinel: the flow crosses a per-packet balancer, never memoize it.
 _UNCACHEABLE = None
 _MISSING = object()
+#: Route-memo sentinel: the route crossed a per-flow balancer's real
+#: choice, which hashes the destination address, so every address of the
+#: subnet walks its own route (and its path is memoized per address only).
+_PER_ADDRESS = object()
+
+_new_response = Response.__new__
+
+
+def _response(kind: ResponseType, source: int, probe: Probe,
+              responder: str, ip_id: int,
+              record_route: tuple = ()) -> Response:
+    """A :class:`Response` without the frozen dataclass's ``__init__``,
+    which pays one ``object.__setattr__`` per field; assembling
+    ``__dict__`` directly is the same object at a fraction of the cost.
+    Keep the key set in lockstep with Response's fields."""
+    response = _new_response(Response)
+    fields = response.__dict__
+    fields["kind"] = kind
+    fields["source"] = source
+    fields["probe"] = probe
+    fields["responder"] = responder
+    fields["ip_id"] = ip_id
+    fields["record_route"] = record_route
+    return response
 
 
 class Engine:
@@ -187,17 +247,24 @@ class Engine:
         # cheaper than the .value descriptor in the per-probe hot loops.
         self._path_cache: Dict[Tuple[int, int, Protocol, int],
                                Optional[ResolvedPath]] = {}
-        # Mutation watch: memoized paths bake in the topology's routes, the
-        # policy's static response decisions and the balancer's per-flow
-        # choices.  Any of the three changing mid-run (netsim.dynamics)
-        # must drop the memo before the next probe is answered.
+        # Route memo behind it: (src, subnet_id, protocol, flow_id) -> the
+        # _Route every address of the subnet derives its path from,
+        # _UNCACHEABLE, or _PER_ADDRESS.
+        self._routes: Dict[Tuple[int, Optional[str], Protocol, int],
+                           object] = {}
+        # Mutation watch: memoized paths and routes bake in the topology's
+        # routes, the policy's static response decisions and the
+        # balancer's per-flow choices.  Any of the three changing mid-run
+        # (netsim.dynamics) must drop both memos before the next probe is
+        # answered.
         self._cache_stamp = (topology.version, self.policy.version,
                              self.balancer.version)
 
     # -- public API --------------------------------------------------------
 
     def _check_mutations(self) -> None:
-        """Drop stale memoized paths after a topology/policy/ECMP mutation.
+        """Drop stale memoized paths and routes after a topology, policy or
+        ECMP mutation.
 
         Version stamps, never content checks: a mutated network answers
         from a freshly resolved path on the very next probe (the routing
@@ -222,10 +289,7 @@ class Engine:
         self._check_mutations()
         self.clock += 1
         self.stats.record_probe(probe.protocol)
-        stamps: Optional[List[int]] = [] if probe.record_route else None
-        response = self._replay(probe, self._path_for(probe), stamps)
-        if response is not None and probe.record_route and stamps:
-            response = replace(response, record_route=tuple(stamps))
+        response = self._replay(probe, self._path_for(probe))
         if response is None:
             self.stats.silent_drops += 1
         else:
@@ -261,7 +325,6 @@ class Engine:
         id_counters = self._ip_id_counters
         id_noise = self._ip_id_noise
         random_mode = IpIdMode.RANDOM
-        new_response = Response.__new__
         clock = self.clock
         fast = returned = silent = 0
         run_protocol = None  # run-length per-protocol accounting
@@ -311,19 +374,7 @@ class Engine:
                 step = 1 + (randrange(id_noise) if id_noise else 0)
                 ip_id = (current + step) % 65536
                 id_counters[responder] = ip_id
-            # Frozen-dataclass bypass: Response.__init__ pays one
-            # object.__setattr__ per field; assembling __dict__ directly is
-            # the same object at a fraction of the cost.  Keep the key set
-            # in lockstep with Response's fields.
-            response = new_response(Response)
-            fields = response.__dict__
-            fields["kind"] = plan.kind
-            fields["source"] = plan.source
-            fields["probe"] = probe
-            fields["responder"] = responder
-            fields["ip_id"] = ip_id
-            fields["record_route"] = ()
-            append(response)
+            append(_response(plan.kind, plan.source, probe, responder, ip_id))
         if run_count:
             per_protocol[run_protocol] = (
                 per_protocol.get(run_protocol, 0) + run_count)
@@ -337,8 +388,10 @@ class Engine:
         return responses
 
     def clear_path_cache(self) -> None:
-        """Forget every memoized path (e.g. after mutating the topology)."""
+        """Forget every memoized path and route (e.g. after mutating the
+        topology)."""
         self._path_cache.clear()
+        self._routes.clear()
 
     def path_routers(self, src_host_id: str, dst: int) -> List[str]:
         """Ground-truth router path from a host toward ``dst`` (tests only).
@@ -349,12 +402,12 @@ class Engine:
         owns ``dst``.
         """
         host = self.topology.hosts[src_host_id]
-        flow = FlowKey(src=host.address, dst=dst, protocol="icmp", flow_id=0)
-        router_ids, _, _, terminal, _ = self._forward(
-            host, dst, flow, self.balancer.choose)
+        router_ids, _, _, terminal, _ = self._walk(
+            host, self._subnet_id_of(dst), (host.address, dst, Protocol.ICMP, 0),
+            self.balancer.choose)
         if terminal is PathTerminal.LAN:
             iface = self.topology.interface_at(dst)
-            if iface is not None:
+            if iface is not None and iface.router_id != router_ids[-1]:
                 router_ids.append(iface.router_id)
         return router_ids
 
@@ -372,146 +425,204 @@ class Engine:
 
     def _path_for(self, probe: Probe) -> ResolvedPath:
         """The path that answers ``probe``: the flow's memoized path,
-        resolved and memoized on a miss, or a one-off live path when the
+        derived and memoized on a miss, or a one-off live path when the
         flow crosses a per-packet balancer or the cache is off."""
+        flow = (probe.src, probe.dst, probe.protocol, probe.flow_id)
         if self.use_path_cache:
-            key = (probe.src, probe.dst, probe.protocol, probe.flow_id)
-            path = self._path_cache.get(key, _MISSING)
+            path = self._path_cache.get(flow, _MISSING)
             if path is _MISSING:
                 self.stats.path_cache_misses += 1
-                path = self._path_cache[key] = self._resolve_path(probe)
+                path = self._path_cache[flow] = self._memoized_path(probe, flow)
             elif path is _UNCACHEABLE:
                 self.stats.path_cache_uncacheable += 1
             else:
                 self.stats.path_cache_hits += 1
             if path is not _UNCACHEABLE:
                 return path
-        return self._resolve_path(probe, live=True)
+        # A one-off path for this probe alone: per-packet choices are drawn
+        # with LoadBalancer.choose and the route stops where the TTL
+        # expires, so the PRNG is drawn at exactly the hops that forward it.
+        host = self._vantage(probe)
+        subnet_id = self._subnet_id_of(probe.dst)
+        walked = self._walk(host, subnet_id, flow, self.balancer.choose,
+                            probe.ttl)
+        return self._derive(probe, self._route(probe, host, subnet_id, walked,
+                                               live=True))
 
-    def _resolve_path(self, probe: Probe, live: bool = False
-                      ) -> Optional[ResolvedPath]:
-        """Resolve the probe's flow and precompute the static half of every
-        response it can draw (the TTL-Exceeded at each hop and the terminal
-        delivery) into plans.  No rate-limit draws, no IP-IDs, no stats.
+    def _memoized_path(self, probe: Probe, flow: Tuple[int, int, Protocol, int]
+                       ) -> Optional[ResolvedPath]:
+        """Derive the flow's path from the memoized route toward its
+        destination subnet, walking the route first on a route-memo miss.
+        None when the route crosses a per-packet load balancer with a real
+        choice (the path is random per packet and must not be memoized).
 
-        By default the path runs to its terminal hop whatever the probe's
-        TTL and consumes no balancer PRNG; it is None when the flow crosses
-        a per-packet load balancer with a real choice (the path is random
-        per packet and must not be memoized).  ``live`` resolves a one-off
-        path for this probe alone: per-packet choices are drawn with
-        :meth:`LoadBalancer.choose` and the path stops where the TTL
-        expires, so the PRNG is drawn at exactly the hops that forward it.
+        The stable walk consumes no balancer PRNG.  A route that crossed a
+        per-flow balancer's real choice depends on the hashed address, so
+        it is walked again for every address of the subnet.
         """
+        subnet_id = self._subnet_id_of(probe.dst)
+        key = (probe.src, subnet_id, probe.protocol, probe.flow_id)
+        route = self._routes.get(key, _MISSING)
+        if route is _MISSING or route is _PER_ADDRESS:
+            host = self._vantage(probe)
+            walked = self._walk(host, subnet_id, flow,
+                                self.balancer.choose_stable)
+            _, _, _, terminal, hashed = walked
+            fresh = (_UNCACHEABLE if terminal is None
+                     else self._route(probe, host, subnet_id, walked))
+            if route is _MISSING:
+                self._routes[key] = _PER_ADDRESS if hashed else fresh
+            route = fresh
+        if route is _UNCACHEABLE:
+            return _UNCACHEABLE
+        return self._derive(probe, route)
+
+    def _vantage(self, probe: Probe) -> Host:
         host = self.topology.host_at(probe.src)
         if host is None:
             raise ValueError(f"probe source {probe.src} is not a registered host")
-        flow = FlowKey(src=probe.src, dst=probe.dst,
-                       protocol=probe.protocol.value, flow_id=probe.flow_id)
-        if live:
-            route = self._forward(host, probe.dst, flow, self.balancer.choose,
-                                  probe.ttl)
-        else:
-            route = self._forward(host, probe.dst, flow,
-                                  self.balancer.choose_stable)
-        if route is None:
-            return None
-        router_ids, incoming, stamps, terminal, lan_subnet_id = route
-        n = len(router_ids)
-        # A live path is cut where the TTL expires, so its probe is
-        # answered at the last hop or past it: earlier hops need no plan.
-        first = n - 1 if live else 0
-        hop_plans = (None,) * first + tuple(
-            self._plan_indirect(probe, router_ids[i], incoming[i], host)
-            for i in range(first, n))
-        terminal_plan = None
-        expiry_limit = n
-        if terminal is PathTerminal.OWNS:
-            # The owner answers without decrementing the TTL.
-            terminal_plan = self._plan_direct(probe, router_ids[-1])
-            expiry_limit = n - 1
-        elif terminal is PathTerminal.LAN:
-            terminal_plan = self._plan_lan(probe, router_ids[-1],
-                                           lan_subnet_id)
-        return ResolvedPath(router_ids=tuple(router_ids),
-                            incoming=tuple(incoming),
-                            stamps=tuple(stamps),
-                            terminal=terminal,
-                            lan_subnet_id=lan_subnet_id,
-                            hop_plans=hop_plans,
-                            terminal_plan=terminal_plan,
-                            expiry_limit=expiry_limit)
+        return host
 
-    def _forward(self, host: Host, dst: int, flow: FlowKey,
-                 choose: Callable[[str, List[NextHop], FlowKey],
-                                  Optional[NextHop]],
-                 ttl: Optional[int] = None):
+    def _subnet_id_of(self, dst: int) -> Optional[str]:
+        subnet = self.topology.subnet_containing(dst)
+        return subnet.subnet_id if subnet is not None else None
+
+    def _walk(self, host: Host, subnet_id: Optional[str],
+              flow: Tuple[int, int, Protocol, int],
+              choose: Callable[[str, List[NextHop], FlowKey],
+                               Optional[NextHop]],
+              ttl: Optional[int] = None):
         """The engine's one forwarding loop, from ``host``'s gateway toward
-        ``dst``.
+        the destination subnet ``subnet_id`` (None: no subnet holds the
+        destination, a dead end at the gateway).
 
-        Returns ``(router_ids, incoming, stamps, terminal, lan_subnet_id)``:
-        the routers visited, the address each was entered on (None when
+        Returns ``(router_ids, incoming, stamps, terminal, hashed)``: the
+        routers visited, the address each was entered on (None when
         unknown), the record-route stamp each adds when forwarding (None
-        when it adds none), how the path ends, and the destination LAN of a
-        LAN terminal.  ``choose`` picks among ECMP next hops; when it
-        declines (returns None) the whole route is None.  With ``ttl`` the
-        route stops at the router where that TTL expires.
+        when it adds none), how the route ends, and whether a per-flow
+        balancer hashed the flow ``(src, dst, protocol, flow_id)`` among
+        two or more next hops.  A ``LAN`` terminal is the first router
+        attached to the subnet, whether it owns the destination or delivers
+        across the LAN (:meth:`_derive` tells the two apart).  ``choose``
+        picks among ECMP next hops; when it declines (returns None) the
+        terminal is None.  With ``ttl`` the route stops at the router where
+        that TTL expires.
         """
-        dest_subnet = self.topology.subnet_containing(dst)
-        current = self.topology.routers[host.gateway_router_id]
+        routers = self.topology.routers
+        next_hops = self.routing.next_hops
+        current = routers[host.gateway_router_id]
         entry_iface = current.interface_on(host.subnet_id)
         incoming_address = entry_iface.address if entry_iface is not None else None
         router_ids: List[str] = []
         incoming: List[Optional[int]] = []
         stamps: List[Optional[int]] = []
+        flow_key = None
+        hashed = False
         for _ in range(self.max_hops):
-            router_ids.append(current.router_id)
+            router_id = current.router_id
+            router_ids.append(router_id)
             incoming.append(incoming_address)
-            if current.owns(dst):
+            if subnet_id is None:
                 stamps.append(None)
-                return router_ids, incoming, stamps, PathTerminal.OWNS, None
-            if len(router_ids) == ttl:
-                stamps.append(None)
-                return router_ids, incoming, stamps, PathTerminal.EXPIRED, None
-            if dest_subnet is None:
-                stamps.append(None)
-                return router_ids, incoming, stamps, PathTerminal.NO_ROUTE, None
-            lan_iface = current.interface_on(dest_subnet.subnet_id)
+                return router_ids, incoming, stamps, PathTerminal.NO_ROUTE, hashed
+            lan_iface = current.interface_on(subnet_id)
             if lan_iface is not None:
                 stamps.append(lan_iface.address)
-                return (router_ids, incoming, stamps, PathTerminal.LAN,
-                        dest_subnet.subnet_id)
-            hops = self.routing.next_hops(current.router_id, dest_subnet.subnet_id)
+                return router_ids, incoming, stamps, PathTerminal.LAN, hashed
+            if len(router_ids) == ttl:
+                stamps.append(None)
+                return router_ids, incoming, stamps, PathTerminal.EXPIRED, hashed
+            hops = next_hops(router_id, subnet_id)
             if not hops:
                 stamps.append(None)
-                return router_ids, incoming, stamps, PathTerminal.NO_ROUTE, None
-            choice = choose(current.router_id, hops, flow)
-            if choice is None:
-                return None
+                return router_ids, incoming, stamps, PathTerminal.NO_ROUTE, hashed
+            if len(hops) == 1:
+                choice = hops[0]
+            else:
+                if flow_key is None:
+                    src, dst, protocol, flow_id = flow
+                    flow_key = FlowKey(src=src, dst=dst, protocol=protocol.value,
+                                       flow_id=flow_id)
+                choice = choose(router_id, hops, flow_key)
+                if choice is None:
+                    return router_ids, incoming, stamps, None, hashed
+                hashed = hashed or (self.balancer.mode_of(router_id)
+                                    is LoadBalancingMode.PER_FLOW)
             via_iface = current.interface_on(choice.via_subnet_id)
             stamps.append(via_iface.address if via_iface is not None else None)
-            current = self.topology.routers[choice.router_id]
+            current = routers[choice.router_id]
             next_iface = current.interface_on(choice.via_subnet_id)
             incoming_address = next_iface.address if next_iface is not None else None
-        return router_ids, incoming, stamps, PathTerminal.HOP_LIMIT, None
+        return router_ids, incoming, stamps, PathTerminal.HOP_LIMIT, hashed
 
-    def _replay(self, probe: Probe, path: ResolvedPath,
-                stamps: Optional[List[int]]) -> Optional[Response]:
+    def _route(self, probe: Probe, host: Host, subnet_id: Optional[str],
+               walked, live: bool = False) -> _Route:
+        """Precompute the static half of every TTL-Exceeded a walked route
+        can draw into plans.  No rate-limit draws, no IP-IDs, no stats.
+
+        A ``live`` route is cut where its probe's TTL expires, so that
+        probe is answered at the last hop or past it: earlier hops need no
+        plan.
+        """
+        router_ids, incoming, stamps, terminal, _ = walked
+        n = len(router_ids)
+        first = n - 1 if live else 0
+        hop_plans = (None,) * first + tuple(
+            self._plan_indirect(probe, router_ids[i], incoming[i], host)
+            for i in range(first, n))
+        router_ids = tuple(router_ids)
+        incoming = tuple(incoming)
+        stamps = tuple(stamps)
+        if terminal is PathTerminal.LAN:
+            return _Route(router_ids, incoming, stamps, stamps[:-1] + (None,),
+                          hop_plans, self.topology.routers[router_ids[-1]],
+                          subnet_id, None)
+        return _Route(router_ids, incoming, stamps, stamps, hop_plans, None,
+                      None, ResolvedPath(router_ids, incoming, stamps, terminal,
+                                         None, hop_plans, None, n))
+
+    def _derive(self, probe: Probe, route: _Route) -> ResolvedPath:
+        """The probed address's path, sharing its subnet route's tuples.
+
+        Exact because addresses are unique and an interface address lies in
+        its own interface's subnet: the only router on the route that can
+        own ``probe.dst`` is the route's LAN router.  The owner answers
+        without decrementing the TTL and adds no stamp; any other address
+        is delivered across the LAN past the last hop.
+        """
+        if route.path is not None:
+            return route.path
+        router = route.lan_router
+        n = len(route.router_ids)
+        if router.owns(probe.dst):
+            return ResolvedPath(route.router_ids, route.incoming,
+                                route.owner_stamps, PathTerminal.OWNS, None,
+                                route.hop_plans,
+                                self._plan_direct(probe, router,
+                                                  route.lan_subnet_id),
+                                n - 1)
+        return ResolvedPath(route.router_ids, route.incoming, route.stamps,
+                            PathTerminal.LAN, route.lan_subnet_id,
+                            route.hop_plans,
+                            self._plan_lan(probe, router, route.lan_subnet_id),
+                            n)
+
+    def _replay(self, probe: Probe, path: ResolvedPath) -> Optional[Response]:
         """Generate this probe's response from its resolved path.
 
         TTL accounting: the terminal router does not decrement for an
         address it owns, but does before a LAN delivery / dead end.  The
         static response decision was precomputed into a plan; only the
-        rate-limit bucket and IP-ID counter run live.
+        rate-limit bucket and IP-ID counter run live.  A record-route probe
+        collects the stamps of the hops before the one that answers.
         """
         ttl = probe.ttl
         if ttl <= path.expiry_limit:
-            if stamps is not None:
-                self._fill_stamps(probe, path, ttl - 1, stamps)
             plan = path.hop_plans[ttl - 1]
+            crossed = ttl - 1
         else:
-            if stamps is not None:
-                self._fill_stamps(probe, path, path.expiry_limit, stamps)
             plan = path.terminal_plan
+            crossed = path.expiry_limit
         if plan is None:
             return None
         if plan.draws_bucket and not self.policy.rate_limit_allows(
@@ -519,9 +630,13 @@ class Engine:
             return None
         if plan.source is None:
             return None
-        return Response(kind=plan.kind, source=plan.source, probe=probe,
-                        responder=plan.responder,
-                        ip_id=self._next_ip_id(plan.responder, plan.ip_id_mode))
+        ip_id = self._next_ip_id(plan.responder, plan.ip_id_mode)
+        record_route = ()
+        if probe.record_route:
+            record_route = tuple([stamp for stamp in path.stamps[:crossed]
+                                  if stamp is not None][:RECORD_ROUTE_SLOTS])
+        return _response(plan.kind, plan.source, probe, plan.responder, ip_id,
+                         record_route)
 
     def _plan_indirect(self, probe: Probe, router_id: str,
                        incoming_address: Optional[int],
@@ -547,24 +662,24 @@ class Engine:
                             responder=router_id, ip_id_mode=router.ip_id_mode,
                             draws_bucket=True)
 
-    def _plan_direct(self, probe: Probe, router_id: str
+    def _plan_direct(self, probe: Probe, router: Router, subnet_id: str
                      ) -> Optional[ResponsePlan]:
         """The owning router's answer to a direct probe (paper §3.1 direct
-        configurations), behind subnet firewalls and silent interfaces."""
-        subnet = self.topology.subnet_containing(probe.dst)
-        if subnet is not None and self.policy.subnet_is_firewalled(subnet.subnet_id):
+        configurations), behind subnet firewalls and silent interfaces.
+        ``subnet_id`` is the subnet holding ``probe.dst``."""
+        if self.policy.subnet_is_firewalled(subnet_id):
             return None
         if self.policy.interface_is_silent(probe.dst):
             return None
-        if not self.policy.router_statically_responds(router_id, probe.protocol):
+        if not self.policy.router_statically_responds(router.router_id,
+                                                      probe.protocol):
             return None
-        router = self.topology.routers[router_id]
         source = None if router.direct_config == DirectConfig.NIL else probe.dst
         return ResponsePlan(kind=ALIVE_RESPONSES[probe.protocol], source=source,
-                            responder=router_id, ip_id_mode=router.ip_id_mode,
-                            draws_bucket=True)
+                            responder=router.router_id,
+                            ip_id_mode=router.ip_id_mode, draws_bucket=True)
 
-    def _plan_lan(self, probe: Probe, last_router_id: str,
+    def _plan_lan(self, probe: Probe, last_router: Router,
                   subnet_id: str) -> Optional[ResponsePlan]:
         """Delivery across the destination LAN past the last hop: a host
         answers for itself, an assigned address through its owning router,
@@ -586,28 +701,17 @@ class Engine:
                 return None
             if self.policy.subnet_is_firewalled(subnet_id):
                 return None
-            if not self.policy.router_statically_responds(last_router_id,
-                                                          probe.protocol):
+            if not self.policy.router_statically_responds(
+                    last_router.router_id, probe.protocol):
                 return None
-            router = self.topology.routers[last_router_id]
-            own_iface = router.interface_on(subnet_id)
+            own_iface = last_router.interface_on(subnet_id)
             source = own_iface.address if own_iface is not None else None
             return ResponsePlan(kind=ResponseType.HOST_UNREACHABLE,
-                                source=source, responder=last_router_id,
-                                ip_id_mode=router.ip_id_mode, draws_bucket=True)
-        return self._plan_direct(probe, iface.router_id)
-
-    def _fill_stamps(self, probe: Probe, path: ResolvedPath, upto: int,
-                     stamps: Optional[List[int]]) -> None:
-        """Record-route stamps collected before hop index ``upto``."""
-        if stamps is None or not probe.record_route:
-            return
-        for stamp in path.stamps[:upto]:
-            if stamp is None:
-                continue
-            if len(stamps) >= RECORD_ROUTE_SLOTS:
-                return
-            stamps.append(stamp)
+                                source=source, responder=last_router.router_id,
+                                ip_id_mode=last_router.ip_id_mode,
+                                draws_bucket=True)
+        return self._plan_direct(probe, self.topology.routers[iface.router_id],
+                                 subnet_id)
 
     # -- response generation -------------------------------------------------
 

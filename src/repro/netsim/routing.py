@@ -102,8 +102,12 @@ class LoadBalancer:
 
 
 #: Subnet level maps retained per table.  One BFS result is O(subnets), so
-#: the bound matters far less than it did for router-level maps; 128
-#: destination subnets comfortably covers a survey's working set.
+#: the bound matters far less than it did for router-level maps.  It does
+#: not cover a survey: the reference surveys (seeds 4-7) route toward
+#: 170-178 distinct subnets on Internet2 and 261-268 on GEANT.  They still
+#: repeat no BFS (``bfs_runs`` equals the distinct subnet count), because a
+#: subnet's levels are read only while its next hops are first computed,
+#: and the next-hop sets themselves are cached without a bound.
 DEFAULT_DISTANCE_CACHE = 128
 
 

@@ -1,13 +1,16 @@
-"""Unit tests for the engine's resolved-path memo.
+"""Unit tests for the engine's resolved-path and route memos.
 
 The engine answers every probe by resolving its flow's path and replaying
 the response for the probe's TTL; the memo keeps one resolved path per
-flow.  The contract: the engine is packet-for-packet identical to the
+flow, derived from one memoized route per destination subnet.  The
+contract: the engine is packet-for-packet identical to the
 hop-by-hop :class:`~reference_walk.WalkingEngine` — same responses, same
 IP-IDs, same rate-limit bucket drains, same record-route stamps, same
 per-packet balancer draws — while a memoized flow is resolved once, not
-once per probe.  Flows crossing a per-packet load balancer are never
-memoized, and ``path_cache=False`` answers exactly like the memo.
+once per probe, and a destination subnet is routed once, not once per
+address.  Flows crossing a per-packet load balancer are never memoized, a
+route that crossed a per-flow choice serves only its own address, and
+``path_cache=False`` answers exactly like the memo.
 """
 
 from conftest import address_on
@@ -17,6 +20,7 @@ from repro.netsim import (
     Engine,
     LoadBalancer,
     LoadBalancingMode,
+    PathTerminal,
     Probe,
     Protocol,
     ResponsePolicy,
@@ -51,6 +55,35 @@ def diamond(mode, seed=5, engine_cls=Engine, **engine_kwargs):
     topo = builder.build()
     balancer = LoadBalancer(default_mode=mode, seed=seed)
     return engine_cls(topo, balancer=balancer, **engine_kwargs), topo
+
+
+def lan_tail(engine_cls=Engine, mode=None, **engine_kwargs):
+    """v - R1 - {R2 | R3} - R4 - LAN(R4, R5, R6, R7): the LAN's addresses
+    share one route, with one ECMP split at R1."""
+    builder = TopologyBuilder("lan-tail")
+    builder.link("R1", "R2")
+    builder.link("R1", "R3")
+    builder.link("R2", "R4")
+    builder.link("R3", "R4")
+    lan = builder.lan(["R4", "R5", "R6", "R7"])
+    builder.edge_host("v", "R1")
+    topo = builder.build()
+    if mode is not None:
+        engine_kwargs["balancer"] = LoadBalancer(default_mode=mode, seed=5)
+    return engine_cls(topo, **engine_kwargs), topo, lan
+
+
+def counting_next_hops(engine):
+    """Record the router of every ``next_hops`` call the engine makes."""
+    calls = []
+    next_hops = engine.routing.next_hops
+
+    def counting(router_id, subnet_id):
+        calls.append(router_id)
+        return next_hops(router_id, subnet_id)
+
+    engine.routing.next_hops = counting
+    return calls
 
 
 def probe(topo, dst, ttl, flow_id=0, record_route=False,
@@ -214,14 +247,7 @@ class TestUncacheable:
 class TestResolveOnce:
     def test_miss_resolves_the_path_once(self):
         engine, topo = chain()
-        calls = []
-        next_hops = engine.routing.next_hops
-
-        def counting(router_id, subnet_id):
-            calls.append(router_id)
-            return next_hops(router_id, subnet_id)
-
-        engine.routing.next_hops = counting
+        calls = counting_next_hops(engine)
         dst = address_on(topo, "R5", "R4")
         engine.send(probe(topo, dst, DEFAULT_TTL))
         assert engine.stats.path_cache_misses == 1
@@ -279,3 +305,78 @@ class TestDefaultTTL:
         response = engine.send(probe(topo, dst, 2))
         assert engine.stats.path_cache_hits == 1
         assert response.kind == ResponseType.ECHO_REPLY
+
+
+class TestRouteMemo:
+    def test_second_address_in_a_routed_subnet_walks_nothing(self):
+        engine, topo, lan = lan_tail()
+        calls = counting_next_hops(engine)
+        first, second = (address_on(topo, r, "R4") for r in ("R5", "R6"))
+        engine.send(probe(topo, first, DEFAULT_TTL))
+        # R1, R2 forward; R4 is attached to the LAN.
+        assert calls == ["R1", "R2"]
+        for ttl in (1, 2, 3, 4, DEFAULT_TTL):
+            engine.send(probe(topo, second, ttl))
+        assert calls == ["R1", "R2"]
+        assert engine.stats.path_cache_misses == 2
+        assert len(engine._routes) == 1
+
+    def test_lan_router_owns_its_address_and_delivers_the_rest(self):
+        walker, topo, lan = lan_tail(engine_cls=WalkingEngine)
+        engine, _, _ = lan_tail()
+        own = address_on(topo, "R4", "R5")
+        member = address_on(topo, "R5", "R4")
+        for dst in (own, member):
+            for ttl in range(1, 6):
+                for rr in (False, True):
+                    a = walker.send(probe(topo, dst, ttl, record_route=rr))
+                    b = engine.send(probe(topo, dst, ttl, record_route=rr))
+                    assert signature(a) == signature(b), (dst, ttl, rr)
+        # Both addresses derive from one route ending at R4.
+        assert len(engine._routes) == 1
+        paths = {key[1]: path for key, path in engine._path_cache.items()}
+        assert paths[own].terminal is PathTerminal.OWNS
+        assert paths[member].terminal is PathTerminal.LAN
+        assert paths[own].router_ids is paths[member].router_ids
+        # R4 answers for its own address without decrementing the TTL...
+        reply = engine.send(probe(topo, own, 3))
+        assert (reply.kind, reply.responder) == (ResponseType.ECHO_REPLY, "R4")
+        # ...and forwards to another member across the LAN.
+        expired = engine.send(probe(topo, member, 3))
+        assert (expired.kind, expired.responder) == (
+            ResponseType.TTL_EXCEEDED, "R4")
+        reply = engine.send(probe(topo, member, 4))
+        assert (reply.kind, reply.responder) == (ResponseType.ECHO_REPLY, "R5")
+
+    def test_per_flow_route_is_not_shared_between_addresses(self):
+        # A per-flow balancer hashes the destination address, so two
+        # addresses of one subnet can leave R1 on different branches.
+        walker, topo, lan = lan_tail(engine_cls=WalkingEngine,
+                                     mode=LoadBalancingMode.PER_FLOW)
+        engine, _, _ = lan_tail(mode=LoadBalancingMode.PER_FLOW)
+
+        def by_branch(flow):
+            """The LAN's addresses keyed by the branch they leave R1 on."""
+            scout, _, _ = lan_tail(mode=LoadBalancingMode.PER_FLOW)
+            return {scout.send(probe(topo, dst, 2, flow)).responder: dst
+                    for dst in lan.addresses}
+
+        flow = next(f for f in range(32) if len(by_branch(f)) == 2)
+        pair = (by_branch(flow)["R2"], by_branch(flow)["R3"])
+        for dst in pair:
+            for ttl in range(1, 6):
+                a = walker.send(probe(topo, dst, ttl, flow))
+                b = engine.send(probe(topo, dst, ttl, flow))
+                assert signature(a) == signature(b), (dst, ttl)
+        assert [engine.send(probe(topo, dst, 2, flow)).responder
+                for dst in pair] == ["R2", "R3"]
+        assert len(engine._path_cache) == 2
+
+    def test_clear_path_cache_drops_routes(self):
+        engine, topo, lan = lan_tail()
+        calls = counting_next_hops(engine)
+        engine.send(probe(topo, address_on(topo, "R5", "R4"), DEFAULT_TTL))
+        engine.clear_path_cache()
+        assert not engine._routes
+        engine.send(probe(topo, address_on(topo, "R6", "R4"), DEFAULT_TTL))
+        assert calls == ["R1", "R2", "R1", "R2"]

@@ -198,13 +198,23 @@ def reference_routes(members, attached, subnet_id):
     crosses each of its subnets to the members one hop closer.  Members of
     one subnet sit at most one hop apart, so those are the members at the
     subnet's minimal distance whenever ``r`` is one hop above it.
+
+    Each subnet is expanded once, from the first frontier router that
+    reaches it: that router is at the smallest distance of any member, so
+    every member still unseen is one hop further, and a later expansion
+    would find none.  Expanding a LAN once per member instead is quadratic
+    in its size.
     """
     distance = {rid: 0 for rid in members[subnet_id]}
+    expanded = {subnet_id}
     frontier = list(distance)
     while frontier:
         reached = []
         for rid in frontier:
             for sid in attached[rid]:
+                if sid in expanded:
+                    continue
+                expanded.add(sid)
                 for neighbor in members[sid]:
                     if neighbor not in distance:
                         distance[neighbor] = distance[rid] + 1
