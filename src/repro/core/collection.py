@@ -76,11 +76,8 @@ def collect_hop(prober: Prober, destination: int, ttl: int,
     if events:
         if events.wants(HopObserved):
             events.emit(HopObserved(
-                destination=destination,
-                ttl=ttl,
-                kind=observation.kind.value,
-                address=observation.address,
-            ))
+                destination, ttl, observation.kind._value_,
+                observation.address))
         else:
             events.tally(HopObserved)
     return observation
@@ -224,11 +221,8 @@ class HopPipeline:
             if events:
                 if events.wants(HopObserved):
                     events.emit(HopObserved(
-                        destination=self.destination,
-                        ttl=ttl,
-                        kind=observation.kind.value,
-                        address=observation.address,
-                    ))
+                        self.destination, ttl, observation.kind._value_,
+                        observation.address))
                 else:
                     events.tally(HopObserved)
             return observation
@@ -252,11 +246,8 @@ class HopPipeline:
                     events.tally(ProbeSuppressed)
                 if events.wants(HopObserved):
                     events.emit(HopObserved(
-                        destination=self.destination,
-                        ttl=ttl,
-                        kind=served.kind.value,
-                        address=served.address,
-                    ))
+                        self.destination, ttl, served.kind._value_,
+                        served.address))
                 else:
                     events.tally(HopObserved)
             return served
@@ -274,11 +265,8 @@ class HopPipeline:
         if events:
             if events.wants(HopObserved):
                 events.emit(HopObserved(
-                    destination=self.destination,
-                    ttl=ttl,
-                    kind=buffered.kind.value,
-                    address=buffered.address,
-                ))
+                    self.destination, ttl, buffered.kind._value_,
+                    buffered.address))
             else:
                 events.tally(HopObserved)
         return buffered

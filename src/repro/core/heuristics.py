@@ -80,12 +80,9 @@ class ExplorationState:
         if self.prober is not None:
             bus = self.prober.events
             if bus:
-                bus.emit(HeuristicFired(
-                    candidate=candidate,
-                    rule=judgement.rule,
-                    verdict=judgement.verdict.value,
-                    detail=judgement.detail,
-                ))
+                bus.emit(HeuristicFired(candidate, judgement.rule,
+                                        judgement.verdict._value_,
+                                        judgement.detail))
         elif self.audit is not None:
             # No bus to adapt over (a prober-less unit-test state): keep
             # the audit contract directly.

@@ -32,7 +32,7 @@ class SessionEvent:
     """Base class for everything the collectors emit."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProbeSent(SessionEvent):
     """One probe actually put on the wire (cache hits emit :class:`CacheHit`).
 
@@ -52,8 +52,19 @@ class ProbeSent(SessionEvent):
     response_kind: Optional[str]
     response_source: Optional[int]
 
+    def __init__(self, dst, ttl, protocol, flow_id, phase, answered,
+                 response_kind, response_source):
+        _set_ps_dst(self, dst)
+        _set_ps_ttl(self, ttl)
+        _set_ps_protocol(self, protocol)
+        _set_ps_flow_id(self, flow_id)
+        _set_ps_phase(self, phase)
+        _set_ps_answered(self, answered)
+        _set_ps_response_kind(self, response_kind)
+        _set_ps_response_source(self, response_source)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class CacheHit(SessionEvent):
     """A probe answered from the prober's response cache — nothing hit the
     wire.  Without this event, event-derived probe totals undercount the
@@ -63,6 +74,11 @@ class CacheHit(SessionEvent):
     dst: int
     ttl: int
     phase: Optional[str]
+
+    def __init__(self, dst, ttl, phase):
+        _set_ch_dst(self, dst)
+        _set_ch_ttl(self, ttl)
+        _set_ch_phase(self, phase)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +113,7 @@ class ProbeBatchSent(SessionEvent):
     phase: Optional[str]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HopObserved(SessionEvent):
     """Trace-collection mode classified the answer at one TTL."""
 
@@ -105,6 +121,12 @@ class HopObserved(SessionEvent):
     ttl: int
     kind: str
     address: Optional[int]
+
+    def __init__(self, destination, ttl, kind, address):
+        _set_ho_destination(self, destination)
+        _set_ho_ttl(self, ttl)
+        _set_ho_kind(self, kind)
+        _set_ho_address(self, address)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +140,7 @@ class SubnetPositioned(SessionEvent):
     on_trace_path: Optional[bool]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HeuristicFired(SessionEvent):
     """One H2–H8 judgement on one candidate address."""
 
@@ -126,6 +148,12 @@ class HeuristicFired(SessionEvent):
     rule: str
     verdict: str
     detail: str
+
+    def __init__(self, candidate, rule, verdict, detail):
+        _set_hf_candidate(self, candidate)
+        _set_hf_rule(self, rule)
+        _set_hf_verdict(self, verdict)
+        _set_hf_detail(self, detail)
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,6 +314,28 @@ class ProbeRetried(SessionEvent):
     attempt: int
     phase: Optional[str]
 
+
+# The hot event types -- one per wire probe, cache hit, hop or heuristic
+# judgement -- set their slots through the slot descriptors.  The frozen
+# dataclass ``__init__`` would pay an ``object.__setattr__`` call by name
+# per field, which the frozen guard does not need: assignment after
+# construction still raises ``FrozenInstanceError``.  Each ``__init__``
+# takes the dataclass's own signature, in field order.
+
+
+def _slot_setters(cls: Type[SessionEvent]) -> Tuple[Callable, ...]:
+    """Each field's slot setter, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+(_set_ps_dst, _set_ps_ttl, _set_ps_protocol, _set_ps_flow_id, _set_ps_phase,
+ _set_ps_answered, _set_ps_response_kind,
+ _set_ps_response_source) = _slot_setters(ProbeSent)
+_set_ch_dst, _set_ch_ttl, _set_ch_phase = _slot_setters(CacheHit)
+(_set_ho_destination, _set_ho_ttl, _set_ho_kind,
+ _set_ho_address) = _slot_setters(HopObserved)
+(_set_hf_candidate, _set_hf_rule, _set_hf_verdict,
+ _set_hf_detail) = _slot_setters(HeuristicFired)
 
 #: Every concrete event type, by class name — the wire vocabulary.
 EVENT_TYPES: Dict[str, Type[SessionEvent]] = {

@@ -26,18 +26,28 @@ kind (creating ``x`` as a counter and again as a gauge raises).  Histograms
 use fixed upper-bound buckets with Prometheus ``le`` semantics: a value
 lands in the first bucket whose bound is >= the value, values above the
 last bound land in the implicit overflow (``+Inf``) bucket.
+
+Writers on a hot path resolve a series once: :meth:`MetricsRegistry.family`
+maps each label value to its counter, created on first use.  A writer may
+also keep updates of its own and register a fold with
+:meth:`MetricsRegistry.defer`; the registry runs every fold before any
+read, so readers never see the deferral.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
 
 def _label_items(labels: Dict[str, str]) -> LabelItems:
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -110,16 +120,16 @@ class Histogram:
         self.sum = 0
         self.count = 0
 
-    def observe(self, value) -> None:
-        self.counts[self.bucket_index(value)] += 1
-        self.sum += value
-        self.count += 1
+    def observe(self, value, times: int = 1) -> None:
+        """Record ``value``, ``times`` times over."""
+        self.counts[bisect_left(self.bounds, value)] += times
+        self.sum += value * times
+        self.count += times
 
     def bucket_index(self, value) -> int:
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                return index
-        return len(self.bounds)
+        """The first bucket whose bound is >= ``value`` (``le``); the
+        overflow bucket's index, ``len(bounds)``, above the last bound."""
+        return bisect_left(self.bounds, value)
 
     @property
     def overflow(self) -> int:
@@ -144,17 +154,44 @@ class MetricsRegistry:
         self.timings: Dict[str, Dict[str, float]] = {}
         self.backend: Optional[MetricsRegistry] = (
             None if _nested else MetricsRegistry(_nested=True))
+        self._folds: List[Callable[[], None]] = []
 
     # -- creation / lookup ---------------------------------------------------
 
     def counter(self, name: str, **labels) -> Counter:
+        self._fold()
         return self._get_or_create(Counter, name, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
+        self._fold()
         return self._get_or_create(Gauge, name, labels)
 
     def histogram(self, name: str, buckets: Optional[Sequence[float]] = None,
                   **labels) -> Histogram:
+        self._fold()
+        return self._histogram(name, buckets, labels)
+
+    def family(self, name: str, label: str) -> "Family":
+        """The counters ``name{label=...}`` by label value; each series is
+        created on its first use, as :meth:`inc` would create it."""
+        return Family(self, name, label)
+
+    def defer(self, fold: Callable[[], None]) -> None:
+        """Register ``fold``, which applies a writer's pending updates.
+
+        Every read (:meth:`counter`, :meth:`gauge`, :meth:`histogram`,
+        :meth:`value`, :meth:`series`, and so :meth:`snapshot`,
+        :meth:`merge` and :meth:`to_dict`) runs the folds first.  Pending
+        updates must be additions, which commute with direct writes.
+        """
+        self._folds.append(fold)
+
+    def _fold(self) -> None:
+        for fold in self._folds:
+            fold()
+
+    def _histogram(self, name: str, buckets: Optional[Sequence[float]],
+                   labels: Dict) -> Histogram:
         metric = self._metrics.get((name, _label_items(labels)))
         if metric is not None:
             if not isinstance(metric, Histogram):
@@ -191,14 +228,14 @@ class MetricsRegistry:
     # -- convenience mutators ------------------------------------------------
 
     def inc(self, name: str, amount: int = 1, **labels) -> None:
-        self.counter(name, **labels).inc(amount)
+        self._get_or_create(Counter, name, labels).inc(amount)
 
     def set_gauge(self, name: str, value, **labels) -> None:
-        self.gauge(name, **labels).set(value)
+        self._get_or_create(Gauge, name, labels).set(value)
 
     def observe(self, name: str, value,
                 buckets: Optional[Sequence[float]] = None, **labels) -> None:
-        self.histogram(name, buckets=buckets, **labels).observe(value)
+        self._histogram(name, buckets, labels).observe(value)
 
     @contextmanager
     def time(self, name: str) -> Iterator[None]:
@@ -223,6 +260,7 @@ class MetricsRegistry:
 
     def value(self, name: str, default=0, **labels):
         """Current value of a counter/gauge series (``default`` if absent)."""
+        self._fold()
         metric = self._metrics.get((name, _label_items(labels)))
         if metric is None:
             return default
@@ -232,6 +270,7 @@ class MetricsRegistry:
 
     def series(self) -> List[object]:
         """Every metric object, in deterministic (name, labels) order."""
+        self._fold()
         return [self._metrics[key] for key in sorted(self._metrics)]
 
     def snapshot(self) -> Dict:
@@ -329,6 +368,24 @@ class MetricsRegistry:
             mine["seconds"] += span["seconds"]
             mine["count"] += span["count"]
         return self
+
+
+class Family(dict):
+    """One labelled counter's series, by label value (see
+    :meth:`MetricsRegistry.family`): a dict hit once a value is known."""
+
+    __slots__ = ("_registry", "_name", "_label")
+
+    def __init__(self, registry: MetricsRegistry, name: str, label: str):
+        super().__init__()
+        self._registry = registry
+        self._name = name
+        self._label = label
+
+    def __missing__(self, value) -> Counter:
+        metric = self[value] = self._registry._get_or_create(
+            Counter, self._name, {self._label: value})
+        return metric
 
 
 def _parse_series_key(key: str) -> Tuple[str, Dict[str, str]]:

@@ -91,10 +91,17 @@ _HELP = {
 class MetricsSink:
     """Feeds a :class:`MetricsRegistry` from the session-event stream.
 
-    Dispatch is a per-type handler table instead of an isinstance chain,
-    and the hot-path handlers hold their metric objects directly (the
-    registry returns the same object for the same name + labels, so this
-    is pure lookup elision — snapshots are unchanged).
+    Dispatch is a per-type handler table instead of an isinstance chain.
+    The handlers hold their metric objects directly, and each labelled
+    counter as a :meth:`~MetricsRegistry.family`, so a label value is
+    resolved once per sink rather than once per event.  Series still
+    appear in the registry on their first event, so snapshots are
+    unchanged.
+
+    :class:`ProbeSent`, one per wire probe, is the exception: the sink
+    only tallies its shape ``(protocol, phase, answered, kind, ttl)``, and
+    the registry folds the tally into the six per-probe metrics before
+    any read (:meth:`MetricsRegistry.defer`).
     """
 
     def __init__(self, registry: MetricsRegistry):
@@ -110,10 +117,25 @@ class MetricsSink:
         self._ttl_hist = registry.histogram("probe_ttl", buckets=TTL_BUCKETS)
         self._batch_hist = registry.histogram("probe_batch_size",
                                               buckets=BATCH_SIZE_BUCKETS)
-        # Labelled counters the per-probe handlers touch, cached by value.
-        self._proto_counters: dict = {}
-        self._phase_counters: dict = {}
-        self._kind_counters: dict = {}
+        family = registry.family
+        self._by_protocol = family("probe_protocol_total", "protocol")
+        self._by_phase = family("probe_phase_total", "phase")
+        self._by_kind = family("probe_response_kind_total", "kind")
+        self._suppressed = family("probes_suppressed_total", "reason")
+        self._hops = family("hops_observed_total", "kind")
+        self._positionings = family("subnet_positionings_total", "outcome")
+        self._rules = family("heuristic_fired_total", "rule")
+        self._verdicts = family("heuristic_verdict_total", "verdict")
+        self._shrinks = family("subnet_shrunk_total", "rule")
+        self._stops = family("subnet_stop_total", "reason")
+        self._phase_probes = family("subnet_phase_probes_total", "phase")
+        self._mutations = family("topology_mutations_total", "kind")
+        self._inconsistencies = family("trace_inconsistencies_total",
+                                       "reason")
+        self._retractions = family("subnets_retracted_total", "reason")
+        #: ProbeSent count by (protocol, phase, answered, kind, ttl).
+        self._probe_shapes: dict = {}
+        registry.defer(self._fold_probes)
         self._handlers = {
             ProbeSent: self._on_probe_sent,
             CacheHit: self._on_cache_hit,
@@ -153,68 +175,62 @@ class MetricsSink:
     # -- per-type handlers --------------------------------------------------
 
     def _on_probe_sent(self, event: ProbeSent) -> None:
-        self._probes_sent.inc()
-        proto = self._proto_counters.get(event.protocol)
-        if proto is None:
-            proto = self._proto_counters[event.protocol] = (
-                self.registry.counter("probe_protocol_total",
-                                      protocol=event.protocol))
-        proto.inc()
-        if event.phase is not None:
-            phase = self._phase_counters.get(event.phase)
-            if phase is None:
-                phase = self._phase_counters[event.phase] = (
-                    self.registry.counter("probe_phase_total",
-                                          phase=event.phase))
-            phase.inc()
-        if event.answered:
-            self._responses.inc()
-            if event.response_kind is not None:
-                kind = self._kind_counters.get(event.response_kind)
-                if kind is None:
-                    kind = self._kind_counters[event.response_kind] = (
-                        self.registry.counter("probe_response_kind_total",
-                                              kind=event.response_kind))
-                kind.inc()
-        else:
-            self._silent.inc()
-        self._ttl_hist.observe(event.ttl)
+        shape = (event.protocol, event.phase, event.answered,
+                 event.response_kind, event.ttl)
+        shapes = self._probe_shapes
+        shapes[shape] = shapes.get(shape, 0) + 1
+
+    def _fold_probes(self) -> None:
+        """Apply the ProbeSent tally (run by the registry before reads)."""
+        shapes, self._probe_shapes = self._probe_shapes, {}
+        for (protocol, phase, answered, kind, ttl), count in shapes.items():
+            self._probes_sent.inc(count)
+            self._by_protocol[protocol].inc(count)
+            if phase is not None:
+                self._by_phase[phase].inc(count)
+            if answered:
+                self._responses.inc(count)
+                if kind is not None:
+                    self._by_kind[kind].inc(count)
+            else:
+                self._silent.inc(count)
+            self._ttl_hist.observe(ttl, count)
 
     def _on_cache_hit(self, event: CacheHit) -> None:
         self._cache_hits.inc()
 
     def _on_probe_suppressed(self, event: ProbeSuppressed) -> None:
-        self.registry.inc("probes_suppressed_total", reason=event.reason)
+        self._suppressed[event.reason].inc()
 
     def _on_probe_batch(self, event: ProbeBatchSent) -> None:
         self._batches.inc()
         self._batch_hist.observe(event.size)
 
     def _on_hop_observed(self, event: HopObserved) -> None:
-        self.registry.inc("hops_observed_total", kind=event.kind)
+        self._hops[event.kind].inc()
 
     def _on_subnet_positioned(self, event: SubnetPositioned) -> None:
         outcome = "positioned" if event.positioned else "unpositioned"
-        self.registry.inc("subnet_positionings_total", outcome=outcome)
+        self._positionings[outcome].inc()
 
     def _on_heuristic_fired(self, event: HeuristicFired) -> None:
-        self.registry.inc("heuristic_fired_total", rule=event.rule)
-        self.registry.inc("heuristic_verdict_total", verdict=event.verdict)
+        self._rules[event.rule].inc()
+        self._verdicts[event.verdict].inc()
 
     def _on_subnet_shrunk(self, event: SubnetShrunk) -> None:
-        self.registry.inc("subnet_shrunk_total", rule=event.rule)
+        self._shrinks[event.rule].inc()
 
     def _on_subnet_grown(self, event: SubnetGrown) -> None:
         registry = self.registry
         registry.inc("subnets_grown_total")
-        registry.inc("subnet_stop_total", reason=event.stop_reason)
+        self._stops[event.stop_reason].inc()
         registry.inc("overhead_checks_total")
         registry.observe("subnet_size", event.size,
                          buckets=SUBNET_SIZE_BUCKETS)
         registry.observe("subnet_probes_used", event.probes_used,
                          buckets=SUBNET_PROBE_BUCKETS)
         for phase, count in (event.phase_probes or {}).items():
-            registry.inc("subnet_phase_probes_total", count, phase=phase)
+            self._phase_probes[phase].inc(count)
 
     def _on_overhead_violation(self, event: OverheadViolation) -> None:
         self.registry.inc("overhead_violations_total")
@@ -237,13 +253,13 @@ class MetricsSink:
         self.registry.inc("checkpoints_written_total")
 
     def _on_topology_mutated(self, event: TopologyMutated) -> None:
-        self.registry.inc("topology_mutations_total", kind=event.kind)
+        self._mutations[event.kind].inc()
 
     def _on_trace_inconsistent(self, event: TraceInconsistent) -> None:
-        self.registry.inc("trace_inconsistencies_total", reason=event.reason)
+        self._inconsistencies[event.reason].inc()
 
     def _on_subnet_retracted(self, event: SubnetRetracted) -> None:
-        self.registry.inc("subnets_retracted_total", reason=event.reason)
+        self._retractions[event.reason].inc()
 
     def _on_degraded_result(self, event: DegradedResult) -> None:
         self.registry.inc("degraded_traces_total")

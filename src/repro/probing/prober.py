@@ -164,7 +164,7 @@ class Prober:
             events = self.events
             if events:
                 if events.wants(CacheHit):
-                    events.emit(CacheHit(dst=dst, ttl=ttl, phase=phase))
+                    events.emit(CacheHit(dst, ttl, phase))
                 else:
                     events.tally(CacheHit)
             return self._cache[key]
@@ -217,8 +217,7 @@ class Prober:
                     events = self.events
                     if events:
                         if events.wants(CacheHit):
-                            events.emit(
-                                CacheHit(dst=dst, ttl=ttl, phase=phase))
+                            events.emit(CacheHit(dst, ttl, phase))
                         else:
                             events.tally(CacheHit)
                     results[index] = self._cache[key]
@@ -269,7 +268,7 @@ class Prober:
             if events:
                 if events.wants(CacheHit):
                     dst, ttl = requests[index]
-                    events.emit(CacheHit(dst=dst, ttl=ttl, phase=phase))
+                    events.emit(CacheHit(dst, ttl, phase))
                 else:
                     events.tally(CacheHit)
             results[index] = results[primary]
@@ -310,21 +309,17 @@ class Prober:
             # (counters only) the whole batch tallies as two dict adds.
             wants_probe = bool(events) and events.wants(ProbeSent)
             record_outcome = self.stats.record_outcome
+            # ``_value_`` is the enum value as a plain attribute (the
+            # ``.value`` property is a Python-level descriptor call).
+            protocol = self.protocol._value_
             for probe, response in zip(probes, responses):
                 record_outcome(response is not None)
                 if wants_probe:
                     events.emit(ProbeSent(
-                        dst=probe.dst,
-                        ttl=probe.ttl,
-                        protocol=self.protocol.value,
-                        flow_id=probe.flow_id,
-                        phase=phase,
-                        answered=response is not None,
-                        response_kind=(response.kind.value
-                                       if response is not None else None),
-                        response_source=(response.source
-                                         if response is not None else None),
-                    ))
+                        probe.dst, probe.ttl, protocol, probe.flow_id, phase,
+                        response is not None,
+                        None if response is None else response.kind._value_,
+                        None if response is None else response.source))
             if events:
                 if not wants_probe:
                     events.tally(ProbeSent, len(probes))
@@ -389,17 +384,10 @@ class Prober:
         if events:
             if events.wants(ProbeSent):
                 events.emit(ProbeSent(
-                    dst=dst,
-                    ttl=ttl,
-                    protocol=self.protocol.value,
-                    flow_id=probe.flow_id,
-                    phase=phase,
-                    answered=response is not None,
-                    response_kind=(response.kind.value
-                                   if response is not None else None),
-                    response_source=(response.source
-                                     if response is not None else None),
-                ))
+                    dst, ttl, self.protocol._value_, probe.flow_id, phase,
+                    response is not None,
+                    None if response is None else response.kind._value_,
+                    None if response is None else response.source))
             else:
                 events.tally(ProbeSent)
         return response

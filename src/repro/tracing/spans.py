@@ -108,7 +108,8 @@ class Span:
 
     def child(self, kind: str, name: str,
               meta: Optional[Dict] = None) -> "Span":
-        span = Span(kind=kind, name=name, meta=dict(meta or {}))
+        """Append a new child span; it keeps ``meta`` itself, uncopied."""
+        span = Span(kind, name, {} if meta is None else meta)
         self.children.append(span)
         return span
 
@@ -392,12 +393,10 @@ class SpanBuilder:
 
     def _on_heuristic(self, event: HeuristicFired) -> None:
         parent = self._phase_span(PHASE_EXPLORATION)
-        leaf = parent.child("heuristic", event.rule,
-                            meta={"candidate": event.candidate,
-                                  "verdict": event.verdict})
-        leaf.count("fires")
-        for key, value in sorted(self._pending.items()):
-            leaf.count(key, value)
+        leaf = Span("heuristic", event.rule,
+                    {"candidate": event.candidate, "verdict": event.verdict},
+                    {"fires": 1, **self._pending})
+        parent.children.append(leaf)
         self._pending = {}
         if self.clock is not None:
             leaf.start = (self._pending_start

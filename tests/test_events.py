@@ -1,5 +1,7 @@
 """Unit tests for the session-event stream, bus, and sinks."""
 
+import dataclasses
+import inspect
 import io
 import json
 
@@ -9,6 +11,7 @@ from repro.core import TraceNET
 from repro.core.heuristics import ExplorationState, Judgement, Verdict
 from repro.events import (
     CacheHit,
+    EVENT_TYPES,
     CheckpointWritten,
     CollectingSink,
     CounterSink,
@@ -149,6 +152,71 @@ class TestSerialization:
     def test_unknown_kind_fails(self):
         with pytest.raises(ValueError, match="unknown session event"):
             event_from_dict({"event": "Nonsense"})
+
+
+def _sample(cls, offset=0):
+    """An instance of ``cls`` with a distinct int in every field."""
+    return cls(**{f.name: offset + index
+                  for index, f in enumerate(dataclasses.fields(cls))})
+
+
+#: The event types built once per probe, hop or judgement; their producers
+#: construct them positionally.
+HOT_SAMPLES = {
+    ProbeSent: dict(dst=1, ttl=2, protocol="icmp", flow_id=3,
+                    phase="trace-collection", answered=True,
+                    response_kind="ttl-exceeded", response_source=4),
+    CacheHit: dict(dst=1, ttl=2, phase="subnet-exploration"),
+    HopObserved: dict(destination=1, ttl=2, kind="router", address=None),
+    HeuristicFired: dict(candidate=1, rule="H2", verdict="add", detail=""),
+}
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("cls", list(EVENT_TYPES.values()),
+                             ids=list(EVENT_TYPES))
+    def test_every_event_is_frozen(self, cls):
+        event = _sample(cls)
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(event, f.name, -1)
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError,
+                            TypeError)):
+            event.extra = 1
+
+    @pytest.mark.parametrize("cls", list(EVENT_TYPES.values()),
+                             ids=list(EVENT_TYPES))
+    def test_equality_and_hash_are_by_field_values(self, cls):
+        event, twin, other = _sample(cls), _sample(cls), _sample(cls, 100)
+        values = tuple(getattr(event, f.name)
+                       for f in dataclasses.fields(cls))
+        assert event == twin and hash(event) == hash(twin)
+        assert hash(event) == hash(values)
+        assert event != other
+        assert event != values
+
+    @pytest.mark.parametrize("cls", list(HOT_SAMPLES), ids=lambda c: c.__name__)
+    def test_positional_construction_equals_keyword(self, cls):
+        kwargs = HOT_SAMPLES[cls]
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert list(kwargs) == names
+        assert list(inspect.signature(cls).parameters) == names
+        positional = cls(*kwargs.values())
+        keyword = cls(**kwargs)
+        assert positional == keyword
+        assert hash(positional) == hash(keyword)
+        assert event_to_dict(positional) == {"event": cls.__name__, **kwargs}
+        changed = {names[-1]: "changed"}
+        assert dataclasses.replace(keyword, **changed) == \
+            cls(**{**kwargs, **changed})
+
+    @pytest.mark.parametrize("cls", list(HOT_SAMPLES), ids=lambda c: c.__name__)
+    def test_hot_constructors_reject_bad_arity(self, cls):
+        kwargs = HOT_SAMPLES[cls]
+        with pytest.raises(TypeError):
+            cls(*list(kwargs.values())[:-1])
+        with pytest.raises(TypeError):
+            cls(**kwargs, bogus=1)
 
 
 class TestSinks:

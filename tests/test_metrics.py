@@ -4,16 +4,34 @@ import json
 
 import pytest
 
+from repro.core import TraceNET
 from repro.core.exploration import explore_subnet
 from repro.core.positioning import position_subnet
 from repro.events import (
+    CacheHit,
+    CheckpointWritten,
     CollectingSink,
+    DegradedResult,
     EventBus,
+    HeuristicFired,
+    HopObserved,
     OverheadViolation,
+    ProbeBatchSent,
+    ProbeRetried,
     ProbeSent,
+    ProbeSuppressed,
     SubnetGrown,
+    SubnetPositioned,
+    SubnetRetracted,
+    SubnetShrunk,
+    SurveyProgressed,
+    TopologyMutated,
+    TraceFinished,
+    TraceInconsistent,
+    TraceStarted,
 )
 from repro.metrics import (
+    Histogram,
     MetricsRegistry,
     MetricsSink,
     ProbeEconomyAuditor,
@@ -21,12 +39,23 @@ from repro.metrics import (
     registry_from_events,
     render_prometheus,
 )
+from repro.metrics.sink import (
+    BATCH_SIZE_BUCKETS,
+    SUBNET_PROBE_BUCKETS,
+    SUBNET_SIZE_BUCKETS,
+    TRACE_HOP_BUCKETS,
+    TRACE_PROBE_BUCKETS,
+    TTL_BUCKETS,
+)
 from repro.netsim import Engine, TopologyBuilder
-from repro.probing import Prober, RetryPolicy
+from repro.netsim.dynamics import MutationSchedule, NetworkDynamics
+from repro.probing import Prober, RetryPolicy, StopSet
+from repro.radar import run_radar
 from repro.runner import SurveyRunner
 from repro.topogen import geant, internet2
 from repro.transport import (
     FaultInjectingTransport,
+    MutatingTransport,
     SimulatorTransport,
     collect_backend_metrics,
 )
@@ -95,6 +124,36 @@ class TestRegistry:
         assert h.bucket_index(4) == 1
         assert h.bucket_index(4.0001) == 2
         assert h.bucket_index(8.5) == 3
+
+    @pytest.mark.parametrize("bounds", [TTL_BUCKETS, SUBNET_SIZE_BUCKETS])
+    def test_bucket_index_matches_the_linear_scan(self, bounds):
+        def scan(value):
+            # The ``le`` rule as a loop: the first bound >= value.
+            for index, bound in enumerate(bounds):
+                if value <= bound:
+                    return index
+            return len(bounds)
+
+        h = Histogram("h", (), bounds)
+        for whole in range(-1, bounds[-1] + 3):
+            for value in (whole, float(whole), whole - 0.5, whole + 0.5):
+                assert h.bucket_index(value) == scan(value), value
+        for index, bound in enumerate(bounds):
+            # A value equal to a bound lands in that bucket, as int or float.
+            assert h.bucket_index(bound) == index
+            assert h.bucket_index(float(bound)) == index
+            assert h.bucket_index(bound + 0.5) == index + 1
+        assert h.bucket_index(bounds[0] - 1) == 0
+        assert h.bucket_index(bounds[-1] + 1) == len(bounds)  # overflow
+
+    def test_observe_times_equals_repeated_observations(self):
+        once, many = (Histogram("h", (), TTL_BUCKETS) for _ in range(2))
+        for value in (3, 3, 3, 40, 40):
+            once.observe(value)
+        many.observe(3, times=3)
+        many.observe(40, times=2)
+        assert (many.counts, many.sum, many.count) == \
+            (once.counts, once.sum, once.count)
 
     def test_histogram_rejects_unsorted_bounds(self):
         registry = MetricsRegistry()
@@ -229,6 +288,227 @@ class TestMetricsSink:
                               phase="subnet-positioning") == 3
 
 
+def _reference_apply(registry: MetricsRegistry, event) -> None:
+    """One event folded the plain way: every update a registry.inc,
+    observe or set_gauge call, labels resolved on each call."""
+    inc, observe = registry.inc, registry.observe
+    if isinstance(event, ProbeSent):
+        inc("probes_sent_total")
+        inc("probe_protocol_total", protocol=event.protocol)
+        if event.phase is not None:
+            inc("probe_phase_total", phase=event.phase)
+        if event.answered:
+            inc("probe_responses_total")
+            if event.response_kind is not None:
+                inc("probe_response_kind_total", kind=event.response_kind)
+        else:
+            inc("probe_silent_total")
+        observe("probe_ttl", event.ttl)
+    elif isinstance(event, CacheHit):
+        inc("probe_cache_hits_total")
+    elif isinstance(event, ProbeSuppressed):
+        inc("probes_suppressed_total", reason=event.reason)
+    elif isinstance(event, ProbeBatchSent):
+        inc("probe_batches_total")
+        observe("probe_batch_size", event.size)
+    elif isinstance(event, HopObserved):
+        inc("hops_observed_total", kind=event.kind)
+    elif isinstance(event, SubnetPositioned):
+        inc("subnet_positionings_total",
+            outcome="positioned" if event.positioned else "unpositioned")
+    elif isinstance(event, HeuristicFired):
+        inc("heuristic_fired_total", rule=event.rule)
+        inc("heuristic_verdict_total", verdict=event.verdict)
+    elif isinstance(event, SubnetShrunk):
+        inc("subnet_shrunk_total", rule=event.rule)
+    elif isinstance(event, SubnetGrown):
+        inc("subnets_grown_total")
+        inc("subnet_stop_total", reason=event.stop_reason)
+        inc("overhead_checks_total")
+        observe("subnet_size", event.size, buckets=SUBNET_SIZE_BUCKETS)
+        observe("subnet_probes_used", event.probes_used,
+                buckets=SUBNET_PROBE_BUCKETS)
+        for phase, count in (event.phase_probes or {}).items():
+            inc("subnet_phase_probes_total", count, phase=phase)
+    elif isinstance(event, OverheadViolation):
+        inc("overhead_violations_total")
+        inc("overhead_violation_probes_total", event.probes_used)
+    elif isinstance(event, TraceStarted):
+        inc("traces_started_total")
+    elif isinstance(event, TraceFinished):
+        inc("traces_finished_total")
+        if event.reached:
+            inc("traces_reached_total")
+        inc("trace_cache_hits_total", event.cache_hits)
+        observe("trace_hops", event.hops, buckets=TRACE_HOP_BUCKETS)
+        observe("trace_probes", event.probes_sent,
+                buckets=TRACE_PROBE_BUCKETS)
+    elif isinstance(event, CheckpointWritten):
+        inc("checkpoints_written_total")
+    elif isinstance(event, SurveyProgressed):
+        inc("survey_progress_events_total")
+        registry.set_gauge("survey_targets", event.total_targets)
+        registry.set_gauge("survey_completed", event.completed)
+        registry.set_gauge("survey_skipped", event.skipped)
+        registry.set_gauge("survey_reached", event.reached)
+        registry.set_gauge("survey_probes_sent", event.probes_sent)
+    elif isinstance(event, TopologyMutated):
+        inc("topology_mutations_total", kind=event.kind)
+    elif isinstance(event, TraceInconsistent):
+        inc("trace_inconsistencies_total", reason=event.reason)
+    elif isinstance(event, SubnetRetracted):
+        inc("subnets_retracted_total", reason=event.reason)
+    elif isinstance(event, DegradedResult):
+        inc("degraded_traces_total")
+    elif isinstance(event, ProbeRetried):
+        inc("probe_retries_total")
+
+
+def _reference_registry() -> MetricsRegistry:
+    """An empty reference registry with the sink's up-front series."""
+    registry = MetricsRegistry()
+    for name in ("probes_sent_total", "probe_responses_total",
+                 "probe_silent_total", "probe_cache_hits_total",
+                 "probe_batches_total"):
+        registry.counter(name)
+    registry.histogram("probe_ttl", buckets=TTL_BUCKETS)
+    registry.histogram("probe_batch_size", buckets=BATCH_SIZE_BUCKETS)
+    return registry
+
+
+def _reference_fold(events) -> MetricsRegistry:
+    registry = _reference_registry()
+    for event in events:
+        _reference_apply(registry, event)
+    return registry
+
+
+def _sink_fold(events) -> MetricsRegistry:
+    registry = MetricsRegistry()
+    sink = MetricsSink(registry)
+    for event in events:
+        sink(event)
+    return registry
+
+
+def _record_survey_events():
+    """A GEANT survey with stop sets and batched hops: probes, cache hits,
+    suppressions, batches, growth and progress."""
+    network = geant.build(seed=7)
+    tool = TraceNET(Engine(network.topology, policy=network.policy),
+                    "utdallas", batch_window=4, stop_set=StopSet())
+    seen = tool.events.subscribe(CollectingSink())
+    SurveyRunner(tool).run(geant.targets(network, seed=7)[:12])
+    return seen.events
+
+
+def _record_chaos_events():
+    """A GEANT radar run under churn and 5% loss: mutations, retries,
+    contradictions, degraded traces and retractions."""
+    network = geant.build(seed=2010)
+    engine = Engine(network.topology, policy=network.policy)
+    schedule = MutationSchedule.generate(network.topology, seed=7, start=60,
+                                         interval=90, count=4)
+    bus = EventBus()
+    transport = MutatingTransport(
+        FaultInjectingTransport(SimulatorTransport(engine), drop_rate=0.05,
+                                seed=1),
+        schedule, dynamics=NetworkDynamics(engine, schedule), events=bus)
+    tool = TraceNET(transport, "utdallas", events=bus)
+    seen = bus.subscribe(CollectingSink())
+    run_radar(tool, geant.targets(network, seed=2010)[:10], rounds=2)
+    return seen.events
+
+
+@pytest.fixture(scope="module", params=["survey", "chaos"])
+def recorded_events(request):
+    record = {"survey": _record_survey_events,
+              "chaos": _record_chaos_events}[request.param]
+    return record()
+
+
+class TestSinkMatchesReferenceFold:
+    """The sink's resolved series and its read-time ProbeSent fold give
+    the snapshot of a plain per-event fold, at every read."""
+
+    def test_recorded_stream(self, recorded_events):
+        assert any(isinstance(e, ProbeSent) for e in recorded_events)
+        reference = _reference_registry()
+        registry = MetricsRegistry()
+        sink = MetricsSink(registry)
+        for index, event in enumerate(recorded_events):
+            _reference_apply(reference, event)
+            sink(event)
+            if index % 37 == 0:
+                # Reads between events fold the pending ProbeSent tally.
+                assert registry.snapshot() == reference.snapshot(), index
+        assert registry.snapshot() == reference.snapshot()
+
+    def test_series_appear_on_their_first_event(self):
+        registry = MetricsRegistry()
+        sink = MetricsSink(registry)
+        sink(HopObserved(1, 1, "router", 5))
+        snapshot = registry.snapshot()
+        assert "subnet_size" not in snapshot["histograms"]
+        assert 'hops_observed_total{kind="router"}' in snapshot["counters"]
+        assert not any(key.startswith("probe_protocol_total")
+                       for key in snapshot["counters"])
+        sink(SubnetGrown(pivot=1, prefix="10.0.0.0/30", size=2,
+                         stop_reason="prefix-floor", probes_used=12))
+        assert "subnet_size" in registry.snapshot()["histograms"]
+
+    def test_zero_valued_series_still_appear(self):
+        registry = MetricsRegistry()
+        MetricsSink(registry)(TraceFinished(destination=1, reached=False,
+                                            hops=3, probes_sent=4,
+                                            cache_hits=0))
+        counters = registry.snapshot()["counters"]
+        assert counters["trace_cache_hits_total"] == 0
+        assert "traces_reached_total" not in counters
+
+    def test_value_read_between_events(self, recorded_events):
+        probes = [e for e in recorded_events if isinstance(e, ProbeSent)]
+        half = len(probes) // 2
+        registry = MetricsRegistry()
+        sink = MetricsSink(registry)
+        for event in probes[:half]:
+            sink(event)
+        assert registry.value("probes_sent_total") == half
+        assert registry.histogram("probe_ttl").count == half
+        for event in probes[half:]:
+            sink(event)
+        assert registry.value("probes_sent_total") == len(probes)
+        assert registry.snapshot() == _reference_fold(probes).snapshot()
+
+    def test_merge_of_unfolded_registries(self, recorded_events):
+        half = len(recorded_events) // 2
+        first, second = recorded_events[:half], recorded_events[half:]
+        # Neither sink-fed registry is read before the merge.
+        merged = _sink_fold(first).merge(_sink_fold(second))
+        expected = _reference_fold(first).merge(_reference_fold(second))
+        assert merged.snapshot() == expected.snapshot()
+        into_empty = MetricsRegistry().merge(_sink_fold(recorded_events))
+        assert into_empty.snapshot() == \
+            _reference_fold(recorded_events).snapshot()
+
+    def test_synthetic_event_of_every_type(self):
+        events = [
+            ProbeSent(1, 2, "udp", 0, None, True, None, 9),
+            ProbeSuppressed(destination=1, ttl=2, phase="trace-collection",
+                            reason="stop-set", address=5),
+            ProbeBatchSent(size=3, phase=None),
+            SubnetShrunk(pivot=1, rule="H1", prefix_length=29),
+            OverheadViolation(pivot=1, prefix="10.0.0.0/29", size=2,
+                              probes_used=40, upper_bound=21, slack=1.25),
+            CheckpointWritten(path="x", completed_targets=1, traces=1),
+            SubnetRetracted(prefix="10.0.0.0/30", reason="vanished"),
+            TraceInconsistent(destination=1, ttl=2, expected=3, observed=4,
+                              reason="topology-mutated"),
+        ]
+        assert _sink_fold(events).snapshot() == \
+            _reference_fold(events).snapshot()
+
+
 # -- the probe-economy auditor ------------------------------------------------
 
 
@@ -310,8 +590,6 @@ class TestAuditor:
         # survey over either reference network audits clean.
         network = module.build(seed=7)
         engine = Engine(network.topology, policy=network.policy)
-        from repro.core import TraceNET
-
         tool = TraceNET(engine, "utdallas")
         inst = instrument(tool.events)
         SurveyRunner(tool).run(module.targets(network, seed=7))
