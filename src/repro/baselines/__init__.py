@@ -1,26 +1,5 @@
-"""Baselines the paper compares against: traceroute (classic and Paris),
-ping, and offline post-hoc subnet inference over traceroute data."""
+"""The baseline the paper compares against: classic traceroute."""
 
-from .offline_subnets import (
-    InferredSubnet,
-    completeness,
-    infer_subnets,
-    offline_dataset_from_traces,
-)
-from .discarte import DisCarte, RecordRouteHop, RecordRouteTrace
-from .paris import ParisTraceroute
-from .ping import Ping
 from .traceroute import Traceroute
 
-__all__ = [
-    "DisCarte",
-    "InferredSubnet",
-    "RecordRouteHop",
-    "RecordRouteTrace",
-    "ParisTraceroute",
-    "Ping",
-    "Traceroute",
-    "completeness",
-    "infer_subnets",
-    "offline_dataset_from_traces",
-]
+__all__ = ["Traceroute"]

@@ -3,8 +3,8 @@
 Sends TTL-scoped probes toward a destination and records the source address
 of each ICMP TTL-Exceeded (paper Section 2).  Classic traceroute varies the
 flow-identifying header fields probe by probe, which is exactly what makes
-it vulnerable to per-flow load balancers; see
-:mod:`repro.baselines.paris` for the fix.
+it vulnerable to per-flow load balancers; ``vary_flow=False`` pins the flow
+identity as Paris traceroute does.
 """
 
 from __future__ import annotations

@@ -345,103 +345,6 @@ def run_overhead_sweep(sizes=(2, 4, 6, 8, 10, 14, 22, 30),
 
 
 # ---------------------------------------------------------------------------
-# Alias resolution from tracenet data (the paper's router-level-map motif)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AliasResolutionOutcome:
-    """Accuracy of analytical and Ally-filtered alias inference."""
-
-    analytical_precision: float
-    analytical_recall: float
-    filtered_precision: float
-    filtered_recall: float
-    analytical_pairs: int
-    confirmed_pairs: int
-    negative_constraints: int
-    ally_tests: int
-    extra_probes: int
-    router_map_summary: str = ""
-    router_map_accuracy: str = ""
-
-    def render(self) -> str:
-        lines = [
-            "Alias resolution from tracenet data (Internet2 survey)",
-            f"{'method':<34} {'pairs':>7} {'precision':>10} {'recall':>8} "
-            f"{'extra probes':>13}",
-            f"{'analytical (free)':<34} {self.analytical_pairs:>7} "
-            f"{self.analytical_precision:>10.1%} "
-            f"{self.analytical_recall:>8.1%} {0:>13}",
-            f"{'analytical + Ally verification':<34} "
-            f"{self.confirmed_pairs:>7} {self.filtered_precision:>10.1%} "
-            f"{self.filtered_recall:>8.1%} {self.extra_probes:>13}",
-            f"negative (non-alias) constraints from subnets: "
-            f"{self.negative_constraints}",
-        ]
-        if self.router_map_summary:
-            lines.append(self.router_map_summary)
-            lines.append(f"  {self.router_map_accuracy}")
-        return "\n".join(lines)
-
-
-def run_alias_resolution(seed: int = 7) -> AliasResolutionOutcome:
-    """Infer alias pairs from an Internet2 survey and verify them with Ally.
-
-    The paper's introduction places alias resolution on the critical path
-    to router-level maps; tracenet's positioning data (ingress +
-    contra-pivot on the ingress router) yields pairs without extra probes,
-    and same-subnet membership yields negative constraints.
-    """
-    from .aliases import (
-        AliasVerdict,
-        AllyResolver,
-        analytical_pairs,
-        ground_truth_pairs,
-        negative_pairs,
-        pair_keys,
-        score_pairs,
-    )
-
-    run, archive = _survey(network="internet2", seed=seed)
-    pairs = pair_keys(analytical_pairs(archive.subnets))
-    negatives = negative_pairs(archive.subnets)
-    truth = ground_truth_pairs(run.network.topology,
-                               restrict_to=run.tool.collected_addresses)
-    analytical_accuracy = score_pairs(pairs, truth)
-
-    prober = Prober(run.tool.transport, run.spec.vantage)
-    before = prober.stats_snapshot()
-    resolver = AllyResolver(prober)
-    confirmed = [
-        (result.first, result.second)
-        for result in resolver.verify_pairs(sorted(pairs))
-        if result.verdict == AliasVerdict.ALIASES
-    ]
-    filtered_accuracy = score_pairs(confirmed, truth)
-
-    from .aliases import groups_from_pairs
-    from .evaluation import build_router_level_map, score_router_level_map
-    router_map = build_router_level_map(archive.subnets,
-                                        groups_from_pairs(confirmed))
-    router_accuracy = score_router_level_map(router_map, run.network.topology)
-
-    return AliasResolutionOutcome(
-        analytical_precision=analytical_accuracy.precision,
-        analytical_recall=analytical_accuracy.recall,
-        filtered_precision=filtered_accuracy.precision,
-        filtered_recall=filtered_accuracy.recall,
-        analytical_pairs=len(pairs),
-        confirmed_pairs=len(confirmed),
-        negative_constraints=len(negatives),
-        ally_tests=resolver.tests_run,
-        extra_probes=prober.stats.sent - before.sent,
-        router_map_summary=router_map.summary(),
-        router_map_accuracy=router_accuracy.describe(),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Marginal utility of vantage points (the paper's [6] motif, §1)
 # ---------------------------------------------------------------------------
 

@@ -88,7 +88,7 @@ class Probe:
     protocol: Protocol = Protocol.ICMP
     flow_id: int = 0
     #: IP record-route option (RFC 791): compliant routers stamp their
-    #: outgoing interface, up to 9 slots (the DisCarte technique [20]).
+    #: outgoing interface, up to 9 slots (the technique of the paper's [20]).
     record_route: bool = False
     probe_id: int = field(default_factory=_probe_ids.__next__)
 

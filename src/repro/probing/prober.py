@@ -1,6 +1,6 @@
 """The prober: tracenet's view of the network.
 
-Everything above this layer (tracenet, traceroute, ping) sees the network
+Everything above this layer (tracenet, traceroute) sees the network
 exclusively as *probe in, response out* — exactly the contract a raw-socket
 or scapy implementation would have.  The prober adds the operational
 behaviours the paper describes: re-probing on silence (Section 3.8),

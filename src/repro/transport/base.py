@@ -19,18 +19,9 @@ from ..netsim.packet import Probe, Response
 
 @dataclass(frozen=True)
 class TransportCapabilities:
-    """What a transport backend can and cannot do.
-
-    Collectors consult this instead of sniffing concrete types: DisCarte
-    checks ``supports_record_route``, tests check ``deterministic``, and
-    tooling labels journals with ``name``.
-    """
+    """Describes a transport backend: its ``name`` labels journals."""
 
     name: str
-    deterministic: bool = True
-    supports_record_route: bool = True
-    live_network: bool = False
-    replayed: bool = False
 
 
 @runtime_checkable

@@ -115,14 +115,8 @@ class MutatingTransport:
         return responses
 
     def capabilities(self) -> TransportCapabilities:
-        inner_caps = self.inner.capabilities()
         return TransportCapabilities(
-            name=f"churn({inner_caps.name})",
-            deterministic=inner_caps.deterministic,
-            supports_record_route=inner_caps.supports_record_route,
-            live_network=inner_caps.live_network,
-            replayed=inner_caps.replayed,
-        )
+            name=f"churn({self.inner.capabilities().name})")
 
     def source_address(self, host_id: str) -> int:
         return self.inner.source_address(host_id)

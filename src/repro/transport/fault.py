@@ -178,14 +178,8 @@ class FaultInjectingTransport:
         return metrics
 
     def capabilities(self) -> TransportCapabilities:
-        inner = self.inner.capabilities()
         return TransportCapabilities(
-            name=f"fault({inner.name})",
-            deterministic=inner.deterministic,
-            supports_record_route=inner.supports_record_route,
-            live_network=inner.live_network,
-            replayed=inner.replayed,
-        )
+            name=f"fault({self.inner.capabilities().name})")
 
     def source_address(self, host_id: str) -> int:
         return self.inner.source_address(host_id)

@@ -135,13 +135,8 @@ class RecordingTransport:
         return responses
 
     def capabilities(self) -> TransportCapabilities:
-        inner = self.inner.capabilities()
         return TransportCapabilities(
-            name=f"recording({inner.name})",
-            deterministic=inner.deterministic,
-            supports_record_route=inner.supports_record_route,
-            live_network=inner.live_network,
-        )
+            name=f"recording({self.inner.capabilities().name})")
 
     def source_address(self, host_id: str) -> int:
         address = self.inner.source_address(host_id)
@@ -242,13 +237,7 @@ class ReplayTransport:
         return [self.send(probe) for probe in probes]
 
     def capabilities(self) -> TransportCapabilities:
-        return TransportCapabilities(
-            name="replay",
-            deterministic=True,
-            supports_record_route=True,
-            live_network=False,
-            replayed=True,
-        )
+        return TransportCapabilities(name="replay")
 
     def source_address(self, host_id: str) -> int:
         if host_id not in self._vantages:

@@ -15,12 +15,7 @@ from ..netsim.engine import Engine
 from ..netsim.packet import Probe, Response
 from .base import TransportCapabilities
 
-_SIMULATOR_CAPS = TransportCapabilities(
-    name="simulator",
-    deterministic=True,
-    supports_record_route=True,
-    live_network=False,
-)
+_SIMULATOR_CAPS = TransportCapabilities(name="simulator")
 
 
 class SimulatorTransport:

@@ -107,7 +107,7 @@ class WalkingEngine(Engine):
     def _stamp(self, probe: Probe, router: Router, via_subnet_id: str,
                stamps: Optional[List[int]]) -> None:
         """Record-route: a forwarding router stamps its outgoing interface
-        (RFC 791, up to 9 slots) — the DisCarte data source."""
+        (RFC 791, up to 9 slots)."""
         if stamps is None or not probe.record_route:
             return
         if len(stamps) >= RECORD_ROUTE_SLOTS:

@@ -1,23 +1,11 @@
-"""Unit tests for traceroute, Paris traceroute, ping, and offline subnet
-inference baselines."""
-
-import pytest
+"""Unit tests for the traceroute baseline, classic and Paris-style."""
 
 from conftest import address_on
-from repro.baselines import (
-    ParisTraceroute,
-    Ping,
-    Traceroute,
-    completeness,
-    infer_subnets,
-    offline_dataset_from_traces,
-)
+from repro.baselines import Traceroute
 from repro.netsim import (
     Engine,
     LoadBalancer,
     LoadBalancingMode,
-    Prefix,
-    ResponsePolicy,
     TopologyBuilder,
 )
 
@@ -47,10 +35,13 @@ def diamond(mode=LoadBalancingMode.PER_FLOW):
 class TestTraceroute:
     def test_one_address_per_hop(self):
         engine, topo = chain(5)
-        result = Traceroute(engine, "v").trace(address_on(topo, "R5", "R4"))
-        assert result.reached
-        assert len(result.hops) == 5
-        assert all(hop.subnet is None for hop in result.hops)
+        target = address_on(topo, "R5", "R4")
+        for vary_flow in (True, False):
+            result = Traceroute(engine, "v", vary_flow=vary_flow).trace(target)
+            assert result.reached
+            assert len(result.hops) == 5
+            assert result.hops[-1].address == target
+            assert all(hop.subnet is None for hop in result.hops)
 
     def test_unreachable_gives_anonymous_tail(self):
         engine, topo = chain(3)
@@ -59,210 +50,17 @@ class TestTraceroute:
         assert [hop.address for hop in result.hops][-3:] == [None, None, None]
 
     def test_classic_fluctuates_under_per_flow_balancing(self):
-        engine, topo, target = diamond()
-        tracer = Traceroute(engine, "v", vary_flow=True)
-        second_hops = {tracer.trace(target).hops[1].address
-                       for _ in range(12)}
-        assert len(second_hops) > 1
+        # Pinning the flow identity (Paris traceroute) keeps one path.
+        paths = {}
+        for vary_flow in (True, False):
+            engine, topo, target = diamond()
+            tracer = Traceroute(engine, "v", vary_flow=vary_flow)
+            paths[vary_flow] = {tracer.trace(target).hops[1].address
+                                for _ in range(12)}
+        assert len(paths[True]) > 1
+        assert len(paths[False]) == 1
 
     def test_probe_accounting(self):
         engine, topo = chain(4)
         result = Traceroute(engine, "v").trace(address_on(topo, "R4", "R3"))
         assert result.probes_sent >= len(result.hops)
-
-
-class TestParisTraceroute:
-    def test_stable_under_per_flow_balancing(self):
-        engine, topo, target = diamond()
-        tracer = ParisTraceroute(engine, "v")
-        second_hops = {tracer.trace(target).hops[1].address
-                       for _ in range(12)}
-        assert len(second_hops) == 1
-
-    def test_same_endpoints_as_classic(self):
-        engine, topo = chain(4)
-        target = address_on(topo, "R4", "R3")
-        classic = Traceroute(engine, "v").trace(target)
-        paris = ParisTraceroute(Engine(topo), "v").trace(target)
-        assert classic.reached and paris.reached
-        assert classic.hops[-1].address == paris.hops[-1].address
-
-
-class TestPing:
-    def test_alive_and_dead(self):
-        engine, topo = chain(3)
-        ping = Ping(engine, "v")
-        assert ping.is_alive(address_on(topo, "R3", "R2"))
-        assert not ping.is_alive(0x01010101)
-
-    def test_sweep(self):
-        engine, topo = chain(3)
-        ping = Ping(engine, "v")
-        alive = address_on(topo, "R2", "R1")
-        results = ping.sweep([alive, 0x01010101])
-        assert results[alive] is True
-        assert results[0x01010101] is False
-
-    def test_alive_fraction(self):
-        engine, topo = chain(3)
-        ping = Ping(engine, "v")
-        fraction = ping.alive_fraction([address_on(topo, "R2", "R1"),
-                                        0x01010101])
-        assert fraction == pytest.approx(0.5)
-
-    def test_alive_fraction_empty(self):
-        engine, topo = chain(3)
-        assert Ping(engine, "v").alive_fraction([]) == 0.0
-
-    def test_respects_policy(self):
-        builder = TopologyBuilder()
-        builder.link("R1", "R2")
-        builder.edge_host("v", "R1")
-        topo = builder.build()
-        address = address_on(topo, "R2", "R1")
-        policy = ResponsePolicy().silence_interface(address)
-        ping = Ping(Engine(topo, policy=policy), "v")
-        assert not ping.is_alive(address)
-
-
-class TestOfflineInference:
-    def test_p2p_pair_grouped(self):
-        distances = {Prefix.parse("10.0.0.0/30").network + 1: 2,
-                     Prefix.parse("10.0.0.0/30").network + 2: 3}
-        inferred = infer_subnets(distances)
-        blocks = {str(s.prefix) for s in inferred}
-        assert "10.0.0.0/30" in blocks or "10.0.0.0/31" in blocks
-
-    def test_distant_addresses_not_grouped(self):
-        a = Prefix.parse("10.0.0.0/30").network + 1
-        b = Prefix.parse("10.0.0.0/30").network + 2
-        inferred = infer_subnets({a: 2, b: 7})
-        assert all(s.size == 1 for s in inferred)
-
-    def test_singletons_reported_as_slash32(self):
-        address = Prefix.parse("10.0.0.0/30").network + 1
-        inferred = infer_subnets({address: 4})
-        assert len(inferred) == 1
-        assert inferred[0].prefix.length == 32
-
-    def test_ingress_rule_rejects_two_near_addresses(self):
-        base = Prefix.parse("10.0.0.0/29").network
-        distances = {base + 1: 2, base + 2: 2, base + 3: 3}
-        inferred = infer_subnets(distances)
-        widest = min(s.prefix.length for s in inferred)
-        assert widest >= 30
-
-    def test_boundary_addresses_block_wide_groups(self):
-        base = Prefix.parse("10.0.0.0/29").network
-        distances = {base: 3, base + 1: 2, base + 2: 3, base + 3: 3,
-                     base + 4: 3}
-        inferred = infer_subnets(distances)
-        assert Prefix.parse("10.0.0.0/29") not in {s.prefix for s in inferred}
-
-    def test_completeness_metric(self):
-        truth = [Prefix.parse("10.0.0.0/30"), Prefix.parse("10.0.1.0/30")]
-        base = truth[0].network
-        inferred = infer_subnets({base + 1: 2, base + 2: 3})
-        assert 0.0 <= completeness(inferred, truth) <= 0.5
-
-    def test_completeness_empty_truth(self):
-        assert completeness([], []) == 0.0
-
-    def test_dataset_from_traces_takes_min_ttl(self):
-        from repro.core.results import TraceHop, TraceResult
-        r1 = TraceResult(vantage_host_id="v", destination=1)
-        r1.hops = [TraceHop(ttl=3, address=42)]
-        r2 = TraceResult(vantage_host_id="v", destination=2)
-        r2.hops = [TraceHop(ttl=2, address=42), TraceHop(ttl=3, address=None)]
-        dataset = offline_dataset_from_traces([r1, r2])
-        assert dataset == {42: 2}
-
-    def test_tracenet_beats_offline_on_lan_coverage(self):
-        """The paper's core claim vs [7]: offline inference only sees
-        addresses that surfaced on traced paths, so it cannot recover the
-        full LAN tracenet explores."""
-        builder = TopologyBuilder()
-        builder.link("R1", "R2")
-        lan = builder.lan(["R2", "R3", "R4", "R6"], length=29)
-        dest = builder.link("R4", "R5")
-        builder.edge_host("v", "R1")
-        topo = builder.build()
-        target = topo.routers["R5"].interface_on(dest.subnet_id).address
-
-        from repro.core import TraceNET
-        tracenet_tool = TraceNET(Engine(topo), "v")
-        tracenet_members = tracenet_tool.trace(target).subnet_for(
-            topo.routers["R3"].interface_on(lan.subnet_id).address)
-
-        tracer = Traceroute(Engine(topo), "v")
-        dataset = offline_dataset_from_traces([tracer.trace(target)])
-        inferred = infer_subnets(dataset)
-        offline_lan = [s for s in inferred
-                       if any(a in lan.prefix for a in s.members)]
-        offline_count = max((s.size for s in offline_lan), default=0)
-        assert tracenet_members is not None
-        assert tracenet_members.size == len(lan.addresses)
-        assert offline_count < tracenet_members.size
-
-
-class TestDisCarte:
-    def _topo(self, n=6):
-        builder = TopologyBuilder()
-        for i in range(1, n):
-            builder.link(f"R{i}", f"R{i+1}")
-        builder.edge_host("v", "R1")
-        topo = builder.build()
-        from conftest import address_on as addr
-        return topo, addr(topo, f"R{n}", f"R{n-1}")
-
-    def test_two_addresses_per_middle_hop(self):
-        from repro.baselines import DisCarte
-        topo, target = self._topo()
-        trace = DisCarte(Engine(topo), "v").trace(target)
-        assert trace.reached
-        middle = trace.hops[2]
-        assert middle.source is not None
-        assert middle.stamps
-        assert len(middle.addresses) >= 2
-
-    def test_collects_more_than_plain_traceroute(self):
-        from repro.baselines import DisCarte
-        topo, target = self._topo()
-        rr_addresses = DisCarte(Engine(topo), "v").trace(target).addresses
-        tr = Traceroute(Engine(topo), "v", vary_flow=False).trace(target)
-        tr_addresses = {a for a in tr.path_addresses if a is not None}
-        assert tr_addresses < rr_addresses
-
-    def test_record_route_limited_to_nine_slots(self):
-        from repro.baselines import DisCarte
-        builder = TopologyBuilder()
-        for i in range(1, 14):
-            builder.link(f"R{i}", f"R{i+1}")
-        builder.edge_host("v", "R1")
-        topo = builder.build()
-        from conftest import address_on as addr
-        target = addr(topo, "R14", "R13")
-        trace = DisCarte(Engine(topo), "v").trace(target)
-        assert trace.reached
-        assert max(len(hop.stamps) for hop in trace.hops) == 9
-
-    def test_unknown_vantage_rejected(self):
-        from repro.baselines import DisCarte
-        topo, _ = self._topo()
-        with pytest.raises(ValueError):
-            DisCarte(Engine(topo), "nobody")
-
-    def test_unreachable_target_gap_limit(self):
-        from repro.baselines import DisCarte
-        topo, _ = self._topo()
-        trace = DisCarte(Engine(topo), "v", gap_limit=2).trace(0x01010101)
-        assert not trace.reached
-        assert [h.source for h in trace.hops][-2:] == [None, None]
-
-    def test_plain_probe_has_no_stamps(self):
-        from repro.netsim import Probe
-        topo, target = self._topo()
-        engine = Engine(topo)
-        host = topo.hosts["v"]
-        response = engine.send(Probe(src=host.address, dst=target, ttl=3))
-        assert response.record_route == ()

@@ -5,9 +5,11 @@ import hashlib
 import pytest
 
 from repro import experiments
+from repro.core import TraceNET
 from repro.evaluation import Category
-from repro.netsim import format_ip
+from repro.netsim import Engine, format_ip
 from repro.runspec import RunSpec
+from repro.topogen.adversarial import build_gauntlet
 
 
 def collection_digest(subnets):
@@ -65,6 +67,28 @@ class TestTablesPinned:
         assert (outcome.report.count(Category.EXACT),
                 len(outcome.report.outcomes)) == exact
         assert collection_digest(outcome.collected) == digest
+
+
+class TestFlowsPinned:
+    """Two more networks in the style of :class:`TestTablesPinned`: the
+    adversarial gauntlet through the full pipeline and one ``isp`` survey.
+    """
+
+    def test_gauntlet_unchanged(self):
+        gauntlet = build_gauntlet(seed=5, motifs_per_kind=2)
+        network = gauntlet.network
+        tool = TraceNET(Engine(network.topology, policy=network.policy),
+                        "vantage")
+        tool.trace_many(gauntlet.targets)
+        assert tool.prober.stats.sent == 365
+        assert collection_digest(tool.collected_subnets) == \
+            "470a1d5798fda19127d33ff8d0aad01c419f581d905337a0ff7eb612276d409c"
+
+    def test_isp_survey_unchanged(self):
+        run, archive = isp_run("rice")
+        assert run.tool.prober.stats.sent == 6507
+        assert collection_digest(archive.subnets) == \
+            "189b742081749c0a7fc736f0c1a9ae037997bf07d8dfcb91852467adf6a869cc"
 
 
 def isp_run(site, protocol=None):

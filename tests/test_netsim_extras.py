@@ -116,6 +116,11 @@ class TestRecordRoutePlumbing:
                                      ttl=64, record_route=True))
         assert len(response.record_route) == RECORD_ROUTE_SLOTS
 
+    def test_plain_probe_has_no_stamps(self):
+        engine, topo = chain(6)
+        response = send(engine, topo, address_on(topo, "R6", "R5"), ttl=3)
+        assert response.record_route == ()
+
 
 class TestGeneratorVariety:
     def _network(self, **kwargs):

@@ -5,7 +5,6 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import infer_subnets
 from repro.core import TraceNET
 from repro.evaluation.matching import Category, match_subnets
 from repro.evaluation.similarity import prefix_similarity, size_similarity
@@ -80,23 +79,6 @@ class TestAddressingProperties:
         if block.length < 32:
             child = Prefix.containing(addrs[0], block.length + 1)
             assert not all(a in child for a in addrs)
-
-
-class TestOfflineInferenceProperties:
-    @given(st.dictionaries(addresses, st.integers(min_value=1, max_value=12),
-                           min_size=0, max_size=20))
-    @settings(max_examples=30, deadline=None)
-    def test_every_address_placed_exactly_once(self, distances):
-        inferred = infer_subnets(distances)
-        placed = [a for subnet in inferred for a in subnet.members]
-        assert sorted(placed) == sorted(distances)
-
-    @given(st.dictionaries(addresses, st.integers(min_value=1, max_value=12),
-                           min_size=1, max_size=20))
-    @settings(max_examples=30, deadline=None)
-    def test_members_inside_their_block(self, distances):
-        for subnet in infer_subnets(distances):
-            assert all(a in subnet.prefix for a in subnet.members)
 
 
 class TestMatchingProperties:

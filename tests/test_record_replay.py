@@ -15,7 +15,6 @@ import tracemalloc
 
 import pytest
 
-from repro.baselines import DisCarte
 from repro.cli import main
 from repro.core import TraceNET
 from repro.events import CollectingSink, event_to_dict
@@ -199,14 +198,15 @@ class TestResponsesRoundTrip:
 
     def test_record_route_stamps_roundtrip(self):
         def collect(transport, vantage, target):
-            return DisCarte(transport, vantage).trace(target)
+            source = transport.source_address(vantage)
+            return [transport.send(Probe(src=source, dst=target, ttl=ttl,
+                                         record_route=True))
+                    for ttl in range(1, 10)]
 
-        exchanges, journal, vantage, live = self.record(collect)
+        exchanges, journal, _, _ = self.record(collect)
         assert any(response.record_route
                    for _, response in exchanges if response is not None)
         self.assert_replays_exactly(exchanges, journal)
-        replay = ReplayTransport(io.StringIO(journal))
-        assert collect(replay, vantage, live.destination) == live
 
     def test_tracenet_trace_roundtrip(self):
         def collect(transport, vantage, target):

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.baselines import DisCarte, ParisTraceroute, Ping, Traceroute
+from repro.baselines import Traceroute
 from repro.netsim import Engine
 from repro.core import TraceNET
 from repro.netsim.packet import DEFAULT_TTL, Probe
@@ -15,7 +15,6 @@ from repro.transport import (
     RecordingTransport,
     ReplayTransport,
     SimulatorTransport,
-    TransportCapabilities,
     as_transport,
 )
 
@@ -39,10 +38,6 @@ class TestSimulatorTransport:
     def test_capabilities(self, transport):
         caps = transport.capabilities()
         assert caps.name == "simulator"
-        assert caps.deterministic
-        assert caps.supports_record_route
-        assert not caps.live_network
-        assert not caps.replayed
 
     def test_unknown_vantage(self, transport):
         with pytest.raises(ValueError, match="unknown vantage"):
@@ -81,32 +76,10 @@ class TestCollectorsOnTheSeam:
 
     def test_baselines(self, line_engine, line_topology):
         destination = max(line_topology.all_interface_addresses)
-        for cls in (Traceroute, ParisTraceroute):
-            result = cls(SimulatorTransport(line_engine), "vantage")\
-                .trace(destination)
+        for vary_flow in (True, False):
+            result = Traceroute(SimulatorTransport(line_engine), "vantage",
+                                vary_flow=vary_flow).trace(destination)
             assert result.hops
-        assert Ping(SimulatorTransport(line_engine), "vantage")\
-            .is_alive(destination) in (True, False)
-        assert DisCarte(SimulatorTransport(line_engine), "vantage")\
-            .trace(destination).hops
-
-    def test_discarte_requires_record_route(self, transport):
-        class NoRecordRoute:
-            def send(self, probe):
-                return None
-
-            def capabilities(self):
-                return TransportCapabilities(name="bare",
-                                             supports_record_route=False)
-
-            def source_address(self, host_id):
-                return 1
-
-            def close(self):
-                pass
-
-        with pytest.raises(ValueError, match="record-route"):
-            DisCarte(NoRecordRoute(), "vantage")
 
 
 class TestFaultInjection:
@@ -161,6 +134,4 @@ class TestRecordingWrapsAnything:
         with RecordingTransport(transport, buffer):
             pass
         buffer.seek(0)
-        caps = ReplayTransport(buffer).capabilities()
-        assert caps.replayed
-        assert caps.deterministic
+        assert ReplayTransport(buffer).capabilities().name == "replay"
