@@ -6,8 +6,10 @@ from repro.netsim import (
     Engine,
     LoadBalancer,
     LoadBalancingMode,
+    Probe,
     TopologyBuilder,
 )
+from repro.netsim.packet import RECORD_ROUTE_SLOTS
 
 
 def chain(n=4):
@@ -35,13 +37,10 @@ def diamond(mode=LoadBalancingMode.PER_FLOW):
 class TestTraceroute:
     def test_one_address_per_hop(self):
         engine, topo = chain(5)
-        target = address_on(topo, "R5", "R4")
-        for vary_flow in (True, False):
-            result = Traceroute(engine, "v", vary_flow=vary_flow).trace(target)
-            assert result.reached
-            assert len(result.hops) == 5
-            assert result.hops[-1].address == target
-            assert all(hop.subnet is None for hop in result.hops)
+        result = Traceroute(engine, "v").trace(address_on(topo, "R5", "R4"))
+        assert result.reached
+        assert len(result.hops) == 5
+        assert all(hop.subnet is None for hop in result.hops)
 
     def test_unreachable_gives_anonymous_tail(self):
         engine, topo = chain(3)
@@ -50,17 +49,57 @@ class TestTraceroute:
         assert [hop.address for hop in result.hops][-3:] == [None, None, None]
 
     def test_classic_fluctuates_under_per_flow_balancing(self):
-        # Pinning the flow identity (Paris traceroute) keeps one path.
-        paths = {}
-        for vary_flow in (True, False):
-            engine, topo, target = diamond()
-            tracer = Traceroute(engine, "v", vary_flow=vary_flow)
-            paths[vary_flow] = {tracer.trace(target).hops[1].address
-                                for _ in range(12)}
-        assert len(paths[True]) > 1
-        assert len(paths[False]) == 1
+        engine, topo, target = diamond()
+        tracer = Traceroute(engine, "v", vary_flow=True)
+        second_hops = {tracer.trace(target).hops[1].address
+                       for _ in range(12)}
+        assert len(second_hops) > 1
 
     def test_probe_accounting(self):
         engine, topo = chain(4)
         result = Traceroute(engine, "v").trace(address_on(topo, "R4", "R3"))
         assert result.probes_sent >= len(result.hops)
+
+
+class TestParisTraceroute:
+    """Paris traceroute is `Traceroute` with the flow identity pinned."""
+
+    def test_stable_under_per_flow_balancing(self):
+        engine, topo, target = diamond()
+        tracer = Traceroute(engine, "v", vary_flow=False)
+        second_hops = {tracer.trace(target).hops[1].address
+                       for _ in range(12)}
+        assert len(second_hops) == 1
+
+    def test_same_endpoints_as_classic(self):
+        engine, topo = chain(4)
+        target = address_on(topo, "R4", "R3")
+        classic = Traceroute(engine, "v").trace(target)
+        paris = Traceroute(Engine(topo), "v", vary_flow=False).trace(target)
+        assert classic.reached and paris.reached
+        assert classic.hops[-1].address == paris.hops[-1].address
+
+
+class TestDisCarte:
+    """DisCarte's measurement: a TTL ladder of record-route probes."""
+
+    def test_record_route_limited_to_nine_slots(self):
+        builder = TopologyBuilder()
+        for i in range(1, 14):
+            builder.link(f"R{i}", f"R{i+1}")
+        builder.edge_host("v", "R1")
+        topo = builder.build()
+        engine = Engine(topo)
+        host = topo.hosts["v"]
+        target = address_on(topo, "R14", "R13")
+        stamps = []
+        for ttl in range(1, 15):
+            response = engine.send(Probe(src=host.address, dst=target,
+                                         ttl=ttl, record_route=True))
+            stamps.append(len(response.record_route))
+            if response.source == target:
+                break
+        assert response.source == target
+        assert RECORD_ROUTE_SLOTS == 9
+        assert max(stamps) == 9
+        assert stamps == sorted(stamps)
