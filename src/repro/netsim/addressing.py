@@ -179,7 +179,9 @@ class Prefix:
         return self.size - 2
 
     def __contains__(self, addr) -> bool:
-        return same_prefix(ip(addr), self.network, self.length)
+        # ``network`` has its host bits zeroed, so ``addr`` is inside iff
+        # the two agree above them (a shift by 32 leaves 0 for /0).
+        return (ip(addr) ^ self.network) >> (ADDRESS_BITS - self.length) == 0
 
     def contains_prefix(self, other: "Prefix") -> bool:
         """True when ``other`` is equal to or nested inside this block."""

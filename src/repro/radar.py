@@ -18,6 +18,7 @@ round's archive is byte-identical to an ordinary repeated survey's.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -73,6 +74,44 @@ def mutation_prefixes(mutations: Sequence[TopologyMutated]
             return None  # unknown blast radius: be conservative
         prefixes.update(texts)
     return [Prefix.parse(text) for text in sorted(prefixes)]
+
+
+class _BlockIndex:
+    """The union of a round's mutated blocks as sorted, merged intervals.
+
+    One ``bisect`` answers whether an address or a prefix meets any of the
+    blocks — the same answer as testing each block in turn, at a cost that
+    no longer grows with the number of blocks.
+    """
+
+    __slots__ = ("_starts", "_ends")
+
+    def __init__(self, blocks: Sequence[Prefix]):
+        starts: List[int] = []
+        ends: List[int] = []
+        for block in sorted(blocks):
+            low = block.network
+            high = low + block.size - 1
+            if ends and low <= ends[-1] + 1:
+                ends[-1] = max(ends[-1], high)
+            else:
+                starts.append(low)
+                ends.append(high)
+        self._starts = starts
+        self._ends = ends
+
+    def __bool__(self) -> bool:
+        return bool(self._starts)
+
+    def __contains__(self, address: int) -> bool:
+        i = bisect_right(self._starts, address) - 1
+        return i >= 0 and address <= self._ends[i]
+
+    def overlaps(self, prefix: Prefix) -> bool:
+        """True when ``prefix`` shares an address with some block."""
+        low = prefix.network
+        i = bisect_right(self._starts, low + prefix.size - 1) - 1
+        return i >= 0 and low <= self._ends[i]
 
 
 @dataclass
@@ -164,14 +203,18 @@ class RadarRunner:
     def _run_round(self, index: int,
                    prev: Optional[RadarRound]) -> RadarRound:
         mutations = self._log.drain()
+        dirty: Optional[_BlockIndex] = None
+        if index > 0:
+            blocks = mutation_prefixes(mutations) if mutations else []
+            dirty = _BlockIndex(blocks) if blocks is not None else None
         if index == 0 or not self.incremental:
             probed = list(self.targets)
             full = True
         else:
-            probed = self._dirty_targets(mutations, prev.archive)
+            probed = self._dirty_targets(dirty, prev.archive)
             full = False
-        if index > 0 and probed:
-            self._evict_dirty(mutations)
+        if dirty and probed:
+            self._evict_dirty(dirty)
 
         fresh: Dict[int, TraceResult] = {}
         for target in probed:
@@ -197,60 +240,42 @@ class RadarRunner:
 
     # -- dirtiness ---------------------------------------------------------
 
-    def _dirty_targets(self, mutations: Sequence[TopologyMutated],
+    def _dirty_targets(self, dirty: Optional[_BlockIndex],
                        previous: CollectionArchive) -> List[int]:
         """Targets whose previous trace a mutation could have invalidated.
 
         A target is dirty when a mutated prefix contains the destination
         itself, any hop of its previous trace, or any member of a subnet
         that trace observed — or when its previous trace was already
-        degraded (re-validate) or missing.  Order follows the target list,
-        so re-probing is deterministic.
+        degraded (re-validate) or missing.  ``dirty`` None means a global
+        blast radius: every target is dirty.  Order follows the target
+        list, so re-probing is deterministic.
         """
-        if not mutations:
-            dirty_blocks: List[Prefix] = []
-        else:
-            blocks = mutation_prefixes(mutations)
-            if blocks is None:
-                return list(self.targets)
-            dirty_blocks = blocks
+        if dirty is None:
+            return list(self.targets)
+        touches = dirty.__contains__
         previous_traces = {t.destination: t for t in previous.traces}
-        dirty: List[int] = []
+        result: List[int] = []
         for target in self.targets:
             trace = previous_traces.get(target)
             if trace is None or trace.degraded:
-                dirty.append(target)
-                continue
-            if dirty_blocks and self._trace_touches(trace, dirty_blocks):
-                dirty.append(target)
-        return dirty
+                result.append(target)
+            elif dirty and (touches(trace.destination)
+                            or any(map(touches, trace.addresses))):
+                result.append(target)
+        return result
 
-    @staticmethod
-    def _trace_touches(trace: TraceResult,
-                       blocks: Sequence[Prefix]) -> bool:
-        for block in blocks:
-            if trace.destination in block:
-                return True
-        for address in trace.addresses:
-            for block in blocks:
-                if address in block:
-                    return True
-        return False
+    def _evict_dirty(self, dirty: _BlockIndex) -> None:
+        """Forget registered subnets the mutations may have rewritten.
 
-    def _evict_dirty(self, mutations: Sequence[TopologyMutated]) -> None:
-        """Forget registered subnets the mutations may have rewritten."""
-        blocks = mutation_prefixes(mutations) if mutations else []
-        if blocks is None:
-            # Global blast radius: routing changed but subnets did not —
-            # the registry stays valid, only the traces need refreshing.
-            return
-        if not blocks:
-            return
+        A global blast radius never gets here: routing changed but
+        subnets did not, so the registry stays valid and only the traces
+        need refreshing.
+        """
+        touches = dirty.__contains__
         self.tool.evict_subnets(
-            lambda subnet: any(
-                subnet.prefix.overlaps(block) or any(m in block
-                                                     for m in subnet.members)
-                for block in blocks))
+            lambda subnet: dirty.overlaps(subnet.prefix)
+            or any(map(touches, subnet.members)))
 
     def _retract(self, diff: ArchiveDiff) -> None:
         events = self.tool.events

@@ -65,6 +65,11 @@ FLOWS: Dict[str, List[str]] = {
                                     "--seed", "7", "--batch-window", "4"],
     "radar-geant-drop-0.05": ["radar", "--network", "geant",
                               "--drop-rate", "0.05"],
+    # Mutations fire in rounds 0 and 1: an ECMP flip dirties every target
+    # in round 1, and round 2 re-probes only the prefix-dirty targets.
+    "radar-internet2-churn-drop-0.05": [
+        "radar", "--network", "internet2", "--drop-rate", "0.05",
+        "--rounds", "4", "--churn-count", "10", "--churn-interval", "800"],
     "serve-geant": ["submit", "--network", "geant", "--seed", "7"],
 }
 

@@ -185,6 +185,11 @@ class TestPrefix:
     def test_contains_accepts_strings(self):
         assert "10.0.0.3" in Prefix.parse("10.0.0.0/30")
 
+    @pytest.mark.parametrize("bad", [-1, 2**32, 1.5, None, "10.0.0"])
+    def test_contains_rejects_out_of_range_or_ill_typed(self, bad):
+        with pytest.raises(AddressError):
+            bad in Prefix.parse("0.0.0.0/0")
+
     def test_contains_prefix_nested(self):
         outer = Prefix.parse("10.0.0.0/24")
         inner = Prefix.parse("10.0.0.128/25")

@@ -55,6 +55,13 @@ class TestAddressingProperties:
         assert block.broadcast in block
         assert block.size == block.broadcast - block.network + 1
 
+    @given(addresses, addresses, prefix_lengths)
+    @example(0, MAX_IPV4, 0)
+    @example(MAX_IPV4, MAX_IPV4 - 1, 31)
+    def test_contains_matches_same_prefix(self, addr, other, length):
+        assert (addr in Prefix.containing(other, length)) == \
+            same_prefix(addr, other, length)
+
     @given(addresses, st.integers(min_value=1, max_value=32))
     def test_parent_contains_child(self, addr, length):
         child = Prefix.containing(addr, length)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import TraceNET
 from repro.events import (
@@ -25,7 +27,8 @@ from repro.mapping.store import archive_from_dict, archive_to_dict
 from repro.metrics import instrument
 from repro.netsim import Engine
 from repro.netsim.dynamics import MutationSchedule, NetworkDynamics
-from repro.radar import RadarRunner, mutation_prefixes, run_radar
+from repro.netsim.addressing import Prefix, parse_ip
+from repro.radar import RadarRunner, _BlockIndex, mutation_prefixes, run_radar
 from repro.runner import SurveyRunner
 from repro.runspec import RunSpec
 from repro.service import Coordinator, SurveyJob, VantageWorker
@@ -239,6 +242,49 @@ class TestMutationPrefixes:
         tool, targets, _ = _radar_setup()
         with pytest.raises(ValueError):
             RadarRunner(tool, targets, rounds=0)
+
+
+BASE = parse_ip("10.0.0.0")
+_blocks = st.builds(lambda offset, length: Prefix.containing(BASE + offset,
+                                                             length),
+                    st.integers(min_value=0, max_value=1023),
+                    st.integers(min_value=22, max_value=32))
+
+
+def _parsed(*texts):
+    return [Prefix.parse(text) for text in texts]
+
+
+class TestBlockIndex:
+    """One bisect into the merged intervals answers exactly as testing
+    every mutated block in turn does."""
+
+    @given(blocks=st.lists(_blocks, max_size=8),
+           offsets=st.lists(st.integers(min_value=-8, max_value=1100),
+                            max_size=24),
+           probes=st.lists(_blocks, max_size=8))
+    @example(blocks=_parsed("10.0.0.0/24", "10.0.0.64/26"),  # nested
+             offsets=[63, 64, 127, 128, 255, 256], probes=[])
+    @example(blocks=_parsed("10.0.0.128/25", "10.0.0.0/25"),  # adjacent
+             offsets=[-1, 0, 127, 128, 255, 256],
+             probes=_parsed("10.0.0.0/24", "10.0.1.0/30"))
+    @example(blocks=_parsed("10.0.0.0/30", "10.0.2.0/30"),  # disjoint
+             offsets=[3, 4, 511, 512, 515, 516],
+             probes=_parsed("10.0.1.0/24", "10.0.0.0/22"))
+    @settings(deadline=None)
+    def test_matches_per_block_prefix_test(self, blocks, offsets, probes):
+        index = _BlockIndex(blocks)
+        assert bool(index) == bool(blocks)
+        addresses = [BASE + offset for offset in offsets]
+        for block in blocks:
+            addresses += [block.network - 1, block.network,
+                          block.broadcast, block.broadcast + 1]
+        for address in addresses:
+            assert (address in index) == any(address in block
+                                              for block in blocks)
+        for probe in probes + blocks:
+            assert index.overlaps(probe) == any(probe.overlaps(block)
+                                                for block in blocks)
 
 
 class TestRadarService:

@@ -189,6 +189,69 @@ class TestLazyBfsCache:
         assert len(picks) == 1
 
 
+def chain_with_island():
+    """A - B - C - D - E in a row, plus an X - Y link no path reaches."""
+    builder = TopologyBuilder("chain")
+    stub = builder.link("A", "B")
+    for left, right in zip("BCD", "CDE"):
+        builder.link(left, right)
+    builder.link("X", "Y")
+    return builder.build(validate=False), stub
+
+
+def fresh_answers(topology, router_id, subnet_id):
+    table = RoutingTable(topology)
+    return (table.distance(router_id, subnet_id),
+            table.next_hops(router_id, subnet_id))
+
+
+class TestResumableBfs:
+    """A destination's BFS runs only as deep as its queries ask, and
+    later queries resume it instead of starting over."""
+
+    def test_far_query_resumes_the_near_one(self):
+        topo, stub = chain_with_island()
+        table = RoutingTable(topo)
+        assert table.distance("B", stub.subnet_id) == 0
+        state = table._levels[table._s_index[stub.subnet_id]]
+        assert state.depth == 0 and state.frontier
+        assert table.distance("D", stub.subnet_id) == 2
+        assert state.depth == 2 and state.frontier
+        for router_id in ("E", "C", "A", "B"):
+            assert (table.distance(router_id, stub.subnet_id),
+                    table.next_hops(router_id, stub.subnet_id)) == \
+                fresh_answers(topo, router_id, stub.subnet_id)
+        assert table.bfs_runs == 1
+        assert table._levels[table._s_index[stub.subnet_id]] is state
+
+    def test_disconnected_router_is_unreachable_only_when_exhausted(self):
+        topo, stub = chain_with_island()
+        table = RoutingTable(topo)
+        assert table.distance("C", stub.subnet_id) == 1
+        state = table._levels[table._s_index[stub.subnet_id]]
+        # Unlabelled subnets beyond the depth reached are not unreachable.
+        assert state.frontier
+        assert table.distance("X", stub.subnet_id) is None
+        assert table.next_hops("Y", stub.subnet_id) == []
+        assert not state.frontier
+        assert table.distance("E", stub.subnet_id) == 3
+        assert table.bfs_runs == 1
+
+    def test_evicted_partial_state_restarts_cleanly(self):
+        topo, stub = chain_with_island()
+        table = RoutingTable(topo, distance_cache_size=1)
+        assert table.distance("B", stub.subnet_id) == 0
+        other = sorted(set(topo.subnets) - {stub.subnet_id})[0]
+        table.distance("A", other)
+        assert table.bfs_runs == 2
+        assert list(table._levels) == [table._s_index[other]]
+        for router_id in ("E", "D", "X"):
+            assert (table.distance(router_id, stub.subnet_id),
+                    table.next_hops(router_id, stub.subnet_id)) == \
+                fresh_answers(topo, router_id, stub.subnet_id)
+        assert table.bfs_runs == 3
+
+
 def reference_routes(members, attached, subnet_id):
     """Router-level BFS toward ``subnet_id``, kept independent of
     :class:`RoutingTable`: per-router distances and ECMP sets.
