@@ -1,5 +1,7 @@
 """Unit tests for probe/response packet models."""
 
+import dataclasses
+
 import pytest
 
 from repro.netsim.addressing import parse_ip
@@ -31,6 +33,23 @@ class TestProbe:
     def test_rejects_zero_ttl(self):
         with pytest.raises(ValueError):
             Probe(src=SRC, dst=DST, ttl=0)
+
+    def test_positional_matches_keyword(self):
+        fast = Probe(SRC, DST, 3, Protocol.TCP, 4)
+        slow = Probe(src=SRC, dst=DST, ttl=3, protocol=Protocol.TCP,
+                     flow_id=4, record_route=False)
+        assert slow.probe_id == fast.probe_id + 1
+        assert dataclasses.replace(fast, probe_id=slow.probe_id) == slow
+
+    def test_zero_ttl_draws_its_id_first(self):
+        before = Probe(SRC, DST).probe_id
+        with pytest.raises(ValueError, match="probe TTL must be >= 1, got 0"):
+            Probe(SRC, DST, 0)
+        assert Probe(SRC, DST).probe_id == before + 2
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Probe(SRC, DST).ttl = 1
 
     def test_is_direct_large_ttl(self):
         assert Probe(src=SRC, dst=DST, ttl=DEFAULT_TTL).is_direct
