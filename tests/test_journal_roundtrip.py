@@ -262,6 +262,19 @@ class TestHeaders:
             RunSpec.from_flags("survey", network="arpanet").build()
 
 
+def test_v1_journal_replays_to_the_pinned_archive():
+    """A committed version-1 journal (its records still carry IP-IDs and
+    record-route fields) replays, in a fresh interpreter, to the archive
+    the live figure-3 ICMP trace is pinned to."""
+    from digest_flows import DIGESTS_PATH, _cli, _sha
+
+    journal = os.path.join(os.path.dirname(__file__), "data",
+                           "journal_v1_figure3_icmp.jsonl")
+    with open(DIGESTS_PATH, encoding="utf-8") as fp:
+        pinned = json.load(fp)["trace-figure3-icmp"]["archive"]
+    assert _sha(_cli(["trace", "--replay", journal, "--json"])) == pinned
+
+
 class TestBrokenJournals:
     """Malformed or truncated journals fail with one line, exit 2."""
 
