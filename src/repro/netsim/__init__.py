@@ -32,7 +32,7 @@ from .engine import (
 from .iface import Interface
 from .packet import DEFAULT_TTL, Probe, Protocol, Response, ResponseType
 from .responsiveness import ResponsePolicy, fully_responsive
-from .router import DirectConfig, IndirectConfig, IpIdMode, Router
+from .router import DirectConfig, IndirectConfig, Router
 from .routing import FlowKey, LoadBalancer, LoadBalancingMode, NextHop, RoutingTable
 from .serialize import (
     load_scenario,
@@ -56,7 +56,6 @@ __all__ = [
     "Host",
     "IndirectConfig",
     "Interface",
-    "IpIdMode",
     "LoadBalancer",
     "LoadBalancingMode",
     "MutationSchedule",

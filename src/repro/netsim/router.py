@@ -33,18 +33,6 @@ class DirectConfig(enum.Enum):
     PROBED = "probed"
 
 
-class IpIdMode(enum.Enum):
-    """How a router fills the IP identification field of its responses.
-
-    SHARED — one monotonically increasing counter for the whole router,
-    the behaviour Ally-style alias resolution exploits.  RANDOM — a fresh
-    random value per packet (modern stacks), which defeats Ally.
-    """
-
-    SHARED = "shared"
-    RANDOM = "random"
-
-
 @dataclass
 class Router:
     """A router: a named set of interfaces plus its response behaviour.
@@ -61,7 +49,6 @@ class Router:
     indirect_config: IndirectConfig = IndirectConfig.INCOMING
     direct_config: DirectConfig = DirectConfig.PROBED
     default_address: Optional[int] = None
-    ip_id_mode: IpIdMode = IpIdMode.SHARED
     _interfaces: Dict[int, Interface] = field(default_factory=dict, repr=False)
     # First interface per subnet, kept in step with _interfaces so
     # interface_on() is a dict probe instead of a scan (it sits on the

@@ -2,8 +2,7 @@
 
 Lets ground-truth networks travel: a scenario can be defined in JSON,
 version-controlled next to an experiment, and reloaded bit-identically —
-including router response configurations, IP-ID behaviour, and the
-responsiveness policy.  Rate-limiter *configuration* is serialized (not
+including router response configurations and the responsiveness policy.  Rate-limiter *configuration* is serialized (not
 bucket state; a reloaded policy starts with full buckets).
 """
 
@@ -15,7 +14,7 @@ from typing import Dict, IO, Union
 from .addressing import format_ip, parse_ip
 from .packet import Protocol
 from .responsiveness import ResponsePolicy
-from .router import DirectConfig, IndirectConfig, IpIdMode, Router
+from .router import DirectConfig, IndirectConfig, Router
 from .subnet import Subnet
 from .topology import Topology
 
@@ -37,7 +36,6 @@ def topology_to_dict(topology: Topology) -> Dict:
                 "id": router.router_id,
                 "indirect_config": router.indirect_config.value,
                 "direct_config": router.direct_config.value,
-                "ip_id_mode": router.ip_id_mode.value,
                 "default_address": (format_ip(router.default_address)
                                     if router.default_address is not None
                                     else None),
@@ -85,7 +83,6 @@ def topology_from_dict(payload: Dict) -> Topology:
             indirect_config=IndirectConfig(entry.get("indirect_config",
                                                      "incoming")),
             direct_config=DirectConfig(entry.get("direct_config", "probed")),
-            ip_id_mode=IpIdMode(entry.get("ip_id_mode", "shared")),
             default_address=parse_ip(default) if default is not None else None,
         ))
     for entry in payload.get("subnets", []):

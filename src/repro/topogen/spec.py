@@ -61,8 +61,6 @@ class NetworkBlueprint:
     #: (paper §3.1(iii); the rest are incoming-interface routers)
     shortest_path_fraction: float = 0.08
     default_iface_fraction: float = 0.04
-    #: fraction of routers with randomized IP-ID fields (defeats Ally)
-    random_ip_id_fraction: float = 0.15
 
     def total_subnets(self) -> int:
         return sum(self.distribution.values())
@@ -369,13 +367,13 @@ def _apply_policy(policy: ResponsePolicy, builder: TopologyBuilder,
 def _apply_router_variety(blueprint: NetworkBlueprint,
                           builder: TopologyBuilder, rng: random.Random,
                           prefix_tag: str) -> None:
-    """Sample indirect response configurations and IP-ID behaviours.
+    """Sample indirect response configurations.
 
     Most routers report the incoming interface (the common case the paper
     observes); a sampled minority report the shortest-path interface or a
     default address, exercising Algorithm 2's mate-pivot branch.
     """
-    from ..netsim.router import IndirectConfig, IpIdMode
+    from ..netsim.router import IndirectConfig
 
     # Filter before sorting: draws only ever happened for matching routers,
     # so the RNG stream is unchanged, but a merged million-router topology
@@ -390,5 +388,4 @@ def _apply_router_variety(blueprint: NetworkBlueprint,
         elif draw < (blueprint.shortest_path_fraction
                      + blueprint.default_iface_fraction):
             router.indirect_config = IndirectConfig.DEFAULT
-        if rng.random() < blueprint.random_ip_id_fraction:
-            router.ip_id_mode = IpIdMode.RANDOM
+        rng.random()  # the retired IP-ID mode draw; later draws depend on it

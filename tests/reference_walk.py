@@ -4,26 +4,19 @@
 path once and replaying the response plan for the probe's TTL.
 :class:`WalkingEngine` answers the same probes the old way, by walking the
 routed path hop by hop and building each response live.  It shares the
-engine's clock, statistics, IP-ID streams, rate limiters and load
-balancer, so the two must agree packet for packet: same responses, same
-IP-IDs, same rate-limit bucket drains, same record-route stamps and the
-same per-packet balancer PRNG draws.  Test-only; never memoizes.
+engine's clock, statistics, rate limiters and load balancer, so the two
+must agree packet for packet: same responses, same rate-limit bucket
+drains and the same per-packet balancer PRNG draws.  Test-only; never
+memoizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import List, Optional
+from typing import Optional
 
 from repro.netsim.engine import Engine, UnassignedAddressBehavior
-from repro.netsim.packet import (
-    ALIVE_RESPONSES,
-    RECORD_ROUTE_SLOTS,
-    Probe,
-    Response,
-    ResponseType,
-)
-from repro.netsim.router import DirectConfig, IndirectConfig, IpIdMode, Router
+from repro.netsim.packet import ALIVE_RESPONSES, Probe, Response, ResponseType
+from repro.netsim.router import DirectConfig, IndirectConfig, Router
 from repro.netsim.routing import FlowKey
 from repro.netsim.topology import Host
 
@@ -40,18 +33,14 @@ class WalkingEngine(Engine):
         self._check_mutations()
         self.clock += 1
         self.stats.record_probe(probe.protocol)
-        stamps: Optional[List[int]] = [] if probe.record_route else None
-        response = self._walk(probe, stamps)
-        if response is not None and probe.record_route and stamps:
-            response = replace(response, record_route=tuple(stamps))
+        response = self._walk(probe)
         if response is None:
             self.stats.silent_drops += 1
         else:
             self.stats.responses_returned += 1
         return response
 
-    def _walk(self, probe: Probe, stamps: Optional[List[int]] = None
-              ) -> Optional[Response]:
+    def _walk(self, probe: Probe) -> Optional[Response]:
         host = self.topology.host_at(probe.src)
         if host is None:
             raise ValueError(f"probe source {probe.src} is not a registered host")
@@ -76,7 +65,6 @@ class WalkingEngine(Engine):
                 return self._ttl_exceeded(probe, current, incoming_address, host)
 
             if dest_subnet is not None and current.interface_on(dest_subnet.subnet_id):
-                self._stamp(probe, current, dest_subnet.subnet_id, stamps)
                 return self._deliver_across_lan(probe, current, dest_subnet.subnet_id,
                                                 dest_host)
             if dest_subnet is None:
@@ -85,7 +73,6 @@ class WalkingEngine(Engine):
             if not hops:
                 return None
             choice = self.balancer.choose(current.router_id, hops, flow)
-            self._stamp(probe, current, choice.via_subnet_id, stamps)
             next_router = self.topology.routers[choice.router_id]
             via_iface = next_router.interface_on(choice.via_subnet_id)
             incoming_address = via_iface.address if via_iface is not None else None
@@ -104,18 +91,6 @@ class WalkingEngine(Engine):
         target_router = self.topology.routers[iface.router_id]
         return self._direct_response(probe, target_router)
 
-    def _stamp(self, probe: Probe, router: Router, via_subnet_id: str,
-               stamps: Optional[List[int]]) -> None:
-        """Record-route: a forwarding router stamps its outgoing interface
-        (RFC 791, up to 9 slots)."""
-        if stamps is None or not probe.record_route:
-            return
-        if len(stamps) >= RECORD_ROUTE_SLOTS:
-            return
-        iface = router.interface_on(via_subnet_id)
-        if iface is not None:
-            stamps.append(iface.address)
-
     def _direct_response(self, probe: Probe, router: Router) -> Optional[Response]:
         subnet = self.topology.subnet_containing(probe.dst)
         if subnet is not None and self.policy.subnet_is_firewalled(subnet.subnet_id):
@@ -127,9 +102,7 @@ class WalkingEngine(Engine):
         if router.direct_config == DirectConfig.NIL:
             return None
         return Response(kind=ALIVE_RESPONSES[probe.protocol], source=probe.dst,
-                        probe=probe, responder=router.router_id,
-                        ip_id=self._next_ip_id(router.router_id,
-                                               router.ip_id_mode))
+                        probe=probe, responder=router.router_id)
 
     def _host_response(self, probe: Probe, host: Host) -> Optional[Response]:
         subnet_id = host.subnet_id
@@ -138,8 +111,7 @@ class WalkingEngine(Engine):
         if self.policy.interface_is_silent(probe.dst):
             return None
         return Response(kind=ALIVE_RESPONSES[probe.protocol], source=probe.dst,
-                        probe=probe, responder=host.host_id,
-                        ip_id=self._next_ip_id(host.host_id, IpIdMode.SHARED))
+                        probe=probe, responder=host.host_id)
 
     def _ttl_exceeded(self, probe: Probe, router: Router,
                       incoming_address: Optional[int],
@@ -161,9 +133,7 @@ class WalkingEngine(Engine):
         # A reticent interface still sources TTL-Exceeded packets; only
         # direct probes to it are filtered.  Keep the reply.
         return Response(kind=ResponseType.TTL_EXCEEDED, source=source,
-                        probe=probe, responder=router.router_id,
-                        ip_id=self._next_ip_id(router.router_id,
-                                               router.ip_id_mode))
+                        probe=probe, responder=router.router_id)
 
     def _unassigned_response(self, probe: Probe, router: Router,
                              subnet_id: str) -> Optional[Response]:
@@ -177,6 +147,4 @@ class WalkingEngine(Engine):
         if iface is None:
             return None
         return Response(kind=ResponseType.HOST_UNREACHABLE, source=iface.address,
-                        probe=probe, responder=router.router_id,
-                        ip_id=self._next_ip_id(router.router_id,
-                                               router.ip_id_mode))
+                        probe=probe, responder=router.router_id)

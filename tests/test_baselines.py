@@ -2,14 +2,7 @@
 
 from conftest import address_on
 from repro.baselines import Traceroute
-from repro.netsim import (
-    Engine,
-    LoadBalancer,
-    LoadBalancingMode,
-    Probe,
-    TopologyBuilder,
-)
-from repro.netsim.packet import RECORD_ROUTE_SLOTS
+from repro.netsim import Engine, LoadBalancer, LoadBalancingMode, TopologyBuilder
 
 
 def chain(n=4):
@@ -79,27 +72,3 @@ class TestParisTraceroute:
         assert classic.reached and paris.reached
         assert classic.hops[-1].address == paris.hops[-1].address
 
-
-class TestDisCarte:
-    """DisCarte's measurement: a TTL ladder of record-route probes."""
-
-    def test_record_route_limited_to_nine_slots(self):
-        builder = TopologyBuilder()
-        for i in range(1, 14):
-            builder.link(f"R{i}", f"R{i+1}")
-        builder.edge_host("v", "R1")
-        topo = builder.build()
-        engine = Engine(topo)
-        host = topo.hosts["v"]
-        target = address_on(topo, "R14", "R13")
-        stamps = []
-        for ttl in range(1, 15):
-            response = engine.send(Probe(src=host.address, dst=target,
-                                         ttl=ttl, record_route=True))
-            stamps.append(len(response.record_route))
-            if response.source == target:
-                break
-        assert response.source == target
-        assert RECORD_ROUTE_SLOTS == 9
-        assert max(stamps) == 9
-        assert stamps == sorted(stamps)

@@ -46,8 +46,7 @@ def survey_network():
 def response_key(response):
     if response is None:
         return None
-    return (response.kind, response.source, response.responder,
-            response.ip_id)
+    return response.kind, response.source, response.responder
 
 
 class TestEngineSendMany:
@@ -160,8 +159,8 @@ class TestTransportSendMany:
 class TestProbeMany:
     def test_matches_serial_probe_semantics(self, line_topology):
         # Two identical engines: the probers must not share simulator state
-        # (IP-ID counters) or the comparison measures the engine, not the
-        # prober.
+        # (the clock and rate-limit buckets) or the comparison measures the
+        # engine, not the prober.
         serial = Prober(SimulatorTransport(Engine(line_topology)), "vantage")
         batched = Prober(SimulatorTransport(Engine(line_topology)), "vantage")
         dst = line_topology.hosts["vantage"].address

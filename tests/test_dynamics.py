@@ -121,18 +121,17 @@ class TestMutationSchedule:
         assert ScheduledMutation.from_dict(mutation.to_dict()) == mutation
 
 
-def _battery(topology, source, record_route=False):
+def _battery(topology, source):
     """Probes to every interface at a ladder of TTLs."""
     probes = []
     for dst in sorted(topology.all_interface_addresses):
         for ttl in (1, 3, 8, 30):
-            probes.append(Probe(src=source, dst=dst, ttl=ttl,
-                                record_route=record_route))
+            probes.append(Probe(src=source, dst=dst, ttl=ttl))
     return probes
 
 
 def _response_keys(responses):
-    return [(r.kind.name, r.source, r.responder, r.record_route)
+    return [(r.kind.name, r.source, r.responder)
             if r is not None else None for r in responses]
 
 
@@ -195,14 +194,6 @@ class TestEngineInvalidation:
         engine.policy.reset_rate_limiters()
         twin = self._fresh_twin(engine, dynamics)
         battery = _battery(engine.topology, source)
-        assert _response_keys(engine.send_many(battery)) == \
-            _response_keys(twin.send_many(battery))
-
-    def test_record_route_matches_fresh_engine(self, mutated):
-        engine, source, dynamics = mutated
-        engine.policy.reset_rate_limiters()
-        twin = self._fresh_twin(engine, dynamics)
-        battery = _battery(engine.topology, source, record_route=True)
         assert _response_keys(engine.send_many(battery)) == \
             _response_keys(twin.send_many(battery))
 

@@ -2,9 +2,8 @@
 
 The contract: ``send_many`` chunks and a plain ``send`` loop through the
 hop-by-hop :class:`~reference_walk.WalkingEngine` are packet-for-packet
-identical — same responses, same IP-ID streams, same rate-limit bucket
-drains, same record-route stamps — and the batched-lookup counters always
-reconcile (``bulk_lookup_hits + bulk_lookup_misses == batched_probes``).
+identical — same responses, same rate-limit bucket drains — and the
+batched-lookup counters always reconcile (``bulk_lookup_hits + bulk_lookup_misses == batched_probes``).
 """
 
 from conftest import address_on
@@ -12,7 +11,6 @@ from reference_walk import WalkingEngine
 from repro.netsim import (
     Engine,
     IndirectConfig,
-    IpIdMode,
     LoadBalancer,
     LoadBalancingMode,
     Probe,
@@ -54,22 +52,18 @@ def diamond(mode, engine_cls=Engine, seed=5):
 def signature(response):
     if response is None:
         return None
-    return (response.kind, response.source, response.responder,
-            response.ip_id, response.record_route)
+    return response.kind, response.source, response.responder
 
 
-def ladder(topo, dsts, ttls=range(1, 7), repeats=3, flows=(0,),
-           record_route=(False,)):
+def ladder(topo, dsts, ttls=range(1, 7), repeats=3, flows=(0,)):
     """A survey-shaped probe sequence: repeated TTL sweeps per target."""
     src = topo.hosts["v"].address
     return [
-        Probe(src=src, dst=address_on(topo, *name), ttl=ttl,
-              flow_id=flow, record_route=rr)
+        Probe(src=src, dst=address_on(topo, *name), ttl=ttl, flow_id=flow)
         for _ in range(repeats)
         for name in dsts
         for ttl in ttls
         for flow in flows
-        for rr in record_route
     ]
 
 
@@ -129,11 +123,10 @@ class TestBulkEquivalence:
         assert None in streams["serial"]          # the bucket did drain
         assert any(s is not None for s in streams["serial"])
 
-    def test_nil_router_and_random_ip_id(self):
+    def test_nil_router_stays_silent(self):
         def configured(engine_cls):
             engine, topo = chain(engine_cls)
             topo.routers["R2"].indirect_config = IndirectConfig.NIL
-            topo.routers["R3"].ip_id_mode = IpIdMode.RANDOM
             engine.clear_path_cache()
             return engine, topo
 
@@ -141,18 +134,9 @@ class TestBulkEquivalence:
             configured,
             lambda topo: ladder(topo, [("R5", "R4"), ("R4", "R3")]))
         # The NIL router stays silent on indirect probes (ttl=2 expires at
-        # R2), while deeper hops — including the RANDOM-IP-ID one — answer.
+        # R2), while deeper hops answer.
         assert None in streams["serial"]
         assert any(s is not None and s[2] == "R3" for s in streams["serial"])
-
-    def test_record_route_probes_take_the_slow_path(self):
-        _, engines = dispatch(
-            chain,
-            lambda topo: ladder(topo, [("R5", "R4")],
-                                record_route=(False, True)))
-        stats = engines["batched"].stats
-        assert stats.bulk_lookup_hits > 0
-        assert stats.bulk_lookup_misses > 0   # every record-route probe
 
     def test_per_packet_balancer_preserves_rng_stream(self):
         streams, engines = dispatch(

@@ -5,8 +5,7 @@ the response for the probe's TTL; the memo keeps one resolved path per
 flow, derived from one memoized route per destination subnet.  The
 contract: the engine is packet-for-packet identical to the
 hop-by-hop :class:`~reference_walk.WalkingEngine` — same responses, same
-IP-IDs, same rate-limit bucket drains, same record-route stamps, same
-per-packet balancer draws — while a memoized flow is resolved once, not
+rate-limit bucket drains, same per-packet balancer draws — while a memoized flow is resolved once, not
 once per probe, and a destination subnet is routed once, not once per
 address.  Flows crossing a per-packet load balancer are never memoized, a
 route that crossed a per-flow choice serves only its own address, and
@@ -86,18 +85,15 @@ def counting_next_hops(engine):
     return calls
 
 
-def probe(topo, dst, ttl, flow_id=0, record_route=False,
-          protocol=Protocol.ICMP):
+def probe(topo, dst, ttl, flow_id=0, protocol=Protocol.ICMP):
     return Probe(src=topo.hosts["v"].address, dst=dst, ttl=ttl,
-                 protocol=protocol, flow_id=flow_id,
-                 record_route=record_route)
+                 protocol=protocol, flow_id=flow_id)
 
 
 def signature(response):
     if response is None:
         return None
-    return (response.kind, response.source, response.responder,
-            response.ip_id, response.record_route)
+    return response.kind, response.source, response.responder
 
 
 class TestCounters:
@@ -138,21 +134,19 @@ class TestCounters:
 
 
 class TestEquivalence:
-    def sweep(self, make_engine, dsts, ttls=range(1, 9), flows=(0, 3),
-              record_route=(False, True)):
+    def sweep(self, make_engine, dsts, ttls=range(1, 9), flows=(0, 3)):
         """Send the same probe sequence through the reference walker and a
-        memoizing engine; every response (including IP-ID) must match."""
+        memoizing engine; every response must match."""
         slow, topo = make_engine(engine_cls=WalkingEngine)
         fast, _ = make_engine()
         for name in dsts:
             dst = address_on(topo, *name) if isinstance(name, tuple) else name
             for ttl in ttls:
                 for flow in flows:
-                    for rr in record_route:
-                        a = slow.send(probe(topo, dst, ttl, flow, rr))
-                        b = fast.send(probe(topo, dst, ttl, flow, rr))
-                        assert signature(a) == signature(b), (
-                            f"dst={dst} ttl={ttl} flow={flow} rr={rr}")
+                    a = slow.send(probe(topo, dst, ttl, flow))
+                    b = fast.send(probe(topo, dst, ttl, flow))
+                    assert signature(a) == signature(b), (
+                        f"dst={dst} ttl={ttl} flow={flow}")
         assert fast.stats.path_cache_hits > 0
         return slow, fast
 
@@ -163,16 +157,6 @@ class TestEquivalence:
     def test_replay_matches_walk_with_per_flow_balancing(self):
         self.sweep(lambda **kw: diamond(LoadBalancingMode.PER_FLOW, **kw),
                    [("R5", "R4"), ("R4", "R5")])
-
-    def test_record_route_stamps_identical(self):
-        slow, topo = chain(engine_cls=WalkingEngine)
-        fast, _ = chain()
-        dst = address_on(topo, "R5", "R4")
-        for ttl in (2, 3, 5, 9):
-            a = slow.send(probe(topo, dst, ttl, record_route=True))
-            b = fast.send(probe(topo, dst, ttl, record_route=True))
-            assert a.record_route == b.record_route
-        assert fast.stats.path_cache_hits > 0
 
     def test_rate_limit_buckets_drain_identically(self):
         # Replay must draw from the same token bucket, in the same cases,
@@ -225,8 +209,8 @@ class TestUncacheable:
 
     def test_per_packet_sweep_matches_walk(self):
         # Live one-off paths draw the balancer PRNG at exactly the hops
-        # the walk draws it: equal seeds keep the two engines' responses,
-        # IP-IDs and balancer state in lockstep after every probe.
+        # the walk draws it: equal seeds keep the two engines' responses
+        # and balancer state in lockstep after every probe.
         walker, topo = diamond(LoadBalancingMode.PER_PACKET, seed=13,
                                engine_cls=WalkingEngine)
         engine, _ = diamond(LoadBalancingMode.PER_PACKET, seed=13)
@@ -235,12 +219,11 @@ class TestUncacheable:
         for _ in range(3):
             for dst in dsts:
                 for ttl in range(1, 8):
-                    for rr in (False, True):
-                        a = walker.send(probe(topo, dst, ttl, record_route=rr))
-                        b = engine.send(probe(topo, dst, ttl, record_route=rr))
-                        assert signature(a) == signature(b), (dst, ttl, rr)
-                        assert (walker.balancer._rng.getstate()
-                                == engine.balancer._rng.getstate())
+                    a = walker.send(probe(topo, dst, ttl))
+                    b = engine.send(probe(topo, dst, ttl))
+                    assert signature(a) == signature(b), (dst, ttl)
+                    assert (walker.balancer._rng.getstate()
+                            == engine.balancer._rng.getstate())
         assert engine.stats.path_cache_uncacheable > 0
 
 
@@ -328,10 +311,9 @@ class TestRouteMemo:
         member = address_on(topo, "R5", "R4")
         for dst in (own, member):
             for ttl in range(1, 6):
-                for rr in (False, True):
-                    a = walker.send(probe(topo, dst, ttl, record_route=rr))
-                    b = engine.send(probe(topo, dst, ttl, record_route=rr))
-                    assert signature(a) == signature(b), (dst, ttl, rr)
+                a = walker.send(probe(topo, dst, ttl))
+                b = engine.send(probe(topo, dst, ttl))
+                assert signature(a) == signature(b), (dst, ttl)
         # Both addresses derive from one route ending at R4.
         assert len(engine._routes) == 1
         paths = {key[1]: path for key, path in engine._path_cache.items()}

@@ -4,7 +4,7 @@ Whole surveys — the reference Internet2 and GEANT surveys and the
 adversarial gauntlet — are recorded twice, once through the hop-by-hop
 :class:`~reference_walk.WalkingEngine` and once through the memoizing
 :class:`~repro.netsim.Engine`, and the two journals must be byte-equal:
-every probe, response, source address and IP-ID.  The surveys probe many
+every probe, response, source address and responder.  The surveys probe many
 addresses per destination subnet, so every derived path is exercised
 against an independent walk, under the default balancer, a per-flow
 balancer everywhere, and host-unreachable answers for unassigned

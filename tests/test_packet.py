@@ -37,7 +37,7 @@ class TestProbe:
     def test_positional_matches_keyword(self):
         fast = Probe(SRC, DST, 3, Protocol.TCP, 4)
         slow = Probe(src=SRC, dst=DST, ttl=3, protocol=Protocol.TCP,
-                     flow_id=4, record_route=False)
+                     flow_id=4)
         assert slow.probe_id == fast.probe_id + 1
         assert dataclasses.replace(fast, probe_id=slow.probe_id) == slow
 
@@ -67,6 +67,20 @@ class TestProbe:
 class TestResponse:
     def _probe(self, protocol=Protocol.ICMP):
         return Probe(src=SRC, dst=DST, protocol=protocol)
+
+    def test_positional_matches_keyword(self):
+        probe = self._probe()
+        fast = Response(ResponseType.ECHO_REPLY, DST, probe, "R1")
+        slow = Response(kind=ResponseType.ECHO_REPLY, source=DST,
+                        probe=probe, responder="R1")
+        assert fast == slow
+        assert Response(ResponseType.ECHO_REPLY, DST, probe).responder is None
+
+    def test_frozen_and_slotted(self):
+        response = Response(ResponseType.ECHO_REPLY, DST, self._probe())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            response.source = SRC
+        assert not hasattr(response, "__dict__")
 
     def test_alive_signal_icmp(self):
         response = Response(kind=ResponseType.ECHO_REPLY, source=DST,
