@@ -130,57 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     export_cmd.add_argument("--out", required=True, metavar="PATH")
     export_cmd.set_defaults(handler=cmd_export)
 
-    submit = subparsers.add_parser(
-        "submit", help="queue a survey job for the distributed service")
-    submit.add_argument("--queue", required=True, metavar="DIR",
-                        help="service directory (holds queue.jsonl and "
-                             "per-job artifacts)")
-    submit.add_argument("--network", choices=("internet2", "geant"),
-                        default="internet2")
-    submit.add_argument("--seed", type=int, default=7)
-    submit.add_argument("--limit", type=int, default=None, metavar="N",
-                        help="survey only the first N targets")
-    submit.add_argument("--checkpoint-every", type=int, default=25,
-                        metavar="N", help="checkpoint cadence")
-    submit.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                        help="lease attempts before the job fails")
-    submit.add_argument("--tenant", default="default")
-    submit.add_argument("--batch-window", type=int, default=0, metavar="N",
-                        help="probe batching window")
-    submit.add_argument("--stop-sets", action="store_true",
-                        help="enable Doubletree stop sets")
-    submit.add_argument("--radar", action="store_true",
-                        help="queue a radar job: continuous re-surveys")
-    _add_radar_options(submit)
-    submit.set_defaults(handler=cmd_submit)
-
-    serve = subparsers.add_parser(
-        "serve", help="run the survey service: drain the queue with a "
-                      "fleet of vantage workers")
-    serve.add_argument("--queue", required=True, metavar="DIR",
-                       help="service directory written by 'tracenet submit'")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="vantage workers in the fleet (default: 2)")
-    serve.add_argument("--heartbeat-timeout", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="re-lease a job after this long without a "
-                            "worker heartbeat")
-    serve.add_argument("--timeout", type=float, default=300.0,
-                       metavar="SECONDS",
-                       help="abort the fleet after this wall-clock budget")
-    serve.add_argument("--stream-every", type=int, default=64, metavar="N",
-                       help="worker event-stream flush cadence")
-    serve.add_argument("--kill-worker-after", type=int, default=None,
-                       metavar="N",
-                       help="fault injection: the first worker dies "
-                            "silently after N survey targets (exercises "
-                            "re-lease + checkpoint resume)")
-    serve.add_argument("--health-out", default=None, metavar="PATH",
-                       help="publish fleet health telemetry (queue depth, "
-                            "lease ages, heartbeat lag) as Prometheus text "
-                            "to this file on every fleet tick")
-    serve.set_defaults(handler=cmd_serve)
-
     radar = subparsers.add_parser(
         "radar", help="continuous re-surveys over a churning network with "
                       "incremental dirty-prefix re-probing")
@@ -192,7 +141,25 @@ def build_parser() -> argparse.ArgumentParser:
     radar.add_argument("--full", action="store_true", default=None,
                        help="re-probe every target every round instead of "
                             "only the dirty prefixes")
-    _add_radar_options(radar)
+    # Like every flag that shapes the probe stream the radar config flags
+    # default to None, so ``--replay`` can tell a given flag from an absent
+    # one; ``repro.runspec.COMMAND_DEFAULTS`` has the defaults.
+    radar.add_argument("--rounds", type=int,
+                       help="total rounds including the initial full "
+                            "survey (default: 3)")
+    radar.add_argument("--churn-count", type=int, metavar="N",
+                       help="mutations in the seeded schedule (0 disables "
+                            "churn entirely; default: 4)")
+    radar.add_argument("--churn-seed", type=int, help="default: 7")
+    radar.add_argument("--churn-start", type=int, metavar="PROBES",
+                       help="probe count at which the first mutation "
+                            "fires (default: 200)")
+    radar.add_argument("--churn-interval", type=int, metavar="PROBES",
+                       help="probes between mutations (default: 400)")
+    radar.add_argument("--drop-rate", type=float,
+                       help="seeded uniform response loss on the live "
+                            "path (default: 0.0)")
+    radar.add_argument("--fault-seed", type=int, help="default: 0")
     radar.add_argument("--out", default=None, metavar="DIR",
                        help="save per-round archives, diffs and the radar "
                             "summary there")
@@ -203,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     diff_cmd = subparsers.add_parser(
         "diff", help="diff two collection archives offline (radar rounds, "
-                     "checkpoints, service results)")
+                     "checkpoints)")
     diff_cmd.add_argument("old", metavar="OLD", help="earlier archive JSON")
     diff_cmd.add_argument("new", metavar="NEW", help="later archive JSON")
     diff_cmd.add_argument("--json", action="store_true", dest="as_json",
@@ -213,18 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also write the diff JSON there")
     diff_cmd.set_defaults(handler=cmd_diff)
 
-    jobs_cmd = subparsers.add_parser(
-        "jobs", help="list the jobs in a service queue")
-    jobs_cmd.add_argument("--queue", required=True, metavar="DIR")
-    jobs_cmd.set_defaults(handler=cmd_jobs)
-
     stats_cmd = subparsers.add_parser(
         "stats", help="replay a probe or event journal offline and print "
                       "its metrics")
     stats_cmd.add_argument("journal", metavar="JOURNAL",
                            help="a JSONL probe journal written by --record, "
                                 "or a session-event journal written by "
-                                "--events / the survey service")
+                                "--events")
     stats_cmd.add_argument("--format", choices=("json", "prometheus"),
                            default="json", dest="metrics_format")
     stats_cmd.add_argument("--out", default=None, metavar="PATH",
@@ -237,11 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     spans_cmd = subparsers.add_parser(
         "spans", help="derive a journal's deterministic span tree offline "
-                      "(probe, event, or service job journals)")
+                      "(probe or event journals)")
     spans_cmd.add_argument("journal", metavar="JOURNAL",
-                           help="a probe journal (--record), session-event "
-                                "journal (--events), or a service job's "
-                                "committed events.jsonl")
+                           help="a probe journal (--record) or a "
+                                "session-event journal (--events)")
     spans_cmd.add_argument("--json", action="store_true", dest="as_json",
                            help="emit the tree as JSON instead of the "
                                 "critical-path / heuristics report")
@@ -274,35 +235,6 @@ def _write_metrics(registry: MetricsRegistry, path: str, fmt: str) -> None:
                 else json.dumps(registry.full_snapshot(), indent=2,
                                 sort_keys=True) + "\n")
 
-
-def _add_radar_options(command: argparse.ArgumentParser) -> None:
-    """The radar config flags.  Like every flag that shapes the probe
-    stream they default to None, so ``--replay`` can tell a given flag from
-    an absent one; ``repro.runspec.COMMAND_DEFAULTS`` has the defaults."""
-    command.add_argument("--rounds", type=int,
-                         help="total rounds including the initial full "
-                              "survey (default: 3)")
-    command.add_argument("--churn-count", type=int, metavar="N",
-                         help="mutations in the seeded schedule (0 disables "
-                              "churn entirely; default: 4)")
-    command.add_argument("--churn-seed", type=int, help="default: 7")
-    command.add_argument("--churn-start", type=int, metavar="PROBES",
-                         help="probe count at which the first mutation "
-                              "fires (default: 200)")
-    command.add_argument("--churn-interval", type=int, metavar="PROBES",
-                         help="probes between mutations (default: 400)")
-    command.add_argument("--drop-rate", type=float,
-                         help="seeded uniform response loss on the live "
-                              "path (default: 0.0)")
-    command.add_argument("--fault-seed", type=int, help="default: 0")
-
-
-def _radar_flags(args) -> dict:
-    """The radar config fields a command's flags give (None = not given)."""
-    full = getattr(args, "full", None)
-    return {**{key: getattr(args, key) for key in RADAR_DEFAULTS
-               if key != "incremental"},
-            "incremental": None if full is None else not full}
 
 def _add_transport_options(command: argparse.ArgumentParser) -> None:
     """The transport-seam options every collection command shares."""
@@ -528,141 +460,16 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _service_queue(directory: str):
-    """The service directory's durable job queue."""
-    import os
-
-    from .service import JobQueue
-
-    return JobQueue(os.path.join(directory, "queue.jsonl"))
-
-
-def cmd_submit(args) -> int:
-    from .service import SurveyJob
-
-    spec = RunSpec.from_flags(
-        "radar" if args.radar else "survey", network=args.network,
-        seed=args.seed, limit=args.limit, batch_window=args.batch_window,
-        stop_sets=args.stop_sets, **_radar_flags(args))
-    target_list = spec.targets(spec.load_network())
-    queue = _service_queue(args.queue)
-    job = queue.submit(SurveyJob(
-        job_id=queue.next_job_id(),
-        spec=spec,
-        targets=list(target_list),
-        checkpoint_every=max(1, args.checkpoint_every),
-        tenant=args.tenant,
-        max_attempts=max(1, args.max_attempts),
-    ))
-    if spec.radar is not None:
-        print(f"queued {job.job_id}: radar over {args.network} "
-              f"seed {args.seed}, {len(target_list)} targets, "
-              f"{spec.radar['rounds']} rounds, "
-              f"churn {spec.radar['churn_count']}")
-    else:
-        print(f"queued {job.job_id}: {args.network} seed {args.seed}, "
-              f"{len(target_list)} targets")
-    return 0
-
-
-def cmd_serve(args) -> int:
-    import dataclasses
-    import os
-
-    from .mapping import save_archive
-    from .service import (
-        Coordinator,
-        JobState,
-        ServiceFleet,
-        VantageWorker,
-    )
-
-    queue = _service_queue(args.queue)
-    if not queue.jobs:
-        print("queue is empty; nothing to serve", file=sys.stderr)
-        return 0
-    coordinator = Coordinator(queue=queue, work_dir=args.queue,
-                              heartbeat_timeout=args.heartbeat_timeout)
-    pending = [job.job_id for job in queue.unfinished()]
-    if not pending:
-        print("every job is already terminal; nothing to serve",
-              file=sys.stderr)
-        return 0
-    workers = []
-    for index in range(max(1, args.workers)):
-        fail_after = (args.kill_worker_after
-                      if index == 0 and args.kill_worker_after else None)
-        workers.append(VantageWorker(
-            f"worker-{index}", coordinator,
-            stream_every=max(1, args.stream_every),
-            fail_after_targets=fail_after))
-    on_tick = None
-    if args.health_out:
-        def on_tick(path=args.health_out):
-            payload = render_prometheus(coordinator.health_registry())
-            tmp_path = path + ".tmp"
-            with open(tmp_path, "w", encoding="utf-8") as fp:
-                fp.write(payload)
-            os.replace(tmp_path, path)
-    ServiceFleet(coordinator, workers).run(timeout=args.timeout,
-                                           on_tick=on_tick)
-    crashed = sum(1 for worker in workers if worker.crashed)
-    print(f"fleet of {len(workers)} worker(s) drained "
-          f"{len(pending)} job(s)"
-          + (f" ({crashed} worker death(s) survived)" if crashed else ""))
-    failures = 0
-    for job_id in pending:
-        job = queue.get(job_id)
-        if job.state is not JobState.DONE:
-            failures += 1
-            print(f"  {job_id}: {job.state.value} — {job.error}")
-            continue
-        result = coordinator.result(job_id)
-        job_dir = os.path.join(args.queue, job_id)
-        os.makedirs(job_dir, exist_ok=True)
-        archive_path = os.path.join(job_dir, "archive.json")
-        save_archive(archive_path, result.archive)
-        spans_path = chrome_path = None
-        if result.spans is not None:
-            from .tracing import chrome_trace_for_service, write_chrome_trace
-
-            spans_path = os.path.join(job_dir, "spans.json")
-            _write_text(spans_path, _json_text(result.spans.to_dict()))
-            chrome_path = os.path.join(job_dir, "trace.chrome.json")
-            write_chrome_trace(chrome_path, chrome_trace_for_service(
-                result.spans, result.worker_spans))
-        radar_path = None
-        if result.radar is not None:
-            radar_path = os.path.join(job_dir, "radar.json")
-            _write_text(radar_path, _json_text(result.radar))
-        result_path = os.path.join(job_dir, "result.json")
-        _write_text(result_path, _json_text({
-            "job": job.to_dict(),
-            "radar_path": radar_path,
-            "attempts": result.attempts,
-            "stats": dataclasses.asdict(result.stats),
-            "metrics": result.metrics.full_snapshot(),
-            "event_counts": dict(sorted(result.event_counts.items())),
-            "events_path": result.events_path,
-            "archive_path": archive_path,
-            "spans_path": spans_path,
-            "chrome_trace_path": chrome_path,
-            "stop_set": (result.stop_set.to_dict()
-                         if result.stop_set is not None else None),
-        }))
-        print(f"  {job_id}: done — {len(result.archive.subnets)} subnets, "
-              f"{result.stats.sent} probes, "
-              f"{result.attempts - 1} re-lease(s) -> {result_path}")
-    return 1 if failures else 0
-
-
 def cmd_radar(args) -> int:
     import os
 
     from .mapping import save_archive
 
+    radar_flags = {key: getattr(args, key) for key in RADAR_DEFAULTS
+                   if key != "incremental"}
     run = _open_run(args, "radar", network=args.network, seed=args.seed,
-                    limit=args.limit, **_radar_flags(args))
+                    limit=args.limit, **radar_flags,
+                    incremental=None if args.full is None else not args.full)
     mode = ("replay" if args.replay
             else "live, recording" if args.record else "live")
     outcome = _execute(run, args)
@@ -722,22 +529,6 @@ def cmd_diff(args) -> int:
         sys.stdout.write(payload)
     else:
         print(diff.describe())
-    return 0
-
-
-def cmd_jobs(args) -> int:
-    queue = _service_queue(args.queue)
-    if not queue.jobs:
-        print("(queue is empty)")
-        return 0
-    for job in queue.jobs.values():
-        line = (f"{job.job_id}  {job.state.value:8s}  "
-                f"{len(job.targets)} targets  "
-                f"tenant={job.tenant}")
-        line += f"  [{job.spec.network} seed {job.spec.seed}]"
-        if job.error:
-            line += f"  error: {job.error}"
-        print(line)
     return 0
 
 

@@ -409,10 +409,8 @@ class EventBus:
     therefore catches sink exceptions, counts the dropped delivery in
     :attr:`sink_errors` (surfaced as ``event_sink_errors_total`` in the
     quarantined backend metrics scope), and keeps dispatching to the
-    remaining sinks.  Sinks that *are* control flow — the service worker's
-    heartbeat/streaming sinks whose :class:`StaleLeaseError` aborts a
-    fenced lease, fault-injection sinks — opt out by setting
-    ``propagate_errors = True``.
+    remaining sinks.  Only exceptions are isolated: a ``BaseException``
+    such as ``KeyboardInterrupt`` still stops the run.
     """
 
     def __init__(self) -> None:
@@ -507,10 +505,7 @@ class EventBus:
                 self._sink_failed(sink, exc)
 
     def _sink_failed(self, sink: Sink, exc: Exception) -> None:
-        """Isolate (and count) a sink failure — or re-raise for sinks
-        that use exceptions as control flow (``propagate_errors``)."""
-        if getattr(sink, "propagate_errors", False):
-            raise exc
+        """Isolate (and count) a sink failure."""
         name = getattr(sink, "__name__", None) or type(sink).__name__
         self.sink_errors[name] = self.sink_errors.get(name, 0) + 1
         self.last_sink_error = (name, f"{type(exc).__name__}: {exc}")

@@ -150,9 +150,9 @@ def stats_from_events(source: Union[str, IO],
     The cheaper sibling of :func:`stats_from_journal`: an event journal
     already *is* the session-event sequence, so no collector re-run is
     needed — the events are fed straight through a fresh
-    :class:`MetricsSink`.  This is also the offline half of the survey
-    service's parity contract: replaying a job's committed event journal
-    must reproduce the coordinator's streamed registry exactly.  Keep
+    :class:`MetricsSink`, and the registry equals the live run's.
+    :func:`~repro.events.event_from_dict` drops record keys that name no
+    event field, so annotated records count like plain ones.  Keep
     ``audit=False`` for journals recorded with an auditor attached (the
     live auditor's violations are already in the stream).  Every event
     is also fed to each of ``extra_sinks`` (e.g. a ``SpanBuilder``).

@@ -11,15 +11,13 @@ Design constraints, in order of importance:
    counters (engine path cache, transport internals) in
    :attr:`MetricsRegistry.backend`; both appear only in
    :meth:`MetricsRegistry.full_snapshot`.
-2. **Mergeability.**  A service job needs no merge: the coordinator
-   feeds the job's committed event stream through one sink.
-   :meth:`MetricsRegistry.merge` folds independent registries — say,
-   several per-vantage jobs — into one view (counters and histograms
-   sum; gauges sum too, so totals add up; timings sum, modelling total
-   worker-seconds).
+2. **Mergeability.**  :meth:`MetricsRegistry.merge` folds independent
+   registries — say, the per-vantage surveys of the Figures 6–9 runs —
+   into one view (counters and histograms sum; gauges sum too, so totals
+   add up; timings sum, modelling total run-seconds).
 3. **No dependencies.**  Plain dicts in, plain dicts out —
    :meth:`to_dict`/:meth:`from_dict` cross process boundaries without
-   custom pickling, exactly like a service job's payload.
+   custom pickling.
 
 Metric identity is ``(name, labels)``; a name maps to exactly one metric
 kind (creating ``x`` as a counter and again as a gauge raises).  Histograms
@@ -343,7 +341,7 @@ class MetricsRegistry:
             histogram.count = data["count"]
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry (e.g. per-vantage jobs)."""
+        """Fold ``other`` into this registry (e.g. per-vantage surveys)."""
         for metric in other.series():
             labels = dict(metric.labels)
             if isinstance(metric, Counter):

@@ -145,8 +145,8 @@ class RoutingTable:
     identity ``d(r) = min δ(T)`` over the subnets ``T`` attached to ``r``:
     a chain of subnet crossings from ``r`` to the destination is exactly a
     walk in the subnet graph.  Next-hop sets are derived lazily and
-    cached, so a worker that only routes toward its own job's targets
-    never pays for the rest of the network.
+    cached, so a survey that only routes toward its own targets never
+    pays for the rest of the network.
 
     Each BFS is resumable: it is extended level by level only until one
     of the queried router's subnets is labelled, so a query near the

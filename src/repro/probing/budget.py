@@ -88,18 +88,6 @@ class ProbeStats:
             flat[f"phase:{phase}"] = count
         return flat
 
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict[str, int]) -> "ProbeStats":
-        """Inverse of :meth:`snapshot` (flat dict -> counters)."""
-        stats = cls(**{key: snapshot.get(key, 0)
-                       for key in ("sent", "responses", "silent", "retries",
-                                   "retries_answered", "cache_hits",
-                                   "suppressed")})
-        for key, count in snapshot.items():
-            if key.startswith("phase:"):
-                stats.by_phase[key[len("phase:"):]] = count
-        return stats
-
     def diff(self, earlier: "ProbeStats") -> "ProbeStats":
         """Stats accumulated since ``earlier`` (used per-subnet by benches)."""
         delta = ProbeStats(

@@ -173,11 +173,11 @@ class StopSet:
         candidates = self.verification_hops(destination)
         return candidates[0] if candidates else None
 
-    # -- serialization (job payloads, seeding future surveys) ---------------
+    # -- serialization (seeding future surveys) ------------------------------
 
     def to_dict(self) -> Dict:
-        """Plain-JSON payload (crosses the service boundary in a job's
-        result, and seeds a later survey through :meth:`from_dict`)."""
+        """Plain-JSON payload; seeds a later survey through
+        :meth:`from_dict`."""
         paths = {}
         for key in sorted(self._paths):
             prefix = Prefix(key, self.prefix_length)
@@ -233,7 +233,7 @@ class StopSet:
         return stop_set
 
     def counters(self) -> Dict[str, int]:
-        """Flat consultation counters (bench reports, job payloads)."""
+        """Flat consultation counters (bench reports)."""
         return {
             "prefixes": len(self._paths),
             "recorded": self.recorded,

@@ -45,9 +45,8 @@ class SurveyProgress:
                 f"{self.probes_sent} probes)")
 
 
-#: The checkpoint file a survey writes inside its checkpoint directory —
-#: ``tracenet survey --checkpoint-dir DIR`` and every fleet job alike, so
-#: an existing directory resumes under either.
+#: The checkpoint file ``tracenet survey --checkpoint-dir DIR`` writes
+#: inside ``DIR``; a later run over the same directory resumes from it.
 CHECKPOINT_FILENAME = "shard-0.json"
 
 

@@ -9,11 +9,9 @@ Two coordinated planes over the session-event stream:
   (:func:`span_tree_from_journal`), the same parity contract as
   :meth:`repro.metrics.MetricsRegistry.snapshot`;
 * the **timing plane** annotates the same spans with monotonic-clock
-  stamps when a live builder is given a clock, stitches coordinator job →
-  lease → worker trace spans across the service seam
-  (:class:`ServiceSpanAssembler`), and exports Chrome trace-event JSON
-  (:func:`chrome_trace`) plus a critical-path / heuristic-attribution
-  report (:mod:`repro.tracing.critical`).
+  stamps when a live builder is given a clock, and exports Chrome
+  trace-event JSON (:func:`chrome_trace`) plus a critical-path /
+  heuristic-attribution report (:mod:`repro.tracing.critical`).
 
 Layering: this package sits beside :mod:`repro.metrics` — it consumes the
 event stream and must never import ``repro.netsim.engine`` (sealed by
@@ -33,37 +31,23 @@ from .critical import (
 )
 from .export import (
     chrome_trace,
-    chrome_trace_events,
-    chrome_trace_for_service,
     write_chrome_trace,
 )
 from .offline import span_tree_from_journal
-from .service import (
-    LEASE_KEY,
-    ServiceSpanAssembler,
-    is_service_payload,
-    service_span_tree,
-)
 from .spans import Span, SpanBuilder, span_tree_from_events
 
 __all__ = [
-    "LEASE_KEY",
-    "ServiceSpanAssembler",
     "Span",
     "SpanBuilder",
     "chrome_trace",
-    "chrome_trace_events",
-    "chrome_trace_for_service",
     "critical_path",
     "growth_outcomes",
     "heuristic_attribution",
-    "is_service_payload",
     "per_trace_table",
     "render_critical_path",
     "render_heuristics_table",
     "render_report",
     "render_summary",
-    "service_span_tree",
     "span_cost",
     "span_tree_from_events",
     "span_tree_from_journal",

@@ -1,14 +1,11 @@
 """Critical-path and heuristic-attribution analytics over a span tree.
 
 The critical path answers "where did the time go": from the root, follow
-the most expensive child until a leaf.  On a timed tree (live run with a
-clock, or a service job with lease stamps) "expensive" means duration;
-when a level has untimed children — the deterministic plane, or worker
-trace spans stitched from streamed events — the walk falls back to rolled
-up probe cost, which is the paper's own currency (Section 3.6 prices
-everything in probes).  A service job therefore reports the slowest
-job → lease chain by wall clock and continues into its slowest
-trace by probe weight.
+the most expensive child until a leaf.  On a timed tree (a live run with
+a clock) "expensive" means duration; when a level has untimed children —
+the deterministic plane — the walk falls back to rolled up probe cost,
+which is the paper's own currency (Section 3.6 prices everything in
+probes).
 
 The heuristic attribution table answers "where did the probes go, rule by
 rule": per H1–H9 fire counts, the probes charged to each rule's
@@ -127,15 +124,12 @@ def render_heuristics_table(root: Span) -> str:
 def render_summary(root: Span) -> str:
     """One-glance totals for the ``tracenet spans`` report header."""
     traces = sum(1 for span in root.walk() if span.kind == "trace")
-    leases = sum(1 for span in root.walk() if span.kind == "lease")
     parts = [f"{root.kind}:{root.name}",
              f"{span_cost(root)} probes",
              f"{root.total('cache_hits')} cache hits",
              f"{root.total('suppressed')} suppressed",
              f"{root.total('subnets')} subnets",
              f"{traces} traces"]
-    if leases:
-        parts.insert(1, f"{leases} leases")
     if root.duration is not None:
         parts.append(f"{root.duration:.3f} s")
     return "  ".join(parts)

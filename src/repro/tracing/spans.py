@@ -160,12 +160,9 @@ class SpanBuilder:
     the timing plane; leave it ``None`` for a deterministic-only build.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 root_kind: str = "session", root_name: str = "session",
-                 meta: Optional[Dict] = None):
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.clock = clock
-        self.root = Span(kind=root_kind, name=root_name,
-                         meta=dict(meta or {}))
+        self.root = Span(kind="session", name="session")
         if clock is not None:
             self.root.start = clock()
         self._trace: Optional[Span] = None

@@ -16,10 +16,6 @@ leaves behind:
   :func:`~repro.mapping.store.archive_signature` of the archive (of every
   radar round, in order), so probe counts may move while it stays put.
 
-A service flow (``submit`` then ``serve --workers 1``) hashes the job's
-``archive.json`` (and its map), its committed ``events.jsonl`` and its
-``spans.json``.
-
 ``tests/test_digests.py`` re-derives every digest and compares it with
 ``tests/digests.json``.  Regenerate the file only for an intended behaviour
 change::
@@ -51,7 +47,7 @@ DIGESTS_PATH = os.path.join(HERE, "digests.json")
 
 #: flow name -> the collection's argv.  A survey's archive comes from a
 #: second, checkpointed run of the same argv (``--checkpoint-dir`` cannot
-#: be combined with ``--record``).  A ``submit`` argv is a service flow.
+#: be combined with ``--record``).
 FLOWS: Dict[str, List[str]] = {
     "trace-figure3-icmp": ["trace", "--scenario", "figure3",
                            "--protocol", "icmp", "--json"],
@@ -70,7 +66,6 @@ FLOWS: Dict[str, List[str]] = {
     "radar-internet2-churn-drop-0.05": [
         "radar", "--network", "internet2", "--drop-rate", "0.05",
         "--rounds", "4", "--churn-count", "10", "--churn-interval", "800"],
-    "serve-geant": ["submit", "--network", "geant", "--seed", "7"],
 }
 
 
@@ -115,10 +110,10 @@ def _load_archives(*paths: str) -> List[CollectionArchive]:
     return [load_archive(path) for path in paths]
 
 
-def _cli(argv: List[str], cwd: Optional[str] = None) -> bytes:
+def _cli(argv: List[str]) -> bytes:
     env = dict(os.environ, PYTHONPATH=SRC)
     completed = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *argv], env=env, cwd=cwd,
+        [sys.executable, "-m", "repro.cli", *argv], env=env,
         capture_output=True, check=False)
     if completed.returncode != 0:
         raise RuntimeError(
@@ -127,29 +122,9 @@ def _cli(argv: List[str], cwd: Optional[str] = None) -> bytes:
     return completed.stdout
 
 
-def _service_digests(name: str, workdir: str) -> Dict[str, str]:
-    """Queue the flow's job, drain it with one worker and hash the job's
-    artifacts.  The queue path is relative to ``workdir``, so the
-    checkpoint path the committed journal records is the same in every
-    directory."""
-    queue = f"{name}.queue"
-    _cli([*FLOWS[name], "--queue", queue], cwd=workdir)
-    _cli(["serve", "--queue", queue, "--workers", "1"], cwd=workdir)
-    job_dir = os.path.join(workdir, queue, "job-0001")
-    digests = {key: _file_sha(os.path.join(job_dir, filename))
-               for key, filename in (("archive", "archive.json"),
-                                     ("events", "events.jsonl"),
-                                     ("spans", "spans.json"))}
-    digests["map"] = _map_sha(
-        _load_archives(os.path.join(job_dir, "archive.json")))
-    return digests
-
-
 def flow_digests(name: str, workdir: str) -> Dict[str, str]:
     """Run one flow in ``workdir`` and hash its outputs."""
     argv = FLOWS[name]
-    if argv[0] == "submit":
-        return _service_digests(name, workdir)
     paths = {key: os.path.join(workdir, f"{name}.{key}")
              for key in ("journal", "events", "metrics", "spans", "out")}
     stdout = _cli([*argv,

@@ -2,8 +2,7 @@
 
 ``tests/digests.json`` holds SHA-256 digests of the journal, archive,
 event stream, deterministic metrics and span tree of the reference CLI
-flows in ``tests/digest_flows.py``, and of the archive, committed event
-journal and span tree of a one-worker service job.  A refactor that claims to change no
+flows in ``tests/digest_flows.py``.  A refactor that claims to change no
 behaviour must leave every one of them unchanged.  Each flow's ``map``
 digest covers only the collected subnets and traces: a change that moves
 probe counts alone re-pins the byte digests and leaves every map alone.
@@ -23,19 +22,12 @@ def test_every_flow_is_pinned():
     assert sorted(PINNED) == sorted(FLOWS)
 
 
-def test_service_job_archive_is_the_survey_archive():
-    """A fleet job's archive is the bytes ``tracenet survey
-    --checkpoint-dir`` writes for the same network and seed."""
-    assert PINNED["serve-geant"]["archive"] == \
-        PINNED["survey-geant"]["archive"]
-
-
 def test_collector_options_keep_the_geant_map():
-    """Stop sets, a batch window of 4 and the fleet change what a GEANT
-    survey spends, not what it maps."""
+    """Stop sets and a batch window of 4 change what a GEANT survey
+    spends, not what it maps."""
     assert len({PINNED[flow]["map"] for flow in (
         "survey-geant", "survey-geant-stop-sets",
-        "survey-geant-batch-window-4", "serve-geant")}) == 1
+        "survey-geant-batch-window-4")}) == 1
 
 
 @pytest.mark.parametrize("flow", sorted(FLOWS))

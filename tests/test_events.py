@@ -400,21 +400,6 @@ class TestSinkFailureIsolation:
         bus.emit(TraceStarted(destination=1))
         assert bus.sink_errors == {"Exploding": 1}
 
-    def test_propagate_errors_sinks_still_raise(self):
-        # Service sinks use exceptions as control flow (StaleLeaseError
-        # fencing, injected WorkerCrashed): the bus must not swallow them.
-        class Fencing:
-            propagate_errors = True
-
-            def __call__(self, event):
-                raise ValueError("fenced")
-
-        bus = EventBus()
-        bus.subscribe(Fencing())
-        with pytest.raises(ValueError, match="fenced"):
-            bus.emit(TraceStarted(destination=1))
-        assert bus.total_sink_errors == 0
-
     def test_tally_path_is_isolated_too(self):
         class BadCounter(CounterSink):
             def tally(self, cls, count=1):

@@ -1,9 +1,9 @@
-"""Unit tests for the run a service shard executes.
+"""Unit tests for a survey run built from its description.
 
-A fleet job is a :class:`~repro.runspec.RunSpec` over its target list,
-run through ``RunSpec.build`` → ``Run.execute``: its archive serializes
-to the same bytes as a serial :class:`SurveyRunner` run, and a re-run
-against an existing checkpoint resumes without re-probing.
+A :class:`~repro.runspec.RunSpec` over a target list, run through
+``RunSpec.build`` → ``Run.execute``, collects an archive that serializes
+to the same bytes as a hand-wired serial :class:`SurveyRunner` run, and a
+re-run against an existing checkpoint resumes without re-probing.
 """
 
 import pytest
@@ -43,8 +43,8 @@ def serial_run(network, targets):
 
 
 def run_one(spec, targets, checkpoint_path=None, checkpoint_every=25):
-    """One job's run, as a service worker executes it: the archive and the
-    collector (its prober counters and stop set)."""
+    """``spec``'s run over ``targets``, as ``tracenet survey`` executes it:
+    the archive and the collector (its prober counters and stop set)."""
     run = spec.build(targets=targets)
     archive = run.execute(checkpoint_path=checkpoint_path,
                           checkpoint_every=checkpoint_every)
@@ -101,6 +101,8 @@ class TestTypedStopSets:
         assert isinstance(tool.stop_set, StopSet)
         assert tool.stop_set.recorded > 0
         assert tool.stop_set.suppressed == tool.prober.stats.suppressed
+        assert tool.stop_set.counters()["suppressed"] == \
+            tool.prober.stats.suppressed
 
     def test_outcomes_without_stop_sets_stay_none(self, spec, targets):
         _, tool = run_one(spec, targets[:6])

@@ -30,8 +30,6 @@ from repro.netsim.dynamics import MutationSchedule, NetworkDynamics
 from repro.netsim.addressing import Prefix, parse_ip
 from repro.radar import RadarRunner, _BlockIndex, mutation_prefixes, run_radar
 from repro.runner import SurveyRunner
-from repro.runspec import RunSpec
-from repro.service import Coordinator, SurveyJob, VantageWorker
 from repro.topogen import geant
 from repro.transport import (
     FaultInjectingTransport,
@@ -285,50 +283,3 @@ class TestBlockIndex:
         for probe in probes + blocks:
             assert index.overlaps(probe) == any(probe.overlaps(block)
                                                 for block in blocks)
-
-
-class TestRadarService:
-    def _spec(self):
-        network = geant.build(seed=2010)
-        spec = RunSpec("radar", network="geant", seed=2010,
-                       vantage="utdallas",
-                       radar={"rounds": 3, "churn_count": 3,
-                              "churn_seed": 7, "churn_start": 60,
-                              "churn_interval": 90, "drop_rate": 0.0,
-                              "fault_seed": 0, "incremental": True})
-        return spec, geant.targets(network, seed=2010)[:8]
-
-    def _run_job(self, spec, targets):
-        """One radar job drained by an inline worker."""
-        coordinator = Coordinator()
-        job = coordinator.submit(spec, targets)
-        VantageWorker("w0", coordinator).run()
-        return coordinator.result(job.job_id)
-
-    def test_run_radar_shard_payload(self):
-        spec, targets = self._spec()
-        result = self._run_job(spec, targets)
-        assert len(result.radar["rounds"]) == 3
-        assert result.radar["rounds"][0]["full"]
-        assert result.worker_spans["name"] == result.job.job_id
-        # The job's archive is the final round's, as a CLI radar run of
-        # the same description collects it.
-        outcome = spec.build(targets=targets).execute()
-        assert archive_to_dict(result.archive) == \
-            archive_to_dict(outcome.final_archive)
-        assert result.radar == outcome.to_dict()
-
-    def test_run_radar_shard_is_deterministic(self):
-        spec, targets = self._spec()
-        first = self._run_job(spec, targets)
-        second = self._run_job(spec, targets)
-        assert archive_to_dict(first.archive) == \
-            archive_to_dict(second.archive)
-        assert first.radar == second.radar
-
-    def test_survey_job_radar_round_trip(self):
-        spec, targets = self._spec()
-        job = SurveyJob(job_id="radar-1", spec=spec, targets=targets)
-        restored = SurveyJob.from_dict(job.to_dict())
-        assert restored.spec == spec
-        assert restored.to_dict() == job.to_dict()

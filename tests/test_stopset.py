@@ -13,8 +13,6 @@ from repro.netsim import Engine
 from repro.probing import StopSet
 from repro.probing.stopset import MIN_REMEMBERED_DEPTH
 from repro.runner import SurveyRunner
-from repro.runspec import RunSpec
-from repro.service import Coordinator, VantageWorker
 from repro.topogen import geant, internet2
 
 
@@ -144,32 +142,7 @@ class TestStopSetCollection:
                               reason="stop-set") > 0
 
 
-def run_job(targets, **collector):
-    """One service job over Internet2 seed 7, drained by an inline
-    worker: the coordinator's rehydrated result."""
-    coordinator = Coordinator()
-    job = coordinator.submit(
-        RunSpec("survey", network="internet2", seed=7, vantage="utdallas",
-                collector=collector), targets)
-    VantageWorker("w0", coordinator).run()
-    return coordinator.result(job.job_id)
-
-
 class TestParallelStopSets:
-    def test_shard_ships_its_stop_set(self):
-        network = internet2.build(seed=7)
-        targets = internet2.targets(network, seed=7)[:20]
-        plain_result = run_job(targets)
-        stopped_result = run_job(targets, stop_sets=True)
-
-        assert plain_result.stop_set is None
-        assert isinstance(stopped_result.stop_set, StopSet)
-        assert len(stopped_result.stop_set) > 0
-        assert archives_equivalent(plain_result.archive,
-                                   stopped_result.archive)
-        counters = stopped_result.stop_set.counters()
-        assert counters["suppressed"] == stopped_result.stats.suppressed
-
     def test_seeding_from_previous_survey(self):
         network = internet2.build(seed=7)
         targets = internet2.targets(network, seed=7)[:20]

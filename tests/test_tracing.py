@@ -31,7 +31,6 @@ from repro.tracing import (
     Span,
     SpanBuilder,
     chrome_trace,
-    chrome_trace_for_service,
     critical_path,
     growth_outcomes,
     heuristic_attribution,
@@ -226,6 +225,57 @@ class TestReplayParity:
         assert unclocked.duration is None
 
 
+#: A one-trace survey's event records, as ``--events`` writes them.
+_PLAIN_RECORDS = [
+    {"event": "TraceStarted", "destination": 167772170},
+    {"event": "ProbeSent", "dst": 167772170, "ttl": 1, "protocol": "icmp",
+     "flow_id": 0, "phase": "trace", "answered": True,
+     "response_kind": "ttl-exceeded", "response_source": 167772161},
+    {"event": "HopObserved", "destination": 167772170, "ttl": 1,
+     "kind": "router", "address": 167772161},
+    {"event": "ProbeSent", "dst": 167772170, "ttl": 2, "protocol": "icmp",
+     "flow_id": 0, "phase": "trace", "answered": True,
+     "response_kind": "echo-reply", "response_source": 167772170},
+    {"event": "HopObserved", "destination": 167772170, "ttl": 2,
+     "kind": "destination", "address": 167772170},
+    {"event": "TraceFinished", "destination": 167772170, "reached": True,
+     "hops": 2, "probes_sent": 2, "cache_hits": 0},
+    {"event": "SurveyProgressed", "total_targets": 1, "completed": 1,
+     "skipped": 0, "reached": 1, "probes_sent": 2},
+    {"event": "CheckpointWritten", "path": "shard-0.json",
+     "completed_targets": 1, "traces": 1},
+]
+
+
+class TestAnnotatedEventJournals:
+    """Older event journals annotate every record with the run attempt
+    that produced it: ``"lease": N``, or ``"shard": 0`` plus ``"attempt"``
+    before that.  The annotations name no event field, so they read like
+    the plain records."""
+
+    @staticmethod
+    def _write(path, extra):
+        path.write_text("".join(json.dumps({**record, **extra}) + "\n"
+                                for record in _PLAIN_RECORDS))
+        return str(path)
+
+    def test_annotated_journals_read_like_the_plain_one(self, tmp_path):
+        from repro.metrics import stats_from_events
+
+        plain = self._write(tmp_path / "plain.jsonl", {})
+        registry = stats_from_events(plain).registry
+        assert registry.value("probes_sent_total") == 2
+        tree = span_tree_from_journal(plain)
+        assert sum(1 for span in tree.walk() if span.kind == "trace") == 1
+        for name, extra in (("lease", {"lease": 2}),
+                            ("shard", {"shard": 0, "attempt": 1})):
+            annotated = self._write(tmp_path / f"{name}.jsonl", extra)
+            assert stats_from_events(annotated).registry.snapshot() == \
+                registry.snapshot(), name
+            assert span_tree_from_journal(annotated).to_dict() == \
+                tree.to_dict(), name
+
+
 # -- critical path and attribution --------------------------------------------
 
 
@@ -330,21 +380,6 @@ class TestChromeExport:
         root = _timed("session", "session", 0.0, 1.0)
         root.children = [Span(kind="trace", name="untimed")]
         assert len(chrome_trace(root)["traceEvents"]) == 1
-
-    def test_service_document_separates_worker_timebases(self):
-        job = _timed("job", "job", 100.0, 110.0)
-        job.children = [_timed("lease", "lease-1", 101.0, 109.0)]
-        worker_tree = _timed("job", "job-0001", 5000.0, 5009.0)
-        doc = chrome_trace_for_service(job, worker_tree.to_dict(timing=True))
-        pids = {event["pid"] for event in doc["traceEvents"]}
-        assert pids == {0, 1}
-        # Each pid keeps its own origin: both trees start at ts == 0.
-        starts = {}
-        for event in doc["traceEvents"]:
-            starts[event["pid"]] = min(starts.get(event["pid"],
-                                                  event["ts"]),
-                                       event["ts"])
-        assert starts == {0: 0.0, 1: 0.0}
 
     def test_clocked_real_tree_round_trips_through_export(self, lan_network,
                                                           tmp_path):
