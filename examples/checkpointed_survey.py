@@ -2,7 +2,7 @@
 """Survey-scale collection with checkpoints and resume.
 
 Runs the Internet2 survey through the SurveyRunner, interrupting it halfway
-(simulating a crash or probe-budget exhaustion), then resumes from the JSON
+(simulating a crash), then resumes from the JSON
 checkpoint: already-traced targets are skipped and the archived subnets
 seed the collector's reuse registry.
 

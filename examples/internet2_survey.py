@@ -19,8 +19,8 @@ def main():
     outcome = experiments.run_internet2_survey(seed=seed)
     print(outcome.render())
     print()
-    print(f"paper reference: 73.7% exact including unresponsive subnets, "
-          f"94.9% excluding; similarities 0.83 / 0.86")
+    print("paper reference: 73.7% exact including unresponsive subnets, "
+          "94.9% excluding; similarities 0.83 / 0.86")
     print(f"this run:        {outcome.exact_match_rate:.1%} / "
           f"{outcome.observable_exact_match_rate:.1%}; "
           f"similarities {outcome.similarity()[0]:.2f} / "

@@ -42,8 +42,8 @@ from .netsim import (
     format_ip,
     ip,
 )
-from .probing import ProbeBudget, ProbeBudgetExceeded, Prober
-from .radar import RadarResult, RadarRound, RadarRunner, run_radar
+from .probing import Prober
+from .radar import RadarResult, RadarRound, RadarRunner
 from .runner import SurveyProgress, SurveyRunner
 from .transport import (
     FaultInjectingTransport,
@@ -51,7 +51,6 @@ from .transport import (
     RecordingTransport,
     ReplayTransport,
     SimulatorTransport,
-    TransportCapabilities,
 )
 
 __version__ = "1.0.0"
@@ -68,8 +67,6 @@ __all__ = [
     "Prefix",
     "PrefixAllocator",
     "Probe",
-    "ProbeBudget",
-    "ProbeBudgetExceeded",
     "Prober",
     "ProbeTransport",
     "Protocol",
@@ -90,8 +87,6 @@ __all__ = [
     "TraceHop",
     "TraceNET",
     "TraceResult",
-    "TransportCapabilities",
     "format_ip",
     "ip",
-    "run_radar",
 ]

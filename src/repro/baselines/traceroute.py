@@ -45,10 +45,10 @@ class Traceroute:
         self.max_hops = max_hops
         self.vary_flow = vary_flow
         self.gap_limit = gap_limit
-        # Classic traceroute cannot cache: every probe's header differs.
+        # Classic traceroute never hits the cache: a probe with its own
+        # flow_id bypasses it.
         self.prober = Prober(self.transport, vantage_host_id,
-                             protocol=protocol, use_cache=not vary_flow,
-                             events=self.events)
+                             protocol=protocol, events=self.events)
         self._flow_counter = 0
 
     @property

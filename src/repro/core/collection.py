@@ -102,7 +102,7 @@ class HopPipeline:
       destination's prefix is *verified* with one probe at its deepest
       known hop.  On a match the shallower hops are served from memory —
       each emits :class:`ProbeSuppressed` + :class:`HopObserved` and costs
-      no wire probe, no budget, no phase attribution — and the ladder
+      no wire probe and no phase attribution — and the ladder
       resumes live at the verified TTL (a prober cache hit, since the
       verification response is already cached).  On a mismatch the full
       ladder runs and the verification probe is reused from the cache, so

@@ -32,13 +32,13 @@ DEFAULT_MIN_PREFIX_LENGTH = 20
 def explore_subnet(prober: Prober, position: SubnetPosition,
                    min_prefix_length: int = DEFAULT_MIN_PREFIX_LENGTH,
                    disabled_rules: frozenset = frozenset(),
-                   audit: "Optional[list]" = None,
                    batch_window: int = 1) -> ObservedSubnet:
     """Run Algorithm 1 around a positioned pivot; return the observed subnet.
 
     ``disabled_rules`` (e.g. ``frozenset({"H7", "H8"})``) turns heuristics
-    off for ablation studies; ``audit``, when a list, receives every
-    (candidate, judgement) pair the pipeline produced.  ``batch_window > 1``
+    off for ablation studies; every judgement the pipeline produces is
+    emitted on the prober's bus as a :class:`~repro.events.HeuristicFired`
+    event.  ``batch_window > 1``
     prefetches each level's H2 sweep probes in transport batches of that
     size (speculative: an early stop-and-shrink has already paid for the
     current chunk, so probe counts can exceed the serial path's).
@@ -51,7 +51,6 @@ def explore_subnet(prober: Prober, position: SubnetPosition,
         trace_entry=position.trace_entry,
         on_trace_path=position.on_trace_path,
         disabled_rules=disabled_rules,
-        audit=audit,
     )
     before = prober.stats_snapshot()
     members: Set[int] = {position.pivot}
@@ -59,35 +58,32 @@ def explore_subnet(prober: Prober, position: SubnetPosition,
     stop_reason = "prefix-floor"
     observed_length = min_prefix_length
 
-    try:
-        for level in range(31, min_prefix_length - 1, -1):
-            block = Prefix.containing(position.pivot, level)
-            shrunk = _explore_level(state, block, members, tested,
-                                    batch_window=batch_window)
-            if shrunk is not None:
-                observed_length = min(level + 1, 32)
-                _shrink(members, state, position.pivot, observed_length)
-                stop_reason = f"shrunk:{shrunk}"
-                if prober.events:
-                    prober.events.emit(SubnetShrunk(
-                        pivot=position.pivot, rule=shrunk,
-                        prefix_length=observed_length))
-                break
-            if level <= 29 and len(members) <= block.host_capacity // 2:
-                # Lines 19-21: the level stayed at most half utilized (over
-                # the addresses a subnet of this prefix could accommodate),
-                # so the subnet keeps the previous (last sufficiently
-                # filled) prefix.
-                observed_length = level + 1
-                _shrink(members, state, position.pivot, observed_length)
-                stop_reason = "under-utilized"
-                if prober.events:
-                    prober.events.emit(SubnetShrunk(
-                        pivot=position.pivot, rule="half-utilization",
-                        prefix_length=observed_length))
-                break
-    finally:
-        state.detach()
+    for level in range(31, min_prefix_length - 1, -1):
+        block = Prefix.containing(position.pivot, level)
+        shrunk = _explore_level(state, block, members, tested,
+                                batch_window=batch_window)
+        if shrunk is not None:
+            observed_length = min(level + 1, 32)
+            _shrink(members, state, position.pivot, observed_length)
+            stop_reason = f"shrunk:{shrunk}"
+            if prober.events:
+                prober.events.emit(SubnetShrunk(
+                    pivot=position.pivot, rule=shrunk,
+                    prefix_length=observed_length))
+            break
+        if level <= 29 and len(members) <= block.host_capacity // 2:
+            # Lines 19-21: the level stayed at most half utilized (over
+            # the addresses a subnet of this prefix could accommodate),
+            # so the subnet keeps the previous (last sufficiently
+            # filled) prefix.
+            observed_length = level + 1
+            _shrink(members, state, position.pivot, observed_length)
+            stop_reason = "under-utilized"
+            if prober.events:
+                prober.events.emit(SubnetShrunk(
+                    pivot=position.pivot, rule="half-utilization",
+                    prefix_length=observed_length))
+            break
 
     observed_length = _reduce_boundaries(members, position.pivot,
                                          observed_length)

@@ -51,11 +51,8 @@ class ExplorationState:
     """Mutable context shared by the heuristics while one subnet grows.
 
     ``disabled_rules`` supports ablation studies: a rule named there always
-    passes (as if its test never fired).  ``audit`` collects per-candidate
-    judgements when a list is supplied; it is a thin adapter over the
-    session-event bus — every judgement is emitted as a
-    :class:`~repro.events.HeuristicFired` event, and the audit sink
-    translates those back into ``(candidate, Judgement)`` pairs.
+    passes (as if its test never fired).  Every judgement is emitted on
+    the prober's bus as a :class:`~repro.events.HeuristicFired` event.
     """
 
     prober: Prober
@@ -66,39 +63,17 @@ class ExplorationState:
     on_trace_path: Optional[bool] = None
     contra_pivot: Optional[int] = None
     disabled_rules: frozenset = frozenset()
-    audit: Optional[list] = None
-
-    def __post_init__(self) -> None:
-        self._audit_sink = None
-        if self.audit is not None and self.prober is not None:
-            self._audit_sink = self.prober.events.subscribe(self._on_event)
 
     def rule_enabled(self, rule: str) -> bool:
         return rule not in self.disabled_rules
 
     def record(self, candidate: int, judgement: "Judgement") -> "Judgement":
-        if self.prober is not None:
-            bus = self.prober.events
-            if bus:
-                bus.emit(HeuristicFired(candidate, judgement.rule,
-                                        judgement.verdict._value_,
-                                        judgement.detail))
-        elif self.audit is not None:
-            # No bus to adapt over (a prober-less unit-test state): keep
-            # the audit contract directly.
-            self.audit.append((candidate, judgement))
+        bus = self.prober.events
+        if bus:
+            bus.emit(HeuristicFired(candidate, judgement.rule,
+                                    judgement.verdict._value_,
+                                    judgement.detail))
         return judgement
-
-    def detach(self) -> None:
-        """Unsubscribe the audit adapter (call when the state is done)."""
-        if self._audit_sink is not None:
-            self.prober.events.unsubscribe(self._audit_sink)
-            self._audit_sink = None
-
-    def _on_event(self, event) -> None:
-        if isinstance(event, HeuristicFired) and self.audit is not None:
-            self.audit.append((event.candidate, Judgement(
-                Verdict(event.verdict), event.rule, event.detail)))
 
     @property
     def entry_addresses(self) -> Set[int]:

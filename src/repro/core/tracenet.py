@@ -19,7 +19,6 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from ..events import DegradedResult, EventBus, TraceFinished, TraceStarted
 from ..netsim.packet import Protocol
-from ..probing.budget import ProbeBudget
 from ..probing.prober import Prober, RetryPolicy
 from ..probing.stopset import StopSet
 from ..transport import as_transport
@@ -34,7 +33,7 @@ from .positioning import position_subnet
 from .results import ObservedSubnet, TraceHop, TraceResult
 
 #: Consecutive anonymous hops after which a trace gives up.
-DEFAULT_ANONYMOUS_GAP_LIMIT = 3
+ANONYMOUS_GAP_LIMIT = 3
 
 
 class TraceNET:
@@ -49,9 +48,6 @@ class TraceNET:
             3.7), UDP or TCP.
         max_hops: trace length cap.
         min_prefix_length: exploration growth floor (/20 by default).
-        explore: when False, tracenet degrades to plain trace collection —
-            the paper's worst case, "the exact path traceroute would return".
-        budget: optional probe budget shared by all traces of this instance.
         events: session-event bus shared with the prober; defaults to a
             fresh bus reachable as ``tool.events``.
         batch_window: 0 (the default) keeps the serial per-probe loop.
@@ -74,10 +70,7 @@ class TraceNET:
                  protocol: Protocol = Protocol.ICMP,
                  max_hops: int = 30,
                  min_prefix_length: int = DEFAULT_MIN_PREFIX_LENGTH,
-                 explore: bool = True,
                  reuse_subnets: bool = True,
-                 anonymous_gap_limit: int = DEFAULT_ANONYMOUS_GAP_LIMIT,
-                 budget: Optional[ProbeBudget] = None,
                  disabled_rules: frozenset = frozenset(),
                  events: Optional[EventBus] = None,
                  batch_window: int = 0,
@@ -88,12 +81,10 @@ class TraceNET:
         self.vantage_host_id = vantage_host_id
         self.prober = Prober(self.transport, vantage_host_id,
                              protocol=protocol, retries=retries,
-                             budget=budget, events=self.events)
+                             events=self.events)
         self.max_hops = max_hops
         self.min_prefix_length = min_prefix_length
-        self.explore = explore
         self.reuse_subnets = reuse_subnets
-        self.anonymous_gap_limit = anonymous_gap_limit
         self.disabled_rules = disabled_rules
         self.batch_window = max(0, batch_window)
         self.stop_set = stop_set
@@ -160,7 +151,7 @@ class TraceNET:
                 anonymous_streak += 1
                 result.hops.append(TraceHop(ttl=ttl, address=None))
                 previous_address = None
-                if anonymous_streak >= self.anonymous_gap_limit:
+                if anonymous_streak >= ANONYMOUS_GAP_LIMIT:
                     break
                 continue
             anonymous_streak = 0
@@ -175,8 +166,7 @@ class TraceNET:
                 break
             seen_addresses.add(address)
 
-            if self.explore:
-                hop.subnet = self._subnet_for_hop(previous_address, address, ttl)
+            hop.subnet = self._subnet_for_hop(previous_address, address, ttl)
             result.hops.append(hop)
 
             if observation.reached_destination:

@@ -9,9 +9,7 @@ onto an :class:`EventBus`, and pluggable sinks consume them — an in-memory
 counter for metrics, a JSONL writer for durable logs, a progress renderer
 for terminals.
 
-The legacy side channels (``ExplorationState.audit`` lists,
-``SurveyRunner.progress_hook`` callbacks) are thin adapters over this bus;
-nothing in the algorithms depends on any particular sink being attached,
+Nothing in the algorithms depends on any particular sink being attached,
 and with no sinks attached event construction is skipped entirely (the
 producers guard with ``if bus:``).
 """
@@ -86,9 +84,9 @@ class ProbeSuppressed(SessionEvent):
     """A probe the collector decided not to send at all.
 
     Stop-set suppression (Doubletree): the hop was served from a remembered
-    path toward the same destination prefix, so nothing hit the wire *and*
-    nothing was charged to the budget — unlike :class:`CacheHit`, which
-    replays an answer this session already paid for.  ``reason`` names the
+    path toward the same destination prefix, so nothing hit the wire —
+    unlike :class:`CacheHit`, which replays an answer this session already
+    paid for.  ``reason`` names the
     suppression source (currently only ``"stop-set"``); ``address`` is the
     remembered interface when one exists.
     """

@@ -29,7 +29,6 @@ from typing import Optional
 from ..events import EventBus
 from .analytics import (
     JournalStats,
-    instrumented_collection,
     journal_kind,
     registry_from_events,
     stats_from_events,
@@ -90,7 +89,6 @@ __all__ = [
     "ProbeEconomyAuditor",
     "collect_bus_metrics",
     "instrument",
-    "instrumented_collection",
     "journal_kind",
     "registry_from_events",
     "render_prometheus",

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Union
 
 from ..events import EventBus, SessionEvent
-from ..runspec import Run, RunSpec
-from ..transport import ProbeTransport, ReplayTransport
+from ..runspec import RunSpec
+from ..transport import ReplayTransport
 from .auditor import DEFAULT_SLACK, ProbeEconomyAuditor
 from .registry import MetricsRegistry
 from .sink import MetricsSink, collect_bus_metrics
@@ -46,40 +46,6 @@ def registry_from_events(events: Iterable[SessionEvent],
         bus.subscribe(ProbeEconomyAuditor(bus, slack=slack))
     for event in events:
         bus.emit(event)
-    return registry
-
-
-def instrumented_collection(transport: ProbeTransport, vantage: str,
-                            destination: Optional[int] = None,
-                            targets: Optional[Sequence[int]] = None,
-                            registry: Optional[MetricsRegistry] = None,
-                            slack: float = DEFAULT_SLACK,
-                            collector_options: Optional[Dict] = None,
-                            extra_sinks: Sequence = ()
-                            ) -> MetricsRegistry:
-    """Run one collection over ``transport`` with full instrumentation.
-
-    Exactly one of ``destination`` (a trace) and ``targets`` (a survey)
-    must be given; ``collector_options`` are a journal header's
-    ``collector`` entry (they change the probe stream, so a journal
-    replays only under its own).  ``extra_sinks`` (e.g. a
-    :class:`~repro.tracing.SpanBuilder`) subscribe before the metrics
-    pipeline; backend counters land in ``registry.backend``.
-    """
-    if (destination is None) == (targets is None):
-        raise ValueError("pass exactly one of destination= or targets=")
-    spec = RunSpec(shape="trace" if destination is not None else "survey",
-                   vantage=vantage, destination=destination,
-                   collector=dict(collector_options or {}))
-    run = spec.build(transport=transport, targets=targets)
-    return _instrumented(run, registry, slack, extra_sinks)
-
-
-def _instrumented(run: Run, registry: Optional[MetricsRegistry],
-                  slack: float, extra_sinks: Sequence) -> MetricsRegistry:
-    registry = registry if registry is not None else MetricsRegistry()
-    run.execute(sinks=extra_sinks, registry=registry, slack=slack)
-    collect_bus_metrics(registry.backend, run.tool.events)
     return registry
 
 
@@ -128,7 +94,9 @@ def stats_from_journal(source: Union[str, IO],
     spec = RunSpec.from_header(metadata, shape, vantage=vantage,
                                destination=destination)
     run = spec.build(transport=transport, targets=targets)
-    registry = _instrumented(run, None, slack, extra_sinks)
+    registry = MetricsRegistry()
+    run.execute(sinks=extra_sinks, registry=registry, slack=slack)
+    collect_bus_metrics(registry.backend, run.tool.events)
     return JournalStats(
         registry=registry,
         mode=spec.shape,

@@ -11,13 +11,8 @@ Design constraints, in order of importance:
    counters (engine path cache, transport internals) in
    :attr:`MetricsRegistry.backend`; both appear only in
    :meth:`MetricsRegistry.full_snapshot`.
-2. **Mergeability.**  :meth:`MetricsRegistry.merge` folds independent
-   registries — say, the per-vantage surveys of the Figures 6–9 runs —
-   into one view (counters and histograms sum; gauges sum too, so totals
-   add up; timings sum, modelling total run-seconds).
-3. **No dependencies.**  Plain dicts in, plain dicts out —
-   :meth:`to_dict`/:meth:`from_dict` cross process boundaries without
-   custom pickling.
+2. **No dependencies.**  Plain dicts out: every snapshot is JSON as it
+   stands.
 
 Metric identity is ``(name, labels)``; a name maps to exactly one metric
 kind (creating ``x`` as a counter and again as a gauge raises).  Histograms
@@ -178,8 +173,8 @@ class MetricsRegistry:
         """Register ``fold``, which applies a writer's pending updates.
 
         Every read (:meth:`counter`, :meth:`gauge`, :meth:`histogram`,
-        :meth:`value`, :meth:`series`, and so :meth:`snapshot`,
-        :meth:`merge` and :meth:`to_dict`) runs the folds first.  Pending
+        :meth:`value`, :meth:`series`, and so :meth:`snapshot`) runs the
+        folds first.  Pending
         updates must be additions, which commute with direct writes.
         """
         self._folds.append(fold)
@@ -309,64 +304,6 @@ class MetricsRegistry:
         }
         return payload
 
-    # -- IPC / merging -------------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        """JSON-able representation, invertible by :meth:`from_dict`."""
-        return self.full_snapshot()
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "MetricsRegistry":
-        registry = cls()
-        registry._load_scope(payload.get("metrics", {}))
-        if registry.backend is not None:
-            registry.backend._load_scope(payload.get("backend", {}))
-        for name, span in payload.get("timings", {}).items():
-            registry.timings[name] = {"seconds": float(span["seconds"]),
-                                      "count": int(span["count"])}
-        return registry
-
-    def _load_scope(self, scope: Dict) -> None:
-        for key, value in scope.get("counters", {}).items():
-            name, labels = _parse_series_key(key)
-            self.counter(name, **labels).value = value
-        for key, value in scope.get("gauges", {}).items():
-            name, labels = _parse_series_key(key)
-            self.gauge(name, **labels).set(value)
-        for key, data in scope.get("histograms", {}).items():
-            name, labels = _parse_series_key(key)
-            histogram = self.histogram(name, buckets=data["buckets"], **labels)
-            histogram.counts = list(data["counts"])
-            histogram.sum = data["sum"]
-            histogram.count = data["count"]
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry (e.g. per-vantage surveys)."""
-        for metric in other.series():
-            labels = dict(metric.labels)
-            if isinstance(metric, Counter):
-                self.counter(metric.name, **labels).inc(metric.value)
-            elif isinstance(metric, Gauge):
-                self.gauge(metric.name, **labels).inc(metric.value)
-            else:
-                mine = self.histogram(metric.name, buckets=metric.bounds,
-                                      **labels)
-                if mine.bounds != metric.bounds:
-                    raise ValueError(
-                        f"histogram {metric.name!r} bucket mismatch: "
-                        f"{mine.bounds} vs {metric.bounds}")
-                for index, count in enumerate(metric.counts):
-                    mine.counts[index] += count
-                mine.sum += metric.sum
-                mine.count += metric.count
-        if self.backend is not None and other.backend is not None:
-            self.backend.merge(other.backend)
-        for name, span in other.timings.items():
-            mine = self.timings.setdefault(name, {"seconds": 0.0, "count": 0})
-            mine["seconds"] += span["seconds"]
-            mine["count"] += span["count"]
-        return self
-
 
 class Family(dict):
     """One labelled counter's series, by label value (see
@@ -384,17 +321,3 @@ class Family(dict):
         metric = self[value] = self._registry._get_or_create(
             Counter, self._name, {self._label: value})
         return metric
-
-
-def _parse_series_key(key: str) -> Tuple[str, Dict[str, str]]:
-    """Inverse of :func:`_series_key` for :meth:`MetricsRegistry.from_dict`."""
-    if "{" not in key:
-        return key, {}
-    name, _, rest = key.partition("{")
-    labels: Dict[str, str] = {}
-    for part in rest.rstrip("}").split(","):
-        if not part:
-            continue
-        label, _, value = part.partition("=")
-        labels[label] = value.strip('"')
-    return name, labels

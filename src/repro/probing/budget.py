@@ -1,4 +1,4 @@
-"""Probe accounting and budgets.
+"""Probe accounting.
 
 Section 3.6 of the paper models tracenet's probing overhead per subnet
 (lower bound 4 probes for an on-path point-to-point link, upper bound
@@ -11,10 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Optional
-
-
-class ProbeBudgetExceeded(RuntimeError):
-    """Raised when a metered prober exceeds its configured probe budget."""
 
 
 @dataclass
@@ -47,9 +43,9 @@ class ProbeStats:
     def record_suppressed(self) -> None:
         """One probe never issued at all (stop-set redundancy elimination).
 
-        Suppressed probes are free: no wire traffic, no budget charge, no
-        phase attribution — the counter only exists so probe-economy
-        reports can show how much the stop sets saved.
+        Suppressed probes are free: no wire traffic, no phase attribution
+        — the counter only exists so probe-economy reports can show how
+        much the stop sets saved.
         """
         self.suppressed += 1
 
@@ -117,23 +113,3 @@ class ProbeStats:
             suppressed=self.suppressed,
             by_phase=dict(self.by_phase),
         )
-
-
-@dataclass
-class ProbeBudget:
-    """A hard cap on probes issued through one prober."""
-
-    limit: int
-    used: int = 0
-
-    def charge(self, count: int = 1) -> None:
-        """Consume budget; raise :class:`ProbeBudgetExceeded` when spent."""
-        if self.used + count > self.limit:
-            raise ProbeBudgetExceeded(
-                f"probe budget exhausted: {self.used}+{count} > {self.limit}"
-            )
-        self.used += count
-
-    @property
-    def remaining(self) -> int:
-        return self.limit - self.used

@@ -29,9 +29,12 @@ from typing import (ClassVar, Dict, FrozenSet, List, Optional, Sequence,
 from ..events import CacheHit, EventBus, ProbeBatchSent, ProbeRetried, ProbeSent
 from ..netsim.packet import DEFAULT_TTL, Probe, Protocol, Response
 from ..transport import as_transport, send_batch
-from .budget import ProbeBudget, ProbeStats
+from .budget import ProbeStats
 
 CacheKey = Tuple[int, int, Protocol]
+
+#: The farthest hop distance :meth:`Prober.measure_distance` walks to.
+MAX_DISTANCE = 32
 
 
 @dataclass(frozen=True)
@@ -102,9 +105,6 @@ class Prober:
             implementation uses 1; gated as :class:`RetryPolicy` describes)
             or a :class:`RetryPolicy` choosing the gate and idle backoff.
         use_cache: memoize (dst, ttl) -> response, including silence.
-        budget: optional hard probe cap.
-        flow_id: constant flow identity (vary per probe for classic
-            traceroute behaviour under per-flow load balancing).
         events: session-event bus; every wire probe emits
             :class:`~repro.events.ProbeSent` when a sink is attached.
     """
@@ -113,9 +113,6 @@ class Prober:
                  protocol: Protocol = Protocol.ICMP,
                  retries: Union[int, RetryPolicy] = 1,
                  use_cache: bool = True,
-                 budget: Optional[ProbeBudget] = None,
-                 flow_id: int = 0,
-                 max_ttl: int = 32,
                  events: Optional[EventBus] = None):
         self.transport = as_transport(network)
         self.vantage_address = self.transport.source_address(vantage_host_id)
@@ -124,9 +121,6 @@ class Prober:
         self.retry_policy = RetryPolicy.coerce(retries)
         self.retries = self.retry_policy.attempts
         self.use_cache = use_cache
-        self.budget = budget
-        self.flow_id = flow_id
-        self.max_ttl = max_ttl
         self.events = events if events is not None else EventBus()
         self.stats = ProbeStats()
         self._cache: Dict[CacheKey, Optional[Response]] = {}
@@ -193,10 +187,9 @@ class Prober:
         consulted (and populated) identically, the same stats counters move,
         per-probe :class:`~repro.events.ProbeSent` / ``CacheHit`` events
         fire, silence is retried up to ``retries`` times where the retry
-        gate allows, the budget is
-        charged per wire probe — but the uncached probes travel to the
-        transport together through ``send_many``, and each dispatched wire
-        batch additionally emits :class:`~repro.events.ProbeBatchSent`.
+        gate allows — but the uncached probes travel to the transport
+        together through ``send_many``, and each dispatched wire batch
+        additionally emits :class:`~repro.events.ProbeBatchSent`.
         A batch of one is indistinguishable from a :meth:`probe` call plus
         its batch event.
         """
@@ -236,7 +229,7 @@ class Prober:
                 [requests[i] for i in pending], phase)
             for index, response in zip(pending, responses):
                 results[index] = response
-            # Re-probe silence, batch-wide, with per-probe retry budgets;
+            # Re-probe silence, batch-wide, with per-probe retry counts;
             # the gate sees each retry counted as :meth:`probe` would.
             policy, stats = self.retry_policy, self.stats
             for attempt in range(1, self.retries + 1):
@@ -276,55 +269,37 @@ class Prober:
 
     def _send_many_once(self, requests: Sequence[Tuple[int, int]],
                         phase: Optional[str]) -> List[Optional[Response]]:
-        """One wire round for a batch: budget, dispatch, stats, events.
-
-        Budget charges happen per probe, in order, *before* the dispatch;
-        when the budget runs out mid-batch the prefix already paid for is
-        still sent and accounted (matching the serial path, where earlier
-        probes have hit the wire before the failing charge), then the
-        exception propagates.
-        """
+        """One wire round for a batch: dispatch, stats, events."""
         probes: List[Probe] = []
-        charge_error: Optional[Exception] = None
         for dst, ttl in requests:
-            if self.budget is not None:
-                try:
-                    self.budget.charge()
-                except Exception as exc:
-                    charge_error = exc
-                    break
             self.stats.record_sent(phase)
             probes.append(Probe(self.vantage_address, dst, ttl,
-                                self.protocol, self.flow_id))
-        responses: List[Optional[Response]] = []
-        if probes:
-            responses = send_batch(self.transport, probes)
-            events = self.events
-            # One wants() check per batch: when nobody needs the payload
-            # (counters only) the whole batch tallies as two dict adds.
-            wants_probe = bool(events) and events.wants(ProbeSent)
-            record_outcome = self.stats.record_outcome
-            # ``_value_`` is the enum value as a plain attribute (the
-            # ``.value`` property is a Python-level descriptor call).
-            protocol = self.protocol._value_
-            for probe, response in zip(probes, responses):
-                record_outcome(response is not None)
-                if wants_probe:
-                    events.emit(ProbeSent(
-                        probe.dst, probe.ttl, protocol, probe.flow_id, phase,
-                        response is not None,
-                        None if response is None else response.kind._value_,
-                        None if response is None else response.source))
-            if events:
-                if not wants_probe:
-                    events.tally(ProbeSent, len(probes))
-                if events.wants(ProbeBatchSent):
-                    events.emit(
-                        ProbeBatchSent(size=len(probes), phase=phase))
-                else:
-                    events.tally(ProbeBatchSent)
-        if charge_error is not None:
-            raise charge_error
+                                self.protocol))
+        responses = send_batch(self.transport, probes)
+        events = self.events
+        # One wants() check per batch: when nobody needs the payload
+        # (counters only) the whole batch tallies as two dict adds.
+        wants_probe = bool(events) and events.wants(ProbeSent)
+        record_outcome = self.stats.record_outcome
+        # ``_value_`` is the enum value as a plain attribute (the
+        # ``.value`` property is a Python-level descriptor call).
+        protocol = self.protocol._value_
+        for probe, response in zip(probes, responses):
+            record_outcome(response is not None)
+            if wants_probe:
+                events.emit(ProbeSent(
+                    probe.dst, probe.ttl, protocol, probe.flow_id, phase,
+                    response is not None,
+                    None if response is None else response.kind._value_,
+                    None if response is None else response.source))
+        if events:
+            if not wants_probe:
+                events.tally(ProbeSent, len(probes))
+            if events.wants(ProbeBatchSent):
+                events.emit(
+                    ProbeBatchSent(size=len(probes), phase=phase))
+            else:
+                events.tally(ProbeBatchSent)
         return responses
 
     def _note_retry(self, dst: int, ttl: int, attempt: int,
@@ -363,11 +338,9 @@ class Prober:
 
     def _send_once(self, dst: int, ttl: int, phase: Optional[str],
                    flow_id: Optional[int]) -> Optional[Response]:
-        if self.budget is not None:
-            self.budget.charge()
         self.stats.record_sent(phase)
         probe = Probe(self.vantage_address, dst, ttl, self.protocol,
-                      self.flow_id if flow_id is None else flow_id)
+                      0 if flow_id is None else flow_id)
         response = self.transport.send(probe)
         self.stats.record_outcome(response is not None)
         events = self.events
@@ -398,7 +371,7 @@ class Prober:
         still reach, until the minimal reaching TTL is found.  Returns None
         for unresponsive addresses.
         """
-        ttl = max(1, min(hint, self.max_ttl))
+        ttl = max(1, min(hint, MAX_DISTANCE))
         response = self.probe(dst, ttl, phase=phase)
         if response is not None and response.is_alive_signal:
             while ttl > 1:
@@ -409,7 +382,7 @@ class Prober:
                     break
             return ttl
         if response is not None and response.is_ttl_exceeded:
-            while ttl < self.max_ttl:
+            while ttl < MAX_DISTANCE:
                 ttl += 1
                 further = self.probe(dst, ttl, phase=phase)
                 if further is not None and further.is_alive_signal:

@@ -21,8 +21,8 @@ cached response when it reaches that TTL.  Only a verification answered by
 the destination itself can waste a probe, and the cascade stops at the
 first one.
 
-One collector fills a stop set over its whole target list; a survey can
-also be seeded from a previous run's serialized set.  Suppression changes
+One collector fills a stop set over its whole target list; passing the
+same set to a later survey starts that survey warm.  Suppression changes
 the probe economy by design — counted probes only ever go down — while the
 collected map stays equal on the reference networks; the exact contract is
 gated by the throughput bench and the stop-set tests.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..netsim.addressing import Prefix, format_ip, parse_ip
+from ..netsim.addressing import Prefix
 
 #: Destination-prefix granularity of the shared-path assumption.
 #: Doubletree deploys /24 at internet scale; the reference networks'
@@ -167,70 +167,6 @@ class StopSet:
             return []
         return [(ttl, address) for ttl, address in reversed(path)
                 if address is not None and ttl >= MIN_REMEMBERED_DEPTH]
-
-    def verification_hop(self, destination: int) -> Optional[RememberedHop]:
-        """The deepest membership-check candidate, None when there is none."""
-        candidates = self.verification_hops(destination)
-        return candidates[0] if candidates else None
-
-    # -- serialization (seeding future surveys) ------------------------------
-
-    def to_dict(self) -> Dict:
-        """Plain-JSON payload; seeds a later survey through
-        :meth:`from_dict`."""
-        paths = {}
-        for key in sorted(self._paths):
-            prefix = Prefix(key, self.prefix_length)
-            paths[str(prefix)] = [
-                [ttl, format_ip(address) if address is not None else None]
-                for ttl, address in self._paths[key]
-            ]
-        payload = {
-            "prefix_length": self.prefix_length,
-            "paths": paths,
-            "counters": {
-                "recorded": self.recorded,
-                "hits": self.hits,
-                "misses": self.misses,
-                "rejected": self.rejected,
-                "suppressed": self.suppressed,
-                "invalidated": self.invalidated,
-            },
-        }
-        if self.epoch > 0:
-            # Epoch fields only appear once the network has actually
-            # mutated — static-survey payloads stay byte-identical to
-            # pre-epoch archives.
-            payload["epoch"] = self.epoch
-            payload["path_epochs"] = {
-                str(Prefix(key, self.prefix_length)): self._epochs.get(key, 0)
-                for key in sorted(self._paths)
-            }
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "StopSet":
-        stop_set = cls(prefix_length=payload["prefix_length"])
-        for prefix_text, hops in payload.get("paths", {}).items():
-            network_text = prefix_text.split("/", 1)[0]
-            key = parse_ip(network_text)
-            stop_set._paths[key] = tuple(
-                (int(ttl), parse_ip(address) if address is not None else None)
-                for ttl, address in hops
-            )
-        stop_set.epoch = payload.get("epoch", 0)
-        path_epochs = payload.get("path_epochs", {})
-        for prefix_text, entry_epoch in path_epochs.items():
-            network_text = prefix_text.split("/", 1)[0]
-            stop_set._epochs[parse_ip(network_text)] = int(entry_epoch)
-        counters = payload.get("counters", {})
-        stop_set.recorded = counters.get("recorded", len(stop_set._paths))
-        stop_set.hits = counters.get("hits", 0)
-        stop_set.misses = counters.get("misses", 0)
-        stop_set.rejected = counters.get("rejected", 0)
-        stop_set.suppressed = counters.get("suppressed", 0)
-        stop_set.invalidated = counters.get("invalidated", 0)
-        return stop_set
 
     def counters(self) -> Dict[str, int]:
         """Flat consultation counters (bench reports)."""

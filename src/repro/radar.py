@@ -286,19 +286,10 @@ class RadarRunner:
                                         reason="not-reobserved"))
 
 
-def run_radar(tool: TraceNET, targets: Sequence[int], rounds: int = 3,
-              incremental: bool = True, idle_ticks: int = 0) -> RadarResult:
-    """Convenience wrapper mirroring :func:`repro.runner`'s helpers."""
-    return RadarRunner(tool, targets, rounds=rounds,
-                       incremental=incremental,
-                       idle_ticks=idle_ticks).run()
-
-
 __all__ = [
     "GLOBAL_KINDS",
     "RadarResult",
     "RadarRound",
     "RadarRunner",
     "mutation_prefixes",
-    "run_radar",
 ]

@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from .core.results import TraceResult
 from .core.tracenet import TraceNET
 from .events import CheckpointWritten, SurveyProgressed
 from .mapping.store import CollectionArchive, load_archive, save_archive
-from .probing.budget import ProbeBudgetExceeded
 
 
 @dataclass
 class SurveyProgress:
-    """Progress counters reported to the caller (and the progress hook)."""
+    """Progress counters reported to the caller."""
 
     total_targets: int = 0
     completed: int = 0
@@ -53,17 +52,14 @@ CHECKPOINT_FILENAME = "shard-0.json"
 class SurveyRunner:
     """Drives a TraceNET instance over a target list with checkpoints.
 
+    After every target the runner emits
+    :class:`~repro.events.SurveyProgressed` on the tool's event bus.
+
     Args:
-        tool: the collector (owns vantage, protocol, budget...).
+        tool: the collector (owns vantage, protocol, retry rule...).
         checkpoint_path: JSON file written every ``checkpoint_every``
             completed targets and at the end.  None disables persistence.
         checkpoint_every: flush cadence.
-        progress: optional callback invoked with the updated
-            :class:`SurveyProgress` after every target.  Implemented as a
-            thin adapter over the tool's session-event bus: the runner
-            emits :class:`~repro.events.SurveyProgressed` events and the
-            adapter translates them back into callback invocations, so bus
-            sinks and legacy hooks observe the identical stream.
         metrics: optional :class:`repro.metrics.MetricsRegistry`.  When
             given, a metrics sink and probe-economy auditor are attached to
             the tool's event bus for the lifetime of this runner, and
@@ -77,14 +73,10 @@ class SurveyRunner:
     def __init__(self, tool: TraceNET,
                  checkpoint_path: Optional[str] = None,
                  checkpoint_every: int = 25,
-                 progress: Optional[Callable[[SurveyProgress], None]] = None,
                  metrics=None, tracer=None):
         self.tool = tool
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = max(1, checkpoint_every)
-        self.progress_hook = progress
-        if progress is not None:
-            self.tool.events.subscribe(self._hook_adapter)
         self.tracer = tracer
         if tracer is not None:
             self.tool.events.subscribe(tracer)
@@ -128,29 +120,23 @@ class SurveyRunner:
         # not inflate this run's count.
         sent_before_run = self.tool.prober.stats.sent
         since_flush = 0
-        try:
-            for target in targets:
-                if target in self._done_targets:
-                    self.progress.skipped += 1
-                    self._report()
-                    continue
-                result = self.tool.trace(target)
-                self.traces.append(result)
-                self._done_targets.add(target)
-                self.progress.completed += 1
-                self.progress.reached += int(result.reached)
-                self.progress.probes_sent = (
-                    self.tool.prober.stats.sent - sent_before_run)
+        for target in targets:
+            if target in self._done_targets:
+                self.progress.skipped += 1
                 self._report()
-                since_flush += 1
-                if since_flush >= self.checkpoint_every:
-                    self.flush()
-                    since_flush = 0
-        except ProbeBudgetExceeded:
-            # Budget exhaustion is an expected end condition for metered
-            # surveys; persist what we have and report.
-            self.flush()
-            raise
+                continue
+            result = self.tool.trace(target)
+            self.traces.append(result)
+            self._done_targets.add(target)
+            self.progress.completed += 1
+            self.progress.reached += int(result.reached)
+            self.progress.probes_sent = (
+                self.tool.prober.stats.sent - sent_before_run)
+            self._report()
+            since_flush += 1
+            if since_flush >= self.checkpoint_every:
+                self.flush()
+                since_flush = 0
         self.flush()
         return self.progress
 
@@ -209,18 +195,3 @@ class SurveyRunner:
                 reached=self.progress.reached,
                 probes_sent=self.progress.probes_sent,
             ))
-
-    def _hook_adapter(self, event) -> None:
-        """Bus → legacy callback: SurveyProgressed drives ``progress``."""
-        if isinstance(event, SurveyProgressed) and self.progress_hook is not None:
-            self.progress_hook(self.progress)
-
-
-def run_survey_with_checkpoints(tool: TraceNET, targets: Sequence[int],
-                                checkpoint_path: str,
-                                checkpoint_every: int = 25) -> CollectionArchive:
-    """Convenience wrapper: run (or resume) and return the final archive."""
-    runner = SurveyRunner(tool, checkpoint_path=checkpoint_path,
-                          checkpoint_every=checkpoint_every)
-    runner.run(targets)
-    return runner.archive

@@ -136,20 +136,6 @@ class Span:
             payload["end"] = self.end
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "Span":
-        span = cls(
-            kind=payload["kind"],
-            name=payload["name"],
-            meta=dict(payload.get("meta", {})),
-            counters=dict(payload.get("counters", {})),
-            start=payload.get("start"),
-            end=payload.get("end"),
-        )
-        span.children = [cls.from_dict(child)
-                         for child in payload.get("children", [])]
-        return span
-
 
 class SpanBuilder:
     """Streaming span-tree construction: usable directly as an event sink.

@@ -1,7 +1,7 @@
 """The probe-transport layer: the seam between collectors and the network.
 
 Collectors speak :class:`~repro.transport.base.ProbeTransport` —
-``send(Probe) -> Optional[Response]`` plus a capability descriptor — and
+``send(Probe) -> Optional[Response]`` plus a backend ``name`` — and
 never name a backend.  Shipped backends:
 
 * :class:`SimulatorTransport` — the deterministic forwarding engine;
@@ -14,7 +14,6 @@ never name a backend.  Shipped backends:
 
 from .base import (
     ProbeTransport,
-    TransportCapabilities,
     as_transport,
     backend_metrics,
     collect_backend_metrics,
@@ -41,7 +40,6 @@ __all__ = [
     "ReplayMismatch",
     "ReplayTransport",
     "SimulatorTransport",
-    "TransportCapabilities",
     "as_transport",
     "backend_metrics",
     "collect_backend_metrics",

@@ -10,23 +10,21 @@ collectors backend-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Protocol as TypingProtocol, Sequence, \
     runtime_checkable
 
 from ..netsim.packet import Probe, Response
 
 
-@dataclass(frozen=True)
-class TransportCapabilities:
-    """Describes a transport backend: its ``name`` labels journals."""
-
-    name: str
-
-
 @runtime_checkable
 class ProbeTransport(TypingProtocol):
-    """Structural interface every probe backend satisfies."""
+    """Structural interface every probe backend satisfies.
+
+    ``name`` labels the backend in journal headers; a wrapping transport
+    nests its inner transport's, e.g. ``fault(simulator)``.
+    """
+
+    name: str
 
     def send(self, probe: Probe) -> Optional[Response]:
         """Emit one probe; return the response seen at the vantage, or None."""
@@ -40,10 +38,6 @@ class ProbeTransport(TypingProtocol):
         must process probes in order so that journals, fault-injection RNG
         draws, and simulator clocks match the serial path exactly.
         """
-        ...
-
-    def capabilities(self) -> TransportCapabilities:
-        """Describe this backend."""
         ...
 
     def source_address(self, host_id: str) -> int:
@@ -63,7 +57,7 @@ def send_batch(transport, probes: Sequence[Probe]) -> List[Optional[Response]]:
 
     Third-party transports predating the batch API (anything with just
     ``send``) degrade to a per-probe loop with identical semantics, so
-    callers batch unconditionally and never sniff capabilities.
+    callers batch unconditionally and never sniff the backend.
     """
     many = getattr(transport, "send_many", None)
     if callable(many):
@@ -109,15 +103,15 @@ def as_transport(network) -> ProbeTransport:
     """
     if isinstance(network, ProbeTransport) and not isinstance(network, type):
         return network
-    # Engine-shaped: has send() and a topology, but no capabilities().
+    # Engine-shaped: has send() and a topology, but no name.
     if hasattr(network, "send") and hasattr(network, "topology"):
         from .simulator import SimulatorTransport
 
         return SimulatorTransport(network)
-    # Transport-shaped but pre-batch-API: a send/capabilities/source_address
+    # Transport-shaped but pre-batch-API: a send/name/source_address
     # trio without send_many (send_batch degrades to a loop for these).
     if not isinstance(network, type) and hasattr(network, "send") \
-            and hasattr(network, "capabilities") \
+            and hasattr(network, "name") \
             and hasattr(network, "source_address"):
         return network
     raise TypeError(

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 from ..events import EventBus, TopologyMutated
 from ..netsim.dynamics import MutationSchedule, NetworkDynamics
 from ..netsim.packet import Probe, Response
-from .base import TransportCapabilities, backend_metrics, send_batch
+from .base import backend_metrics, send_batch
 
 
 class MutatingTransport:
@@ -114,9 +114,9 @@ class MutatingTransport:
             start = stop
         return responses
 
-    def capabilities(self) -> TransportCapabilities:
-        return TransportCapabilities(
-            name=f"churn({self.inner.capabilities().name})")
+    @property
+    def name(self) -> str:
+        return f"churn({self.inner.name})"
 
     def source_address(self, host_id: str) -> int:
         return self.inner.source_address(host_id)

@@ -23,7 +23,7 @@ import random
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..netsim.packet import Probe, Response
-from .base import ProbeTransport, TransportCapabilities, send_batch
+from .base import ProbeTransport, send_batch
 
 
 class FaultInjectingTransport:
@@ -177,9 +177,9 @@ class FaultInjectingTransport:
         })
         return metrics
 
-    def capabilities(self) -> TransportCapabilities:
-        return TransportCapabilities(
-            name=f"fault({self.inner.capabilities().name})")
+    @property
+    def name(self) -> str:
+        return f"fault({self.inner.name})"
 
     def source_address(self, host_id: str) -> int:
         return self.inner.source_address(host_id)

@@ -25,7 +25,7 @@ from typing import Dict, IO, List, Optional, Sequence, Union
 
 from ..netsim.addressing import format_ip, parse_ip
 from ..netsim.packet import Probe, Protocol, Response, ResponseType
-from .base import ProbeTransport, TransportCapabilities, send_batch
+from .base import ProbeTransport, send_batch
 
 JOURNAL_FORMAT = "tracenet-journal"
 JOURNAL_VERSION = 2
@@ -93,7 +93,7 @@ class RecordingTransport:
             "kind": "header",
             "format": JOURNAL_FORMAT,
             "version": JOURNAL_VERSION,
-            "inner": inner.capabilities().name,
+            "inner": inner.name,
             "metadata": dict(metadata or {}),
         })
 
@@ -122,9 +122,9 @@ class RecordingTransport:
             self._write_exchange(probe, response)
         return responses
 
-    def capabilities(self) -> TransportCapabilities:
-        return TransportCapabilities(
-            name=f"recording({self.inner.capabilities().name})")
+    @property
+    def name(self) -> str:
+        return f"recording({self.inner.name})"
 
     def source_address(self, host_id: str) -> int:
         address = self.inner.source_address(host_id)
@@ -194,6 +194,8 @@ class ReplayTransport:
     :class:`ReplayExhausted` past the end) rather than inventing an answer.
     """
 
+    name = "replay"
+
     def __init__(self, source: Union[str, IO]):
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fp:
@@ -235,9 +237,6 @@ class ReplayTransport:
         """Serve a batch from the flat exchange stream, strictly in order."""
         self.batches += 1
         return [self.send(probe) for probe in probes]
-
-    def capabilities(self) -> TransportCapabilities:
-        return TransportCapabilities(name="replay")
 
     def source_address(self, host_id: str) -> int:
         if host_id not in self._vantages:

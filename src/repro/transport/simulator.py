@@ -4,7 +4,7 @@ This is the only module above the seam that touches the engine; collectors
 built from an ``Engine`` are silently wrapped in a
 :class:`SimulatorTransport` by :func:`~repro.transport.base.as_transport`,
 which keeps probe counts and archives bit-identical to the pre-seam code
-path (the wrapper adds nothing but the capability descriptor).
+path (the wrapper adds nothing but its ``name``).
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from typing import List, Optional, Sequence
 
 from ..netsim.engine import Engine
 from ..netsim.packet import Probe, Response
-from .base import TransportCapabilities
-
-_SIMULATOR_CAPS = TransportCapabilities(name="simulator")
 
 
 class SimulatorTransport:
     """Adapts the deterministic forwarding engine onto the transport seam."""
+
+    name = "simulator"
 
     def __init__(self, engine: Engine):
         self.engine = engine
@@ -34,9 +33,6 @@ class SimulatorTransport:
         self.batches += 1
         self.batched_probes += len(probes)
         return self.engine.send_many(probes)
-
-    def capabilities(self) -> TransportCapabilities:
-        return _SIMULATOR_CAPS
 
     def idle(self, ticks: int = 1) -> None:
         """Advance the engine clock without probing (retry backoff)."""

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import TraceNET
 from repro.core.heuristics import ExplorationState
+from repro.events import CollectingSink, HeuristicFired
 from repro.netsim import Engine
+from repro.probing import Prober
 from repro.topogen.adversarial import build_gauntlet
 
 
@@ -50,14 +52,15 @@ class TestDisabledRules:
         assert not state.rule_enabled("H6")
         assert state.rule_enabled("H7")
 
-    def test_audit_records(self):
+    def test_audit_records(self, gauntlet):
         from repro.core.heuristics import Judgement, Verdict
-        audit = []
-        state = ExplorationState(prober=None, pivot=1, pivot_distance=2,
-                                 audit=audit)
+        prober = Prober(Engine(gauntlet.network.topology), "vantage")
+        audit = prober.events.subscribe(CollectingSink(HeuristicFired))
+        state = ExplorationState(prober=prober, pivot=1, pivot_distance=2)
         judgement = Judgement(Verdict.ADD, "test")
         state.record(42, judgement)
-        assert audit == [(42, judgement)]
+        assert audit.events == [HeuristicFired(
+            candidate=42, rule="test", verdict="add", detail="")]
 
 
 class TestAblationEffects:

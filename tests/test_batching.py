@@ -10,8 +10,6 @@ batched collection produces byte-identical artifacts in exact mode
 import io
 import json
 
-import pytest
-
 from repro.core import TraceNET
 from repro.events import CacheHit, ProbeBatchSent, ProbeSent
 from repro.metrics import MetricsRegistry, MetricsSink
@@ -19,7 +17,7 @@ from repro.metrics.analytics import stats_from_journal
 from repro.mapping.store import archive_to_dict
 from repro.netsim import Engine
 from repro.netsim.packet import Probe
-from repro.probing import ProbeBudget, ProbeBudgetExceeded, Prober
+from repro.probing import Prober
 from repro.runner import SurveyRunner
 from repro.topogen import internet2
 from repro.transport import (
@@ -190,17 +188,6 @@ class TestProbeMany:
         assert len(sent) == 1
         assert len(batches) == 1 and batches[0].size == 1
         assert prober.stats.cache_hits == 2  # primed entry + in-batch dup
-
-    def test_budget_charges_prefix_then_raises(self, line_engine):
-        budget = ProbeBudget(2)
-        prober = Prober(SimulatorTransport(line_engine), "vantage",
-                        budget=budget, use_cache=False, retries=0)
-        dst = line_engine.topology.hosts["vantage"].address
-        with pytest.raises(ProbeBudgetExceeded):
-            prober.probe_many([(dst, 1), (dst, 2), (dst, 3)])
-        # The two probes the budget paid for hit the wire before the raise,
-        # exactly as in the serial loop.
-        assert prober.stats.sent == 2
 
 
 class TestBatchedCollection:

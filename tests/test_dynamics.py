@@ -401,16 +401,6 @@ class TestStopSetEpochs:
         stop.record(ip_a, [(1, 0x0A000102)])
         assert stop.lookup(ip_a) == ((1, 0x0A000102),)
 
-    def test_epoch_survives_serialization(self):
-        stop = StopSet()
-        stop.record(0x0A000001, [(1, 0x0A000101)])
-        stop.advance_epoch()
-        stop.record(0x0B000001, [(1, 0x0B000101)])
-        restored = StopSet.from_dict(stop.to_dict())
-        assert restored.epoch == 1
-        assert restored.lookup(0x0B000001) is not None
-        assert restored.lookup(0x0A000001) is None
-
     def test_churn_advances_collector_stop_set(self):
         """Regression: a flapped link's stale path must not keep
         suppressing probes after the mutation (the pre-epoch bug hid

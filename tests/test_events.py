@@ -298,19 +298,19 @@ class TestCollectorEmission:
 
 
 class TestAuditAdapter:
-    """`ExplorationState.audit` is now a thin adapter over the bus."""
+    """Heuristic judgements reach the bus as `HeuristicFired` events."""
 
     def test_audit_fed_through_bus(self, lan_engine):
         prober = Prober(lan_engine, "vantage")
-        audit = []
-        state = ExplorationState(prober=prober, pivot=1, pivot_distance=2,
-                                 audit=audit)
+        audit = prober.events.subscribe(CollectingSink(HeuristicFired))
+        state = ExplorationState(prober=prober, pivot=1, pivot_distance=2)
         judgement = Judgement(Verdict.ADD, "H5", "mate of pivot")
         state.record(42, judgement)
-        assert audit == [(42, judgement)]
-        state.detach()
+        assert audit.events == [HeuristicFired(
+            candidate=42, rule="H5", verdict="add", detail="mate of pivot")]
+        prober.events.unsubscribe(audit)
         state.record(43, judgement)
-        assert len(audit) == 1
+        assert len(audit.events) == 1
 
     def test_bus_sinks_see_audited_judgements(self, lan_engine):
         prober = Prober(lan_engine, "vantage")
@@ -336,14 +336,13 @@ class TestSurveyRunnerEvents:
     def test_progress_events_and_hook_agree(self, network):
         tool = self.make_tool(network)
         targets = internet2.targets(network, seed=13)[:5]
-        hook_calls = []
-        runner = SurveyRunner(tool,
-                              progress=lambda p: hook_calls.append(p.completed))
+        runner = SurveyRunner(tool)
         sink = tool.events.subscribe(CollectingSink(SurveyProgressed))
-        runner.run(targets)
-        assert len(hook_calls) == len(targets)
-        assert len(sink.events) == len(targets)
-        assert sink.events[-1].completed == len(targets)
+        progress = runner.run(targets)
+        assert [e.completed for e in sink.events] == \
+            list(range(1, len(targets) + 1))
+        assert sink.events[-1].completed == progress.completed
+        assert sink.events[-1].probes_sent == progress.probes_sent
 
     def test_checkpoint_event(self, network, tmp_path):
         tool = self.make_tool(network)

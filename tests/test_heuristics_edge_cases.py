@@ -14,6 +14,7 @@ from repro.core.heuristics import (
     heuristic_h5,
 )
 from repro.core.positioning import position_subnet
+from repro.events import CollectingSink, HeuristicFired
 from repro.netsim import Engine, TopologyBuilder
 from repro.netsim.addressing import mate30, mate31
 from repro.netsim.router import IndirectConfig
@@ -158,7 +159,7 @@ class TestAuditPlumbing:
         topo, link, sibling = p2p_chain()
         tool = TraceNET(Engine(topo), "v")
         target = topo.routers["R3"].interface_on(link.subnet_id).address
-        tool.trace(target)  # must not raise; audit stays None internally
+        tool.trace(target)  # must not raise with no sink attached
 
     def test_explore_audit_records_every_candidate(self):
         topo, link, sibling = p2p_chain()
@@ -166,8 +167,8 @@ class TestAuditPlumbing:
         pivot = topo.routers["R3"].interface_on(link.subnet_id).address
         u = address_on(topo, "R2", "R1")
         position = position_subnet(prober, u, pivot, 3)
-        audit = []
-        explore_subnet(prober, position, audit=audit)
-        assert audit
-        candidates = [candidate for candidate, _ in audit]
+        audit = prober.events.subscribe(CollectingSink(HeuristicFired))
+        explore_subnet(prober, position)
+        assert audit.events
+        candidates = [event.candidate for event in audit.events]
         assert len(candidates) == len(set(candidates))

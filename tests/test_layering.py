@@ -13,10 +13,12 @@ transport hook, and span trees only from the session-event stream.
 
 The package also runs on the standard library alone: numpy is not a
 declared dependency, so a survey must never import it, whatever happens
-to be installed.
+to be installed.  And every name a module exports through ``__all__``
+exists, so deleting an API cannot leave a dangling export behind.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -79,6 +81,30 @@ def test_the_check_sees_the_sealed_files():
     names = {p.name for p in paths}
     assert {"tracenet.py", "heuristics.py", "prober.py",
             "traceroute.py", "registry.py", "auditor.py"} <= names
+
+
+def package_modules():
+    """The dotted name of every module in the package (``__main__``
+    aside: importing it runs the CLI)."""
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        parts = ("repro",) + path.relative_to(SRC_ROOT).with_suffix("").parts
+        if parts[-1] == "__main__":
+            continue
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        yield ".".join(parts)
+
+
+def test_every_export_resolves():
+    names = list(package_modules())
+    assert "repro" in names and "repro.probing.prober" in names
+    dangling = []
+    for name in names:
+        module = importlib.import_module(name)
+        for export in getattr(module, "__all__", ()):
+            if not hasattr(module, export):
+                dangling.append(f"{name}.{export}")
+    assert not dangling, "exported but undefined: " + ", ".join(dangling)
 
 
 def test_survey_never_imports_numpy():

@@ -50,7 +50,7 @@ from repro.metrics.sink import (
 from repro.netsim import Engine, TopologyBuilder
 from repro.netsim.dynamics import MutationSchedule, NetworkDynamics
 from repro.probing import Prober, RetryPolicy, StopSet
-from repro.radar import run_radar
+from repro.radar import RadarRunner
 from repro.runner import SurveyRunner
 from repro.topogen import geant, internet2
 from repro.transport import (
@@ -171,49 +171,6 @@ class TestRegistry:
         snap = registry.snapshot()
         assert list(snap["counters"]) == [
             "a_total", 'm_total{phase="a"}', 'm_total{phase="b"}', "z_total"]
-
-    def test_roundtrip_to_from_dict(self):
-        registry = MetricsRegistry()
-        registry.inc("c_total", 3)
-        registry.inc("by_rule_total", 2, rule="H2")
-        registry.set_gauge("g", 7)
-        registry.observe("h", 5, buckets=(2, 4, 8))
-        registry.backend.set_gauge("engine_probes_sent", 11)
-        with registry.time("span"):
-            pass
-        clone = MetricsRegistry.from_dict(
-            json.loads(json.dumps(registry.to_dict())))
-        assert clone.snapshot() == registry.snapshot()
-        assert clone.backend.snapshot() == registry.backend.snapshot()
-        assert clone.timings["span"]["count"] == 1
-
-    def test_merge_sums_counters_gauges_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("c_total", 2)
-        b.inc("c_total", 3)
-        b.inc("only_b_total", 1)
-        a.set_gauge("g", 10)
-        b.set_gauge("g", 5)
-        a.observe("h", 1, buckets=(2, 4))
-        b.observe("h", 3, buckets=(2, 4))
-        b.observe("h", 99, buckets=(2, 4))
-        a.backend.set_gauge("engine_probes_sent", 6)
-        b.backend.set_gauge("engine_probes_sent", 4)
-        a.merge(b)
-        assert a.value("c_total") == 5
-        assert a.value("only_b_total") == 1
-        assert a.value("g") == 15  # shard totals add
-        h = a.histogram("h")
-        assert h.counts == [1, 1, 1]
-        assert h.count == 3
-        assert a.backend.value("engine_probes_sent") == 10
-
-    def test_merge_rejects_bucket_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.observe("h", 1, buckets=(2, 4))
-        b.observe("h", 1, buckets=(2, 8))
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            a.merge(b)
 
 
 # -- Prometheus exposition ----------------------------------------------------
@@ -416,7 +373,7 @@ def _record_chaos_events():
         schedule, dynamics=NetworkDynamics(engine, schedule), events=bus)
     tool = TraceNET(transport, "utdallas", events=bus)
     seen = bus.subscribe(CollectingSink())
-    run_radar(tool, geant.targets(network, seed=2010)[:10], rounds=2)
+    RadarRunner(tool, geant.targets(network, seed=2010)[:10], rounds=2).run()
     return seen.events
 
 
@@ -479,17 +436,6 @@ class TestSinkMatchesReferenceFold:
             sink(event)
         assert registry.value("probes_sent_total") == len(probes)
         assert registry.snapshot() == _reference_fold(probes).snapshot()
-
-    def test_merge_of_unfolded_registries(self, recorded_events):
-        half = len(recorded_events) // 2
-        first, second = recorded_events[:half], recorded_events[half:]
-        # Neither sink-fed registry is read before the merge.
-        merged = _sink_fold(first).merge(_sink_fold(second))
-        expected = _reference_fold(first).merge(_reference_fold(second))
-        assert merged.snapshot() == expected.snapshot()
-        into_empty = MetricsRegistry().merge(_sink_fold(recorded_events))
-        assert into_empty.snapshot() == \
-            _reference_fold(recorded_events).snapshot()
 
     def test_synthetic_event_of_every_type(self):
         events = [

@@ -16,12 +16,12 @@ from repro.core import TraceNET
 from repro.metrics import (
     MetricsRegistry,
     instrument,
-    instrumented_collection,
     registry_from_events,
     stats_from_journal,
 )
 from repro.netsim import Engine
 from repro.runner import SurveyRunner
+from repro.runspec import RunSpec
 from repro.topogen import internet2
 from repro.transport import (
     RecordingTransport,
@@ -61,8 +61,10 @@ class TestThreeWayParity:
         targets = _targets()
         live, journal, _ = _record_survey(targets)
 
-        replayed = instrumented_collection(
-            ReplayTransport(io.StringIO(journal)), VANTAGE, targets=targets)
+        replayed = MetricsRegistry()
+        RunSpec(shape="survey", vantage=VANTAGE).build(
+            transport=ReplayTransport(io.StringIO(journal)),
+            targets=targets).execute(registry=replayed)
 
         stats = stats_from_journal(io.StringIO(journal), targets=targets)
 
@@ -90,9 +92,8 @@ class TestThreeWayParity:
     def test_snapshot_survives_json_roundtrip(self):
         targets = _targets(6)
         live, _, _ = _record_survey(targets)
-        clone = MetricsRegistry.from_dict(
-            json.loads(json.dumps(live.to_dict())))
-        assert clone.snapshot() == live.snapshot()
+        snapshot = live.snapshot()
+        assert json.loads(json.dumps(snapshot)) == snapshot
 
     def test_backend_scopes_differ_but_sessions_match(self):
         targets = _targets(6)

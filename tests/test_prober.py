@@ -18,13 +18,7 @@ from repro.netsim import (
     ResponsePolicy,
     TopologyBuilder,
 )
-from repro.probing import (
-    ProbeBudget,
-    ProbeBudgetExceeded,
-    ProbeStats,
-    Prober,
-    RetryPolicy,
-)
+from repro.probing import ProbeStats, Prober, RetryPolicy
 from repro.runner import SurveyRunner
 from repro.topogen import internet2
 from repro.transport import (
@@ -331,31 +325,6 @@ class TestMeasureDistance:
         far = address_on(topo, "R3", "R2")
         assert prober.measure_distance(near, hint=3) == 2
         assert prober.measure_distance(far, hint=2) == 3
-
-
-class TestBudget:
-    def test_budget_enforced(self):
-        engine, topo = chain()
-        prober = Prober(engine, "v", budget=ProbeBudget(limit=3),
-                        use_cache=False, retries=0)
-        dst = address_on(topo, "R2", "R1")
-        for _ in range(3):
-            prober.direct_probe(dst)
-        with pytest.raises(ProbeBudgetExceeded):
-            prober.direct_probe(dst)
-
-    def test_budget_remaining(self):
-        budget = ProbeBudget(limit=5)
-        budget.charge(2)
-        assert budget.remaining == 3
-
-    def test_cache_hits_do_not_charge_budget(self):
-        engine, topo = chain()
-        prober = Prober(engine, "v", budget=ProbeBudget(limit=1))
-        dst = address_on(topo, "R2", "R1")
-        prober.direct_probe(dst)
-        prober.direct_probe(dst)  # served from cache, no charge
-        assert prober.budget.remaining == 0
 
 
 class TestStats:

@@ -28,7 +28,7 @@ from repro.metrics import instrument
 from repro.netsim import Engine
 from repro.netsim.dynamics import MutationSchedule, NetworkDynamics
 from repro.netsim.addressing import Prefix, parse_ip
-from repro.radar import RadarRunner, _BlockIndex, mutation_prefixes, run_radar
+from repro.radar import RadarRunner, _BlockIndex, mutation_prefixes
 from repro.runner import SurveyRunner
 from repro.topogen import geant
 from repro.transport import (
@@ -73,7 +73,7 @@ class TestQuietRadar:
 
     def test_rounds_are_byte_identical(self):
         tool, targets, _ = _radar_setup()
-        result = run_radar(tool, targets, rounds=3)
+        result = RadarRunner(tool, targets, rounds=3).run()
         first = archive_to_dict(result.rounds[0].archive)
         for later in result.rounds[1:]:
             assert archive_to_dict(later.archive) == first
@@ -84,7 +84,7 @@ class TestQuietRadar:
 
     def test_round_zero_matches_plain_survey(self):
         tool, targets, _ = _radar_setup()
-        radar = run_radar(tool, targets, rounds=1)
+        radar = RadarRunner(tool, targets, rounds=1).run()
         survey_tool, _, _ = _radar_setup()
         runner = SurveyRunner(survey_tool)
         runner.run(targets)
@@ -93,7 +93,7 @@ class TestQuietRadar:
 
     def test_non_incremental_reprobes_everything(self):
         tool, targets, _ = _radar_setup()
-        result = run_radar(tool, targets, rounds=2, incremental=False)
+        result = RadarRunner(tool, targets, rounds=2, incremental=False).run()
         assert all(r.full for r in result.rounds)
         assert [len(r.probed_targets) for r in result.rounds] == \
             [len(targets)] * 2
@@ -102,7 +102,7 @@ class TestQuietRadar:
 class TestChurningRadar:
     def test_incremental_rounds_shrink(self):
         tool, targets, _ = _radar_setup(churn=True)
-        result = run_radar(tool, targets, rounds=3)
+        result = RadarRunner(tool, targets, rounds=3).run()
         assert result.rounds[0].full
         assert result.rounds[0].mutations_seen == 0
         # Round 0's probes crossed the mutation epochs; round 1 sees them
@@ -115,7 +115,7 @@ class TestChurningRadar:
         runs = []
         for _ in range(2):
             tool, targets, _ = _radar_setup(churn=True)
-            runs.append(run_radar(tool, targets, rounds=3))
+            runs.append(RadarRunner(tool, targets, rounds=3).run())
         assert runs[0].to_dict() == runs[1].to_dict()
         assert archive_to_dict(runs[0].final_archive) == \
             archive_to_dict(runs[1].final_archive)
@@ -123,7 +123,7 @@ class TestChurningRadar:
     def test_diff_matches_offline_recomputation(self):
         """tracenet diff over dumped archives == the in-run diff."""
         tool, targets, _ = _radar_setup(churn=True)
-        result = run_radar(tool, targets, rounds=2)
+        result = RadarRunner(tool, targets, rounds=2).run()
         old = archive_from_dict(archive_to_dict(result.rounds[0].archive))
         new = archive_from_dict(archive_to_dict(result.rounds[1].archive))
         assert diff_archives(old, new).to_dict() == \
@@ -131,7 +131,7 @@ class TestChurningRadar:
 
     def test_degraded_traces_reprobed_next_round(self):
         tool, targets, _ = _radar_setup(churn=True)
-        result = run_radar(tool, targets, rounds=3)
+        result = RadarRunner(tool, targets, rounds=3).run()
         degraded_round0 = {t.destination
                            for t in result.rounds[0].archive.traces
                            if t.degraded}
@@ -151,7 +151,7 @@ class TestChurningRadar:
                 retracted.append(event)
 
         tool.events.subscribe(_Sink())
-        result = run_radar(tool, targets, rounds=3)
+        result = RadarRunner(tool, targets, rounds=3).run()
         vanished = [change.prefix for diff in result.diffs
                     for change in diff.vanished]
         assert sorted(e.prefix for e in retracted) == sorted(vanished)
@@ -161,7 +161,7 @@ class TestChaosRadar:
     def test_chaos_run_is_crash_free_and_audited(self):
         tool, targets, _ = _radar_setup(churn=True, drop_rate=0.05)
         inst = instrument(tool.events, audit=True)
-        result = run_radar(tool, targets, rounds=3)
+        result = RadarRunner(tool, targets, rounds=3).run()
         assert len(result.rounds) == 3
         assert inst.auditor.violations == 0
         # Degradation markers survive with consistent confidence fields.
@@ -178,7 +178,7 @@ class TestChaosRadar:
         runs = []
         for _ in range(2):
             tool, targets, _ = _radar_setup(churn=True, drop_rate=0.05)
-            runs.append(run_radar(tool, targets, rounds=3))
+            runs.append(RadarRunner(tool, targets, rounds=3).run())
         assert runs[0].to_dict() == runs[1].to_dict()
 
 
@@ -189,7 +189,7 @@ class TestRadarReplay:
         tool, targets, _ = _radar_setup(churn=True, drop_rate=0.05,
                                         journal=journal)
         tool.events.subscribe(live_events.append)
-        live = run_radar(tool, targets, rounds=3)
+        live = RadarRunner(tool, targets, rounds=3).run()
 
         replay_bus = EventBus()
         replay_events = []
@@ -201,7 +201,7 @@ class TestRadarReplay:
             schedule, dynamics=None, events=replay_bus)
         replay_tool = TraceNET(replay_transport, "utdallas",
                                events=replay_bus)
-        replayed = run_radar(replay_tool, targets, rounds=3)
+        replayed = RadarRunner(replay_tool, targets, rounds=3).run()
 
         assert replayed.to_dict() == live.to_dict()
         assert archive_to_dict(replayed.final_archive) == \

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core import TraceNET
+from repro.events import CollectingSink, SurveyProgressed
 from repro.mapping import load_archive
 from repro.netsim import Engine
-from repro.probing import ProbeBudget, ProbeBudgetExceeded
-from repro.runner import SurveyRunner, run_survey_with_checkpoints
+from repro.runner import SurveyRunner
 from repro.topogen import internet2
 
 
@@ -41,11 +41,10 @@ class TestRun:
         assert len(runner.traces) == len(targets)
 
     def test_progress_hook_called(self, network, targets):
-        seen = []
-        runner = SurveyRunner(make_tool(network),
-                              progress=lambda p: seen.append(p.completed))
-        runner.run(targets[:5])
-        assert len(seen) == 5
+        tool = make_tool(network)
+        seen = tool.events.subscribe(CollectingSink(SurveyProgressed))
+        SurveyRunner(tool).run(targets[:5])
+        assert len(seen.events) == 5
 
     def test_duplicate_targets_skipped(self, network, targets):
         runner = SurveyRunner(make_tool(network))
@@ -93,22 +92,6 @@ class TestCheckpointing:
             "elsewhere")
         with pytest.raises(ValueError):
             SurveyRunner(other_tool, checkpoint_path=path)
-
-    def test_budget_exhaustion_flushes(self, network, targets, tmp_path):
-        path = str(tmp_path / "survey.json")
-        tool = make_tool(network, budget=ProbeBudget(limit=40))
-        runner = SurveyRunner(tool, checkpoint_path=path)
-        with pytest.raises(ProbeBudgetExceeded):
-            runner.run(targets)
-        archive = load_archive(path)
-        assert archive.metadata["done_targets"] is not None
-
-    def test_convenience_wrapper(self, network, targets, tmp_path):
-        path = str(tmp_path / "survey.json")
-        archive = run_survey_with_checkpoints(make_tool(network),
-                                              targets[:4], path)
-        assert len(archive.traces) == 4
-        assert load_archive(path).vantage == "utdallas"
 
     def test_resumed_collection_equivalent_to_uninterrupted(self, network,
                                                             targets, tmp_path):

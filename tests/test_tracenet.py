@@ -4,6 +4,7 @@ import pytest
 
 from conftest import address_on
 from repro.core import TraceNET
+from repro.core.tracenet import ANONYMOUS_GAP_LIMIT
 from repro.netsim import (
     Engine,
     IndirectConfig,
@@ -11,7 +12,6 @@ from repro.netsim import (
     ResponsePolicy,
     TopologyBuilder,
 )
-from repro.probing import ProbeBudget, ProbeBudgetExceeded
 
 
 def path_topology():
@@ -61,14 +61,6 @@ class TestTrace:
         assert trace_view < result.addresses
         assert len(result.addresses) >= len(trace_view) + 2
 
-    def test_worst_case_equals_traceroute(self):
-        """With exploration off, tracenet degrades to plain traceroute."""
-        topo, lan, dest, target = path_topology()
-        tool = TraceNET(Engine(topo), "v", explore=False)
-        result = tool.trace(target)
-        assert result.reached
-        assert all(hop.subnet is None for hop in result.hops)
-
     def test_unreachable_destination(self):
         topo, lan, dest, target = path_topology()
         tool = TraceNET(Engine(topo), "v")
@@ -86,12 +78,11 @@ class TestTrace:
         topo, lan, dest, target = path_topology()
         policy = ResponsePolicy().silence_router("R5")
         topo.routers["R5"].indirect_config = IndirectConfig.NIL
-        tool = TraceNET(Engine(topo, policy=policy), "v",
-                        anonymous_gap_limit=2)
+        tool = TraceNET(Engine(topo, policy=policy), "v")
         result = tool.trace(target)
         assert not result.reached
         trailing = [hop for hop in result.hops if hop.address is None]
-        assert len(trailing) == 2
+        assert len(trailing) == ANONYMOUS_GAP_LIMIT
 
     def test_anonymous_hop_recorded_mid_path(self):
         topo, lan, dest, target = path_topology()
@@ -172,14 +163,6 @@ class TestProtocols:
         udp_found = {s.prefix for s in udp_tool.trace(target).subnets
                      if s.size > 1}
         assert len(udp_found) < len(icmp_found)
-
-
-class TestBudget:
-    def test_budget_propagates(self):
-        topo, lan, dest, target = path_topology()
-        tool = TraceNET(Engine(topo), "v", budget=ProbeBudget(limit=5))
-        with pytest.raises(ProbeBudgetExceeded):
-            tool.trace(target)
 
 
 class TestResultRendering:

@@ -68,8 +68,7 @@ class TestSpan:
         child.count("probes", 7)
         payload = root.to_dict()
         assert list(payload["meta"]) == ["a", "b"]   # sorted keys
-        clone = Span.from_dict(payload)
-        assert clone.to_dict() == payload
+        assert json.loads(json.dumps(payload)) == payload
 
     def test_timing_plane_is_quarantined(self):
         span = Span(kind="trace", name="t", start=1.0, end=3.5)

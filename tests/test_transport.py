@@ -36,8 +36,7 @@ class TestSimulatorTransport:
         assert transport.send(probe).kind == direct.kind
 
     def test_capabilities(self, transport):
-        caps = transport.capabilities()
-        assert caps.name == "simulator"
+        assert transport.name == "simulator"
 
     def test_unknown_vantage(self, transport):
         with pytest.raises(ValueError, match="unknown vantage"):
@@ -120,13 +119,13 @@ class TestFaultInjection:
 
     def test_capability_name_nests(self, transport):
         faulty = FaultInjectingTransport(transport, drop_rate=0.1)
-        assert faulty.capabilities().name == "fault(simulator)"
+        assert faulty.name == "fault(simulator)"
 
 
 class TestRecordingWrapsAnything:
     def test_capabilities_and_engine_passthrough(self, line_engine, transport):
         recorder = RecordingTransport(transport, io.StringIO())
-        assert recorder.capabilities().name == "recording(simulator)"
+        assert recorder.name == "recording(simulator)"
         assert recorder.engine is line_engine
 
     def test_replay_capabilities(self, transport):
@@ -134,4 +133,6 @@ class TestRecordingWrapsAnything:
         with RecordingTransport(transport, buffer):
             pass
         buffer.seek(0)
-        assert ReplayTransport(buffer).capabilities().name == "replay"
+        replay = ReplayTransport(buffer)
+        assert replay.name == "replay"
+        assert replay.header["inner"] == "simulator"
