@@ -15,7 +15,7 @@ import random
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .topology import Topology
 
@@ -160,12 +160,26 @@ class RoutingTable:
     to dense integer indices in sorted-id order, which fixes the ECMP
     candidate order (attached subnets ascending, then neighbors
     ascending).  BFS states are held in an LRU bounded by
-    ``distance_cache_size``.  Mutating the topology (its ``version``
-    counter) invalidates the graph and every derived cache.
+    ``distance_cache_size``.
+
+    A topology ``version`` bump costs what it touched.  Only the subnets
+    whose ``membership_version`` stamp is newer than the interned graph
+    have their member rows recomputed; the routers that joined or left
+    them get new subnet rows, and only the transit and adjacency rows
+    those routers sit on are re-derived.  A mutation whose rows come out
+    equal (a renumber, a flap restored before the next query) keeps every
+    cache.  A BFS state is dropped only when a subnet whose transit or
+    adjacency row changed is labelled in it: levels up to a state's depth
+    never read the rows of subnets it has not labelled.  Next-hop sets go
+    with their dropped states, and with states the LRU evicted since the
+    last change (a restarted state may not have labelled what they read);
+    a moved router's own next-hop sets go with it.  Only a change to the
+    router or subnet id set interns the graph afresh.
 
     Attributes:
         bfs_runs: BFS states started so far — one per distinct destination
-            subnet actually routed toward (modulo LRU evictions).
+            subnet actually routed toward (modulo LRU evictions and states
+            a mutation made stale).
     """
 
     def __init__(self, topology: Topology,
@@ -178,12 +192,22 @@ class RoutingTable:
         self._subnet_ids: List[str] = []
         self._r_index: Dict[str, int] = {}
         self._s_index: Dict[str, int] = {}
+        self._members: List[Tuple[int, ...]] = []  # subnet -> member routers
         self._r2s: List[Tuple[int, ...]] = []  # router -> attached subnets
+        # Interned ``_r2s`` rows: every single-homed router on a LAN shares
+        # one tuple, which keeps LAN-heavy topologies at a pointer per
+        # router, across patches too.
+        self._rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._transit: List[List[int]] = []  # subnet -> multi-homed routers
         self._s2s: List[List[int]] = []  # subnet -> adjacent subnets
         # subnet index -> its resumable BFS, LRU-bounded.
         self._levels: "OrderedDict[int, _Bfs]" = OrderedDict()
-        self._next_hops: Dict[Tuple[str, str], List[NextHop]] = {}
+        # destination subnet id -> router id -> its ECMP set.
+        self._next_hops: Dict[str, Dict[str, List[NextHop]]] = {}
+        # Subnet indices whose state the LRU evicted since the last change:
+        # their next-hop sets may have read levels a restarted state has
+        # not labelled, so no state vouches for them.
+        self._evicted: Set[int] = set()
 
     # -- graph interning ---------------------------------------------------
 
@@ -191,37 +215,114 @@ class RoutingTable:
         version = getattr(self.topology, "version", -1)
         if self._graph_version == version:
             return
+        if self._graph_version is None or not self._patch_graph():
+            self._intern_graph()
+        self._graph_version = version
+
+    def _member_row(self, subnet_id: str) -> Tuple[int, ...]:
+        """``subnet_id``'s member routers as ascending indices."""
+        r_index = self._r_index
+        return tuple(sorted(
+            r_index[rid] for rid in self.topology.subnets[subnet_id].router_ids))
+
+    def _derive_rows(self, subnet_index: int) -> bool:
+        """Set ``subnet_index``'s transit and adjacency rows from its member
+        row and their subnet rows; True when either row changed."""
+        r2s = self._r2s
+        # A single-homed router never forwards across its subnet, so only
+        # the multi-homed members can be next hops.
+        transit = [r for r in self._members[subnet_index] if len(r2s[r]) > 1]
+        adjacent = set()
+        for r in transit:
+            adjacent.update(r2s[r])
+        adjacent.discard(subnet_index)
+        s2s = sorted(adjacent)
+        if transit == self._transit[subnet_index] \
+                and s2s == self._s2s[subnet_index]:
+            return False
+        self._transit[subnet_index] = transit
+        self._s2s[subnet_index] = s2s
+        return True
+
+    def _intern_graph(self) -> None:
         topology = self.topology
         self._router_ids = sorted(topology.routers)
         self._subnet_ids = sorted(topology.subnets)
         self._r_index = {rid: i for i, rid in enumerate(self._router_ids)}
         self._s_index = {sid: j for j, sid in enumerate(self._subnet_ids)}
-        r_index = self._r_index
+        self._members = [self._member_row(sid) for sid in self._subnet_ids]
         r2s: List[List[int]] = [[] for _ in self._router_ids]
-        s2r: List[List[int]] = []
-        for j, sid in enumerate(self._subnet_ids):
-            row = sorted(r_index[rid] for rid in topology.subnets[sid].router_ids)
+        for j, row in enumerate(self._members):
             for r in row:
                 r2s[r].append(j)  # subnets visited in ascending order
-            s2r.append(row)
-        adjacent: List[set] = [set() for _ in self._subnet_ids]
-        for subnets in r2s:
-            if len(subnets) > 1:
-                for j in subnets:
-                    adjacent[j].update(subnets)
-        for j, row in enumerate(adjacent):
-            row.discard(j)
-        # A single-homed router never forwards across its subnet, so only
-        # the multi-homed members can be next hops.
-        self._transit = [[r for r in row if len(r2s[r]) > 1] for row in s2r]
-        self._s2s = [sorted(row) for row in adjacent]
-        # Interned rows: every single-homed router on a LAN shares one
-        # tuple, which keeps LAN-heavy topologies at a pointer per router.
-        rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        rows = self._rows = {}
         self._r2s = [rows.setdefault(row, row) for row in map(tuple, r2s)]
+        count = len(self._subnet_ids)
+        self._transit = [None] * count
+        self._s2s = [None] * count
+        for j in range(count):
+            self._derive_rows(j)
         self._levels.clear()
         self._next_hops.clear()
-        self._graph_version = version
+        self._evicted.clear()
+
+    def _patch_graph(self) -> bool:
+        """Re-derive only the rows the mutations since the last intern
+        touched; False when the router or subnet id set changed, which
+        needs a fresh intern."""
+        topology = self.topology
+        if len(topology.routers) != len(self._router_ids) \
+                or len(topology.subnets) != len(self._subnet_ids):
+            return False
+        since = self._graph_version
+        s_index = self._s_index
+        members = self._members
+        # router index -> the subnets it joined or left
+        moved: Dict[int, Set[int]] = {}
+        for subnet_id, subnet in topology.subnets.items():
+            if subnet.membership_version <= since:
+                continue
+            j = s_index.get(subnet_id)
+            if j is None:
+                return False  # a new id in place of a removed one
+            row = self._member_row(subnet_id)
+            old = members[j]
+            if row == old:
+                continue  # a renumber, or a flap already restored
+            members[j] = row
+            for r in set(old).symmetric_difference(row):
+                moved.setdefault(r, set()).add(j)
+        if not moved:
+            return True
+        r2s = self._r2s
+        rows = self._rows
+        affected = set()
+        for r, toggled in moved.items():
+            old = r2s[r]
+            row = tuple(sorted(toggled.symmetric_difference(old)))
+            r2s[r] = rows.setdefault(row, row)
+            affected.update(old)
+            affected.update(row)
+        changed = [k for k in affected if self._derive_rows(k)]
+        if changed:
+            levels_of = self._levels
+            for stale in [subnet for subnet, state in levels_of.items()
+                          if any(state.levels[k] != _UNSEEN
+                                 for k in changed)]:
+                del levels_of[stale]
+            # Keep only the next-hop sets a state still here has labelled
+            # every level of.
+            kept = {self._subnet_ids[subnet] for subnet in levels_of
+                    if subnet not in self._evicted}
+            for subnet_id in [sid for sid in self._next_hops
+                              if sid not in kept]:
+                del self._next_hops[subnet_id]
+            self._evicted.clear()
+        router_ids = self._router_ids
+        for by_router in self._next_hops.values():
+            for r in moved:
+                by_router.pop(router_ids[r], None)
+        return True
 
     # -- distances ---------------------------------------------------------
 
@@ -236,7 +337,7 @@ class RoutingTable:
             state = _Bfs(len(self._subnet_ids), subnet_index)
             self._levels[subnet_index] = state
             if len(self._levels) > self.distance_cache_size:
-                self._levels.popitem(last=False)
+                self._evicted.add(self._levels.popitem(last=False)[0])
         else:
             self._levels.move_to_end(subnet_index)
         levels = state.levels
@@ -294,10 +395,11 @@ class RoutingTable:
         to ``d(r)``.  Subnets one level further out are skipped whole.
         """
         self._ensure_graph()
-        key = (router_id, subnet_id)
-        cached = self._next_hops.get(key)
-        if cached is not None:
-            return cached
+        by_router = self._next_hops.get(subnet_id)
+        if by_router is not None:
+            cached = by_router.get(router_id)
+            if cached is not None:
+                return cached
         subnet_index = self._s_index.get(subnet_id)
         if subnet_index is None:
             raise KeyError(subnet_id)
@@ -322,7 +424,9 @@ class RoutingTable:
                             candidates.append(NextHop(
                                 router_id=router_ids[neighbor],
                                 via_subnet_id=via_id))
-        self._next_hops[key] = candidates
+        if by_router is None:
+            by_router = self._next_hops[subnet_id] = {}
+        by_router[router_id] = candidates
         return candidates
 
     def egress_interface_toward(self, router_id: str, subnet_id: str) -> Optional[int]:

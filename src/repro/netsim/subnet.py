@@ -22,11 +22,15 @@ class Subnet:
     Attributes:
         subnet_id: unique identifier within a topology.
         prefix: the ground-truth CIDR block.
+        membership_version: the topology ``version`` at which an interface
+            last joined or left this subnet (or it was registered); routing
+            reads it to patch only the subnets a mutation touched.
     """
 
     subnet_id: str
     prefix: Prefix
     _interfaces: Dict[int, Interface] = field(default_factory=dict, repr=False)
+    membership_version: int = field(default=0, repr=False, compare=False)
 
     def attach(self, interface: Interface) -> None:
         """Register an interface on this subnet, validating its address."""

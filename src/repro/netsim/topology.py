@@ -53,8 +53,11 @@ class Topology:
         # registering n subnets costs O(n log n) instead of the O(n^2)
         # all-pairs scan a million-interface build cannot afford.
         self._blocks: List = []
-        # Structural mutation counter: bumped whenever the router↔subnet
-        # graph changes, so derived caches (routing tables) can notice.
+        # Mutation counter: bumped by every add, connect, disconnect and
+        # removal (hosts and bare routers included), so derived caches
+        # (routing tables, engine memos) can notice.  Subnets stamp the
+        # version of their last membership change, which tells a routing
+        # table which rows a bump touched.
         self.version = 0
 
     # -- construction --------------------------------------------------
@@ -89,6 +92,7 @@ class Topology:
         self._blocks.insert(position, entry)
         self.subnets[subnet.subnet_id] = subnet
         self.version += 1
+        subnet.membership_version = self.version
         return subnet
 
     def connect(self, router_id: str, subnet_id: str, address: int) -> Interface:
@@ -100,10 +104,12 @@ class Topology:
         if address in self._iface_by_address or address in self._host_by_address:
             raise TopologyError(f"address {format_ip(address)} already in use")
         interface = Interface(address=address, router_id=router_id, subnet_id=subnet_id)
-        self.subnets[subnet_id].attach(interface)
+        subnet = self.subnets[subnet_id]
+        subnet.attach(interface)
         self.routers[router_id].attach(interface)
         self._iface_by_address[address] = interface
         self.version += 1
+        subnet.membership_version = self.version
         return interface
 
     def add_host(self, host_id: str, subnet_id: str, address: int,
@@ -154,9 +160,11 @@ class Topology:
         if interface is None:
             raise TopologyError(
                 f"no interface at {format_ip(address)} to disconnect")
-        self.subnets[interface.subnet_id].detach(address)
+        subnet = self.subnets[interface.subnet_id]
+        subnet.detach(address)
         self.routers[interface.router_id].detach(address)
         self.version += 1
+        subnet.membership_version = self.version
         return interface
 
     def remove_subnet(self, subnet_id: str) -> Subnet:

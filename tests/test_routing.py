@@ -1,6 +1,8 @@
 """Unit tests for routing tables, ECMP sets and load balancing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim import Engine
 from repro.netsim.builder import TopologyBuilder
@@ -300,7 +302,10 @@ def reference_routes(members, attached, subnet_id):
     return distance, hops
 
 
-def assert_matches_reference(topology, table):
+def assert_matches_reference(topology, table, fresh=None):
+    """``table`` answers like :func:`reference_routes` (and like ``fresh``,
+    a table built on the current topology) on every router/subnet pair,
+    candidate order included."""
     members = {sid: sorted(topology.subnets[sid].router_ids)
                for sid in sorted(topology.subnets)}
     attached = {rid: [] for rid in sorted(topology.routers)}
@@ -310,10 +315,48 @@ def assert_matches_reference(topology, table):
     for subnet_id in members:
         distance, hops = reference_routes(members, attached, subnet_id)
         for router_id in attached:
-            assert (table.distance(router_id, subnet_id)
-                    == distance.get(router_id)), (router_id, subnet_id)
-            assert (table.next_hops(router_id, subnet_id)
-                    == hops[router_id]), (router_id, subnet_id)
+            answers = (table.distance(router_id, subnet_id),
+                       table.next_hops(router_id, subnet_id))
+            assert answers == (distance.get(router_id), hops[router_id]), \
+                (router_id, subnet_id)
+            if fresh is not None:
+                assert answers == (fresh.distance(router_id, subnet_id),
+                                   fresh.next_hops(router_id, subnet_id)), \
+                    (router_id, subnet_id)
+
+
+def warm_partial(topology, table):
+    """Leave a partial BFS state and cached next-hop sets toward every
+    subnet of ``topology``: a query next to it, then one about halfway to
+    its farthest router.  Returns the pairs asked, in order."""
+    fresh = RoutingTable(topology)
+    warmed = []
+    for subnet_id in sorted(topology.subnets):
+        reached = sorted(
+            (distance, router_id) for router_id in sorted(topology.routers)
+            if (distance := fresh.distance(router_id, subnet_id)) is not None)
+        if not reached:
+            continue
+        halfway = reached[-1][0] // 2
+        far = next(router_id for distance, router_id in reached
+                   if distance >= halfway)
+        for router_id in (reached[0][1], far):
+            table.next_hops(router_id, subnet_id)
+            warmed.append((router_id, subnet_id))
+    return warmed
+
+
+def assert_matches_fresh(topology, table, first=()):
+    """``table`` answers like a table built afresh and like the router-level
+    reference.  The ``first`` pairs are asked before any other, while the
+    states they warmed are still as partial as the mutation left them."""
+    fresh = RoutingTable(topology)
+    for router_id, subnet_id in first:
+        assert table.next_hops(router_id, subnet_id) == \
+            fresh.next_hops(router_id, subnet_id), (router_id, subnet_id)
+        assert table.distance(router_id, subnet_id) == \
+            fresh.distance(router_id, subnet_id), (router_id, subnet_id)
+    assert_matches_reference(topology, table, fresh)
 
 
 class TestSubnetGraphMatchesRouterBfs:
@@ -335,19 +378,223 @@ class TestSubnetGraphMatchesRouterBfs:
     @pytest.mark.parametrize("kind", DEFAULT_KINDS)
     def test_after_each_mutation_kind(self, kind):
         network = build_gauntlet(seed=3).network
-        engine = Engine(network.topology, policy=network.policy)
-        table = engine.routing
-        # Warm the caches first, so the mutation has state to invalidate.
-        subnet_id = sorted(network.topology.subnets)[0]
-        for router_id in sorted(network.topology.routers):
-            table.next_hops(router_id, subnet_id)
+        topology = network.topology
+        engine = Engine(topology, policy=network.policy)
         schedule = MutationSchedule.generate(
-            network.topology, seed=11, start=0, count=1, kinds=(kind,))
+            topology, seed=11, start=0, count=1, kinds=(kind,))
         dynamics = NetworkDynamics(engine, schedule)
-        assert [m.kind for m in dynamics.advance(0)]
-        assert_matches_reference(network.topology, table)
-        dynamics.advance(10_000)  # flap/reboot recovery
-        assert_matches_reference(network.topology, table)
+        # Each step runs against a table whose states are partial, so the
+        # patch has states to keep or drop: a kept state that labelled a
+        # changed subnet would answer stale.
+        for probes in (0, 10_000):  # the mutation, then flap/reboot recovery
+            if dynamics.exhausted:
+                break
+            table = RoutingTable(topology)
+            warmed = warm_partial(topology, table)
+            assert [m.kind for m in dynamics.advance(probes)]
+            assert_matches_fresh(topology, table, first=warmed)
+
+    @pytest.mark.parametrize("member", ["single-homed", "multi-homed"])
+    def test_after_flapping_a_router(self, member):
+        """Take every link of one router down, then bring them back, one at
+        a time: a single-homed LAN member changes no adjacency; a
+        multi-homed transit router goes from transit to single-homed to
+        detached and back."""
+        topology = build_gauntlet(seed=3).network.topology
+        host_subnets = {host.subnet_id for host in topology.hosts.values()}
+
+        def eligible(router_id):
+            subnets = topology.routers[router_id].subnet_ids
+            if host_subnets.intersection(subnets):
+                return False
+            if member == "single-homed":
+                return len(subnets) == 1 \
+                    and len(topology.subnets[subnets[0]].router_ids) > 2
+            return len(subnets) >= 3
+
+        # The multi-homed case takes the first router with the fewest
+        # (three or more) links: 3 -> 2 -> 1 -> 0 and back.
+        router_id = min(sorted(r for r in topology.routers if eligible(r)),
+                        key=lambda r: len(topology.routers[r].subnet_ids))
+        links = sorted(iface.address
+                       for iface in topology.routers[router_id].interfaces)
+        down = []
+        for address in links:
+            table = RoutingTable(topology)
+            warmed = warm_partial(topology, table)
+            down.append(topology.disconnect(address))
+            assert_matches_fresh(topology, table, first=warmed)
+        for iface in reversed(down):
+            table = RoutingTable(topology)
+            warmed = warm_partial(topology, table)
+            topology.connect(iface.router_id, iface.subnet_id, iface.address)
+            assert_matches_fresh(topology, table, first=warmed)
+
+
+def all_pairs(topology, table):
+    for subnet_id in sorted(topology.subnets):
+        for router_id in sorted(topology.routers):
+            table.next_hops(router_id, subnet_id)
+            table.distance(router_id, subnet_id)
+
+
+def mutate(engine, kind):
+    """Apply one generated ``kind`` mutation, recovery included."""
+    schedule = MutationSchedule.generate(
+        engine.topology, seed=5, start=0, count=1, kinds=(kind,))
+    assert NetworkDynamics(engine, schedule).advance(10_000)
+
+
+class TestRoutingUnderChurn:
+    """A mutation costs what it touched: unchanged rows keep every cache,
+    and a BFS state is dropped only when the change reached it."""
+
+    def test_renumber_then_requery_starts_no_bfs_state(self):
+        topology = lan_ecmp()
+        engine = Engine(topology)
+        table = engine.routing
+        all_pairs(topology, table)
+        states = dict(table._levels)
+        runs, version = table.bfs_runs, topology.version
+        mutate(engine, "renumber")
+        assert topology.version > version
+        all_pairs(topology, table)
+        assert table.bfs_runs == runs
+        assert dict(table._levels) == states
+        assert_matches_fresh(topology, table)
+
+    def test_single_homed_member_flap_drops_no_state(self):
+        topology = lan_ecmp()
+        table = RoutingTable(topology)
+        all_pairs(topology, table)
+        states = dict(table._levels)
+        runs = table.bfs_runs
+        (iface,) = topology.routers["H"].interfaces
+        topology.disconnect(iface.address)
+        all_pairs(topology, table)
+        assert table.distance("H", "s4") is None
+        assert table.next_hops("H", "s4") == []
+        topology.connect("H", iface.subnet_id, iface.address)
+        all_pairs(topology, table)
+        assert table.bfs_runs == runs
+        assert all(table._levels[j] is state for j, state in states.items())
+        assert_matches_fresh(topology, table)
+
+    def test_state_short_of_the_change_is_kept(self):
+        topology, stub = chain_with_island()
+        table = RoutingTable(topology)
+        assert table.distance("B", stub.subnet_id) == 0  # depth 0 only
+        island = topology.routers["X"].subnet_ids[0]
+        assert table.distance("X", island) == 0
+        states = dict(table._levels)
+        # D leaves D - E: an adjacency change two levels beyond what the
+        # stub's state labelled.
+        topology.disconnect(topology.routers["D"].interface_on(
+            topology.routers["E"].subnet_ids[0]).address)
+        assert table.distance("D", stub.subnet_id) == 2
+        assert table.distance("E", stub.subnet_id) is None
+        assert table.bfs_runs == 2
+        assert all(table._levels[j] is state for j, state in states.items())
+        assert_matches_fresh(topology, table)
+
+    def test_state_that_labelled_the_change_is_dropped(self):
+        topology, stub = chain_with_island()
+        table = RoutingTable(topology)
+        assert table.distance("E", stub.subnet_id) == 3
+        topology.disconnect(topology.routers["D"].interface_on(
+            topology.routers["E"].subnet_ids[0]).address)
+        assert table.distance("E", stub.subnet_id) is None
+        assert table.bfs_runs == 2
+        assert_matches_fresh(topology, table)
+
+    def test_next_hops_that_outlived_their_state_are_dropped(self):
+        """E's ECMP set was derived from a state the LRU later evicted.  The
+        state started afresh for the same destination labels only the
+        stub, so it cannot vouch for that set when D - E goes down."""
+        topology, stub = chain_with_island()
+        table = RoutingTable(topology, distance_cache_size=1)
+        assert [h.router_id for h in table.next_hops("E", stub.subnet_id)] \
+            == ["D"]
+        table.distance("X", topology.routers["X"].subnet_ids[0])  # evicts
+        assert table.distance("B", stub.subnet_id) == 0  # depth 0 only
+        topology.disconnect(topology.routers["D"].interface_on(
+            topology.routers["E"].subnet_ids[0]).address)
+        assert table.next_hops("E", stub.subnet_id) == []
+        assert_matches_fresh(topology, table)
+
+    def test_change_at_the_frontier_drops_the_state(self):
+        """A state's frontier is labelled too.  R joins F, where F and H sit
+        at the depth the state reached: no row below that depth changes,
+        yet X's cached ECMP set across F must gain R."""
+        builder = TopologyBuilder("frontier")
+        dest = builder.link("A", "B")
+        builder.lan(["B", "P", "R"])  # G, level 1
+        far = builder.lan(["P", "X"])  # F, level 2; a /29 with room for R
+        builder.link("R", "Y")  # H, level 2
+        topology = builder.build()
+        table = RoutingTable(topology)
+        assert [h.router_id for h in table.next_hops("X", dest.subnet_id)] \
+            == ["P"]
+        state = table._levels[table._s_index[dest.subnet_id]]
+        assert state.depth == 2 and state.frontier
+        hosts = far.prefix.host_addresses()
+        address = next(a for a in hosts if not far.owns(a))
+        topology.connect("R", far.subnet_id, address)
+        assert [h.router_id for h in table.next_hops("X", dest.subnet_id)] \
+            == ["P", "R"]
+        assert table.bfs_runs == 2
+        assert_matches_fresh(topology, table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.lists(
+        st.tuples(st.sampled_from(["down", "up", "renumber", "resize"]),
+                  st.integers(0, 63),
+                  st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)),
+                           max_size=6)),
+        min_size=1, max_size=8),
+        cache=st.integers(1, 4))
+    def test_random_churn_on_lan_ecmp(self, steps, cache):
+        """Random link down/up, renumber and resize sequences, with random
+        partial queries between them, on a table with a small LRU (so
+        next-hop sets outlive evicted states)."""
+        topology = lan_ecmp()
+        engine = Engine(topology)
+        table = RoutingTable(topology, distance_cache_size=cache)
+        host_subnets = {host.subnet_id for host in topology.hosts.values()}
+        down = []
+        for kind, pick, queries in steps:
+            routers, subnets = sorted(topology.routers), sorted(topology.subnets)
+            asked = [(routers[r % len(routers)], subnets[s % len(subnets)])
+                     for r, s in queries]
+            for router_id, subnet_id in asked:
+                table.next_hops(router_id, subnet_id)
+            if kind == "down":
+                links = sorted(
+                    address for address in topology.all_interface_addresses
+                    if topology.interface_at(address).subnet_id
+                    not in host_subnets)
+                if links:
+                    down.append(topology.disconnect(links[pick % len(links)]))
+            elif kind == "up":
+                if down:
+                    iface = down.pop(pick % len(down))
+                    try:
+                        topology.connect(iface.router_id, iface.subnet_id,
+                                         iface.address)
+                    except ValueError:
+                        pass  # renumbered or resized away meanwhile
+            else:
+                schedule = MutationSchedule.generate(
+                    topology, seed=pick, start=0, count=1, kinds=(kind,))
+                NetworkDynamics(engine, schedule).advance(0)
+            fresh = RoutingTable(topology)
+            for router_id, subnet_id in asked:
+                if subnet_id in topology.subnets:
+                    assert (table.next_hops(router_id, subnet_id),
+                            table.distance(router_id, subnet_id)) == \
+                        (fresh.next_hops(router_id, subnet_id),
+                         fresh.distance(router_id, subnet_id))
+        assert_matches_fresh(topology, table)
 
 
 class TestLoadBalancer:
