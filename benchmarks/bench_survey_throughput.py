@@ -211,14 +211,14 @@ def counters_overhead(network, targets, reps: int = 5) -> dict:
 
     Runs the same fastpath survey three ways: no sinks attached, a single
     :class:`CounterSink` subscribed, and the counter sink plus a clocked
-    :class:`SpanBuilder`.  The counter sink declares payload interest only
-    in ``HeuristicFired``, so every hot-path producer takes the bus's
-    type-only ``tally`` branch and never constructs an event object — that
-    lane measures the dispatch-mask bookkeeping itself.  The tracing arm
-    forces full event construction (the span builder consumes payloads for
-    most types) plus per-event tree maintenance and a ``perf_counter``
-    stamp per structural boundary, so it bounds the cost of running a
-    survey with ``--spans-out`` live.
+    :class:`SpanBuilder` attached as a fold, as ``SurveyRunner`` and
+    ``RunSpec`` attach it.  The counter sink declares payload interest
+    only in ``HeuristicFired``, so every other event reaches it as a
+    type-only tally and no other event object is built — that lane
+    measures the dispatch-mask bookkeeping itself.  The tracing arm adds
+    the session log (one compact record per event, a ``perf_counter``
+    stamp per span boundary) and the span fold at every trace end, so it
+    bounds the cost of running a survey with ``--spans-out`` live.
 
     The three arms are *interleaved* ``reps`` times and each reports its
     fastest rep before the overhead ratios are taken.  That is essential
@@ -239,7 +239,7 @@ def counters_overhead(network, targets, reps: int = 5) -> dict:
         tracer = None
         if mode == "tracing":
             tracer = SpanBuilder(clock=time.perf_counter)
-            tool.events.subscribe(tracer)
+            tool.events.attach(tracer)
         runner = SurveyRunner(tool)
         gc.collect()
         gc.disable()

@@ -59,7 +59,7 @@ class Traceroute:
     def trace(self, destination: int) -> TraceResult:
         """Walk the path toward ``destination`` one TTL at a time."""
         if self.events:
-            self.events.emit(TraceStarted(destination=destination))
+            self.events.record(TraceStarted, destination)
         before = self.prober.stats_snapshot()
         result = TraceResult(vantage_host_id=self.vantage_host_id,
                              destination=destination)
@@ -84,9 +84,8 @@ class Traceroute:
                 anonymous_streak = 0
         result.probes_sent = self.prober.stats.sent - before.sent
         if self.events:
-            self.events.emit(TraceFinished(
-                destination=destination, reached=result.reached,
-                hops=len(result.hops), probes_sent=result.probes_sent))
+            self.events.record(TraceFinished, destination, result.reached,
+                               len(result.hops), result.probes_sent, 0)
         return result
 
     def _next_flow_id(self) -> Optional[int]:

@@ -74,12 +74,8 @@ def collect_hop(prober: Prober, destination: int, ttl: int,
     observation = classify_response(ttl, response)
     events = prober.events
     if events:
-        if events.wants(HopObserved):
-            events.emit(HopObserved(
-                destination, ttl, observation.kind._value_,
-                observation.address))
-        else:
-            events.tally(HopObserved)
+        events.record(HopObserved, destination, ttl,
+                      observation.kind._value_, observation.address)
     return observation
 
 
@@ -199,16 +195,9 @@ class HopPipeline:
             self.inconsistencies += 1
             events = prober.events
             if events:
-                if events.wants(TraceInconsistent):
-                    events.emit(TraceInconsistent(
-                        destination=self.destination,
-                        ttl=ttl,
-                        expected=stale.address,
-                        observed=observation.address,
-                        reason="topology-mutated",
-                    ))
-                else:
-                    events.tally(TraceInconsistent)
+                events.record(TraceInconsistent, self.destination, ttl,
+                              stale.address, observation.address,
+                              "topology-mutated")
         return observation
 
     def hop(self, ttl: int) -> HopObservation:
@@ -219,12 +208,8 @@ class HopPipeline:
             observation = self._revalidate(ttl, stale)
             events = self.prober.events
             if events:
-                if events.wants(HopObserved):
-                    events.emit(HopObserved(
-                        self.destination, ttl, observation.kind._value_,
-                        observation.address))
-                else:
-                    events.tally(HopObserved)
+                events.record(HopObserved, self.destination, ttl,
+                              observation.kind._value_, observation.address)
             return observation
         served = self._served.pop(ttl, None)
         if served is not None:
@@ -234,22 +219,10 @@ class HopPipeline:
                 self.stop_set.suppressed += 1
             events = prober.events
             if events:
-                if events.wants(ProbeSuppressed):
-                    events.emit(ProbeSuppressed(
-                        destination=self.destination,
-                        ttl=ttl,
-                        phase=PHASE_TRACE,
-                        reason="stop-set",
-                        address=served.address,
-                    ))
-                else:
-                    events.tally(ProbeSuppressed)
-                if events.wants(HopObserved):
-                    events.emit(HopObserved(
-                        self.destination, ttl, served.kind._value_,
-                        served.address))
-                else:
-                    events.tally(HopObserved)
+                events.record(ProbeSuppressed, self.destination, ttl,
+                              PHASE_TRACE, "stop-set", served.address)
+                events.record(HopObserved, self.destination, ttl,
+                              served.kind._value_, served.address)
             return served
         buffered = self._buffer.pop(ttl, None)
         if buffered is None:
@@ -263,10 +236,6 @@ class HopPipeline:
             buffered = self._buffer.pop(ttl)
         events = self.prober.events
         if events:
-            if events.wants(HopObserved):
-                events.emit(HopObserved(
-                    self.destination, ttl, buffered.kind._value_,
-                    buffered.address))
-            else:
-                events.tally(HopObserved)
+            events.record(HopObserved, self.destination, ttl,
+                          buffered.kind._value_, buffered.address)
         return buffered

@@ -67,9 +67,8 @@ def explore_subnet(prober: Prober, position: SubnetPosition,
             _shrink(members, state, position.pivot, observed_length)
             stop_reason = f"shrunk:{shrunk}"
             if prober.events:
-                prober.events.emit(SubnetShrunk(
-                    pivot=position.pivot, rule=shrunk,
-                    prefix_length=observed_length))
+                prober.events.record(SubnetShrunk, position.pivot, shrunk,
+                                     observed_length)
             break
         if level <= 29 and len(members) <= block.host_capacity // 2:
             # Lines 19-21: the level stayed at most half utilized (over
@@ -80,9 +79,8 @@ def explore_subnet(prober: Prober, position: SubnetPosition,
             _shrink(members, state, position.pivot, observed_length)
             stop_reason = "under-utilized"
             if prober.events:
-                prober.events.emit(SubnetShrunk(
-                    pivot=position.pivot, rule="half-utilization",
-                    prefix_length=observed_length))
+                prober.events.record(SubnetShrunk, position.pivot,
+                                     "half-utilization", observed_length)
             break
 
     observed_length = _reduce_boundaries(members, position.pivot,
@@ -94,15 +92,11 @@ def explore_subnet(prober: Prober, position: SubnetPosition,
 
     after = prober.stats_snapshot()
     if prober.events:
-        prober.events.emit(SubnetGrown(
-            pivot=position.pivot,
-            prefix=str(Prefix.containing(position.pivot, observed_length)),
-            size=len(members),
-            stop_reason=stop_reason,
-            probes_used=after.sent - before.sent,
-            phase_probes=after.phase_delta(before),
-            candidates_tested=len(tested),
-        ))
+        prober.events.record(
+            SubnetGrown, position.pivot,
+            str(Prefix.containing(position.pivot, observed_length)),
+            len(members), stop_reason, after.sent - before.sent,
+            after.phase_delta(before), len(tested))
     return ObservedSubnet(
         pivot=position.pivot,
         pivot_distance=position.pivot_distance,

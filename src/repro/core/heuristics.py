@@ -70,9 +70,8 @@ class ExplorationState:
     def record(self, candidate: int, judgement: "Judgement") -> "Judgement":
         bus = self.prober.events
         if bus:
-            bus.emit(HeuristicFired(candidate, judgement.rule,
-                                    judgement.verdict._value_,
-                                    judgement.detail))
+            bus.record(HeuristicFired, candidate, judgement.rule,
+                       judgement.verdict._value_, judgement.detail)
         return judgement
 
     @property

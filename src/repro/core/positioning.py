@@ -60,18 +60,15 @@ def position_subnet(prober: Prober, u: Optional[int], v: int, d: int
     vh = prober.measure_distance(v, hint=d, phase=PHASE_POSITIONING)
     if vh is None:
         if prober.events:
-            prober.events.emit(SubnetPositioned(
-                trace_address=v, positioned=False, pivot=None,
-                pivot_distance=None, on_trace_path=None))
+            prober.events.record(SubnetPositioned, v, False, None, None, None)
         return None
 
     on_trace_path = _decide_on_trace_path(prober, u, v, vh, d)
     pivot, pivot_distance = _designate_pivot(prober, v, vh)
     ingress = _designate_ingress(prober, pivot, pivot_distance)
     if prober.events:
-        prober.events.emit(SubnetPositioned(
-            trace_address=v, positioned=True, pivot=pivot,
-            pivot_distance=pivot_distance, on_trace_path=on_trace_path))
+        prober.events.record(SubnetPositioned, v, True, pivot,
+                             pivot_distance, on_trace_path)
     return SubnetPosition(
         pivot=pivot,
         pivot_distance=pivot_distance,

@@ -15,9 +15,11 @@ response caching.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Dict, Iterable, List, Optional, Union
 
 from ..events import DegradedResult, EventBus, TraceFinished, TraceStarted
+from ..netsim.addressing import Prefix
 from ..netsim.packet import Protocol
 from ..probing.prober import Prober, RetryPolicy
 from ..probing.stopset import StopSet
@@ -90,6 +92,9 @@ class TraceNET:
         self.stop_set = stop_set
         self._subnets: List[ObservedSubnet] = []
         self._member_index: Dict[int, ObservedSubnet] = {}
+        # The registered subnets' pivots, in order: the nested-block check
+        # bisects instead of scanning every subnet.
+        self._pivots: List[int] = []
         # Churn awareness: when the transport chain contains a
         # MutatingTransport, its fired-mutation counter is the staleness
         # signal — identical live and replayed, so every decision derived
@@ -126,7 +131,7 @@ class TraceNET:
     def trace(self, destination: int) -> TraceResult:
         """Trace toward ``destination``, exploring each visited subnet."""
         if self.events:
-            self.events.emit(TraceStarted(destination=destination))
+            self.events.record(TraceStarted, destination)
         epoch_at_start = self._sync_epoch()
         before = self.prober.stats_snapshot()
         result = TraceResult(vantage_host_id=self.vantage_host_id,
@@ -189,11 +194,9 @@ class TraceNET:
             result.confidence = round(max(
                 0.1, 1.0 - 0.2 * mutations_seen - 0.1 * contradictions), 3)
             if self.events:
-                self.events.emit(DegradedResult(
-                    destination=destination,
-                    reason=";".join(result.degraded_reasons),
-                    confidence=result.confidence,
-                ))
+                self.events.record(DegradedResult, destination,
+                                   ";".join(result.degraded_reasons),
+                                   result.confidence)
         if self.stop_set is not None and result.reached \
                 and not result.degraded:
             self.stop_set.record(destination, [
@@ -202,13 +205,11 @@ class TraceNET:
             ])
         result.probes_sent = self.prober.stats.sent - before.sent
         if self.events:
-            self.events.emit(TraceFinished(
-                destination=destination,
-                reached=result.reached,
-                hops=len(result.hops),
-                probes_sent=result.probes_sent,
-                cache_hits=self.prober.stats.cache_hits - before.cache_hits,
-            ))
+            # Recording TraceFinished hands the trace to the attached folds.
+            self.events.record(
+                TraceFinished, destination, result.reached, len(result.hops),
+                result.probes_sent,
+                self.prober.stats.cache_hits - before.cache_hits)
         return result
 
     def trace_many(self, destinations: Iterable[int]) -> List[TraceResult]:
@@ -243,6 +244,7 @@ class TraceNET:
             for subnet in keep:
                 for member in subnet.members:
                     self._member_index.setdefault(member, subnet)
+            self._pivots = sorted(subnet.pivot for subnet in keep)
         return evicted
 
     def register_subnet(self, subnet: ObservedSubnet) -> None:
@@ -254,6 +256,7 @@ class TraceNET:
         self._subnets.append(subnet)
         for member in subnet.members:
             self._member_index.setdefault(member, subnet)
+        insort(self._pivots, subnet.pivot)
 
     # -- internals ---------------------------------------------------------
 
@@ -275,16 +278,23 @@ class TraceNET:
                                     min_prefix_length=self.min_prefix_length,
                                     disabled_rules=self.disabled_rules,
                                     batch_window=self.batch_window)
-        # A sparse LAN explored from inside can first shrink to a false
-        # /31; a later trace through its ingress collects the true block.
-        # The block supersedes what it strictly contains, so the stale
-        # piece stops being served to the block's members.
-        block = subnet.prefix
+        self._evict_nested(subnet.prefix)
+        self.register_subnet(subnet)
+        return subnet
+
+    def _evict_nested(self, block: Prefix) -> None:
+        """Evict the registered subnets ``block`` strictly contains.
+
+        A sparse LAN explored from inside can first shrink to a false /31;
+        a later trace through its ingress collects the true block.  The
+        block supersedes what it strictly contains, so the stale piece
+        stops being served to the block's members.
+        """
         low, high = block.network, block.broadcast
-        if block.length < 32 and any(low <= known.pivot <= high
-                                     for known in self._subnets):
+        pivots = self._pivots
+        index = bisect_left(pivots, low)
+        if block.length < 32 and index < len(pivots) \
+                and pivots[index] <= high:
             # A block holding a known pivot is nested, never partial.
             self.evict_subnets(lambda known: low <= known.pivot <= high
                                and known.prefix.length > block.length)
-        self.register_subnet(subnet)
-        return subnet

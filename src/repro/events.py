@@ -3,15 +3,20 @@
 Donnet et al.'s Doubletree deployment and Latapy et al.'s "Radar for the
 Internet" both argue that a topology collector is only trustworthy when its
 probe stream and per-decision telemetry are fully recorded.  This module is
-that operational layer: the collectors emit small frozen dataclass events
+that operational layer: the collectors record small typed events
 (:class:`ProbeSent`, :class:`HopObserved`, :class:`HeuristicFired`, ...)
-onto an :class:`EventBus`, and pluggable sinks consume them — an in-memory
-counter for metrics, a JSONL writer for durable logs, a progress renderer
-for terminals.
+on an :class:`EventBus`.  Two kinds of consumer read them:
 
-Nothing in the algorithms depends on any particular sink being attached,
-and with no sinks attached event construction is skipped entirely (the
-producers guard with ``if bus:``).
+* **folds** (the metrics registry's sink, the span builder) are attached
+  with :meth:`EventBus.attach` and read the session log: compact
+  ``(cls, fields)`` records, handed over once per trace;
+* **sinks** (a JSONL writer for durable logs, the probe-economy auditor, a
+  progress renderer) are subscribed with :meth:`EventBus.subscribe` and
+  get one frozen dataclass event object per event they want.
+
+Nothing in the algorithms depends on any consumer being attached, and with
+none attached nothing is recorded at all (the producers guard with
+``if bus:``).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from typing import Callable, Dict, IO, List, Optional, Tuple, Type, Union
 
 # -- the event taxonomy -------------------------------------------------------
@@ -365,69 +371,134 @@ def event_from_dict(payload: Dict) -> SessionEvent:
     return cls(**{k: v for k, v in payload.items() if k in names})
 
 
+# -- records ------------------------------------------------------------------
+
+#: A session-log record: ``(cls, fields)``, the event type and its field
+#: values in declaration order; a clocked bus appends a monotonic stamp to
+#: the records of :data:`BOUNDARY_TYPES`, ``(cls, fields, stamp)``.
+Record = Tuple
+
+#: The records that open or close a span of the span tree (trace, hop,
+#: heuristic judgement, subnet): the only ones a clocked bus stamps.
+BOUNDARY_TYPES = frozenset({
+    TraceStarted, TraceFinished, HopObserved, HeuristicFired,
+    SubnetPositioned, SubnetGrown,
+})
+
+_field_getters: Dict[type, Callable] = {}
+
+
+def _field_getter(cls: type) -> Callable:
+    """``event -> tuple of its field values``, memoized per type."""
+    names = [f.name for f in fields(cls)]
+    getter = attrgetter(*names)
+    if len(names) == 1:
+        name = names[0]
+
+        def getter(event):
+            return (getattr(event, name),)
+    _field_getters[cls] = getter
+    return getter
+
+
+def field_values(event: SessionEvent) -> Tuple:
+    """An event object's field values, in declaration order."""
+    cls = event.__class__
+    return (_field_getters.get(cls) or _field_getter(cls))(event)
+
+
+def as_record(event: SessionEvent,
+              clock: Optional[Callable[[], float]] = None) -> Record:
+    """The log record of an event object; ``clock`` stamps a boundary
+    record as a clocked bus would have stamped it."""
+    cls = event.__class__
+    if clock is not None and cls in BOUNDARY_TYPES:
+        return (cls, field_values(event), clock())
+    return (cls, field_values(event))
+
+
 # -- the bus ------------------------------------------------------------------
 
 Sink = Callable[[SessionEvent], None]
 
 
 class EventBus:
-    """Dispatches events to the attached sinks, in subscription order.
+    """One session's event plane: a log for folds, delivery for sinks.
 
-    Truthiness reports whether any sink is attached, so producers can skip
-    event construction on the hot path::
+    Producers record each event once, guarded by the bus's truthiness
+    (False while nothing is subscribed or attached)::
 
         if bus:
-            bus.emit(ProbeSent(...))
+            bus.record(ProbeSent, dst, ttl, protocol, ...)
 
-    Two optional sink attributes refine dispatch beyond that all-or-nothing
-    guard:
+    :meth:`record` takes the event type and its field values in
+    declaration order, and does three things:
+
+    * with a fold attached (:meth:`attach`), it appends the compact record
+      ``(cls, fields)`` to the session log.  The bus hands every attached
+      fold the new records at each :class:`TraceFinished` and whenever
+      :meth:`drain` is called, then drops them, so the log holds about one
+      trace.  A fold with a ``clock`` makes the bus stamp the records of
+      :data:`BOUNDARY_TYPES`, and only those;
+    * it builds the event object only when a subscribed sink wants that
+      type's payload, and delivers it;
+    * it tallies the type on the counting sinks.
+
+    Two optional sink attributes refine delivery to subscribed sinks:
 
     * ``interests`` — a collection of event classes the sink needs *full
-      payloads* for (absent or None means every event, the legacy
-      contract).  The bus precomputes a per-event-type dispatch tuple from
-      them, so a :class:`ProgressSink` never sees a :class:`ProbeSent`.
+      payloads* for (absent or None means every event).  The bus
+      precomputes a per-event-type dispatch tuple from them, so a
+      :class:`ProgressSink` never sees a :class:`ProbeSent`;
     * ``tally(cls, count)`` — a method counting sinks expose to receive
-      type-only tallies for events outside their ``interests``.  The bus
-      routes every :meth:`emit` to it automatically; hot producers can ask
-      :meth:`wants` first and call :meth:`tally` themselves, skipping event
-      construction entirely when nobody needs the payload::
+      type-only tallies for events outside their ``interests``.
 
-          if bus.wants(ProbeSent):
-              bus.emit(ProbeSent(...))
-          else:
-              bus.tally(ProbeSent)
+    :meth:`emit` records an already-built event object (an offline
+    replay, the auditor's verdicts); :meth:`wants` and :meth:`tally`
+    remain for callers that count types themselves, and tallies reach
+    counting sinks only.
 
-    With only counter sinks subscribed that path costs two dict probes and
-    one integer add per event — the "zero-cost emission" contract the
-    instrumentation-overhead bench lane gates on.
+    A fold is an object with ``fold(records)``, called with each slice of
+    the log in order, and ``bind(bus)``, called by :meth:`attach` so the
+    fold can :meth:`drain` the bus before it is read.
 
-    **Failure isolation.**  A raising sink must not abort collection: a
-    broken progress renderer (or a full disk under a JSONL sink) is an
-    observability failure, not a measurement failure.  :meth:`emit`
-    therefore catches sink exceptions, counts the dropped delivery in
+    **Failure isolation.**  A raising sink or fold must not abort
+    collection: a broken progress renderer (or a full disk under a JSONL
+    sink) is an observability failure, not a measurement failure.  The bus
+    therefore catches their exceptions, counts the dropped delivery in
     :attr:`sink_errors` (surfaced as ``event_sink_errors_total`` in the
-    quarantined backend metrics scope), and keeps dispatching to the
-    remaining sinks.  Only exceptions are isolated: a ``BaseException``
-    such as ``KeyboardInterrupt`` still stops the run.
+    quarantined backend metrics scope), and keeps dispatching.  Only
+    exceptions are isolated: a ``BaseException`` such as
+    ``KeyboardInterrupt`` still stops the run.
     """
 
     def __init__(self) -> None:
         self._sinks: List[Sink] = []
-        # type -> (payload sinks, counting sinks tallying this type).
+        self._folds: List = []
+        self._log: List[Record] = []
+        self._clock: Optional[Callable[[], float]] = None
+        # type -> (payload sinks, counting sinks tallying this type,
+        #          0 unlogged / 1 logged / 2 logged with a clock stamp).
         self._dispatch: Dict[Type[SessionEvent],
-                             Tuple[Tuple[Sink, ...], Tuple[Sink, ...]]] = {}
+                             Tuple[Tuple[Sink, ...], Tuple[Sink, ...],
+                                   int]] = {}
+        # The types whose records are only logged (no sink): whether
+        # each is stamped.
+        self._log_only: Dict[Type[SessionEvent], bool] = {}
+        # Whether anything is subscribed or attached.
+        self._active = False
         #: Dropped deliveries by sink name (isolated failures only).
         self.sink_errors: Dict[str, int] = {}
         #: The most recent isolated failure, as ``(sink, "Type: message")``.
         self.last_sink_error: Optional[Tuple[str, str]] = None
 
     def __bool__(self) -> bool:
-        return bool(self._sinks)
+        return self._active
 
     def subscribe(self, sink: Sink) -> Sink:
         """Attach a sink; returns it so callers can unsubscribe later."""
         self._sinks.append(sink)
-        self._dispatch.clear()
+        self._reset_dispatch()
         return sink
 
     def unsubscribe(self, sink: Sink) -> None:
@@ -437,7 +508,7 @@ class EventBus:
         except ValueError:
             pass
         else:
-            self._dispatch.clear()
+            self._reset_dispatch()
 
     @contextmanager
     def subscribed(self, sink: Sink):
@@ -448,8 +519,52 @@ class EventBus:
         finally:
             self.unsubscribe(sink)
 
-    def _build_dispatch(self, cls: Type[SessionEvent]
-                        ) -> Tuple[Tuple[Sink, ...], Tuple[Sink, ...]]:
+    def attach(self, fold):
+        """Feed ``fold`` the session log from now on; returns it.
+
+        All clocked folds on one bus share one clock.
+        """
+        clock = getattr(fold, "clock", None)
+        if clock is not None:
+            if self._clock is not None and self._clock is not clock:
+                raise ValueError("the folds of one bus must share a clock")
+            self._clock = clock
+        self._folds.append(fold)
+        self._reset_dispatch()
+        fold.bind(self)
+        return fold
+
+    def detach(self, fold) -> None:
+        """Hand ``fold`` the records it has not seen, then stop feeding it."""
+        if fold not in self._folds:
+            return
+        self.drain()
+        self._folds.remove(fold)
+        if not any(getattr(f, "clock", None) is not None
+                   for f in self._folds):
+            self._clock = None
+        self._reset_dispatch()
+        fold.bind(None)
+
+    def drain(self) -> None:
+        """Hand every attached fold the records logged since the last
+        drain, in order, and drop them."""
+        log = self._log
+        if not log:
+            return
+        self._log = []
+        for fold in self._folds:
+            try:
+                fold.fold(log)
+            except Exception as exc:
+                self._sink_failed(fold, exc)
+
+    def _reset_dispatch(self) -> None:
+        self._active = bool(self._sinks or self._folds)
+        self._dispatch.clear()
+        self._log_only.clear()
+
+    def _build_dispatch(self, cls: Type[SessionEvent]):
         payload: List[Sink] = []
         tallies: List[Sink] = []
         for sink in self._sinks:
@@ -459,23 +574,26 @@ class EventBus:
                 payload.append(sink)
             elif hasattr(sink, "tally"):
                 tallies.append(sink)
-        entry = (tuple(payload), tuple(tallies))
+        log = 0
+        if self._folds:
+            log = 2 if self._clock is not None and cls in BOUNDARY_TYPES \
+                else 1
+        entry = (tuple(payload), tuple(tallies), log)
         self._dispatch[cls] = entry
+        if log and not payload and not tallies and cls is not TraceFinished:
+            self._log_only[cls] = log == 2
         return entry
 
     def wants(self, cls: Type[SessionEvent]) -> bool:
-        """Whether any attached sink needs full ``cls`` payloads.
-
-        False means :meth:`emit` would only tally the type — producers may
-        call :meth:`tally` directly and skip constructing the event.
-        """
+        """Whether any subscribed sink needs full ``cls`` payloads."""
         entry = self._dispatch.get(cls)
         if entry is None:
             entry = self._build_dispatch(cls)
         return bool(entry[0])
 
     def tally(self, cls: Type[SessionEvent], count: int = 1) -> None:
-        """Deliver a type-only count to the counting sinks (no payload)."""
+        """Deliver a type-only count to the counting sinks (no payload,
+        no record)."""
         entry = self._dispatch.get(cls)
         if entry is None:
             entry = self._build_dispatch(cls)
@@ -485,25 +603,50 @@ class EventBus:
             except Exception as exc:
                 self._sink_failed(sink, exc)
 
+    def record(self, cls: Type[SessionEvent], *fields) -> None:
+        """Record one ``cls`` event from its field values, in order."""
+        stamped = self._log_only.get(cls)
+        if stamped is not None:
+            self._log.append((cls, fields, self._clock()) if stamped
+                             else (cls, fields))
+            return
+        self._dispatch_one(cls, fields, None)
+
     def emit(self, event: SessionEvent) -> None:
-        cls = event.__class__
+        """Record an already-built event object."""
+        self._dispatch_one(event.__class__, None, event)
+
+    def _dispatch_one(self, cls: Type[SessionEvent], fields: Optional[Tuple],
+                      event: Optional[SessionEvent]) -> None:
+        """Log, deliver and tally one event, given as its field values or
+        as the object (the other is built only when needed)."""
         entry = self._dispatch.get(cls)
         if entry is None:
             entry = self._build_dispatch(cls)
-        payload, tallies = entry
-        for sink in payload:
-            try:
-                sink(event)
-            except Exception as exc:
-                self._sink_failed(sink, exc)
+        payload, tallies, log = entry
+        if log:
+            if fields is None:
+                fields = field_values(event)
+            self._log.append((cls, fields) if log == 1
+                             else (cls, fields, self._clock()))
+        if payload:
+            if event is None:
+                event = cls(*fields)
+            for sink in payload:
+                try:
+                    sink(event)
+                except Exception as exc:
+                    self._sink_failed(sink, exc)
         for sink in tallies:
             try:
                 sink.tally(cls, 1)
             except Exception as exc:
                 self._sink_failed(sink, exc)
+        if log and cls is TraceFinished:
+            self.drain()
 
-    def _sink_failed(self, sink: Sink, exc: Exception) -> None:
-        """Isolate (and count) a sink failure."""
+    def _sink_failed(self, sink, exc: Exception) -> None:
+        """Isolate (and count) a sink or fold failure."""
         name = getattr(sink, "__name__", None) or type(sink).__name__
         self.sink_errors[name] = self.sink_errors.get(name, 0) + 1
         self.last_sink_error = (name, f"{type(exc).__name__}: {exc}")

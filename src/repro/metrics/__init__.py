@@ -2,10 +2,11 @@
 
 One :class:`MetricsRegistry` per collection run, fed by:
 
-* :class:`MetricsSink` — every typed session event becomes counters,
-  gauges and fixed-bucket histograms (deterministic, replay-safe);
+* :class:`MetricsSink` — a fold over the session log: every typed session
+  event becomes counters, gauges and fixed-bucket histograms
+  (deterministic, replay-safe);
 * :class:`ProbeEconomyAuditor` — checks each completed subnet against the
-  paper's ``7|S| + 7`` probe bound and emits
+  paper's ``7|S| + 7`` probe bound and records
   :class:`~repro.events.OverheadViolation` events live;
 * backend capture — engine fast-path and transport counters land in the
   quarantined ``registry.backend`` scope via
@@ -50,8 +51,8 @@ class Instrumentation:
     auditor: Optional[ProbeEconomyAuditor] = None
 
     def detach(self) -> None:
-        """Unsubscribe everything this instrumentation attached."""
-        self.bus.unsubscribe(self.sink)
+        """Detach everything this instrumentation attached."""
+        self.bus.detach(self.sink)
         if self.auditor is not None:
             self.bus.unsubscribe(self.auditor)
 
@@ -61,14 +62,14 @@ def instrument(bus: EventBus, registry: Optional[MetricsRegistry] = None,
                slack: float = DEFAULT_SLACK) -> Instrumentation:
     """Attach the metrics layer to a session-event bus.
 
-    Subscribes a :class:`MetricsSink` (and, unless ``audit=False``, a
-    :class:`ProbeEconomyAuditor`) to ``bus``; returns the live
-    :class:`Instrumentation` whose registry accumulates for as long as the
-    sinks stay attached.
+    Attaches a :class:`MetricsSink` as a fold over the bus's session log
+    and, unless ``audit=False``, subscribes a :class:`ProbeEconomyAuditor`;
+    returns the live :class:`Instrumentation` whose registry accumulates
+    for as long as they stay attached.
     """
     registry = registry if registry is not None else MetricsRegistry()
     sink = MetricsSink(registry)
-    bus.subscribe(sink)
+    bus.attach(sink)
     auditor = None
     if audit:
         auditor = ProbeEconomyAuditor(bus, slack=slack)

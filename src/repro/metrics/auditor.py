@@ -11,8 +11,9 @@ observable signal.
 The auditor is an :class:`~repro.events.EventBus` sink: on every
 :class:`~repro.events.SubnetGrown` it compares the event's ``probes_used``
 (with its per-phase attribution) against
-:func:`repro.core.overhead.estimate` and, on a violation, emits an
-:class:`~repro.events.OverheadViolation` back onto the *same* bus.
+:func:`repro.core.overhead.estimate` and, on a violation, records an
+:class:`~repro.events.OverheadViolation` on the *same* bus, right after
+the subnet's own record.
 
 The bound is taken over ``max(size, candidates_tested)``: the analytic
 ``7|S| + 7`` assumes every candidate inside the explored block is a
@@ -43,7 +44,7 @@ class ProbeEconomyAuditor:
     """Checks every completed subnet against the ``7|S| + 7`` bound.
 
     Args:
-        bus: the session-event bus to re-emit violations onto (normally the
+        bus: the session-event bus to record violations on (normally the
             same bus this sink is subscribed to).
         slack: multiplier on the upper bound before a cost counts as a
             violation; 1.0 audits the literal analytic bound.
@@ -69,12 +70,6 @@ class ProbeEconomyAuditor:
         if bound.contains(event.probes_used, slack=self.slack):
             return
         self.violations += 1
-        self.bus.emit(OverheadViolation(
-            pivot=event.pivot,
-            prefix=event.prefix,
-            size=event.size,
-            probes_used=event.probes_used,
-            upper_bound=bound.upper,
-            slack=self.slack,
-            phase_probes=event.phase_probes,
-        ))
+        self.bus.record(OverheadViolation, event.pivot, event.prefix,
+                        event.size, event.probes_used, bound.upper,
+                        self.slack, event.phase_probes)

@@ -105,8 +105,8 @@ class Prober:
             implementation uses 1; gated as :class:`RetryPolicy` describes)
             or a :class:`RetryPolicy` choosing the gate and idle backoff.
         use_cache: memoize (dst, ttl) -> response, including silence.
-        events: session-event bus; every wire probe emits
-            :class:`~repro.events.ProbeSent` when a sink is attached.
+        events: session-event bus; every wire probe records
+            :class:`~repro.events.ProbeSent` when a consumer is attached.
     """
 
     def __init__(self, network, vantage_host_id: str,
@@ -157,10 +157,7 @@ class Prober:
             self.stats.record_cache_hit()
             events = self.events
             if events:
-                if events.wants(CacheHit):
-                    events.emit(CacheHit(dst, ttl, phase))
-                else:
-                    events.tally(CacheHit)
+                events.record(CacheHit, dst, ttl, phase)
             return self._cache[key]
         response = self._send_once(dst, ttl, phase, flow_id)
         attempt = 0
@@ -189,7 +186,7 @@ class Prober:
         fire, silence is retried up to ``retries`` times where the retry
         gate allows — but the uncached probes travel to the transport
         together through ``send_many``, and each dispatched wire batch
-        additionally emits :class:`~repro.events.ProbeBatchSent`.
+        additionally records :class:`~repro.events.ProbeBatchSent`.
         A batch of one is indistinguishable from a :meth:`probe` call plus
         its batch event.
         """
@@ -209,10 +206,7 @@ class Prober:
                     self.stats.record_cache_hit()
                     events = self.events
                     if events:
-                        if events.wants(CacheHit):
-                            events.emit(CacheHit(dst, ttl, phase))
-                        else:
-                            events.tally(CacheHit)
+                        events.record(CacheHit, dst, ttl, phase)
                     results[index] = self._cache[key]
                     continue
                 if key in first_seen:
@@ -259,11 +253,8 @@ class Prober:
             self.stats.record_cache_hit()
             events = self.events
             if events:
-                if events.wants(CacheHit):
-                    dst, ttl = requests[index]
-                    events.emit(CacheHit(dst, ttl, phase))
-                else:
-                    events.tally(CacheHit)
+                dst, ttl = requests[index]
+                events.record(CacheHit, dst, ttl, phase)
             results[index] = results[primary]
         return results
 
@@ -277,40 +268,28 @@ class Prober:
                                 self.protocol))
         responses = send_batch(self.transport, probes)
         events = self.events
-        # One wants() check per batch: when nobody needs the payload
-        # (counters only) the whole batch tallies as two dict adds.
-        wants_probe = bool(events) and events.wants(ProbeSent)
+        observed = bool(events)
         record_outcome = self.stats.record_outcome
         # ``_value_`` is the enum value as a plain attribute (the
         # ``.value`` property is a Python-level descriptor call).
         protocol = self.protocol._value_
         for probe, response in zip(probes, responses):
             record_outcome(response is not None)
-            if wants_probe:
-                events.emit(ProbeSent(
-                    probe.dst, probe.ttl, protocol, probe.flow_id, phase,
-                    response is not None,
+            if observed:
+                events.record(
+                    ProbeSent, probe.dst, probe.ttl, protocol, probe.flow_id,
+                    phase, response is not None,
                     None if response is None else response.kind._value_,
-                    None if response is None else response.source))
-        if events:
-            if not wants_probe:
-                events.tally(ProbeSent, len(probes))
-            if events.wants(ProbeBatchSent):
-                events.emit(
-                    ProbeBatchSent(size=len(probes), phase=phase))
-            else:
-                events.tally(ProbeBatchSent)
+                    None if response is None else response.source)
+        if observed:
+            events.record(ProbeBatchSent, len(probes), phase)
         return responses
 
     def _note_retry(self, dst: int, ttl: int, attempt: int,
                     phase: Optional[str]) -> None:
         events = self.events
         if events:
-            if events.wants(ProbeRetried):
-                events.emit(ProbeRetried(
-                    dst=dst, ttl=ttl, attempt=attempt, phase=phase))
-            else:
-                events.tally(ProbeRetried)
+            events.record(ProbeRetried, dst, ttl, attempt, phase)
 
     def backoff(self, ticks: int) -> None:
         """Idle the transport clock between retry attempts (no probes).
@@ -345,14 +324,11 @@ class Prober:
         self.stats.record_outcome(response is not None)
         events = self.events
         if events:
-            if events.wants(ProbeSent):
-                events.emit(ProbeSent(
-                    dst, ttl, self.protocol._value_, probe.flow_id, phase,
-                    response is not None,
-                    None if response is None else response.kind._value_,
-                    None if response is None else response.source))
-            else:
-                events.tally(ProbeSent)
+            events.record(
+                ProbeSent, dst, ttl, self.protocol._value_, probe.flow_id,
+                phase, response is not None,
+                None if response is None else response.kind._value_,
+                None if response is None else response.source)
         return response
 
     # -- measured quantities ---------------------------------------------------

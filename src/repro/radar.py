@@ -198,6 +198,8 @@ class RadarRunner:
                     idle(self.idle_ticks)
             prev_round = self._run_round(index, prev_round)
             result.rounds.append(prev_round)
+        # The records after the last trace (retractions, mutations).
+        self.tool.events.drain()
         return result
 
     def _run_round(self, index: int,
@@ -282,8 +284,7 @@ class RadarRunner:
         if not events:
             return
         for change in diff.vanished:
-            events.emit(SubnetRetracted(prefix=change.prefix,
-                                        reason="not-reobserved"))
+            events.record(SubnetRetracted, change.prefix, "not-reobserved")
 
 
 __all__ = [

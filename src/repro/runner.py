@@ -61,13 +61,12 @@ class SurveyRunner:
             completed targets and at the end.  None disables persistence.
         checkpoint_every: flush cadence.
         metrics: optional :class:`repro.metrics.MetricsRegistry`.  When
-            given, a metrics sink and probe-economy auditor are attached to
+            given, a metrics fold and probe-economy auditor are attached to
             the tool's event bus for the lifetime of this runner, and
             ``run()`` records a ``survey_run_seconds`` timing span.
-        tracer: optional :class:`repro.tracing.SpanBuilder`.  Subscribed
-            to the tool's event bus before the metrics sinks so its span
-            attribution sees the same stream order a bare journal records;
-            ``run()`` finishes the tree when the survey ends.
+        tracer: optional :class:`repro.tracing.SpanBuilder`, attached to
+            the tool's event bus as a fold; ``run()`` finishes the tree
+            when the survey ends.
     """
 
     def __init__(self, tool: TraceNET,
@@ -79,7 +78,7 @@ class SurveyRunner:
         self.checkpoint_every = max(1, checkpoint_every)
         self.tracer = tracer
         if tracer is not None:
-            self.tool.events.subscribe(tracer)
+            self.tool.events.attach(tracer)
         self.metrics = metrics
         self._instrumentation = None
         if metrics is not None:
@@ -110,6 +109,8 @@ class SurveyRunner:
                     return self._run(targets)
             return self._run(targets)
         finally:
+            # The records after the last trace (progress, checkpoints).
+            self.tool.events.drain()
             if self.tracer is not None:
                 self.tracer.finish()
 
@@ -154,11 +155,8 @@ class SurveyRunner:
         save_archive(tmp_path, archive)
         os.replace(tmp_path, self.checkpoint_path)
         if self.tool.events:
-            self.tool.events.emit(CheckpointWritten(
-                path=self.checkpoint_path,
-                completed_targets=len(self._done_targets),
-                traces=len(self.traces),
-            ))
+            self.tool.events.record(CheckpointWritten, self.checkpoint_path,
+                                    len(self._done_targets), len(self.traces))
 
     @property
     def archive(self) -> CollectionArchive:
@@ -188,10 +186,7 @@ class SurveyRunner:
 
     def _report(self) -> None:
         if self.tool.events:
-            self.tool.events.emit(SurveyProgressed(
-                total_targets=self.progress.total_targets,
-                completed=self.progress.completed,
-                skipped=self.progress.skipped,
-                reached=self.progress.reached,
-                probes_sent=self.progress.probes_sent,
-            ))
+            progress = self.progress
+            self.tool.events.record(SurveyProgressed, progress.total_targets,
+                                    progress.completed, progress.skipped,
+                                    progress.reached, progress.probes_sent)

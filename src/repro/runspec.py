@@ -350,10 +350,12 @@ class Run:
         """Run the shape: a trace returns its ``TraceResult``, a survey its
         ``CollectionArchive``, a radar its ``RadarResult``.
 
-        Sinks attach in order: the JSONL event sink at ``events_path``,
-        ``sinks``, ``tracer``, then the metrics sink and auditor feeding
-        ``registry``, whose backend scope gets the transport's counters
-        after the run.  Sinks with ``close()`` and the transport close.
+        Sinks subscribe in order: the JSONL event sink at
+        ``events_path``, ``sinks``, then the auditor of ``registry``.
+        ``tracer`` and the metrics fold feeding ``registry`` attach to
+        the session log; the registry's backend scope gets the
+        transport's counters after the run.  Sinks with ``close()`` and
+        the transport close.
         A survey checkpoints to ``checkpoint_path`` every
         ``checkpoint_every`` targets and resumes from it.
         """
@@ -361,8 +363,10 @@ class Run:
         attached = list(sinks)
         if events_path is not None:
             attached.insert(0, JsonlEventSink(events_path))
-        for sink in attached + ([tracer] if tracer is not None else []):
+        for sink in attached:
             bus.subscribe(sink)
+        if tracer is not None:
+            bus.attach(tracer)
         if registry is not None:
             from .metrics import DEFAULT_SLACK, instrument
 

@@ -72,10 +72,10 @@ class MutatingTransport:
             self._cursor += 1
             self.mutation_epoch += 1
             if self.events:
-                self.events.emit(TopologyMutated(
-                    epoch=mutation.epoch, sequence=mutation.sequence,
-                    kind=mutation.kind, target=mutation.target,
-                    detail=dict(mutation.detail) or None))
+                self.events.record(TopologyMutated, mutation.epoch,
+                                   mutation.sequence, mutation.kind,
+                                   mutation.target,
+                                   dict(mutation.detail) or None)
 
     def _next_boundary(self) -> Optional[int]:
         """Probe count at which the next mutation fires (None when done)."""

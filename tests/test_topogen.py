@@ -312,3 +312,50 @@ class TestRandomTopo:
         a = random_topo.random_blueprint(5)
         b = random_topo.random_blueprint(5)
         assert a.distribution == b.distribution
+
+
+_REFERENCE_BUILDS = {
+    "internet2": (internet2, lambda: internet2.build(seed=3)),
+    "geant": (geant, lambda: geant.build(seed=3)),
+    "random": (random_topo, lambda: random_topo.build_random(3)),
+}
+
+
+class TestReferenceBuildsValidateOnce:
+    """A reference build validates its final topology, vantage stub
+    included, exactly once."""
+
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_BUILDS))
+    def test_one_validation_per_build(self, name, monkeypatch):
+        from repro.netsim import Topology
+
+        calls = []
+        validate = Topology.validate
+
+        def counted(topology):
+            calls.append(topology)
+            validate(topology)
+
+        monkeypatch.setattr(Topology, "validate", counted)
+        network = _REFERENCE_BUILDS[name][1]()
+        assert calls == [network.topology]
+
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_BUILDS))
+    def test_disconnected_blueprint_still_raises(self, name, monkeypatch):
+        from repro.netsim import PrefixAllocator, TopologyBuilder, \
+            TopologyError
+
+        module, build = _REFERENCE_BUILDS[name]
+        synthesize_blueprint = module.synthesize
+
+        def disconnected(blueprint, **kwargs):
+            network = synthesize_blueprint(blueprint, **kwargs)
+            TopologyBuilder.wrap(
+                network.topology,
+                allocator=PrefixAllocator("172.31.0.0/16"),
+            ).link("island-a", "island-b")
+            return network
+
+        monkeypatch.setattr(module, "synthesize", disconnected)
+        with pytest.raises(TopologyError, match="not connected"):
+            build()

@@ -1,9 +1,11 @@
 """Integration-grade unit tests for the TraceNET tool itself."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import address_on
-from repro.core import TraceNET
+from repro.core import ObservedSubnet, TraceNET
 from repro.core.tracenet import ANONYMOUS_GAP_LIMIT
 from repro.netsim import (
     Engine,
@@ -138,6 +140,48 @@ class TestSubnetReuse:
         # The next trace through the LAN explores it again.
         tool.trace(target)
         assert set(lan.addresses) <= tool.collected_addresses
+
+
+_BASE = 10 << 24
+
+
+def _observed(offset, length):
+    pivot = _BASE + offset
+    return ObservedSubnet(pivot=pivot, pivot_distance=1, members={pivot},
+                          prefix_length=length)
+
+
+class TestNestedBlocks:
+    """A new block evicts the registered subnets it strictly contains,
+    found through the sorted pivot index: the same subnets a scan of every
+    registered subnet evicts, in the same order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(registered=st.lists(st.tuples(st.integers(0, 255),
+                                         st.integers(24, 32)),
+                               max_size=25),
+           evict_every=st.integers(2, 7),
+           block=st.tuples(st.integers(0, 255), st.integers(24, 32)))
+    def test_index_matches_a_scan(self, registered, evict_every, block):
+        topo, _, _, _ = path_topology()
+        tool = TraceNET(Engine(topo), "v")
+        for index, (offset, length) in enumerate(registered):
+            tool.register_subnet(_observed(offset, length))
+            if index % evict_every == evict_every - 1:
+                # Evictions keep the index in step with the registry.
+                tool.evict_subnets(lambda s: s.pivot % 3 == 0)
+        new = _observed(*block).prefix
+        scanned = [s for s in tool.collected_subnets
+                   if not (new.length < 32
+                           and new.network <= s.pivot <= new.broadcast
+                           and s.prefix.length > new.length)]
+        tool._evict_nested(new)
+        assert tool.collected_subnets == scanned
+        index = {}
+        for subnet in scanned:
+            for member in subnet.members:
+                index.setdefault(member, subnet)
+        assert tool._member_index == index
 
 
 class TestProtocols:
