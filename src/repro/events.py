@@ -8,7 +8,8 @@ that operational layer: the collectors record small typed events
 on an :class:`EventBus`.  Two kinds of consumer read them:
 
 * **folds** (the metrics registry's sink, the span builder) are attached
-  with :meth:`EventBus.attach` and read the session log: compact
+  with :meth:`EventBus.attach`, or with :meth:`EventBus.subscribe`, which
+  attaches anything that folds.  They read the session log: compact
   ``(cls, fields)`` records, handed over once per trace;
 * **sinks** (a JSONL writer for durable logs, the probe-economy auditor, a
   progress renderer) are subscribed with :meth:`EventBus.subscribe` and
@@ -422,6 +423,12 @@ def as_record(event: SessionEvent,
 Sink = Callable[[SessionEvent], None]
 
 
+def _is_fold(consumer) -> bool:
+    """Whether ``consumer`` reads the session log: it has ``fold`` and
+    ``bind`` (see :meth:`EventBus.attach`)."""
+    return hasattr(consumer, "fold") and hasattr(consumer, "bind")
+
+
 class EventBus:
     """One session's event plane: a log for folds, delivery for sinks.
 
@@ -460,7 +467,11 @@ class EventBus:
 
     A fold is an object with ``fold(records)``, called with each slice of
     the log in order, and ``bind(bus)``, called by :meth:`attach` so the
-    fold can :meth:`drain` the bus before it is read.
+    fold can :meth:`drain` the bus before it is read.  A fold has one way
+    onto the bus: :meth:`subscribe`, :meth:`unsubscribe` and
+    :meth:`subscribed` attach and detach it, so no event object is ever
+    built for one.  Its state then stands at the last trace end (or
+    drain) until the next; its readers drain first.
 
     **Failure isolation.**  A raising sink or fold must not abort
     collection: a broken progress renderer (or a full disk under a JSONL
@@ -496,13 +507,23 @@ class EventBus:
         return self._active
 
     def subscribe(self, sink: Sink) -> Sink:
-        """Attach a sink; returns it so callers can unsubscribe later."""
+        """Add a sink; returns it so callers can unsubscribe later.
+
+        A fold (an object with ``fold`` and ``bind``) is attached instead
+        (:meth:`attach`): it reads the session log, never event objects.
+        """
+        if _is_fold(sink):
+            return self.attach(sink)
         self._sinks.append(sink)
         self._reset_dispatch()
         return sink
 
     def unsubscribe(self, sink: Sink) -> None:
-        """Detach a sink (no-op when it is not attached)."""
+        """Remove a sink, or detach a fold (:meth:`detach`); a no-op when
+        it is not on the bus."""
+        if _is_fold(sink):
+            self.detach(sink)
+            return
         try:
             self._sinks.remove(sink)
         except ValueError:
@@ -512,7 +533,7 @@ class EventBus:
 
     @contextmanager
     def subscribed(self, sink: Sink):
-        """Scoped subscription: attach for the ``with`` body only."""
+        """Scoped subscription: on the bus for the ``with`` body only."""
         self.subscribe(sink)
         try:
             yield sink

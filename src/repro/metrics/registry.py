@@ -227,8 +227,9 @@ class MetricsRegistry:
         self._get_or_create(Gauge, name, labels).set(value)
 
     def observe(self, name: str, value,
-                buckets: Optional[Sequence[float]] = None, **labels) -> None:
-        self._histogram(name, buckets, labels).observe(value)
+                buckets: Optional[Sequence[float]] = None, times: int = 1,
+                **labels) -> None:
+        self._histogram(name, buckets, labels).observe(value, times)
 
     @contextmanager
     def time(self, name: str) -> Iterator[None]:

@@ -20,12 +20,14 @@ from repro.cli import main
 from repro.core import TraceNET
 from repro.events import (
     BOUNDARY_TYPES,
+    EVENT_TYPES,
     CollectingSink,
     CacheHit,
     EventBus,
     HeuristicFired,
     HopObserved,
     ProbeSent,
+    TopologyMutated,
     TraceFinished,
     TraceStarted,
     as_record,
@@ -128,23 +130,29 @@ class TestThreeWayParity:
 # -- reads and finishes anywhere in a recorded radar-chaos stream -----------
 
 
-def _radar_chaos_events(seed: int = 4):
-    """One GEANT instance of the ``radar-chaos`` benchmark workload:
-    ``tracenet radar`` defaults (3 rounds, 4 mutations from probe 200
-    every 400 probes) under 5% loss, with the probe-economy auditor."""
+def _radar_chaos(bus: EventBus, seed: int = 4) -> None:
+    """Run one GEANT instance of the ``radar-chaos`` benchmark workload
+    on ``bus``: ``tracenet radar`` defaults (3 rounds, 4 mutations from
+    probe 200 every 400 probes) under 5% loss."""
     network = geant.build(seed=seed)
     engine = Engine(network.topology, policy=network.policy)
     schedule = MutationSchedule.generate(network.topology, seed=seed,
                                          start=200, interval=400, count=4)
-    bus = EventBus()
     transport = MutatingTransport(
         FaultInjectingTransport(SimulatorTransport(engine), drop_rate=0.05,
                                 seed=seed),
         schedule, dynamics=NetworkDynamics(engine, schedule), events=bus)
     tool = TraceNET(transport, "utdallas", events=bus)
+    RadarRunner(tool, geant.targets(network, seed=seed), rounds=3).run()
+
+
+def _radar_chaos_events(seed: int = 4):
+    """The ``radar-chaos`` stream of one instance, with the probe-economy
+    auditor's verdicts."""
+    bus = EventBus()
     seen = bus.subscribe(CollectingSink())
     bus.subscribe(ProbeEconomyAuditor(bus))
-    RadarRunner(tool, geant.targets(network, seed=seed), rounds=3).run()
+    _radar_chaos(bus, seed)
     return seen.events
 
 
@@ -274,6 +282,66 @@ class TestTheLog:
         tool.events.detach(slices)
         assert len(slices.slices) == 1
         assert not tool.events
+
+
+# -- subscribed folds read the log --------------------------------------------
+
+
+class TestSubscribedFolds:
+    """A fold has one way onto the bus: subscribing it attaches it."""
+
+    def test_subscribed_folds_build_no_event_object(self, monkeypatch):
+        def folds(subscribe: bool):
+            bus = EventBus()
+            registry = MetricsRegistry()
+            add = bus.subscribe if subscribe else bus.attach
+            tracer = add(SpanBuilder())
+            add(MetricsSink(registry))
+            _radar_chaos(bus)
+            return registry.snapshot(), tracer.finish().to_dict()
+
+        attached = folds(subscribe=False)
+        built = {}
+        for cls in EVENT_TYPES.values():
+            # The radar's own mutation log is a subscribed
+            # TopologyMutated sink: those objects are its.
+            if cls is TopologyMutated:
+                continue
+
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                name = type(self).__name__
+                built[name] = built.get(name, 0) + 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        subscribed = folds(subscribe=True)
+        assert built == {}
+        assert subscribed == attached
+        assert attached[0]["counters"]["probes_sent_total"] > 0
+
+    def test_unsubscribe_hands_over_what_is_left(self, lan_network):
+        tool = TraceNET(lan_network.engine(), "vantage")
+        slices = tool.events.subscribe(_Slices())
+        tool.prober.probe(max(lan_network.topology.all_interface_addresses),
+                          3)
+        assert not slices.slices
+        tool.events.unsubscribe(slices)
+        assert len(slices.slices) == 1
+        assert not tool.events
+
+    def test_subscribed_hands_over_what_is_left(self, lan_network):
+        tool = TraceNET(lan_network.engine(), "vantage")
+        with tool.events.subscribed(_Slices()) as slices:
+            tool.prober.probe(
+                max(lan_network.topology.all_interface_addresses), 3)
+            assert not slices.slices
+        assert len(slices.slices) == 1
+        assert not tool.events
+
+    def test_subscribed_clocks_must_agree(self):
+        bus = EventBus()
+        bus.attach(SpanBuilder(clock=_Ticks()))
+        with pytest.raises(ValueError):
+            bus.subscribe(SpanBuilder(clock=_Ticks()))
 
 
 # -- a trace that never finished ------------------------------------------
