@@ -227,9 +227,8 @@ class MetricsRegistry:
         self._get_or_create(Gauge, name, labels).set(value)
 
     def observe(self, name: str, value,
-                buckets: Optional[Sequence[float]] = None, times: int = 1,
-                **labels) -> None:
-        self._histogram(name, buckets, labels).observe(value, times)
+                buckets: Optional[Sequence[float]] = None, **labels) -> None:
+        self._histogram(name, buckets, labels).observe(value)
 
     @contextmanager
     def time(self, name: str) -> Iterator[None]:

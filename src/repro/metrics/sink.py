@@ -43,15 +43,6 @@ TRACE_HOP_BUCKETS = (1, 2, 4, 8, 12, 16, 24, 32)
 TRACE_PROBE_BUCKETS = (8, 16, 32, 64, 128, 256, 512, 1024)
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
-#: The types whose only metric is a count of their records.
-_COUNTED = {
-    TraceStarted: "traces_started_total",
-    ProbeRetried: "probe_retries_total",
-    SurveyProgressed: "survey_progress_events_total",
-    DegradedResult: "degraded_traces_total",
-    CheckpointWritten: "checkpoints_written_total",
-}
-
 _HELP = {
     "probes_sent_total": "Wire probes sent (reconciles with Engine.stats.probes_sent)",
     "probe_cache_hits_total": "Probes answered from the prober response cache",
@@ -108,23 +99,17 @@ class MetricsSink:
     never see a trace half folded.  Called directly with an event object,
     it turns the event into its record and runs the same fold.
 
-    The fold only counts the types recorded per probe, per hop or once
-    per trace: :class:`ProbeSent` by its shape ``(ttl, protocol,
-    flow_id, phase, answered, kind)``, :class:`HopObserved` by kind,
-    :class:`HeuristicFired` by ``(rule, verdict)``,
-    :class:`TraceFinished`, :class:`SubnetPositioned` and
-    :class:`SubnetGrown` by the fields their metrics read,
-    :class:`SurveyProgressed` by its last fields, and :class:`CacheHit`,
-    :class:`TraceStarted`, :class:`ProbeRetried` and the other
-    count-only types in total.  The registry applies the counts before
-    any read, one write per metric or histogram value.  The rare types
-    go through a per-type handler table, by exact type; each handler
-    takes the record's fields in declaration order.  The metric objects
-    the per-probe counts reach are held directly, and each labelled
-    counter as a :meth:`~MetricsRegistry.family`, so a label value is
-    resolved once per sink rather than once per event.  Series still
-    appear in the registry on their first event, so snapshots are
-    unchanged.
+    The four types recorded per probe or per hop only count in the fold:
+    :class:`ProbeSent` by its shape ``(ttl, protocol, flow_id, phase,
+    answered, kind)``, :class:`HopObserved` by kind,
+    :class:`HeuristicFired` by ``(rule, verdict)``, :class:`CacheHit` in
+    total.  The registry applies the counts before any read.  Every other
+    type goes through a per-type handler table, by exact type; each
+    handler takes the record's fields in declaration order.  The metric
+    objects are held directly, and each labelled counter as a
+    :meth:`~MetricsRegistry.family`, so a label value is resolved once per
+    sink rather than once per event.  Series still appear in the registry
+    on their first event, so snapshots are unchanged.
     """
 
     def __init__(self, registry: MetricsRegistry):
@@ -163,27 +148,24 @@ class MetricsSink:
         #: HopObserved count by kind; HeuristicFired by (rule, verdict).
         self._hop_kinds: dict = {}
         self._judgements: dict = {}
-        #: The once-per-trace types, counted as the per-probe ones are:
-        #: TraceFinished by (reached, hops, probes_sent, cache_hits),
-        #: SubnetPositioned by outcome, SubnetGrown by (size, stop_reason,
-        #: probes_used) with its phase probes summed, the last
-        #: SurveyProgressed's fields, and plain counts.
-        self._finished: dict = {}
-        self._positioned: dict = {}
-        self._grown: dict = {}
-        self._grown_phases: dict = {}
-        self._progress = None
-        self._counts = dict.fromkeys(_COUNTED, 0)
         registry.defer(self._catch_up)
         # The other types, by exact type.
         self._handlers = {
             ProbeSuppressed: self._on_probe_suppressed,
             ProbeBatchSent: self._on_probe_batch,
+            SubnetPositioned: self._on_subnet_positioned,
             SubnetShrunk: self._on_subnet_shrunk,
+            SubnetGrown: self._on_subnet_grown,
             OverheadViolation: self._on_overhead_violation,
+            TraceStarted: self._on_trace_started,
+            TraceFinished: self._on_trace_finished,
+            CheckpointWritten: self._on_checkpoint,
+            SurveyProgressed: self._on_survey_progressed,
             TopologyMutated: self._on_topology_mutated,
             TraceInconsistent: self._on_trace_inconsistent,
             SubnetRetracted: self._on_subnet_retracted,
+            DegradedResult: self._on_degraded_result,
+            ProbeRetried: self._on_probe_retried,
         }
 
     # -- the fold protocol --------------------------------------------------
@@ -198,15 +180,12 @@ class MetricsSink:
     def fold(self, records) -> None:
         """Apply a slice of session-log records, in order.
 
-        The per-probe, per-hop and once-per-trace types only count here;
-        the registry applies the counts before any read
-        (:meth:`_catch_up`).
+        The four per-probe and per-hop types only count here; the
+        registry applies the counts before any read (:meth:`_catch_up`).
         """
         shapes = self._probe_shapes
         hop_kinds = self._hop_kinds
         judgements = self._judgements
-        finished = self._finished
-        counts = self._counts
         cache_hits = 0
         handlers = self._handlers
         for record in records:
@@ -222,33 +201,12 @@ class MetricsSink:
             elif cls is HeuristicFired:
                 judgement = record[1][1:3]
                 judgements[judgement] = judgements.get(judgement, 0) + 1
-            elif cls is TraceFinished:
-                shape = record[1][1:5]
-                finished[shape] = finished.get(shape, 0) + 1
-            elif cls in counts:
-                counts[cls] += 1
-                if cls is SurveyProgressed:
-                    self._progress = record[1]
-            elif cls is SubnetPositioned:
-                outcome = record[1][1]
-                self._positioned[outcome] = \
-                    self._positioned.get(outcome, 0) + 1
-            elif cls is SubnetGrown:
-                self._count_grown(*record[1])
             else:
                 handler = handlers.get(cls)
                 if handler is not None:
                     handler(*record[1])
         if cache_hits:
             self._cache_hits.inc(cache_hits)
-
-    def _count_grown(self, pivot, prefix, size, stop_reason, probes_used,
-                     phase_probes=None, candidates_tested=0) -> None:
-        shape = (size, stop_reason, probes_used)
-        self._grown[shape] = self._grown.get(shape, 0) + 1
-        phases = self._grown_phases
-        for phase, count in (phase_probes or {}).items():
-            phases[phase] = phases.get(phase, 0) + count
 
     def _catch_up(self) -> None:
         """Fold everything recorded so far and apply the counts (run by
@@ -276,67 +234,6 @@ class MetricsSink:
         for (rule, verdict), count in judgements.items():
             self._rules[rule].inc(count)
             self._verdicts[verdict].inc(count)
-        self._apply_trace_counts()
-
-    def _apply_trace_counts(self) -> None:
-        """Apply the once-per-trace counts: one registry write per metric,
-        and one per histogram value.  A series appears only once a record
-        of its type was counted, as it would on a direct write."""
-        registry = self.registry
-        counts = self._counts
-        for cls, count in counts.items():
-            if count:
-                registry.inc(_COUNTED[cls], count)
-                counts[cls] = 0
-        finished, self._finished = self._finished, {}
-        if finished:
-            reached_total = hits = 0
-            hops_seen: dict = {}
-            probes_seen: dict = {}
-            for (reached, hops, probes_sent, cache_hits), count \
-                    in finished.items():
-                if reached:
-                    reached_total += count
-                hits += cache_hits * count
-                hops_seen[hops] = hops_seen.get(hops, 0) + count
-                probes_seen[probes_sent] = \
-                    probes_seen.get(probes_sent, 0) + count
-            registry.inc("traces_finished_total", sum(finished.values()))
-            if reached_total:
-                registry.inc("traces_reached_total", reached_total)
-            registry.inc("trace_cache_hits_total", hits)
-            _observe(registry, "trace_hops", TRACE_HOP_BUCKETS, hops_seen)
-            _observe(registry, "trace_probes", TRACE_PROBE_BUCKETS,
-                     probes_seen)
-        positioned, self._positioned = self._positioned, {}
-        for outcome, count in positioned.items():
-            self._positionings["positioned" if outcome
-                               else "unpositioned"].inc(count)
-        grown, self._grown = self._grown, {}
-        if grown:
-            sizes: dict = {}
-            used: dict = {}
-            for (size, stop_reason, probes_used), count in grown.items():
-                self._stops[stop_reason].inc(count)
-                sizes[size] = sizes.get(size, 0) + count
-                used[probes_used] = used.get(probes_used, 0) + count
-            total = sum(grown.values())
-            registry.inc("subnets_grown_total", total)
-            registry.inc("overhead_checks_total", total)
-            _observe(registry, "subnet_size", SUBNET_SIZE_BUCKETS, sizes)
-            _observe(registry, "subnet_probes_used", SUBNET_PROBE_BUCKETS,
-                     used)
-        phases, self._grown_phases = self._grown_phases, {}
-        for phase, count in phases.items():
-            self._phase_probes[phase].inc(count)
-        progress, self._progress = self._progress, None
-        if progress is not None:
-            total_targets, completed, skipped, reached, probes_sent = progress
-            registry.set_gauge("survey_targets", total_targets)
-            registry.set_gauge("survey_completed", completed)
-            registry.set_gauge("survey_skipped", skipped)
-            registry.set_gauge("survey_reached", reached)
-            registry.set_gauge("survey_probes_sent", probes_sent)
 
     # -- per-type handlers, one argument per event field --------------------
 
@@ -348,14 +245,48 @@ class MetricsSink:
         self._batches.inc()
         self._batch_hist.observe(size)
 
+    def _on_subnet_positioned(self, trace_address, positioned, pivot,
+                              pivot_distance, on_trace_path) -> None:
+        outcome = "positioned" if positioned else "unpositioned"
+        self._positionings[outcome].inc()
+
     def _on_subnet_shrunk(self, pivot, rule, prefix_length) -> None:
         self._shrinks[rule].inc()
+
+    def _on_subnet_grown(self, pivot, prefix, size, stop_reason, probes_used,
+                         phase_probes=None, candidates_tested=0) -> None:
+        registry = self.registry
+        registry.inc("subnets_grown_total")
+        self._stops[stop_reason].inc()
+        registry.inc("overhead_checks_total")
+        registry.observe("subnet_size", size, buckets=SUBNET_SIZE_BUCKETS)
+        registry.observe("subnet_probes_used", probes_used,
+                         buckets=SUBNET_PROBE_BUCKETS)
+        for phase, count in (phase_probes or {}).items():
+            self._phase_probes[phase].inc(count)
 
     def _on_overhead_violation(self, pivot, prefix, size, probes_used,
                                upper_bound, slack,
                                phase_probes=None) -> None:
         self.registry.inc("overhead_violations_total")
         self.registry.inc("overhead_violation_probes_total", probes_used)
+
+    def _on_trace_started(self, destination) -> None:
+        self.registry.inc("traces_started_total")
+
+    def _on_trace_finished(self, destination, reached, hops, probes_sent,
+                           cache_hits=0) -> None:
+        registry = self.registry
+        registry.inc("traces_finished_total")
+        if reached:
+            registry.inc("traces_reached_total")
+        registry.inc("trace_cache_hits_total", cache_hits)
+        registry.observe("trace_hops", hops, buckets=TRACE_HOP_BUCKETS)
+        registry.observe("trace_probes", probes_sent,
+                         buckets=TRACE_PROBE_BUCKETS)
+
+    def _on_checkpoint(self, path, completed_targets, traces) -> None:
+        self.registry.inc("checkpoints_written_total")
 
     def _on_topology_mutated(self, epoch, sequence, kind, target,
                              detail=None) -> None:
@@ -368,11 +299,21 @@ class MetricsSink:
     def _on_subnet_retracted(self, prefix, reason) -> None:
         self._retractions[reason].inc()
 
+    def _on_degraded_result(self, destination, reason, confidence) -> None:
+        self.registry.inc("degraded_traces_total")
 
-def _observe(registry, name, buckets, values) -> None:
-    """Observe each value of ``values`` as many times as it counts."""
-    for value, count in values.items():
-        registry.observe(name, value, buckets, count)
+    def _on_probe_retried(self, dst, ttl, attempt, phase) -> None:
+        self.registry.inc("probe_retries_total")
+
+    def _on_survey_progressed(self, total_targets, completed, skipped,
+                              reached, probes_sent) -> None:
+        registry = self.registry
+        registry.inc("survey_progress_events_total")
+        registry.set_gauge("survey_targets", total_targets)
+        registry.set_gauge("survey_completed", completed)
+        registry.set_gauge("survey_skipped", skipped)
+        registry.set_gauge("survey_reached", reached)
+        registry.set_gauge("survey_probes_sent", probes_sent)
 
 
 def collect_bus_metrics(registry, bus) -> None:

@@ -76,7 +76,7 @@ PHASE_POSITIONING = "subnet-positioning"
 PHASE_EXPLORATION = "subnet-exploration"
 
 
-@dataclass(slots=True, init=False)
+@dataclass(slots=True)
 class Span:
     """One node of the span tree.
 
@@ -85,10 +85,6 @@ class Span:
     over the subtree.  ``start``/``end`` are the quarantined timing plane:
     monotonic first/last-activity stamps, present only on clocked live
     builds and excluded from the deterministic :meth:`to_dict`.
-
-    The constructor is written out, not generated: the dataclass's
-    ``__init__`` runs a default factory per omitted container, and the
-    builder makes about 16 spans per trace.
     """
 
     kind: str
@@ -98,16 +94,6 @@ class Span:
     children: List["Span"] = field(default_factory=list)
     start: Optional[float] = None
     end: Optional[float] = None
-
-    def __init__(self, kind, name, meta=None, counters=None, children=None,
-                 start=None, end=None):
-        self.kind = kind
-        self.name = name
-        self.meta = {} if meta is None else meta
-        self.counters = {} if counters is None else counters
-        self.children = [] if children is None else children
-        self.start = start
-        self.end = end
 
     def count(self, key: str, amount: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + amount
@@ -129,7 +115,7 @@ class Span:
     def child(self, kind: str, name: str,
               meta: Optional[Dict] = None) -> "Span":
         """Append a new child span; it keeps ``meta`` itself, uncopied."""
-        span = Span(kind, name, meta)
+        span = Span(kind, name, {} if meta is None else meta)
         self.children.append(span)
         return span
 
@@ -192,6 +178,7 @@ class SpanBuilder:
         self._handlers = {
             TraceStarted: self._on_trace_started,
             TraceFinished: self._on_trace_finished,
+            ProbeSuppressed: self._on_suppressed,
             ProbeBatchSent: self._on_batch,
             HopObserved: self._on_hop,
             SubnetPositioned: self._on_positioned,
@@ -207,8 +194,7 @@ class SpanBuilder:
         # design).  A bus never reads them, since it attaches a subscribed
         # builder; only a wrapper that subscribes per event in its place
         # (perfbench's ledger proxy) forwards them as dispatch interests.
-        self.interests = (ProbeSent, CacheHit, ProbeSuppressed,
-                          *self._handlers)
+        self.interests = (ProbeSent, CacheHit, *self._handlers)
 
     # -- the fold protocol -----------------------------------------------
 
@@ -221,72 +207,25 @@ class SpanBuilder:
         self.fold((as_record(event, self.clock),))
 
     def fold(self, records) -> None:
-        """Apply a slice of session-log records, in order.
-
-        The probe records (:class:`ProbeSent`, :class:`CacheHit`,
-        :class:`ProbeSuppressed`) are counted inline, on their TTL's hop,
-        the growth phase's span or the pending exploration bucket; a span
-        is opened by its first probe.  The other types go through the
-        handler table.
-        """
+        """Apply a slice of session-log records, in order."""
         if self._charged is not None:
             self._revoke_charge()
+        count = self._count_probe
         handlers = self._handlers
-        hops = self._hops
-        growth = self._growth
-        clocked = self.clock is not None
         for record in records:
             cls = record[0]
             if cls is ProbeSent:
-                key = "probes"
                 fields = record[1]
-                phase = fields[4]
+                count("probes", fields[4], fields[1])
             elif cls is CacheHit:
-                key = "cache_hits"
                 fields = record[1]
-                phase = fields[2]
-            elif cls is ProbeSuppressed:
-                key = "suppressed"
-                fields = record[1]
-                phase = fields[2]
+                count("cache_hits", fields[2], fields[1])
             else:
                 if len(record) > 2:
                     self._now = record[2]
                 handler = handlers.get(cls)
                 if handler is not None:
                     handler(*record[1])
-                continue
-            if phase == PHASE_EXPLORATION:
-                # Exploration probes belong to the *next* heuristic
-                # judgement: the collector probes a candidate, then
-                # records the verdict.
-                span = growth.get(phase)
-                if span is None:
-                    self._phase_span(phase)
-                elif clocked:
-                    span.end = self._now
-                pending = self._pending
-                pending[key] = pending.get(key, 0) + 1
-                if clocked and self._pending_start is None:
-                    self._pending_start = self._now
-                continue
-            if phase == PHASE_TRACE and fields[1] is not None:
-                span = hops.get(fields[1])
-                if span is None:
-                    span = self._hop_span(fields[1])
-                elif clocked:
-                    span.end = self._now
-            elif phase == PHASE_POSITIONING:
-                span = growth.get(phase)
-                if span is None:
-                    span = self._phase_span(phase)
-                elif clocked:
-                    span.end = self._now
-            else:
-                span = self._attach_point()
-                self._touch(span)
-            counters = span.counters
-            counters[key] = counters.get(key, 0) + 1
 
     def finish(self) -> Span:
         """The tree so far: folds what the bus has recorded, charges
@@ -335,26 +274,62 @@ class SpanBuilder:
         return self._trace if self._trace is not None else self.root
 
     def _hop_span(self, ttl: int) -> Span:
-        """Open the hop span of ``ttl``, which has none yet."""
-        now = self._now if self.clock is not None else None
-        span = Span("hop", f"ttl-{ttl}", {"ttl": ttl}, None, None, now, now)
-        (self._trace if self._trace is not None
-         else self.root).children.append(span)
-        self._hops[ttl] = span
+        span = self._hops.get(ttl)
+        if span is None:
+            span = self._attach_point().child("hop", f"ttl-{ttl}",
+                                              meta={"ttl": ttl})
+            self._hops[ttl] = span
+        self._touch(span)
         return span
 
     def _phase_span(self, phase: str) -> Span:
         """The growth-phase child of the current hop (lazily created)."""
         span = self._growth.get(phase)
         if span is None:
-            now = self._now if self.clock is not None else None
-            span = Span("phase", phase, None, None, None, now, now)
-            (self._hop if self._hop is not None
-             else self._attach_point()).children.append(span)
+            parent = self._hop if self._hop is not None \
+                else self._attach_point()
+            span = parent.child("phase", phase)
             self._growth[phase] = span
-        elif self.clock is not None:
-            span.end = self._now
+        self._touch(span)
         return span
+
+    def _count_probe(self, key: str, phase: Optional[str],
+                     ttl: Optional[int]) -> None:
+        # The per-probe hot path: every ProbeSent/CacheHit/ProbeSuppressed
+        # lands here, so the common cases (an existing hop or phase span)
+        # are inlined — dict probe, stamp, count — instead of going
+        # through _hop_span/_phase_span/_touch/count call chains.
+        clocked = self.clock is not None
+        if phase == PHASE_EXPLORATION:
+            # Exploration probes belong to the *next* heuristic judgement:
+            # the collector probes a candidate, then records the verdict.
+            pending = self._pending
+            pending[key] = pending.get(key, 0) + 1
+            span = self._growth.get(PHASE_EXPLORATION)
+            if span is None:
+                self._phase_span(PHASE_EXPLORATION)
+            elif clocked:
+                span.end = self._now
+            if clocked and self._pending_start is None:
+                self._pending_start = self._now
+            return
+        if phase == PHASE_TRACE and ttl is not None:
+            span = self._hops.get(ttl)
+            if span is None:
+                span = self._hop_span(ttl)
+            elif clocked:
+                span.end = self._now
+        elif phase == PHASE_POSITIONING:
+            span = self._growth.get(phase)
+            if span is None:
+                span = self._phase_span(phase)
+            elif clocked:
+                span.end = self._now
+        else:
+            span = self._trace if self._trace is not None else self.root
+            self._touch(span)
+        counters = span.counters
+        counters[key] = counters.get(key, 0) + 1
 
     # -- handlers, one argument per event field ----------------------------
 
@@ -405,6 +380,10 @@ class SpanBuilder:
         trace.meta.update(degraded=True, confidence=confidence,
                           degraded_reason=reason)
         trace.count("degraded")
+
+    def _on_suppressed(self, destination, ttl, phase, reason,
+                       address=None) -> None:
+        self._count_probe("suppressed", phase, ttl)
 
     def _on_batch(self, size, phase) -> None:
         # Batches span several TTLs/candidates: attribute to the phase
